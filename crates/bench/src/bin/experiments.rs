@@ -468,7 +468,7 @@ fn e10() {
         fleet
             .build_index("flight")
             .expect("flight is an mpoint attr");
-        let off = ScanOpts::new().stats(true).index(IndexPolicy::Off);
+        let off = ScanOpts::new().index(IndexPolicy::Off);
         let on = off.clone().index(IndexPolicy::Force);
         let (expect, _) = fleet
             .passes("flight", &zone, &window, &off)
@@ -487,7 +487,6 @@ fn e10() {
         let (got, stats) = fleet
             .passes("flight", &zone, &window, &on)
             .expect("pruned scan");
-        let stats = stats.expect("stats requested");
         assert_eq!(stats.index_fallbacks, 0, "clean index must not fall back");
         println!(
             "{:>8} {:>12} {:>14} {:>14} {:>10} {:>8.1} {:>6}",

@@ -1,15 +1,14 @@
-//! # `mob-bench` — shared workload builders for the experiment harness
+//! # `mob-bench` — workload builders for the experiment driver
 //!
-//! Each experiment of DESIGN.md §2 has a Criterion bench (relative
-//! timing, `cargo bench`) and a row generator in the `experiments`
-//! binary (absolute scaling tables for EXPERIMENTS.md). Both use the
-//! builders in this crate so they measure identical workloads.
+//! Each experiment of DESIGN.md §2 has a row generator in the
+//! `experiments` binary (absolute scaling tables for EXPERIMENTS.md),
+//! built from the seeded workloads in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mob_base::{t, Instant};
-use mob_core::{Mapping, MovingPoint, MovingRegion};
+use mob_core::{MovingPoint, MovingRegion};
 use mob_gen::{flight_mpoint, storm};
 use mob_spatial::{Point, Seg};
 
@@ -83,8 +82,7 @@ pub fn square_grid_soup(k: usize) -> Vec<Seg> {
 }
 
 /// Median wall-clock nanoseconds of `f` over `iters` runs (the
-/// `experiments` binary's measurement primitive — Criterion handles the
-/// statistically careful version).
+/// `experiments` binary's measurement primitive).
 pub fn median_nanos(iters: usize, mut f: impl FnMut()) -> u128 {
     let mut samples: Vec<u128> = (0..iters)
         .map(|_| {
@@ -95,11 +93,6 @@ pub fn median_nanos(iters: usize, mut f: impl FnMut()) -> u128 {
         .collect();
     samples.sort();
     samples[samples.len() / 2]
-}
-
-/// Sanity helper: a mapping's unit count (for table rows).
-pub fn units_of<U: mob_core::Unit>(m: &Mapping<U>) -> usize {
-    m.num_units()
 }
 
 #[cfg(test)]

@@ -281,31 +281,6 @@ impl OpenRelOpts {
 }
 
 impl Relation {
-    /// Open a stored relation for **query-in-place**: scalar and small
-    /// attributes are loaded eagerly (they live in the root record
-    /// anyway), but every `moving(point)` attribute becomes an
-    /// [`AttrValue::MPointRef`] — a handle that decodes unit records
-    /// lazily from the shared page store when a query probes it. This is
-    /// the scan path of the query-over-storage design: opening the
-    /// relation runs **one** structural verification scan per flight
-    /// (untrusted bytes are never probed blindly), after which a
-    /// single-instant query costs `O(log n)` record reads instead of
-    /// materializing all `n` units.
-    #[deprecated(note = "use Relation::from_stored(stored, store, OnError::Fail)")]
-    pub fn from_store(stored: &StoredRelation, store: Arc<PageStore>) -> DecodeResult<Relation> {
-        Relation::from_stored(stored, store, OnError::Fail)
-    }
-
-    /// [`Relation::from_stored`] under its pre-MVCC name.
-    #[deprecated(note = "use Relation::from_stored")]
-    pub fn from_store_with(
-        stored: &StoredRelation,
-        store: Arc<PageStore>,
-        on_error: OnError,
-    ) -> DecodeResult<Relation> {
-        Relation::from_stored(stored, store, on_error)
-    }
-
     /// Open a pinned [`Generation`] as a relation: one tuple per
     /// `moving(point)` root, `(name, mpoint-ref)` in catalog order, the
     /// unit arrays decoded lazily from the generation's page store.
@@ -412,6 +387,12 @@ impl Relation {
     /// Open a [`StoredRelation`] with an explicit damage policy — the
     /// open path for hand-assembled catalogs and stores recovered
     /// **degraded** (bit rot quarantined some page-store blobs).
+    ///
+    /// The relation is opened for **query-in-place**: scalar attributes
+    /// are loaded eagerly, but every `moving(point)` attribute becomes
+    /// an [`AttrValue::MPointRef`] that decodes unit records lazily from
+    /// the shared page store, so a single-instant query costs `O(log n)`
+    /// record reads instead of materializing all `n` units.
     ///
     /// Under [`OnError::Fail`] any quarantined attribute aborts the
     /// open. Under [`OnError::SkipAndRecord`] a quarantined attribute

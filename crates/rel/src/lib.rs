@@ -21,7 +21,7 @@ pub mod value;
 pub use catalog::{
     index_rebuilder, load_relation, rebuild_index_root, save_relation, OpenRelOpts, StoredRelation,
 };
-pub use plan::{Plan, PlanReport, Probe};
+pub use plan::{Plan, Probe};
 pub use queries::{
     close_encounters, closest_approach, closest_approach_seq, long_flights, planes_relation,
     planes_schema, storm_exposure,

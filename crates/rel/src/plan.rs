@@ -5,18 +5,18 @@
 //! 1. **plan** ([`plan_scan`]) — inspect the [`ScanOpts`] index policy
 //!    and whatever index the relation carries, and choose an access
 //!    path: a full scan, or a pruned scan over index candidates.
-//! 2. **prune** ([`Plan::candidates`]) — consult the R-tree for the
-//!    candidate tuple set of the query's probe volume, merge in the
-//!    tuples the index cannot speak for, and produce a membership mask.
-//! 3. **execute** (in [`crate::scan`]) — run the existing batch kernels
-//!    over candidates only, in input-tuple order.
+//! 2. **prune** ([`Plan::Pruned`]) — consult the R-tree for the
+//!    candidate tuple set of the query's probe volume and merge in the
+//!    tuples the index cannot speak for.
+//! 3. **execute** (in [`crate::scan`]) — run the per-tuple probe over
+//!    candidates only, in input-tuple order.
 //!
 //! The planner is *policy*: it may only ever trade work for work. A
 //! damaged, missing or mismatched index degrades to a full scan — a
 //! recorded event (`index.fallbacks`), never a wrong answer.
 
 use crate::relation::Relation;
-use crate::scan::IndexPolicy;
+use crate::scan::{IndexPolicy, QueryStats};
 use mob_base::Instant;
 use mob_core::Candidates;
 use mob_spatial::{Cube, Rect};
@@ -49,32 +49,18 @@ pub enum AttrNeed {
 pub enum Plan {
     /// Touch every tuple.
     Full,
-    /// Touch index candidates only.
-    Pruned {
-        /// `mask[i]` — is tuple `i` a candidate?
-        mask: Vec<bool>,
-        /// Number of candidate tuples (`mask.iter().filter(|c| **c)`).
-        count: usize,
-        /// R-tree nodes visited while pruning.
-        nodes_visited: u64,
-    },
-}
-
-/// The planner's summary, threaded into `QueryStats` and the metrics
-/// registry by the execute stage.
-#[derive(Debug, Default)]
-pub struct PlanReport {
-    /// Candidate tuples after pruning; `None` on the full path.
-    pub candidates: Option<usize>,
-    /// 1 when the scan wanted an index but had to fall back.
-    pub fallbacks: u64,
+    /// Touch the index candidates only: their tuple positions,
+    /// ascending and distinct.
+    Pruned(Vec<usize>),
 }
 
 /// Stage 1 + 2: choose the access path for a scan of `rel` probing
-/// `probe` through `need`, then prune.
+/// `probe` through `need`, then prune. The returned [`QueryStats`]
+/// carries the planner's part of the tally (`tuples`, `candidates`,
+/// `index_fallbacks`).
 ///
 /// Fallback rules (each recorded in the `index.fallbacks` metric and
-/// [`PlanReport::fallbacks`]):
+/// [`QueryStats::index_fallbacks`]):
 ///
 /// * the relation is marked index-damaged (a stored index failed to
 ///   load) and the policy still wants an index;
@@ -89,26 +75,28 @@ pub fn plan_scan(
     probe: &Probe,
     need: AttrNeed,
     policy: IndexPolicy,
-) -> (Plan, PlanReport) {
+) -> (Plan, QueryStats) {
     let _span = mob_obs::span("scan.plan");
+    let full = QueryStats {
+        tuples: rel.len(),
+        ..QueryStats::default()
+    };
     if policy == IndexPolicy::Off {
-        return (Plan::Full, PlanReport::default());
+        return (Plan::Full, full);
     }
     let fallback = || {
         mob_obs::metric!("index.fallbacks").add(1);
-        (
-            Plan::Full,
-            PlanReport {
-                candidates: None,
-                fallbacks: 1,
-            },
-        )
+        let stats = QueryStats {
+            index_fallbacks: 1,
+            ..full
+        };
+        (Plan::Full, stats)
     };
     let Some(ix) = rel.index() else {
         if rel.index_damaged() || policy == IndexPolicy::Force {
             return fallback();
         }
-        return (Plan::Full, PlanReport::default());
+        return (Plan::Full, full);
     };
     let usable = ix.tree.num_tuples() == rel.len()
         && match need {
@@ -133,32 +121,20 @@ pub fn plan_scan(
         Probe::Window(rect) => ix.tree.query_rect(rect),
         Probe::Volume(cube) => ix.tree.query(cube),
     };
-    let mut mask = vec![false; rel.len()];
-    for &t in found.tuples.iter().chain(ix.always.iter()) {
-        mask[t as usize] = true;
-    }
-    let count = mask.iter().filter(|c| **c).count();
+    // Both lists are sorted: the stable sort merges the two runs.
+    let mut cands: Vec<usize> = found
+        .tuples
+        .iter()
+        .chain(&ix.always)
+        .map(|&t| t as usize)
+        .collect();
+    cands.sort();
+    cands.dedup();
     mob_obs::metric!("index.nodes_visited").add(found.nodes_visited);
-    mob_obs::metric!("index.candidates").add(count as u64);
-    (
-        Plan::Pruned {
-            mask,
-            count,
-            nodes_visited: found.nodes_visited,
-        },
-        PlanReport {
-            candidates: Some(count),
-            fallbacks: 0,
-        },
-    )
-}
-
-impl Plan {
-    /// Is tuple `i` a candidate under this plan?
-    pub fn is_candidate(&self, i: usize) -> bool {
-        match self {
-            Plan::Full => true,
-            Plan::Pruned { mask, .. } => mask.get(i).copied().unwrap_or(true),
-        }
-    }
+    mob_obs::metric!("index.candidates").add(cands.len() as u64);
+    let stats = QueryStats {
+        candidates: Some(cands.len()),
+        ..full
+    };
+    (Plan::Pruned(cands), stats)
 }

@@ -167,9 +167,8 @@ fn bit_rot_scans_skip_and_record_exactly_the_damage() {
         );
 
         // SkipAndRecord: exactly the healthy tuples, exactly counted.
-        let opts = ScanOpts::new().stats(true).on_error(OnError::SkipAndRecord);
+        let opts = ScanOpts::new().on_error(OnError::SkipAndRecord);
         let (snap, stats) = rel.snapshot_at(probe, &opts).expect("degraded scan");
-        let stats = stats.expect("stats requested");
         assert_eq!(
             stats.tuples_quarantined,
             expected.len() as u64,

@@ -84,7 +84,6 @@ fn assert_equivalent(
     for threads in [1usize, 4] {
         let full = ScanOpts::new()
             .threads(threads)
-            .stats(true)
             .on_error(policy)
             .index(IndexPolicy::Off);
         let pruned = full.clone().index(IndexPolicy::Force);
@@ -94,7 +93,6 @@ fn assert_equivalent(
         match (a, b) {
             (Ok((ra, sa)), Ok((rb, sb))) => {
                 assert_eq!(ra, rb, "snapshot_at, {threads} threads");
-                let (sa, sb) = (sa.unwrap(), sb.unwrap());
                 assert_eq!(sa.tuples_quarantined, sb.tuples_quarantined);
                 assert_eq!(sb.index_fallbacks, 0, "usable index must not fall back");
                 assert!(sb.candidates.unwrap() <= rel.len());

@@ -20,6 +20,16 @@ const FLIGHTS: usize = 6;
 const LEGS: usize = 48;
 const FLIPS: u32 = 6;
 
+/// The registry is process-wide: tests that read registry deltas hold
+/// this lock so no other test's scans land inside their window.
+static REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn exclusive_registry() -> std::sync::MutexGuard<'static, ()> {
+    REGISTRY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Fresh in-memory copy of a directory (shared-storage [`MemIo::clone`]
 /// would let one seed's recovery prune another's snapshot).
 fn deep_copy(dir: &MemIo) -> MemIo {
@@ -102,6 +112,7 @@ fn probe() -> (Region, Interval<mob_base::Instant>) {
 
 #[test]
 fn recovered_index_prunes_the_committed_fleet() {
+    let _registry = exclusive_registry();
     let dir = committed_dir();
     let store = DurableStore::options()
         .chunk_size(CHUNK)
@@ -112,23 +123,24 @@ fn recovered_index_prunes_the_committed_fleet() {
     assert!(rel.has_index(), "clean index must attach");
 
     let (zone, window) = probe();
-    let full = ScanOpts::new().stats(true).index(IndexPolicy::Off);
+    let full = ScanOpts::new().index(IndexPolicy::Off);
     let pruned = full.clone().index(IndexPolicy::Force);
     let (a, _) = rel.passes("trip", &zone, &window, &full).unwrap();
-    let (b, stats) = rel.passes("trip", &zone, &window, &pruned).unwrap();
+    let ((b, stats), report) = mob_obs::explain("pruned passes", || {
+        rel.passes("trip", &zone, &window, &pruned).unwrap()
+    });
     assert_eq!(a, b, "pruning must not change the answer");
     assert_eq!(
         a.len(),
         2,
         "the zigzags of flights 1 and 2 cross the corridor"
     );
-    let stats = stats.unwrap();
     assert_eq!(stats.index_fallbacks, 0);
     let cand = stats.candidates.expect("pruned path");
     assert!(cand < FLIGHTS, "candidates {cand} must beat {FLIGHTS}");
     if mob_obs::enabled() {
-        let nodes = stats.metrics.get("index.nodes_visited");
-        let touched = stats.metrics.get("scan.tuples_probed");
+        let nodes = report.metrics().get("index.nodes_visited");
+        let touched = report.metrics().get("scan.tuples_probed");
         assert!(touched <= cand as u64);
         assert!(nodes > 0, "the prune stage walked the tree");
     }
@@ -136,6 +148,7 @@ fn recovered_index_prunes_the_committed_fleet() {
 
 #[test]
 fn flipped_index_frames_degrade_to_recorded_full_scans() {
+    let _registry = exclusive_registry();
     let dir = committed_dir();
     let (zone, window) = probe();
     let mut opens_ok = 0u32;
@@ -168,7 +181,6 @@ fn flipped_index_frames_degrade_to_recorded_full_scans() {
         )
         .expect("degraded open tolerates quarantined blobs");
         let opts_full = ScanOpts::new()
-            .stats(true)
             .on_error(OnError::SkipAndRecord)
             .index(IndexPolicy::Off);
         let (expect, _) = twin
@@ -177,13 +189,11 @@ fn flipped_index_frames_degrade_to_recorded_full_scans() {
 
         let attached = rel.has_index();
         let opts_auto = ScanOpts::new()
-            .stats(true)
             .on_error(OnError::SkipAndRecord)
             .index(IndexPolicy::Auto);
         let (got, stats) = rel
             .passes("trip", &zone, &window, &opts_auto)
             .expect("scan never fails because of the index");
-        let stats = stats.unwrap();
         assert_eq!(got, expect, "seed {seed}: answers are damage-invariant");
         if attached {
             assert_eq!(stats.index_fallbacks, 0, "seed {seed}");

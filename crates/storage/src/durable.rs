@@ -346,9 +346,8 @@ pub enum ReplayPolicy {
     SnapshotOnly,
 }
 
-/// Builder for opening a [`DurableStore`] — the single entry point that
-/// replaces the old `create`/`open`/`open_degraded`/`open_store_file`/
-/// `open_store_file_degraded` constructor matrix:
+/// Builder for opening a [`DurableStore`] — the single entry point for
+/// fresh, strict and degraded opens:
 ///
 /// ```
 /// use mob_storage::{DurableStore, MemIo, ReplayPolicy};
@@ -456,12 +455,6 @@ pub struct DurableStore<I: StoreIo> {
     delta_bytes_since_snapshot: u64,
 }
 
-/// Result payload of [`DurableStore::open_store_file_degraded`]: the
-/// store handle plus, when a committed snapshot exists, the decoded
-/// [`StoreFile`] and the ids of the blobs quarantined by at-rest damage.
-#[deprecated(note = "use DurableStore::options().degraded(true).open(io) and snapshot()")]
-pub type DegradedOpen<I> = (DurableStore<I>, Option<(StoreFile, Vec<usize>)>);
-
 /// Staged content of a full-image commit.
 enum Staged {
     /// Arbitrary payload bytes.
@@ -557,54 +550,6 @@ impl DurableStore<crate::io::MemIo> {
 }
 
 impl<I: StoreIo> DurableStore<I> {
-    /// Start a durable store in a **fresh** directory.
-    #[deprecated(note = "use DurableStore::options().open(io); a fresh directory opens empty")]
-    pub fn create(io: I, chunk_size: usize) -> DecodeResult<DurableStore<I>> {
-        let chunk_size = validate_page_size(chunk_size)?;
-        if io.list()?.iter().any(|n| parse_snapshot_name(n).is_some()) {
-            return Err(DecodeError::Io(
-                "durable create: directory already contains snapshots (use open)".to_string(),
-            ));
-        }
-        Ok(DurableStore {
-            io,
-            chunk_size,
-            generation: 0,
-            state: StoreState::Empty,
-            deltas_since_snapshot: 0,
-            delta_bytes_since_snapshot: 0,
-        })
-    }
-
-    /// Recover the latest fully-valid committed payload (pre-WAL API:
-    /// delta files are ignored).
-    #[deprecated(note = "use DurableStore::options().open(io) and snapshot()/raw_payload()")]
-    pub fn open(io: I, chunk_size: usize) -> DecodeResult<(DurableStore<I>, Option<Vec<u8>>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, false)?;
-        let payload = img.map(|i| i.payload);
-        store.state = match &payload {
-            Some(p) => StoreState::Raw(p.clone()),
-            None => StoreState::Empty,
-        };
-        Ok((store, payload))
-    }
-
-    /// Recover the latest snapshot whose *superblock* is intact, even if
-    /// some chunk frames are damaged (pre-WAL API: delta files are
-    /// ignored).
-    #[deprecated(note = "use DurableStore::options().degraded(true).open(io)")]
-    pub fn open_degraded(
-        io: I,
-        chunk_size: usize,
-    ) -> DecodeResult<(DurableStore<I>, Option<DecodedImage>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, true)?;
-        store.state = match &img {
-            Some(i) => StoreState::Raw(i.payload.clone()),
-            None => StoreState::Empty,
-        };
-        Ok((store, img))
-    }
-
     /// Shared recovery scan: newest valid snapshot wins, torn snapshots
     /// and stale shadow files are removed. Returns the store (state
     /// [`StoreState::Empty`], to be set by the caller) and the decoded
@@ -975,73 +920,6 @@ impl<I: StoreIo> DurableStore<I> {
         }
     }
 
-    /// Commit a payload as the next generation.
-    #[deprecated(note = "use store.begin(), Txn::put_payload and Txn::commit")]
-    pub fn commit(&mut self, payload: &[u8]) -> DecodeResult<u64> {
-        self.commit_full(Staged::Payload(payload.to_vec()))
-    }
-
-    /// Commit a whole [`StoreFile`] (its serialized bytes) as the next
-    /// generation.
-    #[deprecated(note = "use store.begin(), Txn::put_store_file and Txn::commit")]
-    pub fn commit_store_file(&mut self, file: &StoreFile) -> DecodeResult<u64> {
-        let bytes = file.to_bytes()?;
-        let copy = StoreFile::from_parts(file.store().fork(), file.entries().to_vec());
-        self.commit_full(Staged::File(bytes, copy))
-    }
-
-    /// Open the latest committed [`StoreFile`] strictly (any damage
-    /// anywhere is an error). `Ok(None)` for a fresh directory. Pre-WAL
-    /// API: delta files are ignored.
-    #[deprecated(note = "use DurableStore::options().open(io) and snapshot()")]
-    pub fn open_store_file(
-        io: I,
-        chunk_size: usize,
-    ) -> DecodeResult<(DurableStore<I>, Option<StoreFile>)> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, false)?;
-        let file = match img {
-            Some(img) => Some(StoreFile::from_bytes(&img.payload)?),
-            None => None,
-        };
-        store.state = match &file {
-            Some(f) => StoreState::Gen(Arc::new(Generation::from_store_file(
-                store.generation,
-                StoreFile::from_parts(f.store().fork(), f.entries().to_vec()),
-                Vec::new(),
-            ))),
-            None => StoreState::Empty,
-        };
-        Ok((store, file))
-    }
-
-    /// Open the latest committed [`StoreFile`] in degraded mode: blobs
-    /// whose bytes were damaged at rest are quarantined (reads surface
-    /// [`DecodeError::Quarantined`]) and their indices returned, while
-    /// the catalog and every healthy blob stay fully readable. Damage in
-    /// structural bytes still fails the open. Pre-WAL API: delta files
-    /// are ignored.
-    #[deprecated(note = "use DurableStore::options().degraded(true).open(io) and snapshot()")]
-    #[allow(deprecated)]
-    pub fn open_store_file_degraded(io: I, chunk_size: usize) -> DecodeResult<DegradedOpen<I>> {
-        let (mut store, img) = DurableStore::open_inner(io, chunk_size, true)?;
-        let file = match img {
-            Some(img) => Some(StoreFile::from_bytes_with_damage(
-                &img.payload,
-                &img.damaged,
-            )?),
-            None => None,
-        };
-        store.state = match &file {
-            Some((f, quarantined)) => StoreState::Gen(Arc::new(Generation::from_store_file(
-                store.generation,
-                StoreFile::from_parts(f.store().fork(), f.entries().to_vec()),
-                quarantined.clone(),
-            ))),
-            None => StoreState::Empty,
-        };
-        Ok((store, file))
-    }
-
     /// The last committed generation (0 if none).
     pub fn generation(&self) -> u64 {
         self.generation
@@ -1262,20 +1140,6 @@ mod tests {
             Err(DecodeError::BadStructure { .. })
         ));
     }
-
-    #[test]
-    fn legacy_constructors_still_work() {
-        #![allow(deprecated)]
-        let dir = MemIo::new();
-        let mut store = DurableStore::create(dir.clone(), 32).unwrap();
-        assert_eq!(store.commit(b"alpha").unwrap(), 1);
-        let (reopened, payload) = DurableStore::open(dir.clone(), 32).unwrap();
-        assert_eq!(reopened.generation(), 1);
-        assert_eq!(payload.as_deref(), Some(&b"alpha"[..]));
-        assert!(DurableStore::create(dir, 32).is_err());
-    }
-
-    // ---- delta commit / replay / compaction --------------------------
 
     fn units_for(samples: &[(f64, f64)]) -> Vec<UPoint> {
         let s: Vec<_> = samples.iter().map(|&(ti, x)| (t(ti), pt(x, 0.0))).collect();

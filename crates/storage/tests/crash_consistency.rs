@@ -12,19 +12,15 @@
 //! is a crash point. A randomized campaign on top samples seeds, printed
 //! on entry so any failure is reproducible with `MOB_FAULT_SEED`.
 
-// The original campaign drives the pre-WAL commit API on purpose: the
-// deprecated entry points stay covered until they are removed. The
-// delta/compaction campaign below uses the transactional API.
-#![allow(deprecated)]
-
 use mob_base::t;
+use mob_base::DecodeResult;
 use mob_core::MovingPoint;
 use mob_spatial::pt;
 use mob_storage::mapping_store::{save_mpoint, UPointRecord};
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
-    load_array, DurableStore, FaultMask, FaultyIo, Generation, MemIo, StoreFile, StoreIo,
-    FAULT_MASKS,
+    decode_image_strict, load_array, snapshot_name, DurableStore, FaultMask, FaultyIo, Generation,
+    MemIo, StoreFile, StoreIo, FAULT_MASKS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,23 +42,47 @@ fn payload(n: usize, offset: f64) -> Vec<u8> {
     file.to_bytes().expect("sample serializes")
 }
 
+/// Open (or create) the store in `io` with the campaign's chunk size.
+fn open<I: StoreIo>(io: I) -> DecodeResult<DurableStore<I>> {
+    DurableStore::options().chunk_size(CHUNK).open(io)
+}
+
+/// Commit `payload` as the next full image.
+fn commit<I: StoreIo>(store: &mut DurableStore<I>, payload: &[u8]) -> DecodeResult<u64> {
+    let mut txn = store.begin();
+    txn.put_payload(payload);
+    txn.commit()
+}
+
+/// Reopen `survivor` and return the committed payload bytes of the
+/// recovered generation, read back from its snapshot image (`None` for
+/// an empty store).
+fn recovered_payload(survivor: MemIo) -> DecodeResult<Option<Vec<u8>>> {
+    let store = open(survivor)?;
+    if store.generation() == 0 {
+        return Ok(None);
+    }
+    let image = store.io().read_file(&snapshot_name(store.generation()))?;
+    Ok(Some(decode_image_strict(&image)?.payload))
+}
+
 /// Run the two-commit workload against a fault-injecting I/O layer.
 /// Returns the wrapper (for unit counting / survivor extraction) and
 /// which commits reported success.
 fn run_workload(io: FaultyIo, a: &[u8], b: &[u8]) -> (FaultyIo, bool, bool) {
     let mut ok_a = false;
     let mut ok_b = false;
-    let io = match DurableStore::create(io, CHUNK) {
+    let io = match open(io) {
         Ok(mut store) => {
-            if store.commit(a).is_ok() {
+            if commit(&mut store, a).is_ok() {
                 ok_a = true;
-                if store.commit(b).is_ok() {
+                if commit(&mut store, b).is_ok() {
                     ok_b = true;
                 }
             }
             store.into_io()
         }
-        Err(_) => unreachable!("create performs no durable writes"),
+        Err(_) => unreachable!("opening an empty directory performs no durable writes"),
     };
     (io, ok_a, ok_b)
 }
@@ -70,8 +90,8 @@ fn run_workload(io: FaultyIo, a: &[u8], b: &[u8]) -> (FaultyIo, bool, bool) {
 /// The invariant: recover the survivor and check old-or-new-never-hybrid
 /// against what the dying process observed.
 fn assert_old_or_new(survivor: MemIo, a: &[u8], b: &[u8], ok_a: bool, ok_b: bool, ctx: &str) {
-    let (_, recovered) = DurableStore::open(survivor, CHUNK)
-        .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+    let recovered =
+        recovered_payload(survivor).unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
     match recovered.as_deref() {
         None => {
             // Nothing committed: only acceptable before the first commit
@@ -113,7 +133,7 @@ fn exhaustive_crash_sweep_old_or_new_never_hybrid() {
     assert!(ok_a && ok_b, "fault-free workload must fully succeed");
     let total_units = faulty.write_units();
     let survivor = faulty.into_survivor();
-    let (_, recovered) = DurableStore::open(survivor, CHUNK).expect("clean open");
+    let recovered = recovered_payload(survivor).expect("clean open");
     assert_eq!(recovered.as_deref(), Some(&b[..]));
 
     // Every crash point × every fault mask. One case per unit is the
@@ -179,24 +199,23 @@ fn crash_mid_third_commit_preserves_second() {
     let c = payload(6, 2.0);
     // Count units of the three-commit workload.
     let probe = FaultyIo::new(MemIo::new(), u64::MAX, FaultMask::KeepUnsynced, 0);
-    let mut store = DurableStore::create(probe, CHUNK).expect("create");
-    store.commit(&a).expect("commit a");
-    store.commit(&b).expect("commit b");
+    let mut store = open(probe).expect("create");
+    commit(&mut store, &a).expect("commit a");
+    commit(&mut store, &b).expect("commit b");
     let units_before_c = store.io().write_units();
-    store.commit(&c).expect("commit c");
+    commit(&mut store, &c).expect("commit c");
     let total = store.io().write_units();
     drop(store);
 
     for budget in units_before_c..total {
         for mask in FAULT_MASKS {
             let faulty = FaultyIo::new(MemIo::new(), budget, mask, budget ^ 0xABCD);
-            let mut store = DurableStore::create(faulty, CHUNK).expect("create");
-            store.commit(&a).expect("commit a within budget");
-            store.commit(&b).expect("commit b within budget");
-            let c_ok = store.commit(&c).is_ok();
+            let mut store = open(faulty).expect("create");
+            commit(&mut store, &a).expect("commit a within budget");
+            commit(&mut store, &b).expect("commit b within budget");
+            let c_ok = commit(&mut store, &c).is_ok();
             let survivor = store.into_io().into_survivor();
-            let (_, recovered) =
-                DurableStore::open(survivor, CHUNK).expect("recovery must not error");
+            let recovered = recovered_payload(survivor).expect("recovery must not error");
             let got = recovered.as_deref();
             if c_ok {
                 assert_eq!(got, Some(&c[..]), "budget {budget} {mask:?}");
@@ -216,12 +235,12 @@ fn recovery_counts_events_in_metrics() {
     let dir = MemIo::new();
     let a = payload(6, 0.0);
     let b = payload(7, 3.0);
-    let mut store = DurableStore::create(dir.clone(), CHUNK).expect("create");
-    store.commit(&a).expect("commit a");
+    let mut store = open(dir.clone()).expect("create");
+    commit(&mut store, &a).expect("commit a");
     // Tear a forged generation-2 commit by truncating its image.
     let faulty = FaultyIo::new(dir.clone(), u64::MAX, FaultMask::KeepUnsynced, 9);
-    let mut store2 = DurableStore::open(faulty, CHUNK).expect("reopen").0;
-    store2.commit(&b).expect("commit b");
+    let mut store2 = open(faulty).expect("reopen");
+    commit(&mut store2, &b).expect("commit b");
     let snap2: Vec<String> = dir
         .list()
         .expect("list")
@@ -234,7 +253,7 @@ fn recovery_counts_events_in_metrics() {
         .expect("tear snap2");
 
     let before = mob_obs::Registry::global().snapshot();
-    let (_, recovered) = DurableStore::open(dir, CHUNK).expect("recover");
+    let recovered = recovered_payload(dir).expect("recover");
     assert_eq!(recovered.as_deref(), Some(&a[..]), "fell back to gen 1");
     let after = mob_obs::Registry::global().snapshot();
     if mob_obs::enabled() {

@@ -16,7 +16,7 @@
 use mob::core::{batch_at_instant, UnitSeq};
 use mob::obs::{Registry, OBS_ENV};
 use mob::prelude::*;
-use mob::rel::{planes_relation, save_relation, OnError, ScanOpts};
+use mob::rel::{planes_relation, save_relation, IndexPolicy, OnError, QueryStats, ScanOpts};
 use mob::storage::mapping_store::save_mpoint;
 use mob::storage::{open_mpoint, PageStore, Verify};
 use std::sync::Arc;
@@ -83,15 +83,47 @@ fn disabled_observability_registers_nothing_and_changes_nothing() {
         assert_eq!(hits.tuples()[0].at(rel.attr("id")).as_str(), Some("F00"));
     }
 
-    // Asking for stats still works — it just reports an empty snapshot.
-    let (_, stats) = rel
-        .snapshot_at(probe, &ScanOpts::new().threads(2).stats(true))
-        .unwrap();
-    let stats = stats.expect("stats(true) always yields QueryStats");
-    assert_eq!(stats.tuples, 2);
-    assert!(
-        stats.metrics.is_empty(),
-        "disabled registry must yield empty metric deltas"
+    // Every scan's QueryStats is its own exact tally, registry or not.
+    let opts = ScanOpts::new().threads(2);
+    let (_, stats) = rel.snapshot_at(probe, &opts).unwrap();
+    let full = QueryStats {
+        tuples: 2,
+        ..QueryStats::default()
+    };
+    assert_eq!(stats, full);
+    // Forcing an index that is not there: one recorded fallback.
+    let forced = opts.clone().index(IndexPolicy::Force);
+    let (_, stats) = rel.filter_inside("flight", &zone, &forced).unwrap();
+    assert_eq!(stats.index_fallbacks, 1);
+    assert_eq!(stats.candidates, None);
+    // An attached index prunes to F00 alone.
+    let mut indexed = rel.clone();
+    indexed.build_index("flight").expect("flight is an mpoint");
+    let (hits, stats) = indexed.filter_inside("flight", &zone, &forced).unwrap();
+    assert_eq!(hits.len(), 1);
+    assert_eq!(stats.candidates, Some(1));
+    assert_eq!(stats.index_fallbacks, 0);
+    // A quarantined tuple skipped under SkipAndRecord is counted.
+    let mut damaged = Relation::new(rel.schema().clone());
+    for (i, tup) in rel.tuples().iter().enumerate() {
+        let values = tup.values().iter().map(|v| match v.attr_type() {
+            AttrType::MPoint if i == 1 => AttrValue::Quarantined {
+                ty: AttrType::MPoint,
+                detail: "blob quarantined (test)".into(),
+            },
+            _ => v.clone(),
+        });
+        damaged.insert(Tuple::new(values.collect())).unwrap();
+    }
+    let skip = opts.on_error(OnError::SkipAndRecord);
+    let (snap, stats) = damaged.snapshot_at(probe, &skip).unwrap();
+    assert_eq!(snap.len(), 1);
+    assert_eq!(
+        stats,
+        QueryStats {
+            tuples_quarantined: 1,
+            ..full
+        }
     );
 
     // ------------------------------------------------------------------
