@@ -83,7 +83,9 @@
 //! while healthy data keeps serving. Delta files are always decoded
 //! strictly: a damaged delta is discarded, not partially applied.
 
-use crate::delta::{decode_delta_payload, delta_name, encode_delta_payload, parse_delta_name};
+use crate::delta::{
+    decode_delta_payload, delta_name, encode_delta_payload, parse_delta_name, DeltaPayload,
+};
 use crate::generation::Generation;
 use crate::io::StoreIo;
 use crate::mapping_store::UPointRecord;
@@ -249,10 +251,15 @@ fn decode_image(bytes: &[u8], tolerate_chunk_damage: bool) -> DecodeResult<Decod
         if let Some(frame) = rest.get(..flen) {
             match open_frame(frame) {
                 Ok((chunk, _)) if chunk.len() == clen => {
-                    for (d, s) in payload.iter_mut().skip(off).zip(chunk) {
-                        *d = *s;
+                    // `off + clen <= payload_len`, so the range is in
+                    // bounds; zipping two exact slices compiles to a
+                    // block copy.
+                    if let Some(dst) = payload.get_mut(off..off + clen) {
+                        for (d, s) in dst.iter_mut().zip(chunk) {
+                            *d = *s;
+                        }
+                        ok = true;
                     }
-                    ok = true;
                 }
                 Ok((chunk, _)) => {
                     if !tolerate_chunk_damage {
@@ -490,7 +497,7 @@ impl<I: StoreIo> Txn<'_, I> {
     /// errors surface here, before any I/O.
     pub fn put_store_file(&mut self, file: &StoreFile) -> DecodeResult<()> {
         let bytes = file.to_bytes()?;
-        let copy = StoreFile::from_parts(file.store().fork(), file.entries().to_vec());
+        let copy = StoreFile::from_parts(file.store().fork(), file.catalog().clone());
         self.image = Some(Staged::File(bytes, copy));
         Ok(())
     }
@@ -704,20 +711,22 @@ impl<I: StoreIo> DurableStore<I> {
     /// Try to apply one delta file on top of the current state. `false`
     /// (damaged, forged, or inapplicable) means the caller discards it.
     fn replay_one_delta(&mut self, g: u64, name: &str) -> bool {
-        match self.decode_and_apply_delta(g, name) {
-            Ok((next, bytes)) => {
-                self.state = StoreState::Gen(next);
-                self.generation = g;
-                self.deltas_since_snapshot += 1;
-                self.delta_bytes_since_snapshot += bytes;
-                mob_obs::metric!("durable.delta_replays").add(1);
-                true
-            }
-            Err(_) => false,
-        }
+        let applied = self
+            .decode_delta(g, name)
+            .and_then(|(payload, bytes)| self.replay_appends(g, &payload.appends).map(|()| bytes));
+        let Ok(bytes) = applied else {
+            return false;
+        };
+        self.generation = g;
+        self.deltas_since_snapshot += 1;
+        self.delta_bytes_since_snapshot += bytes;
+        mob_obs::metric!("durable.delta_replays").add(1);
+        true
     }
 
-    fn decode_and_apply_delta(&self, g: u64, name: &str) -> DecodeResult<(Arc<Generation>, u64)> {
+    /// Read and strictly decode delta file `name` for generation `g`:
+    /// its payload and its size in bytes.
+    fn decode_delta(&self, g: u64, name: &str) -> DecodeResult<(DeltaPayload, u64)> {
         let bytes = self.io.read_file(name)?;
         // Deltas are always decoded strictly: a damaged delta is
         // discarded, never partially applied.
@@ -738,20 +747,36 @@ impl<I: StoreIo> DurableStore<I> {
                 ),
             });
         }
-        let base: Arc<Generation> = match &self.state {
-            StoreState::Empty => Arc::new(Generation::empty(self.generation)),
-            StoreState::Gen(gen) => Arc::clone(gen),
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "delta file",
-                    detail: "cannot apply a delta over a raw (non store-file) payload".into(),
-                })
+        Ok((payload, bytes.len() as u64))
+    }
+
+    /// Apply a replayed delta's appends to the head as generation `g`.
+    /// Replay runs before any snapshot can pin the head, so it is
+    /// updated where it lies: no per-delta copy of the catalog. A failed
+    /// batch leaves the head as it was.
+    fn replay_appends(
+        &mut self,
+        g: u64,
+        appends: &[(String, Vec<UPointRecord>)],
+    ) -> DecodeResult<()> {
+        match &mut self.state {
+            StoreState::Gen(gen) => match Arc::get_mut(gen) {
+                Some(head) => head.append_in_place(g, appends),
+                None => {
+                    *gen = Arc::new(gen.apply_appends(g, appends)?);
+                    Ok(())
+                }
+            },
+            StoreState::Empty => {
+                let head = Generation::empty(self.generation).apply_appends(g, appends)?;
+                self.state = StoreState::Gen(Arc::new(head));
+                Ok(())
             }
-        };
-        Ok((
-            Arc::new(base.apply_appends(g, &payload.appends)?),
-            bytes.len() as u64,
-        ))
+            StoreState::Raw(_) => Err(DecodeError::BadStructure {
+                what: "delta file",
+                detail: "cannot apply a delta over a raw (non store-file) payload".into(),
+            }),
+        }
     }
 
     /// Begin a transaction (see [`Txn`]).

@@ -8,17 +8,25 @@
 //! it — bit-for-bit unchanged — while a writer commits deltas and
 //! compactions that produce *new* generations.
 //!
-//! The write side never mutates a generation. [`Generation::apply_appends`]
-//! builds the successor: it forks the page store (O(1), blob pages are
-//! shared behind `Arc`s — see [`PageStore::fork`]), splices the appended
-//! units onto each touched mapping, and writes only the new unit arrays.
-//! Commit cost is therefore proportional to the delta, not the store.
+//! The write side never mutates a generation a reader can see. An
+//! append batch finds every touched root through the catalog's name
+//! index in O(log n), splices the appended units onto its mapping,
+//! writes only the new unit arrays, and points the root's catalog slot
+//! at them. [`Generation::apply_appends`] does this to a copy (catalog
+//! copied, page store forked: blob pages are shared behind `Arc`s — see
+//! [`PageStore::fork`]), which is how commits leave pinned readers
+//! alone. Delta replay on open, where nothing can pin the generation
+//! yet, does it in place (`append_in_place`), so a replayed delta costs
+//! O(k log n) catalog work for k appended roots over n entries plus the
+//! touched mappings' units, and nothing proportional to the store. A
+//! failing batch leaves the generation as it was either way.
 //!
 //! Everything here sits on the untrusted-decode path (delta replay runs
 //! it on whatever survived a crash), so all validation returns
 //! [`DecodeError`]s: no indexing, no unwraps, no panicking interval
 //! constructors.
 
+use crate::catalog::Catalog;
 use crate::dbarray::{load_array, save_array, Placement, SavedArray};
 use crate::index_store::StoredIndex;
 use crate::line_store::{StoredLine, StoredPoints};
@@ -39,7 +47,7 @@ use std::sync::Arc;
 pub struct Generation {
     number: u64,
     store: Arc<PageStore>,
-    entries: Vec<(String, RootRecord)>,
+    catalog: Catalog,
     /// Root names whose mappings changed after the last full snapshot
     /// (sorted, deduplicated). Any stored index predates these changes,
     /// so the planner must route stale roots through the exhaustive
@@ -56,7 +64,7 @@ impl Generation {
         Generation {
             number,
             store: Arc::new(PageStore::new()),
-            entries: Vec::new(),
+            catalog: Catalog::new(),
             stale: Vec::new(),
             quarantined: Vec::new(),
         }
@@ -67,11 +75,11 @@ impl Generation {
     /// written against the same catalog.
     #[must_use]
     pub fn from_store_file(number: u64, file: StoreFile, quarantined: Vec<usize>) -> Generation {
-        let (store, entries) = file.into_parts();
+        let (store, catalog) = file.into_parts();
         Generation {
             number,
             store: Arc::new(store),
-            entries,
+            catalog,
             stale: Vec::new(),
             quarantined,
         }
@@ -99,13 +107,14 @@ impl Generation {
     /// The root catalog, in insertion order.
     #[must_use]
     pub fn entries(&self) -> &[(String, RootRecord)] {
-        &self.entries
+        self.catalog.entries()
     }
 
-    /// Look up a root record by name.
+    /// Look up a root record by name (the first entry of that name).
+    /// O(log n) through the catalog's name index.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&RootRecord> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, r)| r)
+        self.catalog.get(name)
     }
 
     /// Root names modified since the last full snapshot (sorted).
@@ -153,7 +162,7 @@ impl Generation {
     /// (pages forked, catalog cloned). Cheap: blob pages are shared.
     #[must_use]
     pub fn to_store_file(&self) -> StoreFile {
-        StoreFile::from_parts(self.store.fork(), self.entries.clone())
+        StoreFile::from_parts(self.store.fork(), self.catalog.clone())
     }
 
     /// Rewrite every live root into a fresh page store — the compaction
@@ -164,8 +173,8 @@ impl Generation {
     /// repaired (roots dropped or restored) before compaction.
     pub fn rebuild_store_file(&self) -> DecodeResult<StoreFile> {
         let mut dst = PageStore::with_page_size(self.store.page_size())?;
-        let mut entries = Vec::with_capacity(self.entries.len());
-        for (name, root) in &self.entries {
+        let mut entries = Vec::with_capacity(self.catalog.len());
+        for (name, root) in self.catalog.entries() {
             // A stored index built before this generation's appends no
             // longer covers every unit, and the compacted snapshot
             // starts with an empty stale list — carrying the old index
@@ -177,16 +186,16 @@ impl Generation {
             }
             entries.push((name.clone(), rewrite_root(&self.store, &mut dst, root)?));
         }
-        Ok(StoreFile::from_parts(dst, entries))
+        Ok(StoreFile::from_parts(dst, Catalog::from_entries(entries)))
     }
 
     /// Build the successor generation by appending units to `moving(point)`
     /// roots. `appends` holds per-root unit batches in commit order; an
     /// unknown root name creates a new mapping, a known one must be an
     /// mpoint and the batch must continue it (see [`splice_units`] and
-    /// the seam rules below). Cost is proportional to the touched
-    /// mappings, not the store: untouched roots share their pages with
-    /// `self` via [`PageStore::fork`].
+    /// the seam rules below). Untouched roots share their pages with
+    /// `self` via [`PageStore::fork`]; the successor's catalog is a copy
+    /// of this one.
     ///
     /// Seam between the stored tail and the first appended unit (the
     /// ingestion anchor makes consecutive batches share a boundary
@@ -200,56 +209,133 @@ impl Generation {
         number: u64,
         appends: &[(String, Vec<UPointRecord>)],
     ) -> DecodeResult<Generation> {
-        let mut store = self.store.fork();
-        let mut entries = self.entries.clone();
-        let mut stale = self.stale.clone();
-        for (name, records) in appends {
-            if records.is_empty() {
-                continue;
+        let mut next = self.clone();
+        next.append_in_place(number, appends)?;
+        Ok(next)
+    }
+
+    /// [`Generation::apply_appends`] where the generation lies: `self`
+    /// becomes generation `number` without a copy of its catalog, so
+    /// the cost is O(k log n) catalog work for k appended roots over n
+    /// entries plus the touched mappings' units. The page store is
+    /// forked first when another generation shares it. On error `self`
+    /// is unchanged.
+    pub(crate) fn append_in_place(
+        &mut self,
+        number: u64,
+        appends: &[(String, Vec<UPointRecord>)],
+    ) -> DecodeResult<()> {
+        if Arc::get_mut(&mut self.store).is_none() {
+            self.store = Arc::new(self.store.fork());
+        }
+        let Some(store) = Arc::get_mut(&mut self.store) else {
+            // Unreachable: the store was just unshared.
+            return Err(DecodeError::BadStructure {
+                what: "delta apply",
+                detail: "page store is shared".into(),
+            });
+        };
+        let mark = store.num_blobs();
+        // Sized once: a log grown by doubling while the batch's unit
+        // arrays are written leaves its old buffers as heap holes
+        // between long-lived pages.
+        let mut replaced = Vec::with_capacity(appends.len());
+        let created = match stage(&mut self.catalog, store, appends, &mut replaced) {
+            Ok(created) => created,
+            Err(e) => {
+                // Newest first, so a root replaced twice ends at its
+                // original; then drop the arrays the batch wrote.
+                for (slot, old) in replaced.into_iter().rev() {
+                    self.catalog.replace_root(slot, RootRecord::MPoint(old));
+                }
+                store.truncate_blobs(mark);
+                return Err(e);
             }
-            let slot = entries.iter().position(|(n, _)| n == name);
-            let mut combined: Vec<UPointRecord> =
-                match slot.and_then(|i| entries.get(i)).map(|(_, r)| r) {
-                    Some(RootRecord::MPoint(sm)) => load_array(&sm.units, &self.store)?,
-                    Some(other) => {
-                        return Err(DecodeError::BadStructure {
-                            what: "delta apply",
-                            detail: format!(
-                                "append target {name:?} is a {}, not an mpoint",
-                                other.kind_name()
-                            ),
-                        })
-                    }
-                    None => Vec::new(),
-                };
-            resolve_seam(&mut combined, records, name)?;
-            combined.extend_from_slice(records);
-            let spliced = splice_units(combined)?;
-            let num_units =
-                u32::try_from(spliced.len()).map_err(|_| DecodeError::BadStructure {
+        };
+        let mut fresh_stale: Vec<String> = replaced
+            .iter()
+            .filter_map(|(slot, _)| self.catalog.entries().get(*slot))
+            .map(|(name, _)| name)
+            .chain(created.entries().iter().map(|(name, _)| name))
+            .filter(|name| self.stale.binary_search(name).is_err())
+            .cloned()
+            .collect();
+        if !fresh_stale.is_empty() {
+            fresh_stale.sort();
+            fresh_stale.dedup();
+            // Two sorted runs: the stable sort merges them in one pass.
+            self.stale.append(&mut fresh_stale);
+            self.stale.sort();
+        }
+        // New roots join the catalog in one O(n + k) index merge instead
+        // of k shifts of the name index.
+        self.catalog.append(created);
+        self.number = number;
+        Ok(())
+    }
+}
+
+/// Apply every batch of `appends` in order (see
+/// [`Generation::apply_appends`] for the rules): write each touched
+/// root's spliced units to `store` and point its catalog slot at them,
+/// logging the mapping each slot held in `replaced`. Returns the roots
+/// the batch creates, in first-touch order; a root named twice
+/// continues from its first batch's array.
+fn stage(
+    catalog: &mut Catalog,
+    store: &mut PageStore,
+    appends: &[(String, Vec<UPointRecord>)],
+    replaced: &mut Vec<(usize, StoredMapping)>,
+) -> DecodeResult<Catalog> {
+    let mut created = Catalog::new();
+    for (name, records) in appends {
+        if records.is_empty() {
+            continue;
+        }
+        // A root this batch created lives in `created` until install.
+        let known = catalog.slot(name);
+        let (target, slot) = match known {
+            Some(slot) => (&mut *catalog, Some(slot)),
+            None => {
+                let slot = created.slot(name);
+                (&mut created, slot)
+            }
+        };
+        let mut combined: Vec<UPointRecord> = match slot.and_then(|s| target.root_at(s)) {
+            Some(RootRecord::MPoint(sm)) => load_array(&sm.units, store)?,
+            Some(other) => {
+                return Err(DecodeError::BadStructure {
                     what: "delta apply",
-                    detail: format!("mapping {name:?} exceeds u32 units"),
-                })?;
-            let sm = StoredMapping {
-                num_units,
-                units: save_array(&spliced, &mut store),
-            };
-            match slot.and_then(|i| entries.get_mut(i)) {
-                Some(e) => e.1 = RootRecord::MPoint(sm),
-                None => entries.push((name.clone(), RootRecord::MPoint(sm))),
+                    detail: format!(
+                        "append target {name:?} is a {}, not an mpoint",
+                        other.kind_name()
+                    ),
+                })
             }
-            if let Err(pos) = stale.binary_search(name) {
-                stale.insert(pos, name.clone());
+            None => Vec::new(),
+        };
+        resolve_seam(&mut combined, records, name)?;
+        combined.extend_from_slice(records);
+        let spliced = splice_units(combined)?;
+        let num_units = u32::try_from(spliced.len()).map_err(|_| DecodeError::BadStructure {
+            what: "delta apply",
+            detail: format!("mapping {name:?} exceeds u32 units"),
+        })?;
+        let root = RootRecord::MPoint(StoredMapping {
+            num_units,
+            units: save_array(&spliced, store),
+        });
+        match slot {
+            None => target.push(name.clone(), root),
+            Some(slot) => {
+                let old = target.replace_root(slot, root);
+                if let (Some(_), Some(RootRecord::MPoint(old))) = (known, old) {
+                    replaced.push((slot, old));
+                }
             }
         }
-        Ok(Generation {
-            number,
-            store: Arc::new(store),
-            entries,
-            stale,
-            quarantined: self.quarantined.clone(),
-        })
     }
+    Ok(created)
 }
 
 /// Seam resolution between a stored mapping tail and the first appended
@@ -567,6 +653,56 @@ mod tests {
         let g = Generation::from_store_file(1, file, Vec::new());
         let batch = to_records(MovingPoint::from_samples(&[(t(0.0), pt(0.0, 0.0))]).units());
         assert!(g.apply_appends(2, &[("pts".to_string(), batch)]).is_err());
+    }
+
+    #[test]
+    fn a_root_named_twice_in_one_batch_continues_its_first_append() {
+        // Long enough for external placement, so the first append's
+        // array lives only in the successor's page store.
+        let samples: Vec<_> = (0..40)
+            .map(|i| (t(f64::from(i)), pt(f64::from(i), f64::from(i % 5))))
+            .collect();
+        let (head, tail) = samples.split_at(20);
+        let g = gen_with_mpoint("car", &MovingPoint::from_samples(head));
+        let first = to_records(MovingPoint::from_samples(&samples[19..30]).units());
+        let second = to_records(MovingPoint::from_samples(&tail[9..]).units());
+        let next = g
+            .apply_appends(
+                2,
+                &[("car".to_string(), first), ("car".to_string(), second)],
+            )
+            .unwrap();
+        let whole = MovingPoint::from_samples(&samples);
+        assert_eq!(load_units(&next, "car"), to_records(whole.units()));
+        assert_eq!(next.stale(), ["car".to_string()]);
+    }
+
+    #[test]
+    fn a_refused_in_place_batch_leaves_the_generation_unchanged() {
+        // A zig-zag, so no units merge and the array is stored external.
+        let long: Vec<_> = (0..20)
+            .map(|i| (t(f64::from(i)), pt(f64::from(i), f64::from(i % 2))))
+            .collect();
+        let mut g = gen_with_mpoint("car", &MovingPoint::from_samples(&long));
+        let before = (g.entries().to_vec(), g.store().num_blobs());
+        assert!(before.1 > 0);
+        // The first batch applies (and writes an array) before the
+        // second one overlaps it.
+        let ok = to_records(
+            MovingPoint::from_samples(&[(t(19.0), pt(19.0, 1.0)), (t(25.0), pt(0.0, 5.0))]).units(),
+        );
+        let overlap = to_records(
+            MovingPoint::from_samples(&[(t(21.0), pt(1.0, 1.0)), (t(30.0), pt(2.0, 2.0))]).units(),
+        );
+        let batch = [
+            ("car".to_string(), ok.clone()),
+            ("bus".to_string(), ok),
+            ("car".to_string(), overlap),
+        ];
+        assert!(g.append_in_place(2, &batch).is_err());
+        assert_eq!((g.entries().to_vec(), g.store().num_blobs()), before);
+        assert!(g.stale().is_empty() && g.get("bus").is_none());
+        assert_eq!(g.number(), 1);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   degraded recovery;
 //! * [`delta`](mod@crate::delta) — the WAL record format linking each
 //!   delta to its base generation;
+//! * [`catalog`](mod@crate::catalog) — the root catalog
+//!   ([`catalog::Catalog`]): named root records in insertion order with
+//!   a sorted name index, shared by store files and generations;
 //! * [`generation`](mod@crate::generation) — immutable catalog +
 //!   page-store pairs ([`generation::Generation`]) that commits fork
 //!   copy-on-write, with the paper's ι endpoint cleanup at append seams;
@@ -50,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod catalog;
 pub mod checked;
 pub mod checksum;
 pub mod clock;
@@ -71,6 +75,7 @@ pub mod supervisor;
 pub mod tuple;
 pub mod view;
 
+pub use catalog::Catalog;
 pub use checksum::{checksum64, checksum64_seeded, CHECKSUM_SEED};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use dbarray::{

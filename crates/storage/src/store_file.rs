@@ -23,6 +23,7 @@
 //! through [`PageStore::write_blob`] on load reproduces the same blob
 //! ids and every decoded [`SavedArray`] reference stays valid.
 
+use crate::catalog::Catalog;
 use crate::dbarray::{Placement, SavedArray};
 use crate::index_store::StoredIndex;
 use crate::line_store::{StoredLine, StoredPoints};
@@ -108,7 +109,7 @@ impl RootRecord {
 /// single byte buffer.
 pub struct StoreFile {
     store: PageStore,
-    entries: Vec<(String, RootRecord)>,
+    catalog: Catalog,
 }
 
 impl StoreFile {
@@ -116,7 +117,7 @@ impl StoreFile {
     pub fn new() -> StoreFile {
         StoreFile {
             store: PageStore::new(),
-            entries: Vec::new(),
+            catalog: Catalog::new(),
         }
     }
 
@@ -128,7 +129,7 @@ impl StoreFile {
     pub fn with_page_size(page_size: usize) -> DecodeResult<StoreFile> {
         Ok(StoreFile {
             store: PageStore::with_page_size(page_size)?,
-            entries: Vec::new(),
+            catalog: Catalog::new(),
         })
     }
 
@@ -142,26 +143,33 @@ impl StoreFile {
         &mut self.store
     }
 
-    /// Register a named root record in the catalog.
+    /// Register a named root record in the catalog. A name that is
+    /// already present keeps resolving to its first entry.
     pub fn put(&mut self, name: impl Into<String>, root: RootRecord) {
-        self.entries.push((name.into(), root));
+        self.catalog.push(name, root);
     }
 
     /// The catalog, in insertion order.
     pub fn entries(&self) -> &[(String, RootRecord)] {
-        &self.entries
+        self.catalog.entries()
     }
 
-    /// Look up a root record by name.
+    /// The catalog with its name index.
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// Look up a root record by name (the first entry of that name).
+    /// O(log n) through the catalog's name index.
     pub fn get(&self, name: &str) -> Option<&RootRecord> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, r)| r)
+        self.catalog.get(name)
     }
 
-    /// Decompose into the page store and the catalog entries — for
-    /// layers that need an **owning** store handle (e.g. wrapping it in
-    /// an `Arc<PageStore>` shared across relation-scan workers).
-    pub fn into_parts(self) -> (PageStore, Vec<(String, RootRecord)>) {
-        (self.store, self.entries)
+    /// Decompose into the page store and the catalog — for layers that
+    /// need an **owning** store handle (e.g. wrapping it in an
+    /// `Arc<PageStore>` shared across relation-scan workers).
+    pub fn into_parts(self) -> (PageStore, Catalog) {
+        (self.store, self.catalog)
     }
 
     /// Reassemble a store file from an owning page store and a catalog —
@@ -172,8 +180,8 @@ impl StoreFile {
     /// The caller is responsible for the catalog's blob references being
     /// valid in `store`; dangling references surface as [`DecodeError`]s
     /// at serialization or read time, exactly as for a decoded file.
-    pub fn from_parts(store: PageStore, entries: Vec<(String, RootRecord)>) -> StoreFile {
-        StoreFile { store, entries }
+    pub fn from_parts(store: PageStore, catalog: Catalog) -> StoreFile {
+        StoreFile { store, catalog }
     }
 
     /// Resolve a catalog entry fallibly: a missing name is a
@@ -287,8 +295,8 @@ impl StoreFile {
             put_u32(&mut out, crate::checked::count_u32(bytes.len()));
             out.extend_from_slice(&bytes);
         }
-        put_u32(&mut out, crate::checked::count_u32(self.entries.len()));
-        for (name, root) in &self.entries {
+        put_u32(&mut out, crate::checked::count_u32(self.catalog.len()));
+        for (name, root) in self.catalog.entries() {
             put_u32(&mut out, crate::checked::count_u32(name.len()));
             out.extend_from_slice(name.as_bytes());
             out.push(root.tag());
@@ -417,7 +425,8 @@ impl StoreFile {
             });
         }
         store.reset_counters();
-        Ok((StoreFile { store, entries }, blob_ranges))
+        let catalog = Catalog::from_entries(entries);
+        Ok((StoreFile { store, catalog }, blob_ranges))
     }
 }
 
