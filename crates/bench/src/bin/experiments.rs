@@ -10,13 +10,14 @@
 //! series (logarithmic / linear / flat) is the reproduced result, not
 //! the absolute numbers.
 //!
-//! `--explain` skips the timing tables and instead re-derives the E6/E7
-//! *complexity* columns (header probes, unit decodes) purely from the
-//! `mob-obs` registry, printing one EXPLAIN operator tree per query and
-//! checking the Section-5 bounds (O(log n) `atinstant`,
-//! O(q·log(n/q) + q) batch probing) against the measured counts, plus
-//! the E10 planner bound (`index.nodes_visited + index.candidates <
-//! scan.tuples` on a selective window query, answers index-invariant).
+//! `--explain` skips the timing tables and instead re-derives the
+//! E6/E7/E13 *complexity* columns (header probes, unit decodes) purely
+//! from the `mob-obs` registry, printing one EXPLAIN operator tree per
+//! query and checking the Section-5 bounds (O(log n) `atinstant`,
+//! O(q·log(n/q) + q) batch probing, O(p·log n + k) `atperiods`) against
+//! the measured counts, plus the E10 planner bound
+//! (`index.nodes_visited + index.candidates < scan.tuples` on a
+//! selective window query, answers index-invariant).
 
 use mob_base::t;
 use mob_bench::*;
@@ -705,6 +706,87 @@ fn e12() {
     println!("scan per appended root would grow it with the catalog instead");
 }
 
+/// The E13 workload: a crossing mpoint of about `n` units, a 20-unit
+/// window at 37% of its span, and 4 periods of 5 units at 10/35/60/85%.
+fn e13_workload(n: usize) -> (mob_core::MovingPoint, [mob_base::Periods; 2]) {
+    use mob_base::{Interval, Periods};
+    let m = crossing_point(n);
+    let width = SPAN / m.num_units() as f64;
+    let window =
+        |at: f64, units: f64| Interval::closed_open(t(SPAN * at), t(SPAN * at + units * width));
+    let sets = [
+        Periods::single(window(0.37, 20.0)),
+        Periods::from_unmerged([0.10, 0.35, 0.60, 0.85].map(|at| window(at, 5.0)).to_vec()),
+    ];
+    (m, sets)
+}
+
+/// `(k, bound)` for `atperiods(m, p)`: the units that intersect a
+/// period, and the header bound `p·(⌈log2 n⌉ + 2) + k`.
+fn e13_bound(m: &mob_core::MovingPoint, p: &mob_base::Periods) -> (u64, u64) {
+    let hit = m.units().iter();
+    let k = hit
+        .filter(|u| p.iter().any(|iv| u.interval().intersects(iv)))
+        .count() as u64;
+    (
+        k,
+        p.num_intervals() as u64 * (ceil_log2(m.num_units()) + 2) + k,
+    )
+}
+
+/// E13: window restriction on a stored mpoint — `atperiods` skips the
+/// units before each period by binary search over the interval headers,
+/// so it reads O(p·log n + k) headers and decodes only the k units it
+/// returns. The bound is asserted from the view's counts, not timed.
+fn e13() {
+    use mob_core::UnitSeq;
+    header("E13  atperiods on a stored mpoint: O(p·log n + k) headers, k decodes [UnitSeq]");
+    println!("workload: one stored crossing mpoint; a 20-unit window at 37% of its span, and");
+    println!("4 periods of 5 units at 10/35/60/85%; counts from one call on a fresh view,");
+    println!("ns = median of 101 calls; bound = p·(ceil(log2 n) + 2) + k, k = units hit");
+    println!(
+        "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
+        "n units", "periods", "headers", "bound", "decoded", "pages", "ns/call"
+    );
+    for n in [1_000usize, 16_000, 64_000] {
+        let (m, sets) = e13_workload(n);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        for p in &sets {
+            let view = open_mpoint(&stored, &store, Verify::Full).expect("store is well-formed");
+            view.reset_counters();
+            store.reset_counters();
+            let clipped = view.at_periods(p);
+            let (headers, decoded, pages) = (
+                view.headers_read(),
+                view.units_decoded(),
+                store.pages_read(),
+            );
+            assert_eq!(clipped, m.atperiods(p), "E13: view and memory disagree");
+            let (k, bound) = e13_bound(&m, p);
+            assert!(
+                headers <= bound && decoded == k,
+                "E13 bound violated for n={n}: headers={headers} > {bound} or decoded={decoded} != {k}"
+            );
+            let ns = median_nanos(101, || {
+                std::hint::black_box(view.at_periods(p));
+            });
+            println!(
+                "{:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
+                m.num_units(),
+                p.num_intervals(),
+                headers,
+                bound,
+                decoded,
+                pages,
+                ns
+            );
+        }
+    }
+    println!("expected shape: headers grow with log n (a walk over every unit would read n);");
+    println!("decoded = k and ns/call stay about flat in n");
+}
+
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
@@ -818,14 +900,14 @@ fn ceil_log2(n: usize) -> u64 {
     u64::from(usize::BITS - n.max(1).next_power_of_two().leading_zeros()) - 1
 }
 
-/// `--explain`: re-derive the E6/E7 complexity columns **solely from
+/// `--explain`: re-derive the E6/E7/E13 complexity columns **solely from
 /// the `mob-obs` registry** — every count below is a registry delta
 /// captured by [`mob_obs::explain`], none comes from a bespoke
 /// per-object accessor — and check them against the paper's bounds.
 fn explain_mode() {
     use mob_core::{batch_at_instant, UnitSeq};
 
-    header("EXPLAIN  E6/E7 complexity columns derived from the mob-obs registry");
+    header("EXPLAIN  E6/E7/E13 complexity columns derived from the mob-obs registry");
     if !mob_obs::enabled() {
         println!(
             "observability is disabled ({}=0) — nothing to derive",
@@ -896,6 +978,36 @@ fn explain_mode() {
              or decoded={decoded} > {dbound}"
         );
     }
+    // E13: window restriction = O(p·log n + k) header probes and
+    // exactly k unit decodes, k = units intersecting a period.
+    println!("\nE13  atperiods on a stored mpoint: headers <= p*(ceil(log2 n)+2) + k, decodes = k");
+    for n in [1_000usize, 64_000] {
+        let (m, sets) = e13_workload(n);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        for p in &sets {
+            let view = open_mpoint(&stored, &store, Verify::Full).expect("store is well-formed");
+            let (clipped, report) = mob_obs::explain("e13.at_periods(stored)", || {
+                let _op = mob_obs::span("qos.at_periods");
+                view.at_periods(p)
+            });
+            assert_eq!(clipped, m.atperiods(p), "E13: view and memory disagree");
+            print!("{report}");
+            let headers = report.metrics().get("view.headers_read");
+            let decoded = report.metrics().get("view.units_decoded");
+            let (k, bound) = e13_bound(&m, p);
+            let ok = headers <= bound && decoded == k;
+            let periods = p.num_intervals();
+            println!(
+                "  n={n:>6}  p={periods}  headers={headers} (bound {bound})  decoded={decoded} (k {k})  ok={ok}"
+            );
+            assert!(
+                ok,
+                "E13 bound violated for n={n}, p={periods}: headers={headers} > {bound} \
+                 or decoded={decoded} != {k}"
+            );
+        }
+    }
     // E10: the planner's pruning bound on a selective window query.
     // Every count is a registry delta; the pruned answer must be
     // byte-identical to the index-off reference.
@@ -959,6 +1071,7 @@ fn main() {
     e10();
     e11();
     e12();
+    e13();
     ablation();
     queries();
     figures();

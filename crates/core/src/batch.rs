@@ -28,7 +28,7 @@
 use crate::lift::lift2;
 use crate::mapping::Mapping;
 use crate::moving::MovingBool;
-use crate::seq::UnitSeq;
+use crate::seq::{partition_units, UnitSeq};
 use crate::unit::Unit;
 use crate::upoint::UPoint;
 use crate::uregion::URegion;
@@ -88,9 +88,10 @@ impl<'a, S: UnitSeq> UnitCursor<'a, S> {
     /// cursor. Instants passed to successive `seek` calls must be
     /// non-decreasing (checked in debug builds).
     ///
-    /// Galloping search: doubling steps from the hint position, then a
-    /// binary search inside the overshot window — `O(log gap)` interval
-    /// header reads where `gap` is the distance advanced.
+    /// Galloping search: doubling steps from the hint position, then the
+    /// shared header binary search inside the overshot window —
+    /// `O(log gap)` interval header reads where `gap` is the distance
+    /// advanced.
     pub fn seek(&mut self, t: Instant) -> Option<usize> {
         #[cfg(debug_assertions)]
         {
@@ -104,28 +105,20 @@ impl<'a, S: UnitSeq> UnitCursor<'a, S> {
         if self.lo >= n {
             return None;
         }
-        if ends_before(&self.seq.interval(self.lo), t) {
+        let before = |iv: &TimeInterval| ends_before(iv, t);
+        if before(&self.seq.interval(self.lo)) {
             // Gallop: find a window (base, base + step] whose far end no
             // longer lies before t, then binary search inside it for the
             // first such index.
             let mut base = self.lo;
             let mut step = 1usize;
-            while base + step < n && ends_before(&self.seq.interval(base + step), t) {
+            while base + step < n && before(&self.seq.interval(base + step)) {
                 base += step;
                 step = step.saturating_mul(2);
             }
             // Invariant: units ..= base end before t; either base+step
             // overshoots n or unit base+step does not end before t.
-            let (mut lo, mut hi) = (base + 1, (base + step).min(n));
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if ends_before(&self.seq.interval(mid), t) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            self.lo = lo;
+            self.lo = partition_units(self.seq, base + 1..(base + step).min(n), before);
             if self.lo >= n {
                 return None;
             }

@@ -186,14 +186,13 @@ impl<U: Unit> Mapping<U> {
             .into()
     }
 
-    /// Restrict to a single time interval.
+    /// Restrict to a single time interval: `atperiods` with one period.
     pub fn at_interval(&self, iv: &TimeInterval) -> Mapping<U> {
-        let units = self.units.iter().filter_map(|u| u.restrict(iv)).collect();
-        Mapping { units }
+        UnitSeq::at_periods(self, &Periods::single(*iv))
     }
 
     /// The `atperiods` operation: restrict to a set of time intervals.
-    /// (Generic two-pointer implementation: [`UnitSeq::at_periods`].)
+    /// (Generic binary-search implementation: [`UnitSeq::at_periods`].)
     pub fn atperiods(&self, periods: &Periods) -> Mapping<U> {
         UnitSeq::at_periods(self, periods)
     }

@@ -30,7 +30,8 @@
 //! The payoff: `atinstant` over a *serialized* mapping touches
 //! `O(log n)` unit records (one interval header per probe of the binary
 //! search plus one full unit decode) instead of deserializing all `n`
-//! units first.
+//! units first, and `atperiods` over `p` periods reads `O(p·log n + k)`
+//! headers and decodes only the `k` units that intersect a period.
 //!
 //! Units are returned as [`Cow`]: borrowed (free) from an in-memory
 //! mapping, owned (decoded on demand) from a storage view.
@@ -39,6 +40,7 @@ use crate::mapping::Mapping;
 use crate::unit::Unit;
 use mob_base::{Instant, Intime, Periods, TimeInterval, Val};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// An ordered sequence of temporal units — the access-path abstraction
 /// beneath the Section-5 algorithms.
@@ -78,23 +80,12 @@ pub trait UnitSeq {
     /// This is **the** unit-lookup of the workspace: `Mapping` and
     /// `MappingView` both resolve instants through it.
     fn find_unit(&self, t: Instant) -> Option<usize> {
-        // partition_point over i ∈ [0, len): "unit i starts at or before
-        // t" is monotone because intervals are sorted and disjoint.
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let iv = self.interval(mid);
-            let starts_not_after = *iv.start() < t || (*iv.start() == t && iv.left_closed());
-            if starts_not_after {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            return None;
-        }
-        let cand = lo - 1;
+        // "Unit i starts at or before t" holds on a prefix because
+        // intervals are sorted and disjoint.
+        let after = partition_units(self, 0..self.len(), |iv| {
+            *iv.start() < t || (*iv.start() == t && iv.left_closed())
+        });
+        let cand = after.checked_sub(1)?;
         if self.interval(cand).contains(&t) {
             Some(cand)
         } else {
@@ -122,26 +113,34 @@ pub trait UnitSeq {
 
     /// The `atperiods` operation: restrict to a set of time intervals.
     ///
-    /// Walks both sorted interval sequences with two pointers and decodes
-    /// a unit only when its interval actually intersects a period —
-    /// `O(n + p)` header reads, `O(output)` unit decodes.
+    /// For each period, a binary search over the interval headers skips
+    /// the units lying entirely before it, then a forward walk clips the
+    /// units that overlap it. Only the last unit of a period's walk can
+    /// reach into the next period, so it is carried over with its header
+    /// and its decoded value. For `p` periods and `k` intersecting
+    /// units that is at most `p·(⌈log2 n⌉ + 2) + k` header reads and
+    /// exactly `k` unit decodes.
     fn at_periods(&self, periods: &Periods) -> Mapping<Self::Unit> {
-        let ivs: Vec<&TimeInterval> = periods.iter().collect();
+        let n = self.len();
         let mut out = Vec::new();
-        let mut pi = 0usize;
-        for i in 0..self.len() {
-            let uiv = self.interval(i);
-            while pi < ivs.len() && ivs[pi].r_disjoint(&uiv) {
-                pi += 1;
-            }
-            let mut k = pi;
-            let mut decoded: Option<Cow<'_, Self::Unit>> = None;
-            while k < ivs.len() && !uiv.r_disjoint(ivs[k]) {
-                let u = decoded.get_or_insert_with(|| self.unit(i));
-                if let Some(clip) = u.restrict(ivs[k]) {
-                    out.push(clip);
+        let mut lo = 0usize;
+        let mut carried: Option<(TimeInterval, Cow<'_, Self::Unit>)> = None;
+        for period in periods.iter() {
+            if let Some((iv, u)) = &carried {
+                if !iv.r_disjoint(period) {
+                    out.extend(u.restrict(period));
                 }
-                k += 1;
+            }
+            lo = partition_units(self, lo..n, |iv| iv.r_disjoint(period));
+            while lo < n {
+                let iv = self.interval(lo);
+                if period.r_disjoint(&iv) {
+                    break;
+                }
+                let u = self.unit(lo);
+                out.extend(u.restrict(period));
+                carried = Some((iv, u));
+                lo += 1;
             }
         }
         Mapping::from_raw(out)
@@ -176,6 +175,35 @@ pub trait UnitSeq {
     }
 }
 
+/// First index of `range` whose interval header fails `before`, by
+/// binary search. `before` must hold on a prefix of `range` and fail on
+/// the rest, which every "lies before instant / interval X" test does
+/// over sorted, disjoint unit intervals. At most
+/// `⌈log2(range.len() + 1)⌉` header reads.
+///
+/// This is the one header search of the crate: [`UnitSeq::find_unit`],
+/// [`UnitSeq::at_periods`] and the galloping
+/// [`crate::UnitCursor::seek`] all run through it.
+pub(crate) fn partition_units<S: UnitSeq + ?Sized>(
+    seq: &S,
+    range: Range<usize>,
+    before: impl Fn(&TimeInterval) -> bool,
+) -> usize {
+    let Range {
+        start: mut lo,
+        end: mut hi,
+    } = range;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(&seq.interval(mid)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// The in-memory sliced representation is the canonical [`UnitSeq`]:
 /// units are borrowed straight out of the `Vec`.
 impl<U: Unit> UnitSeq for Mapping<U> {
@@ -199,6 +227,7 @@ mod tests {
     use super::*;
     use crate::uconst::ConstUnit;
     use mob_base::{t, Interval};
+    use std::cell::Cell;
 
     fn cu(s: f64, e: f64, lc: bool, rc: bool, v: i64) -> ConstUnit<i64> {
         ConstUnit::new(Interval::new(t(s), t(e), lc, rc), v)
@@ -235,6 +264,128 @@ mod tests {
             Interval::closed(t(5.5), t(9.0)),
         ]);
         assert_eq!(UnitSeq::at_periods(&m, &p), m.atperiods(&p));
+    }
+
+    /// The linear reference: every unit restricted to every period.
+    fn restrict_all<U: Unit>(m: &Mapping<U>, p: &Periods) -> Vec<U> {
+        m.units()
+            .iter()
+            .flat_map(|u| p.iter().filter_map(|iv| u.restrict(iv)))
+            .collect()
+    }
+
+    /// A [`UnitSeq`] over a mapping that counts header reads and decodes.
+    struct Counted<'a, U: Unit> {
+        m: &'a Mapping<U>,
+        headers: Cell<u64>,
+        decodes: Cell<u64>,
+    }
+
+    impl<'a, U: Unit> Counted<'a, U> {
+        fn new(m: &'a Mapping<U>) -> Self {
+            Counted {
+                m,
+                headers: Cell::new(0),
+                decodes: Cell::new(0),
+            }
+        }
+    }
+
+    impl<U: Unit> UnitSeq for Counted<'_, U> {
+        type Unit = U;
+        fn len(&self) -> usize {
+            self.m.num_units()
+        }
+        fn interval(&self, i: usize) -> TimeInterval {
+            self.headers.set(self.headers.get() + 1);
+            UnitSeq::interval(self.m, i)
+        }
+        fn unit(&self, i: usize) -> Cow<'_, U> {
+            self.decodes.set(self.decodes.get() + 1);
+            UnitSeq::unit(self.m, i)
+        }
+    }
+
+    /// `⌈log2 n⌉` for `n ≥ 1`.
+    fn ceil_log2(n: usize) -> u64 {
+        u64::from(usize::BITS - n.saturating_sub(1).leading_zeros())
+    }
+
+    #[test]
+    fn at_periods_matches_a_linear_reference_at_boundaries() {
+        // Closed, open and point units touching at shared end points,
+        // with gaps before 5 and 9.
+        let m = Mapping::try_new(vec![
+            cu(0.0, 1.0, true, true, 1),
+            cu(1.0, 2.0, false, false, 2),
+            cu(2.0, 2.0, true, true, 3),
+            cu(2.0, 3.0, false, true, 4),
+            cu(5.0, 6.0, true, false, 5),
+            cu(6.0, 7.0, true, true, 6),
+            cu(9.0, 9.0, true, true, 7),
+        ])
+        .unwrap();
+        let grid = [
+            -1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0,
+        ];
+        let mut ivs = Vec::new();
+        for (a, &s) in grid.iter().enumerate() {
+            for &e in &grid[a..] {
+                for (lc, rc) in [(true, true), (true, false), (false, true), (false, false)] {
+                    ivs.extend(Interval::try_new(t(s), t(e), lc, rc).ok());
+                }
+            }
+        }
+        let n = ivs.len();
+        for (k, iv) in ivs.iter().enumerate() {
+            let sets = [
+                vec![*iv],
+                vec![*iv, ivs[(k * 37 + 11) % n]],
+                vec![*iv, ivs[(k * 37 + 11) % n], ivs[(k * 101 + 3) % n]],
+            ];
+            for set in sets {
+                let p = Periods::from_unmerged(set);
+                let counted = Counted::new(&m);
+                let got = counted.at_periods(&p);
+                assert_eq!(got.units(), restrict_all(&m, &p).as_slice(), "{p:?}");
+                let hit = m.units().iter();
+                let hit = hit.filter(|u| p.iter().any(|iv| u.interval().intersects(iv)));
+                assert_eq!(counted.decodes.get(), hit.count() as u64, "{p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn at_periods_reads_logarithmic_headers() {
+        let n = 4096usize;
+        let m = Mapping::try_new(
+            (0..n)
+                .map(|k| cu(k as f64, k as f64 + 1.0, true, false, k as i64))
+                .collect(),
+        )
+        .unwrap();
+        let window = Periods::single(Interval::closed_open(t(2000.0), t(2020.0)));
+        let four = Periods::from_unmerged(vec![
+            Interval::closed(t(-5.0), t(0.5)),
+            Interval::open(t(700.5), t(703.25)),
+            Interval::closed(t(703.5), t(703.75)),
+            Interval::closed(t(4000.0), t(5000.0)),
+        ]);
+        for (p, k) in [(&window, 20u64), (&four, 1 + 4 + 96)] {
+            let counted = Counted::new(&m);
+            assert_eq!(
+                counted.at_periods(p).units(),
+                restrict_all(&m, p).as_slice()
+            );
+            // Unit 703 reaches into two periods: decoded once.
+            assert_eq!(counted.decodes.get(), k);
+            let bound = p.num_intervals() as u64 * (ceil_log2(n) + 2) + k;
+            assert!(
+                counted.headers.get() <= bound,
+                "{} > {bound}",
+                counted.headers.get()
+            );
+        }
     }
 
     #[test]

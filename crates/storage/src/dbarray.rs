@@ -120,25 +120,31 @@ pub fn load_array<T: FixedRecord>(saved: &SavedArray, store: &PageStore) -> Deco
     Ok(items)
 }
 
-/// Read `byte_len` bytes of a saved array starting at `byte_off`,
-/// without loading the rest: sliced from the tuple for inline placement,
-/// read via [`PageStore::read_blob_range`] for external placement.
-pub fn read_array_bytes(
+/// Run `read` over `byte_len` bytes of a saved array starting at
+/// `byte_off`, without loading the rest: borrowed from the tuple for
+/// inline placement, through [`PageStore::read_blob_range`] for external
+/// placement (borrowed from the page unless the range straddles a page
+/// boundary). This is the one range read of the storage-backed views.
+pub fn read_array_bytes<T>(
     saved: &SavedArray,
     store: &PageStore,
     byte_off: usize,
     byte_len: usize,
-) -> DecodeResult<Vec<u8>> {
+    read: impl FnOnce(&[u8]) -> DecodeResult<T>,
+) -> DecodeResult<T> {
     match &saved.placement {
-        Placement::Inline(b) => match b.get(byte_off..byte_off + byte_len) {
-            Some(s) => Ok(s.to_vec()),
-            None => Err(DecodeError::Truncated {
-                what: "inline array range",
-                need: byte_off + byte_len,
-                have: b.len(),
-            }),
-        },
-        Placement::External(id) => store.try_read_blob_range(*id, byte_off, byte_len),
+        Placement::Inline(b) => {
+            let end = byte_off.saturating_add(byte_len);
+            match b.get(byte_off..end) {
+                Some(s) => read(s),
+                None => Err(DecodeError::Truncated {
+                    what: "inline array range",
+                    need: end,
+                    have: b.len(),
+                }),
+            }
+        }
+        Placement::External(id) => store.read_blob_range(*id, byte_off, byte_len, read),
     }
 }
 
@@ -151,13 +157,13 @@ pub fn read_subarray<T: FixedRecord>(
     sub: SubArrayRef,
 ) -> DecodeResult<Vec<T>> {
     sub.check(saved.count, T::WHAT)?;
-    let bytes = read_array_bytes(
+    read_array_bytes(
         saved,
         store,
         sub.start as usize * T::SIZE,
         sub.len() * T::SIZE,
-    )?;
-    read_all::<T>(&bytes)
+        read_all::<T>,
+    )
 }
 
 /// A *subarray* (Sec 4.2): a reference to a subrange `[start, end)` of a
@@ -325,7 +331,14 @@ mod tests {
         ));
         // Out-of-range byte read.
         let small = save_array(&pts, &mut store);
-        assert!(read_array_bytes(&small, &store, 30, 10).is_err());
+        assert!(matches!(
+            read_array_bytes(&small, &store, 30, 10, |b| Ok(b.len())),
+            Err(DecodeError::Truncated {
+                need: 40,
+                have: 32,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -207,14 +207,20 @@ impl PageStore {
         self.blobs.iter().filter(|b| b.quarantined).count()
     }
 
-    fn quarantine_check(&self, id: BlobId) -> DecodeResult<()> {
+    /// The blob behind `id`: quarantined blobs and dangling ids are
+    /// [`DecodeError`]s, checked in that order.
+    fn blob(&self, id: BlobId) -> DecodeResult<&Blob> {
         if self.is_quarantined(id) {
             return Err(DecodeError::Quarantined {
                 what: "blob",
                 detail: format!("blob {} failed its page integrity checks", id.0),
             });
         }
-        Ok(())
+        self.blobs.get(id.0).ok_or(DecodeError::OutOfBounds {
+            what: "blob id",
+            index: id.0,
+            bound: self.blobs.len(),
+        })
     }
 
     /// Number of blobs currently stored.
@@ -225,62 +231,16 @@ impl PageStore {
     /// Exact byte length of a blob, or a [`DecodeError`] for a dangling
     /// blob id.
     pub fn blob_len(&self, id: BlobId) -> DecodeResult<usize> {
-        self.quarantine_check(id)?;
-        match self.blobs.get(id.0) {
-            Some(b) => Ok(b.len),
-            None => Err(DecodeError::OutOfBounds {
-                what: "blob id",
-                index: id.0,
-                bound: self.blobs.len(),
-            }),
-        }
+        Ok(self.blob(id)?.len)
     }
 
     /// Fallible counterpart of [`PageStore::read_blob`]: dangling blob
     /// ids (e.g. decoded from corrupt root records) surface as a
     /// [`DecodeError`] instead of a panic.
     pub fn try_read_blob(&self, id: BlobId) -> DecodeResult<Vec<u8>> {
-        self.quarantine_check(id)?;
-        let blob = match self.blobs.get(id.0) {
-            Some(b) => b,
-            None => {
-                return Err(DecodeError::OutOfBounds {
-                    what: "blob id",
-                    index: id.0,
-                    bound: self.blobs.len(),
-                })
-            }
-        };
+        let blob = self.blob(id)?;
         self.pages_read.add(blob.pages.len() as u64);
-        let mut out = Vec::with_capacity(blob.len);
-        for p in blob.pages.iter() {
-            out.extend_from_slice(p);
-        }
-        Ok(out)
-    }
-
-    /// Fallible counterpart of [`PageStore::read_blob_range`]: dangling
-    /// ids and out-of-range byte ranges surface as [`DecodeError`]s.
-    pub fn try_read_blob_range(
-        &self,
-        id: BlobId,
-        offset: usize,
-        len: usize,
-    ) -> DecodeResult<Vec<u8>> {
-        let blob_len = self.blob_len(id)?;
-        let end = offset.checked_add(len).ok_or(DecodeError::OutOfBounds {
-            what: "blob range",
-            index: usize::MAX,
-            bound: blob_len,
-        })?;
-        if end > blob_len {
-            return Err(DecodeError::OutOfBounds {
-                what: "blob range",
-                index: end,
-                bound: blob_len,
-            });
-        }
-        Ok(self.read_blob_range(id, offset, len))
+        Ok(blob.pages.concat())
     }
 
     /// Read a blob back, counting one page read per page.
@@ -297,38 +257,56 @@ impl PageStore {
         out
     }
 
-    /// Read `len` bytes of a blob starting at `offset`, touching (and
-    /// counting) **only the pages that overlap the range** — the page-I/O
-    /// primitive behind the lazy `MappingView` access path: a binary
-    /// search over unit records reads `O(log n)` pages, not the whole
-    /// blob.
-    pub fn read_blob_range(&self, id: BlobId, offset: usize, len: usize) -> Vec<u8> {
-        let blob = &self.blobs[id.0];
-        assert!(
-            offset + len <= blob.len,
-            "read_blob_range: range {offset}..{} out of bounds (blob len {})",
-            offset + len,
-            blob.len
-        );
+    /// Run `read` over bytes `offset..offset + len` of a blob, touching
+    /// (and counting) **only the pages that overlap the range** — the
+    /// page-I/O primitive behind the lazy `MappingView` access path: a
+    /// binary search over unit records reads `O(log n)` pages, not the
+    /// whole blob.
+    ///
+    /// A range inside one page reaches `read` borrowed straight from the
+    /// page; only a range that straddles a page boundary is copied, once,
+    /// into a buffer of exactly `len` bytes. A quarantined blob, a
+    /// dangling id and a range past the blob's end are [`DecodeError`]s,
+    /// raised before any page is read; an empty range reads no page.
+    pub fn read_blob_range<T>(
+        &self,
+        id: BlobId,
+        offset: usize,
+        len: usize,
+        read: impl FnOnce(&[u8]) -> DecodeResult<T>,
+    ) -> DecodeResult<T> {
+        let blob = self.blob(id)?;
+        let end = offset.checked_add(len).ok_or(DecodeError::OutOfBounds {
+            what: "blob range",
+            index: usize::MAX,
+            bound: blob.len,
+        })?;
+        if end > blob.len {
+            return Err(DecodeError::OutOfBounds {
+                what: "blob range",
+                index: end,
+                bound: blob.len,
+            });
+        }
         if len == 0 {
-            return Vec::new();
+            return read(&[]);
         }
         let first = offset / self.page_size;
-        let last = (offset + len - 1) / self.page_size;
+        let last = (end - 1) / self.page_size;
         self.pages_read.add((last - first + 1) as u64);
-        let mut out = Vec::with_capacity(len);
-        for p in first..=last {
-            let page = &blob.pages[p];
-            let base = p * self.page_size;
-            let s = if p == first { offset - base } else { 0 };
-            let e = if p == last {
-                offset + len - base
-            } else {
-                page.len()
-            };
-            out.extend_from_slice(&page[s..e]);
+        let skip = offset - first * self.page_size;
+        let pages = blob.pages.get(first..=last).unwrap_or_default();
+        if let [page] = pages {
+            return read(page.get(skip..skip + len).unwrap_or_default());
         }
-        out
+        let mut buf = Vec::with_capacity(len);
+        let mut from = skip;
+        for page in pages {
+            let rest = page.get(from..).unwrap_or_default();
+            buf.extend_from_slice(rest.get(..len - buf.len()).unwrap_or(rest));
+            from = 0;
+        }
+        read(&buf)
     }
 
     /// Number of pages a blob occupies.
@@ -440,6 +418,11 @@ pub fn open_frame(bytes: &[u8]) -> DecodeResult<(&[u8], &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping_store::UPointRecord;
+    use crate::record::FixedRecord;
+    use mob_base::{t, Interval, TimeInterval};
+    use mob_core::PointMotion;
+    use mob_spatial::pt;
 
     fn small_store(page_size: usize) -> PageStore {
         match PageStore::with_page_size(page_size) {
@@ -462,6 +445,16 @@ mod tests {
         assert_eq!(store.pages_read(), 0);
     }
 
+    /// The range read with its bytes copied out.
+    fn copy_range(
+        store: &PageStore,
+        id: BlobId,
+        offset: usize,
+        len: usize,
+    ) -> DecodeResult<Vec<u8>> {
+        store.read_blob_range(id, offset, len, |b| Ok(b.to_vec()))
+    }
+
     #[test]
     fn range_reads_touch_only_overlapping_pages() {
         let mut store = small_store(8);
@@ -469,20 +462,131 @@ mod tests {
         let id = store.write_blob(&data);
         store.reset_counters();
         // Range inside one page.
-        assert_eq!(store.read_blob_range(id, 9, 4), vec![9, 10, 11, 12]);
+        assert_eq!(copy_range(&store, id, 9, 4).ok(), Some(vec![9, 10, 11, 12]));
         assert_eq!(store.pages_read(), 1);
         // Range spanning a page boundary.
         store.reset_counters();
-        assert_eq!(store.read_blob_range(id, 6, 4), vec![6, 7, 8, 9]);
+        assert_eq!(copy_range(&store, id, 6, 4).ok(), Some(vec![6, 7, 8, 9]));
         assert_eq!(store.pages_read(), 2);
         // Whole blob.
         store.reset_counters();
-        assert_eq!(store.read_blob_range(id, 0, 32), data);
+        assert_eq!(copy_range(&store, id, 0, 32).ok(), Some(data));
         assert_eq!(store.pages_read(), 4);
         // Empty range is free.
         store.reset_counters();
-        assert!(store.read_blob_range(id, 16, 0).is_empty());
+        assert_eq!(copy_range(&store, id, 16, 0).ok(), Some(vec![]));
         assert_eq!(store.pages_read(), 0);
+    }
+
+    /// 40 `upoint` records (50 bytes each) on 16-byte pages: every
+    /// record straddles at least three pages, most headers two.
+    fn straddling_records() -> (PageStore, BlobId, Vec<UPointRecord>) {
+        let mut store = small_store(16);
+        let recs: Vec<UPointRecord> = (0..40)
+            .map(|k| {
+                let x = f64::from(k);
+                UPointRecord {
+                    interval: Interval::closed_open(t(x), t(x + 1.0)),
+                    motion: PointMotion::through(t(x), pt(x, -x), t(x + 1.0), pt(x + 0.5, 2.0 * x)),
+                }
+            })
+            .collect();
+        let id = store.write_blob(&crate::record::write_all(&recs));
+        (store, id, recs)
+    }
+
+    #[test]
+    fn blob_range_records_match_the_copy_path() {
+        let (store, id, recs) = straddling_records();
+        let size = UPointRecord::SIZE;
+        // Reference: the whole blob read at once, then sliced.
+        let whole = store.try_read_blob(id).unwrap_or_default();
+        for (i, rec) in recs.iter().enumerate() {
+            for len in [TimeInterval::SIZE, size] {
+                let off = i * size;
+                let pages = ((off + len - 1) / 16 - off / 16 + 1) as u64;
+                store.reset_counters();
+                let header = store.read_blob_range(id, off, len, TimeInterval::read);
+                assert_eq!(header.ok(), Some(rec.interval), "record {i} header");
+                assert_eq!(store.pages_read(), pages, "record {i} len {len}");
+                let copied = whole.get(off..off + len).unwrap_or_default();
+                store.reset_counters();
+                assert_eq!(
+                    copy_range(&store, id, off, len).ok().as_deref(),
+                    Some(copied)
+                );
+                assert_eq!(store.pages_read(), pages, "record {i} len {len}");
+            }
+            let read = store.read_blob_range(id, i * size, size, UPointRecord::read);
+            assert_eq!(read.ok(), Some(*rec), "record {i}");
+        }
+    }
+
+    #[test]
+    fn blob_range_borrows_inside_a_page_and_copies_across() {
+        let mut store = small_store(8);
+        let id = store.write_blob(&(0..32).collect::<Vec<u8>>());
+        let pages: Vec<_> = store.blobs[id.0]
+            .pages
+            .iter()
+            .map(|p| p.as_ptr_range())
+            .collect();
+        // Inside page 1: the closure sees the page's own bytes.
+        let inside = store.read_blob_range(id, 9, 4, |b| Ok(b.as_ptr()));
+        assert_eq!(inside.ok(), Some(pages[1].start.wrapping_add(1)));
+        // Across pages 0 and 1: the closure sees a copy.
+        let across = store.read_blob_range(id, 6, 4, |b| Ok(b.as_ptr()));
+        assert!(across.is_ok_and(|p| pages.iter().all(|page| !page.contains(&p))));
+    }
+
+    #[test]
+    fn blob_range_errors_match_the_copy_path() {
+        let (mut store, id, _) = straddling_records();
+        let blob_len = 40 * UPointRecord::SIZE;
+        let bad = store.write_blob(&[1, 2, 3]);
+        store.mark_quarantined(bad).unwrap_or(());
+        store.reset_counters();
+        let never = |_: &[u8]| -> DecodeResult<()> { unreachable!("no bytes on an error") };
+        assert!(matches!(
+            store.read_blob_range(bad, 0, 2, never),
+            Err(DecodeError::Quarantined { what: "blob", .. })
+        ));
+        assert!(matches!(
+            store.read_blob_range(BlobId::from_index(9), 0, 1, never),
+            Err(DecodeError::OutOfBounds {
+                what: "blob id",
+                index: 9,
+                bound: 2
+            })
+        ));
+        assert!(matches!(
+            store.read_blob_range(id, usize::MAX, 2, never),
+            Err(DecodeError::OutOfBounds { what: "blob range", index: usize::MAX, bound })
+                if bound == blob_len
+        ));
+        assert!(matches!(
+            store.read_blob_range(id, blob_len - 10, 11, never),
+            Err(DecodeError::OutOfBounds { what: "blob range", index, bound })
+                if index == blob_len + 1 && bound == blob_len
+        ));
+        assert!(store.read_blob_range(id, blob_len + 1, 0, never).is_err());
+        assert_eq!(store.pages_read(), 0, "refused reads touch no page");
+    }
+
+    #[test]
+    fn blob_range_of_zero_length_reads_nothing() {
+        let (store, id, _) = straddling_records();
+        let blob_len = 40 * UPointRecord::SIZE;
+        store.reset_counters();
+        for offset in [0, 17, blob_len] {
+            let got = store.read_blob_range(id, offset, 0, |b| Ok(b.len()));
+            assert_eq!(got.ok(), Some(0), "offset {offset}");
+        }
+        assert_eq!(store.pages_read(), 0);
+        let mut empty = small_store(16);
+        let e = empty.write_blob(&[]);
+        assert_eq!(copy_range(&empty, e, 0, 0).ok(), Some(vec![]));
+        assert_eq!(empty.pages_read(), 0);
     }
 
     #[test]
@@ -500,15 +604,15 @@ mod tests {
         assert_eq!(store.num_blobs(), 1);
         assert_eq!(store.blob_len(id).unwrap(), 4);
         assert_eq!(store.try_read_blob(id).unwrap(), vec![1, 2, 3, 4]);
-        assert_eq!(store.try_read_blob_range(id, 1, 2).unwrap(), vec![2, 3]);
+        assert_eq!(copy_range(&store, id, 1, 2).unwrap(), vec![2, 3]);
         // Dangling id.
         let dangling = BlobId::from_index(7);
         assert!(store.blob_len(dangling).is_err());
         assert!(store.try_read_blob(dangling).is_err());
-        assert!(store.try_read_blob_range(dangling, 0, 1).is_err());
+        assert!(copy_range(&store, dangling, 0, 1).is_err());
         // Out-of-range byte window.
-        assert!(store.try_read_blob_range(id, 2, 3).is_err());
-        assert!(store.try_read_blob_range(id, usize::MAX, 2).is_err());
+        assert!(copy_range(&store, id, 2, 3).is_err());
+        assert!(copy_range(&store, id, usize::MAX, 2).is_err());
     }
 
     #[test]
@@ -545,7 +649,7 @@ mod tests {
             matches!(r, Err(DecodeError::Quarantined { what: "blob", .. }))
         };
         assert!(quarantined(store.try_read_blob(bad)));
-        assert!(quarantined(store.try_read_blob_range(bad, 0, 2)));
+        assert!(quarantined(copy_range(&store, bad, 0, 2)));
         assert!(matches!(
             store.blob_len(bad),
             Err(DecodeError::Quarantined { .. })

@@ -7,8 +7,8 @@
 //! and the lifted operations — run **in place** on stored values:
 //!
 //! * [`UnitSeq::interval`] reads only the 18-byte interval header at the
-//!   front of the `i`-th unit record ([`read_array_bytes`]), touching a
-//!   single page;
+//!   front of the `i`-th unit record ([`read_array_bytes`]), decoded in
+//!   place from its page (copied only if it straddles a page boundary);
 //! * [`UnitSeq::unit`] decodes the one record (plus, for variable-size
 //!   units, exactly the subarray ranges it references);
 //! * consequently `atinstant` performs `O(log n)` header reads plus **one**
@@ -412,22 +412,22 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
         Ok(())
     }
 
-    /// Raw bytes `[i*SIZE + off, i*SIZE + off + len)` of the `i`-th unit
-    /// record.
-    fn try_record_bytes(&self, i: usize, len: usize) -> DecodeResult<Vec<u8>> {
-        read_array_bytes(self.units, self.store, i * R::SIZE, len)
-    }
-
     /// The `i`-th unit record, fully read but not yet decoded into a
     /// live unit.
     pub fn try_record(&self, i: usize) -> DecodeResult<R> {
-        R::read(&self.try_record_bytes(i, R::SIZE)?)
+        read_array_bytes(self.units, self.store, i * R::SIZE, R::SIZE, R::read)
     }
 
     /// Fallible interval read: the 18-byte header of the `i`-th record.
     pub fn try_interval(&self, i: usize) -> DecodeResult<TimeInterval> {
         self.headers_read.incr();
-        TimeInterval::read(&self.try_record_bytes(i, TimeInterval::SIZE)?)
+        read_array_bytes(
+            self.units,
+            self.store,
+            i * R::SIZE,
+            TimeInterval::SIZE,
+            TimeInterval::read,
+        )
     }
 
     /// Fallible unit decode of the `i`-th record.
