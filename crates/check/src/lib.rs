@@ -24,7 +24,9 @@
 use mob_base::Validate;
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
-    index_store, line_store, mapping_store, range_store, region_store, view, PageStore, StoreFile,
+    generation_from_image, index_store, line_store, mapping_store, parse_delta_name,
+    parse_snapshot_name, range_store, region_store, view, Discard, Fate, PageStore, RecoveredFile,
+    StoreFile,
 };
 
 /// Audit outcome for one catalog entry.
@@ -317,8 +319,8 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
     };
     let (generation, chunks_total, chunks_corrupt) =
         (img.generation, img.chunks_total, img.chunks_corrupt);
-    let file = match StoreFile::from_bytes_with_damage(&img.payload, &img.damaged) {
-        Ok((file, _quarantined)) => file,
+    let gen = match generation_from_image(&img) {
+        Ok(gen) => gen,
         Err(e) => {
             return DeepReport {
                 generation: Some(generation),
@@ -329,8 +331,8 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
             }
         }
     };
-    let store = file.store();
-    let entries = file
+    let store = gen.store();
+    let entries = gen
         .entries()
         .iter()
         .map(|(name, root)| {
@@ -358,11 +360,11 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
 /// unavailable — the outcomes a query planner degrades through.
 fn image_index_candidates(bytes: &[u8], at: mob_base::Instant) -> Option<Vec<u32>> {
     let img = mob_storage::decode_image_degraded(bytes).ok()?;
-    let (file, _) = StoreFile::from_bytes_with_damage(&img.payload, &img.damaged).ok()?;
-    let RootRecord::Index(stored) = file.get("planes/index")? else {
+    let gen = generation_from_image(&img).ok()?;
+    let RootRecord::Index(stored) = gen.get("planes/index")? else {
         return None;
     };
-    let tree = index_store::load_index(stored, file.store()).ok()?;
+    let tree = index_store::load_index(stored, gen.store()).ok()?;
     Some(tree.query_instant(at).tuples)
 }
 
@@ -554,62 +556,63 @@ fn distance_pair(planes: &[mob_gen::Plane]) -> mob_core::MovingReal {
     }
 }
 
-/// What role a file in a durable directory plays in the snapshot/delta
-/// chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainRole {
-    /// A `snap-<gen>.mob` snapshot image.
-    Snapshot(u64),
-    /// A `delta-<gen>.mob` WAL segment.
-    Delta(u64),
-    /// A `tmp-*` shadow file left by a crashed commit (harmless).
-    Tmp,
-    /// Anything else in the directory (ignored by recovery).
-    Other,
-}
-
-/// Per-file verdict of a [`audit_chain`] run.
-#[derive(Debug)]
-pub struct ChainFile {
-    /// File name inside the durable directory.
-    pub name: String,
-    /// Role the name claims in the chain.
-    pub role: ChainRole,
-    /// `Ok(summary)` or why the file fails its role.
-    pub verdict: Result<String, String>,
-}
-
-/// Outcome of auditing a durable directory's snapshot + delta chain.
+/// Outcome of auditing a durable directory's snapshot + delta chain:
+/// the record of the recovery [`mob_storage::StoreOptions::open`]
+/// performs, computed by the same routine ([`mob_storage::recover`]).
 #[derive(Debug)]
 pub struct ChainReport {
-    /// Per-file verdicts, sorted by name.
-    pub files: Vec<ChainFile>,
+    /// Every file with the fate recovery gives it, sorted by name.
+    pub files: Vec<RecoveredFile>,
     /// Generation of the newest intact snapshot (recovery's base), if
     /// any snapshot decodes.
     pub base: Option<u64>,
-    /// Generation recovery would reach after replaying the contiguous
-    /// delta chain above `base`.
+    /// Generation recovery reaches after replaying the contiguous delta
+    /// chain above `base`; `None` when neither a snapshot nor a delta
+    /// recovers.
     pub head: Option<u64>,
 }
 
 impl ChainReport {
-    /// `true` when every file passes its role — the directory recovers
+    /// `true` when recovery discards no file — the directory recovers
     /// to `head` with nothing lost or shadowed.
     pub fn all_ok(&self) -> bool {
-        self.files.iter().all(|f| f.verdict.is_ok())
+        self.files
+            .iter()
+            .all(|f| !matches!(f.fate, Fate::Discarded(_)))
     }
 
     /// Render the report as the CLI's text output.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for f in &self.files {
-            let role = match f.role {
-                ChainRole::Snapshot(g) => format!("snapshot g={g}"),
-                ChainRole::Delta(g) => format!("delta    g={g}"),
-                ChainRole::Tmp => "tmp".to_string(),
-                ChainRole::Other => "other".to_string(),
+            let role = match (parse_snapshot_name(&f.name), parse_delta_name(&f.name)) {
+                (Some(g), _) => format!("snapshot g={g}"),
+                (_, Some(g)) => format!("delta    g={g}"),
+                _ if f.name.starts_with("tmp-") => "tmp".to_string(),
+                _ => "other".to_string(),
             };
-            match &f.verdict {
+            let verdict = match &f.fate {
+                Fate::Base => Ok("recovery base".to_string()),
+                Fate::Fallback => Ok("previous snapshot (recovery fallback)".to_string()),
+                Fate::Replayed { batches, bytes } => Ok(format!(
+                    "replayed: {batches} object batch(es), {bytes} bytes"
+                )),
+                Fate::Ignored => Ok("ignored by recovery".to_string()),
+                Fate::Discarded(why) => Err(match why {
+                    Discard::TornSnapshot(e) => format!("torn or forged snapshot: {e}"),
+                    Discard::Superseded => "stale: older than the recovery fallback".to_string(),
+                    Discard::Shadowed => "shadowed: generation at or below the base".to_string(),
+                    Discard::ChainGap => {
+                        "chain gap: a generation below it is missing or discarded".to_string()
+                    }
+                    Discard::Undecodable(e) => format!("undecodable: {e}"),
+                    Discard::Inapplicable(e) => format!("inapplicable: {e}"),
+                    Discard::TmpLeftover => {
+                        "leftover shadow file from a crashed commit".to_string()
+                    }
+                }),
+            };
+            match verdict {
                 Ok(note) => out.push_str(&format!("ok   {:<28} {role}  {note}\n", f.name)),
                 Err(err) => out.push_str(&format!("FAIL {:<28} {role}  {err}\n", f.name)),
             }
@@ -632,169 +635,25 @@ impl ChainReport {
     }
 }
 
-/// Audit a durable directory's snapshot/delta chain without opening a
-/// [`mob_storage::DurableStore`]: classify every file, strictly decode
-/// each snapshot and delta, and verify the WAL chain is contiguous from
-/// the newest intact snapshot (`base + 1, base + 2, …`) with each
-/// delta's recorded `base_generation` linking to its predecessor.
+/// Audit a durable directory's snapshot/delta chain without changing
+/// it: run recovery's own read-only routine ([`mob_storage::recover`],
+/// strict, as a default open) and report its record. Every file the
+/// open would remove — torn or superseded snapshots, shadowed,
+/// unreachable, undecodable or inapplicable deltas, leftover shadow
+/// files — fails the audit; the previous snapshot that full commits
+/// keep as the fallback is healthy.
 ///
-/// Shadowed deltas (generation ≤ base) and stale snapshots are reported
-/// as failures — recovery would silently discard them, and an operator
-/// auditing a directory should know bytes are about to be dropped. The
-/// one exception is the snapshot exactly one generation below the base:
-/// `commit_full` keeps it on purpose as the recovery fallback, so it is
-/// reported healthy.
+/// A directory that recovery refuses (unlistable, or a base snapshot
+/// whose store file does not decode) is an `Err`, as the open is.
 pub fn audit_chain<I: mob_storage::StoreIo>(io: &I) -> Result<ChainReport, String> {
-    use mob_storage::{decode_delta_payload, decode_image_strict, parse_delta_name};
-
-    let mut names = io.list().map_err(|e| format!("list: {e}"))?;
-    names.sort();
-
-    // Pass 1: find the recovery base — the newest strictly-intact
-    // snapshot, exactly as `StoreOptions::open` would.
-    let mut base: Option<u64> = None;
-    for name in &names {
-        let Some(g) = mob_storage::parse_snapshot_name(name) else {
-            continue;
-        };
-        let intact = io
-            .read_file(name)
-            .ok()
-            .and_then(|b| decode_image_strict(&b).ok())
-            .is_some_and(|img| img.generation == g);
-        if intact && base.is_none_or(|b| g > b) {
-            base = Some(g);
-        }
-    }
-
-    // Pass 2: walk the delta chain upward from the base. With no
-    // snapshot at all the chain is a *genesis* chain: recovery replays
-    // deltas from generation 1 over the empty store, so that is where
-    // the walk starts.
-    let mut expect = base.map_or(Some(1), |b| b.checked_add(1));
-    let mut head = base;
-    let mut deltas: Vec<(u64, String)> = names
-        .iter()
-        .filter_map(|n| parse_delta_name(n).map(|g| (g, n.clone())))
-        .collect();
-    deltas.sort();
-    let mut delta_verdicts: Vec<(String, Result<String, String>)> = Vec::new();
-    for (g, name) in deltas {
-        if base.is_some_and(|b| g <= b) {
-            delta_verdicts.push((
-                name,
-                Err(format!("shadowed: generation {g} is at or below the base")),
-            ));
-            continue;
-        }
-        if Some(g) != expect {
-            delta_verdicts.push((
-                name,
-                Err(format!(
-                    "chain gap: expected generation {expect:?}, found {g} — \
-                     this delta and everything above it is unreachable"
-                )),
-            ));
-            expect = None;
-            continue;
-        }
-        // A delta file is a chunk-framed image whose payload is the
-        // WAL record: unwrap the frame, then decode the record.
-        let verdict = io
-            .read_file(&name)
-            .map_err(|e| format!("read: {e}"))
-            .and_then(|b| decode_image_strict(&b).map_err(|e| format!("frame: {e}")))
-            .and_then(|img| {
-                if img.generation == g {
-                    Ok(img)
-                } else {
-                    Err(format!(
-                        "name/superblock mismatch: superblock says g={}",
-                        img.generation
-                    ))
-                }
-            })
-            .and_then(|img| decode_delta_payload(&img.payload).map_err(|e| format!("decode: {e}")))
-            .and_then(|p| {
-                if p.base_generation.checked_add(1) == Some(g) {
-                    Ok(format!(
-                        "{} object batch(es) over base g={}",
-                        p.appends.len(),
-                        p.base_generation
-                    ))
-                } else {
-                    Err(format!(
-                        "link mismatch: records base g={}, name claims g={g}",
-                        p.base_generation
-                    ))
-                }
-            });
-        if verdict.is_ok() {
-            head = Some(g);
-            expect = g.checked_add(1);
-        } else {
-            expect = None;
-        }
-        delta_verdicts.push((name, verdict));
-    }
-
-    // Pass 3: assemble per-file verdicts in name order.
-    let mut files = Vec::new();
-    for name in names {
-        if let Some(g) = mob_storage::parse_snapshot_name(&name) {
-            let verdict = io
-                .read_file(&name)
-                .map_err(|e| format!("read: {e}"))
-                .and_then(|b| decode_image_strict(&b).map_err(|e| format!("decode: {e}")))
-                .and_then(|img| {
-                    if img.generation != g {
-                        Err(format!(
-                            "name/superblock mismatch: superblock says g={}",
-                            img.generation
-                        ))
-                    } else if base.is_some_and(|b| g.checked_add(1) == Some(b)) {
-                        // `commit_full` deliberately keeps exactly one
-                        // older snapshot as the recovery fallback.
-                        Ok(format!(
-                            "previous snapshot (recovery fallback), {} payload bytes",
-                            img.payload.len()
-                        ))
-                    } else if base.is_some_and(|b| g < b) {
-                        Err(format!("stale: shadowed by base snapshot g={base:?}"))
-                    } else {
-                        Ok(format!("{} payload bytes", img.payload.len()))
-                    }
-                });
-            files.push(ChainFile {
-                name,
-                role: ChainRole::Snapshot(g),
-                verdict,
-            });
-        } else if let Some(g) = mob_storage::parse_delta_name(&name) {
-            let verdict = delta_verdicts
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(Err("delta not walked".to_string()), |(_, v)| v.clone());
-            files.push(ChainFile {
-                name,
-                role: ChainRole::Delta(g),
-                verdict,
-            });
-        } else if name.starts_with("tmp-") {
-            files.push(ChainFile {
-                name,
-                role: ChainRole::Tmp,
-                verdict: Err("leftover shadow file from a crashed commit".to_string()),
-            });
-        } else {
-            files.push(ChainFile {
-                name,
-                role: ChainRole::Other,
-                verdict: Ok("ignored by recovery".to_string()),
-            });
-        }
-    }
-    Ok(ChainReport { files, base, head })
+    let (head, recovery) =
+        mob_storage::recover(io, false).map_err(|e| format!("recovery refuses: {e}"))?;
+    let replayed = recovery.replayed().0 > 0;
+    Ok(ChainReport {
+        head: (recovery.base.is_some() || replayed).then(|| head.number()),
+        base: recovery.base,
+        files: recovery.files,
+    })
 }
 
 #[cfg(test)]
@@ -991,7 +850,7 @@ mod tests {
         let dir = MemIo::new();
         let mut store = DurableStore::options().open(dir.clone()).unwrap();
         let mut txn = store.begin();
-        txn.put_payload(b"base payload");
+        txn.put_store_file(&StoreFile::new()).unwrap();
         txn.commit().unwrap();
 
         // A gap: delta for generation 3 with no generation-2 link.
@@ -1008,5 +867,79 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("chain gap"), "{rendered}");
         assert!(rendered.contains("leftover shadow"), "{rendered}");
+    }
+
+    /// A store file whose only root is the `moving(point)` `r`, sampled
+    /// at `(t, x)` pairs.
+    fn file_with_r(samples: &[(f64, f64)]) -> StoreFile {
+        use mob_core::MovingPoint;
+        let s: Vec<_> = samples
+            .iter()
+            .map(|&(at, x)| (mob_base::t(at), mob_spatial::pt(x, 0.0)))
+            .collect();
+        let mut file = StoreFile::new();
+        let stored = mapping_store::save_mpoint(&MovingPoint::from_samples(&s), file.store_mut());
+        file.put("r", RootRecord::MPoint(stored));
+        file
+    }
+
+    /// A delta that decodes and links to its base but overlaps the
+    /// stored tail cannot be applied: the audit must report the recovery
+    /// `open` performs (discard it, stay at g=1), not a healthy g=2.
+    #[test]
+    fn chain_audit_matches_open_on_an_inapplicable_delta() {
+        use mob_base::t;
+        use mob_core::MovingPoint;
+        use mob_spatial::pt;
+        use mob_storage::{delta_name, DurableStore, MemIo, StoreIo};
+
+        // Directory X: base snapshot g=1 whose `r` ends at t=10.
+        let x = MemIo::new();
+        let mut store = DurableStore::options().open(x.clone()).unwrap();
+        let mut txn = store.begin();
+        txn.put_store_file(&file_with_r(&[(0.0, 0.0), (10.0, 10.0)]))
+            .unwrap();
+        txn.commit().unwrap();
+        drop(store);
+
+        // A sibling whose `r` ends at t=3 commits delta-2 from t=5.
+        let sibling = MemIo::new();
+        let mut other = DurableStore::options().open(sibling.clone()).unwrap();
+        let mut txn = other.begin();
+        txn.put_store_file(&file_with_r(&[(0.0, 0.0), (3.0, 3.0)]))
+            .unwrap();
+        txn.commit().unwrap();
+        let units = MovingPoint::from_samples(&[(t(5.0), pt(5.0, 0.0)), (t(8.0), pt(8.0, 0.0))])
+            .units()
+            .to_vec();
+        let mut txn = other.begin();
+        txn.append_units("r", &units);
+        assert_eq!(txn.commit().unwrap(), 2);
+        let delta = sibling.read_file(&delta_name(2)).unwrap();
+        x.write_file(&delta_name(2), &delta).unwrap();
+
+        let report = audit_chain(&x).unwrap();
+        let fate = report
+            .files
+            .iter()
+            .find(|f| f.name == delta_name(2))
+            .map(|f| &f.fate);
+        assert!(
+            matches!(fate, Some(Fate::Discarded(Discard::Inapplicable(_)))),
+            "delta-2 must be discarded as inapplicable:\n{}",
+            report.render()
+        );
+        assert!(!report.all_ok());
+        assert_eq!(report.head, Some(1), "{}", report.render());
+
+        let kept: Vec<String> = report
+            .files
+            .iter()
+            .filter(|f| !matches!(f.fate, Fate::Discarded(_)))
+            .map(|f| f.name.clone())
+            .collect();
+        let reopened = DurableStore::options().open(x.clone()).unwrap();
+        assert_eq!(reopened.generation(), 1);
+        assert_eq!(x.list().unwrap(), kept, "open keeps what the audit kept");
     }
 }

@@ -12,12 +12,15 @@
 //! tmp-000000000000000b.mob       ← a full commit in flight (ignored)
 //! ```
 //!
-//! Opening ([`StoreOptions::open`]) recovers the newest valid snapshot,
-//! then replays the contiguous delta chain above it in generation order;
-//! the first torn, forged, or out-of-sequence delta ends the chain (it
-//! and everything after it are removed and counted in
-//! `durable.recoveries`). [`DurableStore::compact`] folds the chain back
-//! into a fresh full snapshot.
+//! One read-only routine, [`recover`], decides what a directory holds:
+//! the newest valid snapshot is the base, and the contiguous delta chain
+//! above it replays in generation order; the first torn, forged,
+//! out-of-sequence or inapplicable delta ends the chain. It returns the
+//! recovered [`Generation`] and a [`Recovery`] record giving every
+//! file's [`Fate`]. Opening ([`StoreOptions::open`]) runs it and removes
+//! exactly the files the record discards; `mob-check chain` renders the
+//! same record. [`DurableStore::compact`] folds the chain back into a
+//! fresh full snapshot.
 //!
 //! # Commit protocols
 //!
@@ -26,7 +29,7 @@
 //! **Full image** (shadow write → fsync → atomic rename):
 //!
 //! ```text
-//!   txn.put_store_file(f) / txn.put_payload(b); txn.commit():
+//!   txn.put_store_file(f); txn.commit():
 //!     1. encode payload into a checksummed image  (pure, in memory)
 //!     2. write_file("tmp-<g>")                    ── crash here: old state
 //!     3. sync("tmp-<g>")                          ── crash here: old state
@@ -323,46 +326,278 @@ pub fn decode_image_degraded(bytes: &[u8]) -> DecodeResult<DecodedImage> {
     decode_image(bytes, true)
 }
 
-/// What the store currently holds (the committed state the last open or
-/// commit produced).
-enum StoreState {
-    /// No committed generation (a fresh directory).
-    Empty,
-    /// A committed payload that is not a [`StoreFile`] image (arbitrary
-    /// bytes committed through [`Txn::put_payload`]). Delta commits and
-    /// snapshots are unavailable.
-    Raw(Vec<u8>),
-    /// A committed [`Generation`] (store-file payload, possibly with
-    /// replayed deltas on top).
-    Gen(Arc<Generation>),
+/// Decode a snapshot image's payload as the store file of generation
+/// `img.generation`: the one image → generation step, shared by
+/// recovery and `mob-check verify --deep`. Blobs overlapping the
+/// image's damaged chunk ranges (a degraded decode) are quarantined
+/// ([`Generation::quarantined`]); damage to structural bytes fails the
+/// decode.
+pub fn generation_from_image(img: &DecodedImage) -> DecodeResult<Generation> {
+    let (file, quarantined) = StoreFile::from_bytes_with_damage(&img.payload, &img.damaged)?;
+    Ok(Generation::from_store_file(
+        img.generation,
+        file,
+        quarantined,
+    ))
 }
 
-/// How [`StoreOptions::open`] treats WAL delta files found above the
-/// newest valid snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReplayPolicy {
-    /// Replay the contiguous delta chain in generation order (the
-    /// default). The first invalid or out-of-sequence delta ends the
-    /// chain; it and everything above it are removed and counted in
-    /// `durable.recoveries`.
-    #[default]
-    Deltas,
-    /// Ignore and delete all delta files: recover exactly the newest
-    /// valid full snapshot (an escape hatch for damaged chains and a
-    /// compatibility mode for pre-WAL tooling).
-    SnapshotOnly,
+/// What [`recover`] decided about one file of a durable directory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fate {
+    /// The snapshot recovery starts from: the newest one that decodes
+    /// under its own generation.
+    Base,
+    /// The snapshot one generation below the base, which full commits
+    /// keep as the fallback. Kept, not read.
+    Fallback,
+    /// A delta replayed on top of the base.
+    Replayed {
+        /// Object batches the delta appended.
+        batches: usize,
+        /// Size of the delta file in bytes.
+        bytes: u64,
+    },
+    /// A file whose name is not part of the store's layout. Kept.
+    Ignored,
+    /// A file recovery does not use; [`StoreOptions::open`] removes it.
+    Discarded(Discard),
+}
+
+/// Why [`recover`] discards a file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Discard {
+    /// A snapshot newer than the base that fails to read or decode, or
+    /// whose superblock names another generation.
+    TornSnapshot(String),
+    /// A snapshot older than the fallback.
+    Superseded,
+    /// A delta at or below the base's generation: folded into the base.
+    Shadowed,
+    /// A delta that does not continue the replayed chain: a generation
+    /// below it is missing or was discarded.
+    ChainGap,
+    /// A delta in chain position that fails to read or decode strictly,
+    /// or does not link to its predecessor.
+    Undecodable(String),
+    /// A delta that decodes and links, but whose appends the recovered
+    /// generation rejects.
+    Inapplicable(String),
+    /// The shadow file of a full commit that never renamed.
+    TmpLeftover,
+}
+
+impl Discard {
+    /// Whether the discard drops a file that might have been a
+    /// committed generation (counted in `durable.recoveries`), rather
+    /// than routine garbage: superseded, shadowed and tmp files are not.
+    fn is_recovery(&self) -> bool {
+        !matches!(
+            self,
+            Discard::Superseded | Discard::Shadowed | Discard::TmpLeftover
+        )
+    }
+}
+
+/// One file of a durable directory and its [`Fate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecoveredFile {
+    /// File name inside the directory.
+    pub name: String,
+    /// What recovery does with it.
+    pub fate: Fate,
+}
+
+/// Recovery's record of a durable directory (see [`recover`]).
+#[derive(Debug, Clone)]
+pub struct Recovery {
+    /// Every file in the directory with its fate, sorted by name.
+    pub files: Vec<RecoveredFile>,
+    /// Generation of the base snapshot; `None` when no snapshot decodes
+    /// and replay starts from the empty generation 0.
+    pub base: Option<u64>,
+    /// Chunk frames of the base that failed verification (degraded
+    /// recovery only).
+    pub chunks_corrupt: usize,
+}
+
+impl Recovery {
+    /// Names of the files recovery discards — exactly the files
+    /// [`StoreOptions::open`] removes.
+    pub fn discarded(&self) -> impl Iterator<Item = &str> {
+        self.files
+            .iter()
+            .filter(|f| matches!(f.fate, Fate::Discarded(_)))
+            .map(|f| f.name.as_str())
+    }
+
+    /// Number of replayed deltas and their total size in bytes.
+    #[must_use]
+    pub fn replayed(&self) -> (u64, u64) {
+        self.files
+            .iter()
+            .fold((0, 0), |(n, total), f| match f.fate {
+                Fate::Replayed { bytes, .. } => (n + 1, total + bytes),
+                _ => (n, total),
+            })
+    }
+
+    fn recoveries(&self) -> u64 {
+        let n = self
+            .files
+            .iter()
+            .filter(|f| matches!(&f.fate, Fate::Discarded(d) if d.is_recovery()))
+            .count();
+        n as u64
+    }
+}
+
+/// Recover a durable directory without changing it: the one decision
+/// behind both [`StoreOptions::open`] and `mob-check chain`.
+///
+/// Lists the directory once. The base is the newest snapshot that
+/// decodes under its own generation (`degraded` tolerates damaged chunk
+/// frames, as [`StoreOptions::degraded`] does); every newer snapshot is
+/// torn. The deltas above the base then replay in generation order,
+/// each decoded strictly and applied to the recovered generation in
+/// place. The first delta that is missing, undecodable or inapplicable
+/// ends the chain; every delta above it is a chain gap. Returns the
+/// recovered generation and the fate of every file. Reads files; writes
+/// and removes none.
+///
+/// Errors only when the directory cannot be listed or the base
+/// snapshot's store file does not decode — a directory
+/// [`StoreOptions::open`] refuses. Damaged or forged files are fates,
+/// never panics.
+pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, Recovery)> {
+    let mut files = Vec::new();
+    let mut snaps = Vec::new();
+    let mut deltas = Vec::new();
+    for name in io.list()? {
+        if let Some(g) = parse_snapshot_name(&name) {
+            snaps.push((g, name));
+        } else if let Some(g) = parse_delta_name(&name) {
+            deltas.push((g, name));
+        } else {
+            let fate = if name.starts_with("tmp-") {
+                Fate::Discarded(Discard::TmpLeftover)
+            } else {
+                Fate::Ignored
+            };
+            files.push(RecoveredFile { name, fate });
+        }
+    }
+    snaps.sort_by_key(|&(g, _)| std::cmp::Reverse(g));
+    let mut base: Option<DecodedImage> = None;
+    for (g, name) in snaps {
+        let fate = match base.as_ref().map(|img| img.generation) {
+            Some(b) if g.checked_add(1) == Some(b) => Fate::Fallback,
+            Some(_) => Fate::Discarded(Discard::Superseded),
+            None => match io
+                .read_file(&name)
+                .and_then(|bytes| decode_image(&bytes, degraded))
+            {
+                Ok(img) if img.generation == g => {
+                    base = Some(img);
+                    Fate::Base
+                }
+                Ok(img) => Fate::Discarded(Discard::TornSnapshot(format!(
+                    "superblock says generation {}",
+                    img.generation
+                ))),
+                Err(e) => Fate::Discarded(Discard::TornSnapshot(e.to_string())),
+            },
+        };
+        files.push(RecoveredFile { name, fate });
+    }
+    // The base image's payload is dropped once decoded, before replay.
+    let (mut head, base_generation, chunks_corrupt) = match base {
+        Some(img) => (
+            generation_from_image(&img)?,
+            Some(img.generation),
+            img.chunks_corrupt,
+        ),
+        None => (Generation::empty(0), None, 0),
+    };
+    deltas.sort_by_key(|&(g, _)| g);
+    let floor = base_generation.unwrap_or(0);
+    // The generation the next delta must produce; `None` once the chain
+    // has ended.
+    let mut expect = floor.checked_add(1);
+    for (g, name) in deltas {
+        let fate = if g <= floor {
+            Fate::Discarded(Discard::Shadowed)
+        } else if Some(g) == expect {
+            replay_delta(io, g, &name, &mut head)
+        } else {
+            Fate::Discarded(Discard::ChainGap)
+        };
+        if g > floor {
+            expect = match fate {
+                Fate::Replayed { .. } => g.checked_add(1),
+                _ => None,
+            };
+        }
+        files.push(RecoveredFile { name, fate });
+    }
+    files.sort_by(|a, b| a.name.cmp(&b.name));
+    let recovery = Recovery {
+        files,
+        base: base_generation,
+        chunks_corrupt,
+    };
+    Ok((head, recovery))
+}
+
+/// Decode delta file `name` strictly and apply it to `head` as
+/// generation `g`. A failed apply leaves `head` as it was.
+fn replay_delta<I: StoreIo>(io: &I, g: u64, name: &str, head: &mut Generation) -> Fate {
+    let (payload, bytes) = match decode_delta(io, g, name) {
+        Ok(decoded) => decoded,
+        Err(e) => return Fate::Discarded(Discard::Undecodable(e.to_string())),
+    };
+    match head.append_in_place(g, &payload.appends) {
+        Ok(()) => Fate::Replayed {
+            batches: payload.appends.len(),
+            bytes,
+        },
+        Err(e) => Fate::Discarded(Discard::Inapplicable(e.to_string())),
+    }
+}
+
+/// Read and strictly decode delta file `name` for generation `g`: its
+/// payload and its size in bytes. Deltas are never decoded degraded: a
+/// damaged delta is discarded, never partially applied.
+fn decode_delta<I: StoreIo>(io: &I, g: u64, name: &str) -> DecodeResult<(DeltaPayload, u64)> {
+    let bytes = io.read_file(name)?;
+    let img = decode_image_strict(&bytes)?;
+    if img.generation != g {
+        return Err(DecodeError::BadStructure {
+            what: "delta file",
+            detail: format!("file {name:?} claims generation {}", img.generation),
+        });
+    }
+    let payload = decode_delta_payload(&img.payload)?;
+    if payload.base_generation.checked_add(1) != Some(g) {
+        return Err(DecodeError::BadStructure {
+            what: "delta file",
+            detail: format!(
+                "delta for generation {g} applies on top of {}",
+                payload.base_generation
+            ),
+        });
+    }
+    Ok((payload, bytes.len() as u64))
 }
 
 /// Builder for opening a [`DurableStore`] — the single entry point for
 /// fresh, strict and degraded opens:
 ///
 /// ```
-/// use mob_storage::{DurableStore, MemIo, ReplayPolicy};
+/// use mob_storage::{DurableStore, MemIo};
 ///
 /// let store = DurableStore::options()
 ///     .chunk_size(4096)
 ///     .degraded(false)
-///     .replay(ReplayPolicy::Deltas)
 ///     .open(MemIo::new())
 ///     .unwrap();
 /// assert_eq!(store.generation(), 0); // fresh directory
@@ -371,7 +606,6 @@ pub enum ReplayPolicy {
 pub struct StoreOptions {
     chunk_size: usize,
     degraded: bool,
-    replay: ReplayPolicy,
 }
 
 impl Default for StoreOptions {
@@ -381,14 +615,12 @@ impl Default for StoreOptions {
 }
 
 impl StoreOptions {
-    /// Default options: [`DEFAULT_CHUNK_SIZE`], strict decoding, delta
-    /// replay on.
+    /// Default options: [`DEFAULT_CHUNK_SIZE`], strict decoding.
     #[must_use]
     pub fn new() -> StoreOptions {
         StoreOptions {
             chunk_size: DEFAULT_CHUNK_SIZE,
             degraded: false,
-            replay: ReplayPolicy::Deltas,
         }
     }
 
@@ -409,40 +641,41 @@ impl StoreOptions {
         self
     }
 
-    /// Delta replay policy (see [`ReplayPolicy`]).
-    #[must_use]
-    pub fn replay(mut self, replay: ReplayPolicy) -> StoreOptions {
-        self.replay = replay;
-        self
-    }
-
     /// Open (or create) the durable store in `io`'s directory.
     ///
-    /// Recovers the newest fully-valid snapshot (torn newer snapshots
-    /// are skipped, deleted and counted in `durable.recoveries`), then
-    /// applies the replay policy to the delta chain above it. A fresh
-    /// directory opens at generation 0 with an empty snapshot; the
-    /// first commit writes generation 1.
+    /// Runs [`recover`], then removes every file its record discards
+    /// (best effort: a file that survives is discarded again by the
+    /// next open). Torn snapshots and discarded deltas above the base
+    /// are counted in `durable.recoveries`, damaged chunks of a degraded
+    /// base in `store.pages_corrupt`. A fresh directory opens at the
+    /// empty generation 0; the first commit writes generation 1.
     ///
     /// All inputs are untrusted: damaged or forged files surface as
     /// recoveries or [`DecodeError`]s, never as panics.
     pub fn open<I: StoreIo>(self, io: I) -> DecodeResult<DurableStore<I>> {
-        let (mut store, img) = DurableStore::open_inner(io, self.chunk_size, self.degraded)?;
-        store.state = match img {
-            None => StoreState::Empty,
-            Some(img) => DurableStore::<I>::state_from_image(img, self.degraded)?,
-        };
-        match self.replay {
-            ReplayPolicy::Deltas => store.replay_deltas()?,
-            ReplayPolicy::SnapshotOnly => {
-                for name in store.io.list()? {
-                    if parse_delta_name(&name).is_some() {
-                        let _ = store.io.remove(&name);
-                    }
-                }
-            }
+        let chunk_size = validate_page_size(self.chunk_size)?;
+        let (head, recovery) = recover(&io, self.degraded)?;
+        for name in recovery.discarded() {
+            let _ = io.remove(name);
         }
-        Ok(store)
+        let recoveries = recovery.recoveries();
+        if recoveries > 0 {
+            mob_obs::metric!("durable.recoveries").add(recoveries);
+        }
+        if recovery.chunks_corrupt > 0 {
+            mob_obs::metric!("store.pages_corrupt").add(recovery.chunks_corrupt as u64);
+        }
+        let (deltas, delta_bytes) = recovery.replayed();
+        if deltas > 0 {
+            mob_obs::metric!("durable.delta_replays").add(deltas);
+        }
+        Ok(DurableStore {
+            io,
+            chunk_size,
+            head: Arc::new(head),
+            deltas_since_snapshot: deltas,
+            delta_bytes_since_snapshot: delta_bytes,
+        })
     }
 }
 
@@ -453,8 +686,9 @@ impl StoreOptions {
 pub struct DurableStore<I: StoreIo> {
     io: I,
     chunk_size: usize,
-    generation: u64,
-    state: StoreState,
+    /// The last committed generation (the empty generation 0 in a fresh
+    /// directory).
+    head: Arc<Generation>,
     /// Delta commits applied (or replayed) on top of the newest full
     /// snapshot — the maintenance supervisor's compaction trigger.
     deltas_since_snapshot: u64,
@@ -462,43 +696,30 @@ pub struct DurableStore<I: StoreIo> {
     delta_bytes_since_snapshot: u64,
 }
 
-/// Staged content of a full-image commit.
-enum Staged {
-    /// Arbitrary payload bytes.
-    Payload(Vec<u8>),
-    /// A serialized [`StoreFile`] plus an owned copy that becomes the
-    /// new current [`Generation`].
-    File(Vec<u8>, StoreFile),
-}
-
 /// An explicit transaction handle: the single commit entry point for
 /// both full-image and delta commits (see [`DurableStore::begin`]).
 ///
-/// Stage either a full image ([`Txn::put_store_file`] /
-/// [`Txn::put_payload`]) or appended units ([`Txn::append_units`]), then
-/// [`Txn::commit`]. Mixing both in one transaction is an error, as is
-/// committing an empty transaction. Dropping the handle without
-/// committing abandons the staged work (no I/O has happened).
+/// Stage either a full image ([`Txn::put_store_file`]) or appended
+/// units ([`Txn::append_units`]), then [`Txn::commit`]. Mixing both in
+/// one transaction is an error, as is committing an empty transaction.
+/// Dropping the handle without committing abandons the staged work (no
+/// I/O has happened).
 pub struct Txn<'a, I: StoreIo> {
     store: &'a mut DurableStore<I>,
-    image: Option<Staged>,
+    /// A staged full image: the serialized store file plus an owned copy
+    /// that becomes the new head.
+    image: Option<(Vec<u8>, StoreFile)>,
     appends: Vec<(String, Vec<UPointRecord>)>,
 }
 
 impl<I: StoreIo> Txn<'_, I> {
-    /// Stage arbitrary payload bytes as a full-image commit (replacing
-    /// any previously staged image).
-    pub fn put_payload(&mut self, payload: &[u8]) {
-        self.image = Some(Staged::Payload(payload.to_vec()));
-    }
-
     /// Stage a [`StoreFile`] as a full-image commit (replacing any
     /// previously staged image). The file is serialized now — encoding
     /// errors surface here, before any I/O.
     pub fn put_store_file(&mut self, file: &StoreFile) -> DecodeResult<()> {
         let bytes = file.to_bytes()?;
         let copy = StoreFile::from_parts(file.store().fork(), file.catalog().clone());
-        self.image = Some(Staged::File(bytes, copy));
+        self.image = Some((bytes, copy));
         Ok(())
     }
 
@@ -538,7 +759,7 @@ impl<I: StoreIo> Txn<'_, I> {
                 what: "durable transaction",
                 detail: "empty transaction (stage an image or appends before commit)".into(),
             }),
-            (Some(staged), true) => self.store.commit_full(staged),
+            (Some((bytes, file)), true) => self.store.commit_full(&bytes, file),
             (None, false) => self.store.commit_delta(&self.appends),
         }
     }
@@ -557,228 +778,6 @@ impl DurableStore<crate::io::MemIo> {
 }
 
 impl<I: StoreIo> DurableStore<I> {
-    /// Shared recovery scan: newest valid snapshot wins, torn snapshots
-    /// and stale shadow files are removed. Returns the store (state
-    /// [`StoreState::Empty`], to be set by the caller) and the decoded
-    /// image, if any.
-    fn open_inner(
-        io: I,
-        chunk_size: usize,
-        tolerate_chunk_damage: bool,
-    ) -> DecodeResult<(DurableStore<I>, Option<DecodedImage>)> {
-        let chunk_size = validate_page_size(chunk_size)?;
-        let names = io.list()?;
-        let mut snaps: Vec<(u64, &String)> = names
-            .iter()
-            .filter_map(|n| parse_snapshot_name(n).map(|g| (g, n)))
-            .collect();
-        snaps.sort_by_key(|&(gen, _)| std::cmp::Reverse(gen));
-        let mut skipped = 0u64;
-        let mut found: Option<DecodedImage> = None;
-        for (gen, name) in &snaps {
-            let decoded = io
-                .read_file(name)
-                .and_then(|bytes| decode_image(&bytes, tolerate_chunk_damage));
-            match decoded {
-                Ok(img) if img.generation == *gen => {
-                    found = Some(img);
-                    break;
-                }
-                Ok(_) | Err(_) => {
-                    // A torn or forged commit: never expose it, fall back
-                    // to the previous generation. Deleting it is
-                    // best-effort cleanup.
-                    skipped += 1;
-                    let _ = io.remove(name);
-                }
-            }
-        }
-        if skipped > 0 {
-            mob_obs::metric!("durable.recoveries").add(skipped);
-        }
-        if let Some(img) = &found {
-            if img.chunks_corrupt > 0 {
-                mob_obs::metric!("store.pages_corrupt").add(img.chunks_corrupt as u64);
-            }
-        }
-        // Shadow files from interrupted commits are dead weight — and so
-        // are snapshots and deltas the recovered base supersedes: a
-        // compaction that crashed mid-prune leaves them behind, and no
-        // later commit is obliged to come back for them. Sweep them all
-        // here so every open heals the directory (`mob-check chain`
-        // would otherwise flag the shadowed files forever). The
-        // previous-generation snapshot (`g + 1 == base`) is the
-        // recovery fallback and is deliberately kept.
-        let base = found.as_ref().map_or(0, |img| img.generation);
-        for name in &names {
-            let dead = if name.starts_with("tmp-") {
-                true
-            } else if let Some(g) = parse_snapshot_name(name) {
-                g + 1 < base
-            } else if let Some(g) = parse_delta_name(name) {
-                g <= base
-            } else {
-                false
-            };
-            if dead {
-                let _ = io.remove(name);
-            }
-        }
-        let generation = base;
-        Ok((
-            DurableStore {
-                io,
-                chunk_size,
-                generation,
-                state: StoreState::Empty,
-                deltas_since_snapshot: 0,
-                delta_bytes_since_snapshot: 0,
-            },
-            found,
-        ))
-    }
-
-    /// Classify a recovered image: a [`StoreFile`] payload becomes a
-    /// [`Generation`] (with damaged blobs quarantined in degraded mode),
-    /// anything else is raw bytes.
-    fn state_from_image(img: DecodedImage, degraded: bool) -> DecodeResult<StoreState> {
-        if !img.payload.starts_with(crate::store_file::MAGIC) {
-            // Degraded recovery zero-fills damaged chunks; if the damage
-            // covers the payload magic we cannot tell a raw payload from
-            // a store file whose identity got shot off — refuse loudly
-            // rather than misclassify.
-            if img.damaged.iter().any(|&(from, _)| from < 8) {
-                return Err(DecodeError::BadStructure {
-                    what: "durable payload",
-                    detail: "payload magic bytes are damaged".to_string(),
-                });
-            }
-            return Ok(StoreState::Raw(img.payload));
-        }
-        if degraded {
-            let (file, quarantined) =
-                StoreFile::from_bytes_with_damage(&img.payload, &img.damaged)?;
-            Ok(StoreState::Gen(Arc::new(Generation::from_store_file(
-                img.generation,
-                file,
-                quarantined,
-            ))))
-        } else {
-            let file = StoreFile::from_bytes(&img.payload)?;
-            Ok(StoreState::Gen(Arc::new(Generation::from_store_file(
-                img.generation,
-                file,
-                Vec::new(),
-            ))))
-        }
-    }
-
-    /// Replay the contiguous delta chain above the current generation
-    /// (see [`ReplayPolicy::Deltas`]). Stale deltas at or below the
-    /// base are removed silently; the first invalid delta and everything
-    /// above it are removed and counted in `durable.recoveries`.
-    fn replay_deltas(&mut self) -> DecodeResult<()> {
-        let names = self.io.list()?;
-        let mut deltas: Vec<(u64, &String)> = names
-            .iter()
-            .filter_map(|n| parse_delta_name(n).map(|g| (g, n)))
-            .collect();
-        deltas.sort_by_key(|&(g, _)| g);
-        let mut skipped = 0u64;
-        let mut failed = false;
-        let mut expect = self.generation.checked_add(1);
-        for (g, name) in deltas {
-            if g <= self.generation {
-                // Superseded by the snapshot we recovered from.
-                let _ = self.io.remove(name);
-                continue;
-            }
-            let ok = !failed && Some(g) == expect && self.replay_one_delta(g, name);
-            if ok {
-                expect = g.checked_add(1);
-            } else {
-                failed = true;
-                skipped += 1;
-                let _ = self.io.remove(name);
-            }
-        }
-        if skipped > 0 {
-            mob_obs::metric!("durable.recoveries").add(skipped);
-        }
-        Ok(())
-    }
-
-    /// Try to apply one delta file on top of the current state. `false`
-    /// (damaged, forged, or inapplicable) means the caller discards it.
-    fn replay_one_delta(&mut self, g: u64, name: &str) -> bool {
-        let applied = self
-            .decode_delta(g, name)
-            .and_then(|(payload, bytes)| self.replay_appends(g, &payload.appends).map(|()| bytes));
-        let Ok(bytes) = applied else {
-            return false;
-        };
-        self.generation = g;
-        self.deltas_since_snapshot += 1;
-        self.delta_bytes_since_snapshot += bytes;
-        mob_obs::metric!("durable.delta_replays").add(1);
-        true
-    }
-
-    /// Read and strictly decode delta file `name` for generation `g`:
-    /// its payload and its size in bytes.
-    fn decode_delta(&self, g: u64, name: &str) -> DecodeResult<(DeltaPayload, u64)> {
-        let bytes = self.io.read_file(name)?;
-        // Deltas are always decoded strictly: a damaged delta is
-        // discarded, never partially applied.
-        let img = decode_image_strict(&bytes)?;
-        if img.generation != g {
-            return Err(DecodeError::BadStructure {
-                what: "delta file",
-                detail: format!("file {name:?} claims generation {}", img.generation),
-            });
-        }
-        let payload = decode_delta_payload(&img.payload)?;
-        if payload.base_generation.checked_add(1) != Some(g) {
-            return Err(DecodeError::BadStructure {
-                what: "delta file",
-                detail: format!(
-                    "delta for generation {g} applies on top of {}",
-                    payload.base_generation
-                ),
-            });
-        }
-        Ok((payload, bytes.len() as u64))
-    }
-
-    /// Apply a replayed delta's appends to the head as generation `g`.
-    /// Replay runs before any snapshot can pin the head, so it is
-    /// updated where it lies: no per-delta copy of the catalog. A failed
-    /// batch leaves the head as it was.
-    fn replay_appends(
-        &mut self,
-        g: u64,
-        appends: &[(String, Vec<UPointRecord>)],
-    ) -> DecodeResult<()> {
-        match &mut self.state {
-            StoreState::Gen(gen) => match Arc::get_mut(gen) {
-                Some(head) => head.append_in_place(g, appends),
-                None => {
-                    *gen = Arc::new(gen.apply_appends(g, appends)?);
-                    Ok(())
-                }
-            },
-            StoreState::Empty => {
-                let head = Generation::empty(self.generation).apply_appends(g, appends)?;
-                self.state = StoreState::Gen(Arc::new(head));
-                Ok(())
-            }
-            StoreState::Raw(_) => Err(DecodeError::BadStructure {
-                what: "delta file",
-                detail: "cannot apply a delta over a raw (non store-file) payload".into(),
-            }),
-        }
-    }
-
     /// Begin a transaction (see [`Txn`]).
     pub fn begin(&mut self) -> Txn<'_, I> {
         Txn {
@@ -788,33 +787,19 @@ impl<I: StoreIo> DurableStore<I> {
         }
     }
 
-    /// Full-image commit: shadow write → fsync → atomic rename, then
-    /// prune snapshots older than the previous generation and every
-    /// delta the new snapshot supersedes.
-    fn commit_full(&mut self, staged: Staged) -> DecodeResult<u64> {
-        let generation = self.generation + 1;
-        let (payload, state) = match staged {
-            Staged::Payload(bytes) => {
-                let state = StoreState::Raw(bytes.clone());
-                (bytes, state)
-            }
-            Staged::File(bytes, file) => {
-                let state = StoreState::Gen(Arc::new(Generation::from_store_file(
-                    generation,
-                    file,
-                    Vec::new(),
-                )));
-                (bytes, state)
-            }
-        };
-        let image = encode_image(generation, self.chunk_size, &payload);
+    /// Full-image commit of the serialized `payload` of `file`: shadow
+    /// write → fsync → atomic rename, then prune snapshots older than
+    /// the previous generation and every delta the new snapshot
+    /// supersedes.
+    fn commit_full(&mut self, payload: &[u8], file: StoreFile) -> DecodeResult<u64> {
+        let generation = self.generation() + 1;
+        let image = encode_image(generation, self.chunk_size, payload);
         let tmp = tmp_name(generation);
         let fin = snapshot_name(generation);
         self.io.write_file(&tmp, &image)?;
         self.io.sync(&tmp)?;
         self.io.rename(&tmp, &fin)?;
-        self.generation = generation;
-        self.state = state;
+        self.head = Arc::new(Generation::from_store_file(generation, file, Vec::new()));
         self.deltas_since_snapshot = 0;
         self.delta_bytes_since_snapshot = 0;
         mob_obs::metric!("durable.commits").add(1);
@@ -854,20 +839,11 @@ impl<I: StoreIo> DurableStore<I> {
     /// in memory, then append + fsync one `delta-<g>.mob` file. I/O cost
     /// is proportional to the appended units, not the store.
     fn commit_delta(&mut self, appends: &[(String, Vec<UPointRecord>)]) -> DecodeResult<u64> {
-        let base: Arc<Generation> = match &self.state {
-            StoreState::Empty => Arc::new(Generation::empty(self.generation)),
-            StoreState::Gen(gen) => Arc::clone(gen),
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable transaction",
-                    detail: "cannot append to a raw (non store-file) payload".into(),
-                })
-            }
-        };
-        let generation = self.generation + 1;
+        let base = self.generation();
+        let generation = base + 1;
         // Apply in memory first: a bad batch fails before any I/O.
-        let next = Arc::new(base.apply_appends(generation, appends)?);
-        let payload = encode_delta_payload(self.generation, appends)?;
+        let next = Arc::new(self.head.apply_appends(generation, appends)?);
+        let payload = encode_delta_payload(base, appends)?;
         let image = encode_image(generation, self.chunk_size, &payload);
         let name = delta_name(generation);
         if self.io.exists(&name) {
@@ -877,8 +853,7 @@ impl<I: StoreIo> DurableStore<I> {
         }
         self.io.append_file(&name, &image)?;
         self.io.sync(&name)?;
-        self.generation = generation;
-        self.state = StoreState::Gen(next);
+        self.head = next;
         self.deltas_since_snapshot += 1;
         self.delta_bytes_since_snapshot += image.len() as u64;
         mob_obs::metric!("durable.commits").add(1);
@@ -891,28 +866,10 @@ impl<I: StoreIo> DurableStore<I> {
     /// live root of the current generation into a new store file and
     /// commit it through the full-image protocol. Superseded blobs and
     /// delta files are dropped; the new generation has no stale roots.
-    ///
-    /// Requires a current generation ([`StoreState::Gen`]); an empty or
-    /// raw-payload store has nothing to compact.
     pub fn compact(&mut self) -> DecodeResult<u64> {
-        let gen_obj = match &self.state {
-            StoreState::Gen(g) => Arc::clone(g),
-            StoreState::Empty => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable compact",
-                    detail: "no committed generation to compact".into(),
-                })
-            }
-            StoreState::Raw(_) => {
-                return Err(DecodeError::BadStructure {
-                    what: "durable compact",
-                    detail: "raw payload stores cannot be compacted".into(),
-                })
-            }
-        };
-        let file = gen_obj.rebuild_store_file()?;
+        let file = self.head.rebuild_store_file()?;
         let bytes = file.to_bytes()?;
-        let committed = self.commit_full(Staged::File(bytes, file))?;
+        let committed = self.commit_full(&bytes, file)?;
         mob_obs::metric!("durable.compactions").add(1);
         Ok(committed)
     }
@@ -920,34 +877,14 @@ impl<I: StoreIo> DurableStore<I> {
     /// Pin the current committed generation for reading. The returned
     /// [`Generation`] is immutable: it keeps serving byte-identical
     /// results while later commits and compactions advance the store.
-    ///
-    /// An empty store pins an empty generation; a raw-payload store
-    /// (bytes committed through [`Txn::put_payload`]) has no generation
-    /// to pin and errors.
+    /// A fresh store pins the empty generation 0.
     pub fn snapshot(&self) -> DecodeResult<Arc<Generation>> {
-        match &self.state {
-            StoreState::Empty => Ok(Arc::new(Generation::empty(self.generation))),
-            StoreState::Gen(g) => Ok(Arc::clone(g)),
-            StoreState::Raw(_) => Err(DecodeError::BadStructure {
-                what: "durable snapshot",
-                detail: "store holds a raw payload, not a store-file generation".into(),
-            }),
-        }
-    }
-
-    /// The committed payload bytes when the store holds raw (non
-    /// store-file) bytes; `None` for empty stores and generations.
-    #[must_use]
-    pub fn raw_payload(&self) -> Option<&[u8]> {
-        match &self.state {
-            StoreState::Raw(b) => Some(b),
-            _ => None,
-        }
+        Ok(Arc::clone(&self.head))
     }
 
     /// The last committed generation (0 if none).
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.head.number()
     }
 
     /// Delta commits sitting on top of the newest full snapshot (both
@@ -1073,15 +1010,34 @@ mod tests {
         assert!(decode_image(&sbbad, true).is_err());
     }
 
+    /// A store file holding one `moving(point)` root `name` sampled at
+    /// `(t, x)` pairs.
+    fn file_with(name: &str, samples: &[(f64, f64)]) -> StoreFile {
+        let s: Vec<_> = samples.iter().map(|&(ti, x)| (t(ti), pt(x, 0.0))).collect();
+        let mut file = StoreFile::new();
+        let stored =
+            crate::mapping_store::save_mpoint(&MovingPoint::from_samples(&s), file.store_mut());
+        file.put(name, RootRecord::MPoint(stored));
+        file
+    }
+
+    fn commit_file(store: &mut DurableStore<MemIo>, file: &StoreFile) -> u64 {
+        let mut txn = store.begin();
+        txn.put_store_file(file).unwrap();
+        txn.commit().unwrap()
+    }
+
     #[test]
     fn commit_open_roundtrip_and_generation_sequence() {
         let dir = MemIo::new();
         let mut store = open_mem(&dir);
         assert_eq!(store.generation(), 0);
-        for (i, payload) in [&b"alpha"[..], b"beta", b"gamma"].iter().enumerate() {
-            let mut txn = store.begin();
-            txn.put_payload(payload);
-            assert_eq!(txn.commit().unwrap(), i as u64 + 1);
+        let files: Vec<StoreFile> = [1.0, 2.0, 3.0]
+            .iter()
+            .map(|&x| file_with("car", &[(0.0, 0.0), (1.0, x)]))
+            .collect();
+        for (i, file) in files.iter().enumerate() {
+            assert_eq!(commit_file(&mut store, file), i as u64 + 1);
         }
         // Prune keeps exactly the current and previous generation.
         let names = dir.list().unwrap();
@@ -1092,18 +1048,13 @@ mod tests {
         );
         let reopened = open_mem(&dir);
         assert_eq!(reopened.generation(), 3);
-        assert_eq!(reopened.raw_payload(), Some(&b"gamma"[..]));
-        assert!(
-            reopened.snapshot().is_err(),
-            "raw payloads pin no generation"
-        );
+        assert_eq!(reopened.snapshot().unwrap().entries(), files[2].entries());
     }
 
     #[test]
     fn open_fresh_directory_yields_empty_generation() {
         let store = DurableStore::options().open(MemIo::new()).unwrap();
         assert_eq!(store.generation(), 0);
-        assert!(store.raw_payload().is_none());
         let snap = store.snapshot().unwrap();
         assert_eq!(snap.number(), 0);
         assert!(snap.entries().is_empty());
@@ -1113,18 +1064,18 @@ mod tests {
     fn open_skips_a_torn_newest_snapshot() {
         let dir = MemIo::new();
         let mut store = open_mem(&dir);
-        let mut txn = store.begin();
-        txn.put_payload(b"good old state");
-        txn.commit().unwrap();
+        let old = file_with("car", &[(0.0, 0.0), (1.0, 1.0)]);
+        commit_file(&mut store, &old);
         // Forge a torn generation-2 snapshot: valid name, damaged bytes.
-        let mut image = encode_image(2, 32, b"half-written new state");
+        let new = file_with("car", &[(0.0, 0.0), (2.0, 5.0)]);
+        let mut image = encode_image(2, 32, &new.to_bytes().unwrap());
         let mid = image.len() / 2;
         image.truncate(mid);
         dir.write_file(&snapshot_name(2), &image).unwrap();
         // And a stale shadow file.
         dir.write_file(&tmp_name(3), b"junk").unwrap();
         let reopened = open_mem(&dir);
-        assert_eq!(reopened.raw_payload(), Some(&b"good old state"[..]));
+        assert_eq!(reopened.snapshot().unwrap().entries(), old.entries());
         assert_eq!(reopened.generation(), 1);
         // The torn snapshot and the shadow file were cleaned up.
         assert_eq!(dir.list().unwrap(), vec![snapshot_name(1)]);
@@ -1139,7 +1090,7 @@ mod tests {
         dir.write_file(&snapshot_name(5), &image).unwrap();
         let store = open_mem(&dir);
         assert_eq!(store.generation(), 0);
-        assert!(store.raw_payload().is_none());
+        assert!(store.snapshot().unwrap().entries().is_empty());
     }
 
     #[test]
@@ -1305,41 +1256,239 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_only_replay_discards_the_delta_chain() {
-        let dir = MemIo::new();
-        let mut store = open_mem(&dir);
-        let mut txn = store.begin();
-        txn.put_store_file(&StoreFile::new()).unwrap();
-        txn.commit().unwrap();
-        let mut txn = store.begin();
-        txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
-        txn.commit().unwrap();
-        let reopened = DurableStore::options()
-            .chunk_size(32)
-            .replay(ReplayPolicy::SnapshotOnly)
-            .open(dir.clone())
-            .unwrap();
-        assert_eq!(reopened.generation(), 1, "deltas ignored");
-        assert!(reopened.snapshot().unwrap().get("car").is_none());
-        assert!(!dir.exists(&delta_name(2)), "deltas deleted");
-    }
-
-    #[test]
     fn transactions_reject_empty_and_mixed_stages() {
         let mut store = DurableStore::options().open(MemIo::new()).unwrap();
         assert!(store.begin().commit().is_err(), "empty transaction");
         let mut txn = store.begin();
-        txn.put_payload(b"image");
+        txn.put_store_file(&StoreFile::new()).unwrap();
         txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
         assert!(txn.commit().is_err(), "mixed transaction");
-        // Appending to a raw-payload store is rejected.
-        let mut txn = store.begin();
-        txn.put_payload(b"raw");
-        txn.commit().unwrap();
+        assert_eq!(
+            store.generation(),
+            0,
+            "rejected transactions commit nothing"
+        );
+    }
+
+    /// Run [`recover`] on `dir`, then open it, and check that the two
+    /// agree: the same generation and catalog, and `open` removes
+    /// exactly the files the record discards.
+    fn recover_then_open(dir: &MemIo) -> (Recovery, DurableStore<MemIo>) {
+        let before = dir.dump();
+        let (head, recovery) = recover(dir, false).unwrap();
+        assert_eq!(dir.dump(), before, "recover changed the directory");
+        let store = open_mem(dir);
+        assert_eq!(store.generation(), head.number());
+        assert_eq!(store.snapshot().unwrap().entries(), head.entries());
+        let kept: Vec<String> = recovery
+            .files
+            .iter()
+            .filter(|f| !matches!(f.fate, Fate::Discarded(_)))
+            .map(|f| f.name.clone())
+            .collect();
+        assert_eq!(dir.list().unwrap(), kept, "open removes the discards");
+        (recovery, store)
+    }
+
+    fn fate<'a>(recovery: &'a Recovery, name: &str) -> &'a Fate {
+        &recovery
+            .files
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("{name} missing from {recovery:?}"))
+            .fate
+    }
+
+    #[test]
+    fn recover_keeps_the_base_the_fallback_and_the_replayed_chain() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        commit_file(&mut store, &file_with("bus", &[(0.0, 0.0), (1.0, 1.0)]));
+        commit_file(&mut store, &file_with("bus", &[(0.0, 0.0), (1.0, 2.0)]));
+        for k in 0..2 {
+            let t0 = f64::from(k);
+            let mut txn = store.begin();
+            txn.append_units("car", &units_for(&[(t0, t0), (t0 + 1.0, t0 + 1.0)]));
+            txn.commit().unwrap();
+        }
+        dir.write_file("notes.txt", b"operator notes").unwrap();
+        let delta_bytes = [3, 4]
+            .iter()
+            .map(|&g| dir.read_file(&delta_name(g)).unwrap().len() as u64)
+            .sum::<u64>();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert_eq!(recovery.base, Some(2));
+        assert_eq!(fate(&recovery, &snapshot_name(1)), &Fate::Fallback);
+        assert_eq!(fate(&recovery, &snapshot_name(2)), &Fate::Base);
+        assert!(matches!(
+            fate(&recovery, &delta_name(3)),
+            Fate::Replayed { batches: 1, .. }
+        ));
+        assert_eq!(fate(&recovery, "notes.txt"), &Fate::Ignored);
+        assert_eq!(recovery.discarded().count(), 0);
+        assert_eq!(recovery.replayed(), (2, delta_bytes));
+        assert_eq!(reopened.generation(), 4);
+        assert_eq!(
+            (reopened.pending_deltas(), reopened.pending_delta_bytes()),
+            (2, delta_bytes)
+        );
+    }
+
+    #[test]
+    fn recover_discards_torn_snapshots() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        commit_file(&mut store, &file_with("car", &[(0.0, 0.0), (1.0, 1.0)]));
+        let good = dir.read_file(&snapshot_name(1)).unwrap();
+        // Generation 2 torn mid-write; generation 3's name lies.
+        dir.write_file(&snapshot_name(2), &good[..good.len() / 2])
+            .unwrap();
+        dir.write_file(&snapshot_name(3), &good).unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        for g in [2, 3] {
+            assert!(matches!(
+                fate(&recovery, &snapshot_name(g)),
+                Fate::Discarded(Discard::TornSnapshot(_))
+            ));
+        }
+        assert_eq!(recovery.base, Some(1));
+        assert_eq!(recovery.recoveries(), 2);
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_discards_superseded_snapshots() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        for x in [1.0, 2.0, 3.0] {
+            commit_file(&mut store, &file_with("car", &[(0.0, 0.0), (1.0, x)]));
+        }
+        // A prune that never happened; the content is never read.
+        dir.write_file(&snapshot_name(1), b"old snapshot").unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert_eq!(
+            fate(&recovery, &snapshot_name(1)),
+            &Fate::Discarded(Discard::Superseded)
+        );
+        assert_eq!(fate(&recovery, &snapshot_name(2)), &Fate::Fallback);
+        assert_eq!(recovery.recoveries(), 0, "routine garbage");
+        assert_eq!(reopened.generation(), 3);
+    }
+
+    #[test]
+    fn recover_discards_shadowed_deltas() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        commit_file(&mut store, &file_with("car", &[(0.0, 0.0), (1.0, 1.0)]));
+        // A delta the snapshot already folded in.
+        dir.write_file(&delta_name(1), b"folded delta").unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert_eq!(
+            fate(&recovery, &delta_name(1)),
+            &Fate::Discarded(Discard::Shadowed)
+        );
+        assert_eq!(recovery.recoveries(), 0, "routine garbage");
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_discards_a_chain_gap() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
         let mut txn = store.begin();
         txn.append_units("car", &units_for(&[(0.0, 0.0), (1.0, 1.0)]));
-        assert!(txn.commit().is_err());
-        // As is compacting it.
-        assert!(store.compact().is_err());
+        txn.commit().unwrap();
+        let delta = dir.read_file(&delta_name(1)).unwrap();
+        dir.write_file(&delta_name(3), &delta).unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert_eq!(recovery.base, None, "a genesis chain");
+        assert_eq!(
+            fate(&recovery, &delta_name(3)),
+            &Fate::Discarded(Discard::ChainGap)
+        );
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_discards_an_undecodable_delta_and_the_chain_above_it() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        for k in 0..3 {
+            let t0 = f64::from(k);
+            let mut txn = store.begin();
+            txn.append_units("car", &units_for(&[(t0, t0), (t0 + 1.0, t0 + 1.0)]));
+            txn.commit().unwrap();
+        }
+        let good = dir.read_file(&delta_name(2)).unwrap();
+        dir.write_file(&delta_name(2), &good[..good.len() / 2])
+            .unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert!(matches!(
+            fate(&recovery, &delta_name(2)),
+            Fate::Discarded(Discard::Undecodable(_))
+        ));
+        assert_eq!(
+            fate(&recovery, &delta_name(3)),
+            &Fate::Discarded(Discard::ChainGap)
+        );
+        assert_eq!(recovery.recoveries(), 2);
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_discards_an_inapplicable_delta() {
+        // Directory X stores `car` up to t = 10. A sibling directory
+        // whose `car` ends at t = 3 commits delta-2 appending from t = 5;
+        // copied into X, it decodes and links to X's generation 1 but
+        // overlaps X's stored tail.
+        let x = MemIo::new();
+        let mut store = open_mem(&x);
+        let mut txn = store.begin();
+        txn.append_units("car", &units_for(&[(0.0, 0.0), (10.0, 10.0)]));
+        txn.commit().unwrap();
+        let y = MemIo::new();
+        let mut sibling = open_mem(&y);
+        for samples in [[(0.0, 0.0), (3.0, 3.0)], [(5.0, 5.0), (8.0, 8.0)]] {
+            let mut txn = sibling.begin();
+            txn.append_units("car", &units_for(&samples));
+            txn.commit().unwrap();
+        }
+        x.write_file(&delta_name(2), &y.read_file(&delta_name(2)).unwrap())
+            .unwrap();
+        let (recovery, reopened) = recover_then_open(&x);
+        assert!(matches!(
+            fate(&recovery, &delta_name(2)),
+            Fate::Discarded(Discard::Inapplicable(_))
+        ));
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_discards_tmp_leftovers() {
+        let dir = MemIo::new();
+        let mut store = open_mem(&dir);
+        commit_file(&mut store, &file_with("car", &[(0.0, 0.0), (1.0, 1.0)]));
+        dir.write_file(&tmp_name(2), b"half a snapshot").unwrap();
+        let (recovery, reopened) = recover_then_open(&dir);
+        assert_eq!(
+            fate(&recovery, &tmp_name(2)),
+            &Fate::Discarded(Discard::TmpLeftover)
+        );
+        assert_eq!(recovery.recoveries(), 0, "routine garbage");
+        assert_eq!(reopened.generation(), 1);
+    }
+
+    #[test]
+    fn recover_refuses_a_base_that_is_not_a_store_file() {
+        // An intact image whose payload is not a store file: recovery
+        // has no generation to offer, and open refuses without touching
+        // the directory.
+        let dir = MemIo::new();
+        dir.write_file(&snapshot_name(1), &encode_image(1, 32, b"raw bytes"))
+            .unwrap();
+        dir.write_file(&tmp_name(2), b"junk").unwrap();
+        assert!(recover(&dir, false).is_err());
+        assert!(DurableStore::options().open(dir.clone()).is_err());
+        assert_eq!(dir.list().unwrap(), vec![snapshot_name(1), tmp_name(2)]);
     }
 }

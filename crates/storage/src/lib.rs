@@ -15,8 +15,9 @@
 //!   (`options().open(io)`), full-image commits (shadow write → fsync →
 //!   atomic rename) and O(appended-units) WAL delta commits through
 //!   [`durable::Txn`], generation-numbered immutable MVCC snapshots
-//!   ([`durable::DurableStore::snapshot`]), compaction, strict and
-//!   degraded recovery;
+//!   ([`durable::DurableStore::snapshot`]), compaction, and one
+//!   read-only recovery routine ([`durable::recover`]) behind both
+//!   strict and degraded opens and the `mob-check chain` audit;
 //! * [`delta`](mod@crate::delta) — the WAL record format linking each
 //!   delta to its base generation;
 //! * [`catalog`](mod@crate::catalog) — the root catalog
@@ -87,9 +88,9 @@ pub use delta::{
     DELTA_MAGIC,
 };
 pub use durable::{
-    decode_image_degraded, decode_image_strict, parse_snapshot_name, snapshot_name, DecodedImage,
-    DurableStore, ReplayPolicy, StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC,
-    DURABLE_VERSION,
+    decode_image_degraded, decode_image_strict, generation_from_image, parse_snapshot_name,
+    recover, snapshot_name, DecodedImage, Discard, DurableStore, Fate, RecoveredFile, Recovery,
+    StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
 };
 pub use generation::{splice_units, Generation};
 pub use index_store::{load_index, save_index, StoredIndex};

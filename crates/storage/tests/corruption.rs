@@ -294,7 +294,7 @@ fn single(put: fn(&mut StoreFile)) -> StoreFile {
 }
 
 /// All eleven kinds in one file (the randomized fuzz target).
-fn all_kinds_bytes() -> Vec<u8> {
+fn all_kinds() -> StoreFile {
     let mut file = StoreFile::new();
     for put in [
         put_mbool,
@@ -311,7 +311,11 @@ fn all_kinds_bytes() -> Vec<u8> {
     ] {
         put(&mut file);
     }
-    file.to_bytes().expect("combined file serializes")
+    file
+}
+
+fn all_kinds_bytes() -> Vec<u8> {
+    all_kinds().to_bytes().expect("combined file serializes")
 }
 
 // ---------------------------------------------------------------------
@@ -420,14 +424,15 @@ proptest! {
 fn durable_bit_flips_are_caught_by_checksums_not_the_decoder() {
     use mob_storage::{decode_image_strict, DurableStore, MemIo, StoreIo};
 
-    let payload = all_kinds_bytes();
+    let file = all_kinds();
+    let payload = file.to_bytes().expect("combined file serializes");
     let dir = MemIo::new();
     let mut store = DurableStore::options()
         .chunk_size(128)
         .open(dir.clone())
         .expect("open");
     let mut txn = store.begin();
-    txn.put_payload(&payload);
+    txn.put_store_file(&file).expect("stage");
     txn.commit().expect("commit");
     let snap_name = dir
         .list()
@@ -495,7 +500,7 @@ fn absurd_sizes_in_headers_are_rejected() {
         .open(dir.clone())
         .expect("open");
     let mut txn = store.begin();
-    txn.put_payload(b"some payload bytes");
+    txn.put_store_file(&StoreFile::new()).expect("stage");
     txn.commit().expect("commit");
     let snap_name = dir
         .list()

@@ -11,6 +11,10 @@
 //! mask) pair — every byte of every write and every metadata operation
 //! is a crash point. A randomized campaign on top samples seeds, printed
 //! on entry so any failure is reproducible with `MOB_FAULT_SEED`.
+//!
+//! Every survivor is first recovered read-only with [`recover`] and then
+//! opened: the two must agree on the generation and the catalog, and the
+//! open must remove exactly the files the recovery record discards.
 
 use mob_base::t;
 use mob_base::DecodeResult;
@@ -19,17 +23,22 @@ use mob_spatial::pt;
 use mob_storage::mapping_store::{save_mpoint, UPointRecord};
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
-    decode_image_strict, load_array, snapshot_name, DurableStore, FaultMask, FaultyIo, Generation,
-    MemIo, StoreFile, StoreIo, FAULT_MASKS,
+    decode_image_strict, load_array, recover, snapshot_name, DurableStore, FaultMask, FaultyIo,
+    Generation, MemIo, StoreFile, StoreIo, FAULT_MASKS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const CHUNK: usize = 64;
 
-/// A realistic committed payload: a serialized store file holding a
-/// moving point with `n` samples.
-fn payload(n: usize, offset: f64) -> Vec<u8> {
+/// A realistic committed payload: a store file holding a moving point
+/// with `n` samples, and the serialized bytes its snapshot image holds.
+struct Payload {
+    file: StoreFile,
+    bytes: Vec<u8>,
+}
+
+fn payload(n: usize, offset: f64) -> Payload {
     let mut file = StoreFile::with_page_size(64).expect("valid page size");
     let samples: Vec<_> = (0..n)
         .map(|i| {
@@ -39,7 +48,8 @@ fn payload(n: usize, offset: f64) -> Vec<u8> {
         .collect();
     let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
     file.put("trip", RootRecord::MPoint(stored));
-    file.to_bytes().expect("sample serializes")
+    let bytes = file.to_bytes().expect("sample serializes");
+    Payload { file, bytes }
 }
 
 /// Open (or create) the store in `io` with the campaign's chunk size.
@@ -48,17 +58,48 @@ fn open<I: StoreIo>(io: I) -> DecodeResult<DurableStore<I>> {
 }
 
 /// Commit `payload` as the next full image.
-fn commit<I: StoreIo>(store: &mut DurableStore<I>, payload: &[u8]) -> DecodeResult<u64> {
+fn commit<I: StoreIo>(store: &mut DurableStore<I>, payload: &Payload) -> DecodeResult<u64> {
     let mut txn = store.begin();
-    txn.put_payload(payload);
+    txn.put_store_file(&payload.file)?;
     txn.commit()
+}
+
+/// Recover `survivor` read-only, then open it, and hold the two to one
+/// decision: the same generation and catalog, and the open removes
+/// exactly the files the recovery record discards.
+fn recover_then_open(survivor: MemIo, ctx: &str) -> DecodeResult<DurableStore<MemIo>> {
+    let (head, recovery) = recover(&survivor, false)?;
+    let before = survivor.list()?;
+    let store = open(survivor.clone())?;
+    assert_eq!(
+        store.generation(),
+        head.number(),
+        "{ctx}: recover and open chose different generations"
+    );
+    assert_eq!(
+        store.snapshot()?.entries(),
+        head.entries(),
+        "{ctx}: recover and open recovered different catalogs"
+    );
+    let after = survivor.list()?;
+    let removed: Vec<&str> = before
+        .iter()
+        .filter(|name| !after.contains(name))
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        removed,
+        recovery.discarded().collect::<Vec<_>>(),
+        "{ctx}: open removed other files than recover discarded"
+    );
+    Ok(store)
 }
 
 /// Reopen `survivor` and return the committed payload bytes of the
 /// recovered generation, read back from its snapshot image (`None` for
 /// an empty store).
-fn recovered_payload(survivor: MemIo) -> DecodeResult<Option<Vec<u8>>> {
-    let store = open(survivor)?;
+fn recovered_payload(survivor: MemIo, ctx: &str) -> DecodeResult<Option<Vec<u8>>> {
+    let store = recover_then_open(survivor, ctx)?;
     if store.generation() == 0 {
         return Ok(None);
     }
@@ -69,7 +110,7 @@ fn recovered_payload(survivor: MemIo) -> DecodeResult<Option<Vec<u8>>> {
 /// Run the two-commit workload against a fault-injecting I/O layer.
 /// Returns the wrapper (for unit counting / survivor extraction) and
 /// which commits reported success.
-fn run_workload(io: FaultyIo, a: &[u8], b: &[u8]) -> (FaultyIo, bool, bool) {
+fn run_workload(io: FaultyIo, a: &Payload, b: &Payload) -> (FaultyIo, bool, bool) {
     let mut ok_a = false;
     let mut ok_b = false;
     let io = match open(io) {
@@ -89,22 +130,22 @@ fn run_workload(io: FaultyIo, a: &[u8], b: &[u8]) -> (FaultyIo, bool, bool) {
 
 /// The invariant: recover the survivor and check old-or-new-never-hybrid
 /// against what the dying process observed.
-fn assert_old_or_new(survivor: MemIo, a: &[u8], b: &[u8], ok_a: bool, ok_b: bool, ctx: &str) {
+fn assert_old_or_new(survivor: MemIo, a: &Payload, b: &Payload, ok_a: bool, ok_b: bool, ctx: &str) {
     let recovered =
-        recovered_payload(survivor).unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+        recovered_payload(survivor, ctx).unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
     match recovered.as_deref() {
         None => {
             // Nothing committed: only acceptable before the first commit
             // became durable, i.e. the process never saw commit A land.
             assert!(!ok_a, "{ctx}: commit A reported success but vanished");
         }
-        Some(p) if p == a => {
+        Some(p) if p == a.bytes => {
             assert!(
                 !ok_b,
                 "{ctx}: commit B reported success but rolled back to A"
             );
         }
-        Some(p) if p == b => {} // newest state: always acceptable
+        Some(p) if p == b.bytes => {} // newest state: always acceptable
         Some(p) => panic!(
             "{ctx}: recovered a hybrid payload ({} bytes, matches neither A nor B)",
             p.len()
@@ -112,7 +153,7 @@ fn assert_old_or_new(survivor: MemIo, a: &[u8], b: &[u8], ok_a: bool, ok_b: bool
     }
 }
 
-fn run_case(budget: u64, mask: FaultMask, seed: u64, a: &[u8], b: &[u8]) {
+fn run_case(budget: u64, mask: FaultMask, seed: u64, a: &Payload, b: &Payload) {
     let disk = MemIo::new();
     let faulty = FaultyIo::new(disk, budget, mask, seed);
     let (faulty, ok_a, ok_b) = run_workload(faulty, a, b);
@@ -133,8 +174,8 @@ fn exhaustive_crash_sweep_old_or_new_never_hybrid() {
     assert!(ok_a && ok_b, "fault-free workload must fully succeed");
     let total_units = faulty.write_units();
     let survivor = faulty.into_survivor();
-    let recovered = recovered_payload(survivor).expect("clean open");
-    assert_eq!(recovered.as_deref(), Some(&b[..]));
+    let recovered = recovered_payload(survivor, "fault-free").expect("clean open");
+    assert_eq!(recovered.as_deref(), Some(&b.bytes[..]));
 
     // Every crash point × every fault mask. One case per unit is the
     // whole space: the budget is spent deterministically, so two runs
@@ -215,13 +256,14 @@ fn crash_mid_third_commit_preserves_second() {
             commit(&mut store, &b).expect("commit b within budget");
             let c_ok = commit(&mut store, &c).is_ok();
             let survivor = store.into_io().into_survivor();
-            let recovered = recovered_payload(survivor).expect("recovery must not error");
+            let ctx = format!("budget {budget} {mask:?}");
+            let recovered = recovered_payload(survivor, &ctx).expect("recovery must not error");
             let got = recovered.as_deref();
             if c_ok {
-                assert_eq!(got, Some(&c[..]), "budget {budget} {mask:?}");
+                assert_eq!(got, Some(&c.bytes[..]), "{ctx}");
             } else {
                 assert!(
-                    got == Some(&b[..]) || got == Some(&c[..]),
+                    got == Some(&b.bytes[..]) || got == Some(&c.bytes[..]),
                     "budget {budget} {mask:?}: third commit crash must leave B or C"
                 );
             }
@@ -253,8 +295,12 @@ fn recovery_counts_events_in_metrics() {
         .expect("tear snap2");
 
     let before = mob_obs::Registry::global().snapshot();
-    let recovered = recovered_payload(dir).expect("recover");
-    assert_eq!(recovered.as_deref(), Some(&a[..]), "fell back to gen 1");
+    let recovered = recovered_payload(dir, "torn snapshot").expect("recover");
+    assert_eq!(
+        recovered.as_deref(),
+        Some(&a.bytes[..]),
+        "fell back to gen 1"
+    );
     let after = mob_obs::Registry::global().snapshot();
     if mob_obs::enabled() {
         assert!(
@@ -377,10 +423,8 @@ fn assert_delta_old_or_new(
     reached: u64,
     ctx: &str,
 ) {
-    let store = DurableStore::options()
-        .chunk_size(CHUNK)
-        .open(survivor)
-        .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+    let store =
+        recover_then_open(survivor, ctx).unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
     let g = store.generation();
     assert!(
         (g as usize) < states.len(),

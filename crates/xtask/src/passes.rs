@@ -446,6 +446,7 @@ pub fn is_seed(f: &FnItem) -> bool {
         || f.name.starts_with("decode_delta")
         || f.name.starts_with("decode_and_apply_delta")
         || f.name.starts_with("replay_")
+        || f.name == "recover"
 }
 
 /// How a call site resolved.
