@@ -11,11 +11,12 @@
 //! the absolute numbers.
 //!
 //! `--explain` skips the timing tables and instead re-derives the
-//! E6/E7/E13 *complexity* columns (header probes, unit decodes) purely
-//! from the `mob-obs` registry, printing one EXPLAIN operator tree per
-//! query and checking the Section-5 bounds (O(log n) `atinstant`,
-//! O(q·log(n/q) + q) batch probing, O(p·log n + k) `atperiods`) against
-//! the measured counts, plus the E10 planner bound
+//! E6/E7/E13/E14 *complexity* columns (header probes, unit decodes)
+//! purely from the `mob-obs` registry, printing one EXPLAIN operator
+//! tree per query and checking the Section-5 bounds (O(log n)
+//! `atinstant`, O(q·log(n/q) + q) batch probing, O(p·log n + k)
+//! `atperiods`, O(log n + k) existential `passes` with an early exit)
+//! against the measured counts, plus the E10 planner bound
 //! (`index.nodes_visited + index.candidates < scan.tuples` on a
 //! selective window query, answers index-invariant).
 
@@ -787,6 +788,162 @@ fn e13() {
     println!("decoded = k and ns/call stay about flat in n");
 }
 
+/// The E14 workload: a crossing mpoint of about `n` units, a 64-unit
+/// window at 37% of its span, and three regions — around the point's
+/// position at the window start (a hit in the first windowed unit),
+/// around the midpoint of the last windowed unit's piece inside the
+/// window (a hit late in the window), and far away (every unit
+/// bbox-disjoint, a miss).
+fn e14_workload(
+    n: usize,
+) -> (
+    mob_core::MovingPoint,
+    mob_base::TimeInterval,
+    [(&'static str, Region); 3],
+) {
+    use mob_base::Interval;
+    use mob_spatial::rect_ring;
+    let m = crossing_point(n);
+    let width = SPAN / m.num_units() as f64;
+    let window = Interval::closed_open(t(SPAN * 0.37), t(SPAN * 0.37 + 64.0 * width));
+    let square = |p: mob_spatial::Point, r: f64| {
+        let (x, y) = (p.x.get(), p.y.get());
+        Region::from_ring(rect_ring(x - r, y - r, x + r, y + r))
+    };
+    let start = m
+        .at_instant(*window.start())
+        .into_option()
+        .expect("E14: the window starts inside the deftime");
+    let pieces: Vec<_> = m
+        .units()
+        .iter()
+        .filter_map(|u| u.restrict(&window))
+        .collect();
+    let (last, earlier) = pieces.split_last().expect("E14: the window hits a unit");
+    let iv = last.interval();
+    let mid = last.at(iv.start().midpoint(*iv.end()));
+    // Small enough that no earlier windowed piece comes near it, so the
+    // first true piece is the last one.
+    let clearance = earlier
+        .iter()
+        .map(|u| match u.projection() {
+            Ok(seg) => mob_spatial::dist::point_seg_distance(mid, &seg).get(),
+            Err(p) => p.distance(mid).get(),
+        })
+        .fold(0.01f64, f64::min);
+    let quarter_len = last
+        .projection()
+        .map_or(0.0, |seg| seg.length().get() / 4.0);
+    let r = (clearance / 2.0).min(quarter_len);
+    assert!(
+        r > 1e-5,
+        "E14: the late region is too small to be a ring (r = {r})"
+    );
+    let far = Region::from_ring(rect_ring(5000.0, 5000.0, 5010.0, 5010.0));
+    let regions = [
+        ("early", square(start, 1e-3)),
+        ("late", square(mid, r)),
+        ("miss", far),
+    ];
+    (m, window, regions)
+}
+
+/// `(k, bound)` for `ever_inside_seq(m, _, Some(w))`: the units that
+/// intersect the window, and the header bound `⌈log2 n⌉ + 2 + k`.
+fn e14_bound(m: &mob_core::MovingPoint, w: &mob_base::TimeInterval) -> (u64, u64) {
+    let hit = m.units().iter();
+    let k = hit.filter(|u| u.interval().intersects(w)).count() as u64;
+    (k, ceil_log2(m.num_units()) + 2 + k)
+}
+
+/// The lifted form of `passes`, E14's reference: clip the window into
+/// a mapping, build the whole moving bool, test it for a true piece.
+fn lifted_passes<S: mob_core::UnitSeq<Unit = mob_core::UPoint>>(
+    s: &S,
+    region: &Region,
+    window: &mob_base::TimeInterval,
+) -> bool {
+    let clipped = s.at_periods(&mob_base::Periods::single(*window));
+    !mob_core::inside_region_seq(&clipped, region)
+        .when_true()
+        .is_empty()
+}
+
+/// E14: existential `passes` on a stored mpoint — `ever_inside_seq`
+/// walks the windowed units, skips the bbox-disjoint ones and stops at
+/// the first unit inside; the lifted form clips the window into a
+/// mapping, refines every unit and builds the moving bool first. Counts
+/// come from one call on a fresh view; `ns/call` is the median of 101
+/// calls, each on a fresh preverified view (as a scan opens one per
+/// tuple), so no call is served from a previous call's unit cache.
+fn e14() {
+    use mob_core::ever_inside_seq;
+    header("E14  existential passes on a stored mpoint: stop at the first unit inside [Sec 5.2]");
+    println!("workload: one stored crossing mpoint, a 64-unit window at 37% of its span;");
+    println!("regions: early = around the window-start position, late = a small square");
+    println!("around the midpoint of the last windowed unit that no earlier unit enters,");
+    println!("miss = far away (every unit bbox-disjoint);");
+    println!("ex = ever_inside_seq, lifted = at_periods + inside_region_seq + when_true;");
+    println!("bound (ex) = ceil(log2 n) + 2 + k, k = 64 windowed units");
+    println!(
+        "{:>8} {:>6} {:>6} {:>8} {:>8} {:>10} {:>8} {:>8} {:>10}",
+        "n units",
+        "case",
+        "answer",
+        "ex hdrs",
+        "ex dec",
+        "ex ns",
+        "lift hdr",
+        "lift dec",
+        "lift ns"
+    );
+    for n in [1_000usize, 16_000, 64_000] {
+        let (m, window, regions) = e14_workload(n);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        let (k, bound) = e14_bound(&m, &window);
+        let fresh = || open_mpoint(&stored, &store, Verify::Preverified).expect("well-formed");
+        for (case, region) in &regions {
+            let view = fresh();
+            let answer = ever_inside_seq(&view, region, Some(&window));
+            let (ex_h, ex_d) = (view.headers_read(), view.units_decoded());
+            let view = fresh();
+            let want = lifted_passes(&view, region, &window);
+            let (li_h, li_d) = (view.headers_read(), view.units_decoded());
+            assert_eq!(
+                answer, want,
+                "E14: existential and lifted disagree ({case}, n={n})"
+            );
+            assert_eq!(answer, *case != "miss", "E14: {case} answered {answer}");
+            assert!(
+                ex_h <= bound && ex_d <= k && (*case != "early" || ex_d == 1),
+                "E14 bound violated for n={n}, {case}: headers={ex_h} > {bound} or decoded={ex_d}"
+            );
+            let ex_ns = median_nanos(101, || {
+                std::hint::black_box(ever_inside_seq(&fresh(), region, Some(&window)));
+            });
+            let li_ns = median_nanos(101, || {
+                std::hint::black_box(lifted_passes(&fresh(), region, &window));
+            });
+            println!(
+                "{:>8} {:>6} {:>6} {:>8} {:>8} {:>10} {:>8} {:>8} {:>10}",
+                m.num_units(),
+                case,
+                answer,
+                ex_h,
+                ex_d,
+                ex_ns,
+                li_h,
+                li_d,
+                li_ns
+            );
+        }
+    }
+    println!("expected shape: the existential form decodes 1 unit on an early hit and never");
+    println!("more than the lifted form's k; a miss is decided by bbox tests alone, so both");
+    println!("forms decode k units but only the lifted one refines them and builds an mbool");
+}
+
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
@@ -900,14 +1057,14 @@ fn ceil_log2(n: usize) -> u64 {
     u64::from(usize::BITS - n.max(1).next_power_of_two().leading_zeros()) - 1
 }
 
-/// `--explain`: re-derive the E6/E7/E13 complexity columns **solely from
+/// `--explain`: re-derive the E6/E7/E13/E14 complexity columns **solely from
 /// the `mob-obs` registry** — every count below is a registry delta
 /// captured by [`mob_obs::explain`], none comes from a bespoke
 /// per-object accessor — and check them against the paper's bounds.
 fn explain_mode() {
     use mob_core::{batch_at_instant, UnitSeq};
 
-    header("EXPLAIN  E6/E7/E13 complexity columns derived from the mob-obs registry");
+    header("EXPLAIN  E6/E7/E13/E14 complexity columns derived from the mob-obs registry");
     if !mob_obs::enabled() {
         println!(
             "observability is disabled ({}=0) — nothing to derive",
@@ -1008,6 +1165,45 @@ fn explain_mode() {
             );
         }
     }
+    // E14: existential passes = at most ceil(log2 n) + 2 + k header
+    // probes and k decodes, one decode on an early hit, no refinement.
+    println!(
+        "\nE14  ever_inside_seq on a stored mpoint: headers <= ceil(log2 n)+2+k, decodes <= k \
+         (1 on an early hit), refinement parts = 0"
+    );
+    for n in [1_000usize, 64_000] {
+        let (m, window, regions) = e14_workload(n);
+        let mut store = PageStore::new();
+        let stored = save_mpoint(&m, &mut store);
+        let (k, bound) = e14_bound(&m, &window);
+        for (case, region) in &regions {
+            let view = open_mpoint(&stored, &store, Verify::Preverified).expect("well-formed");
+            let (answer, report) = mob_obs::explain("e14.ever_inside(stored)", || {
+                let _op = mob_obs::span("qos.ever_inside");
+                mob_core::ever_inside_seq(&view, region, Some(&window))
+            });
+            assert_eq!(
+                answer,
+                lifted_passes(&m, region, &window),
+                "E14: existential and lifted disagree ({case}, n={n})"
+            );
+            print!("{report}");
+            let headers = report.metrics().get("view.headers_read");
+            let decoded = report.metrics().get("view.units_decoded");
+            let parts = report.metrics().get("core.refinement.parts");
+            let dbound = if *case == "early" { 1 } else { k };
+            let ok = headers <= bound && decoded <= dbound && parts == 0;
+            println!(
+                "  n={n:>6}  {case:<5}  answer={answer}  headers={headers} (bound {bound})  \
+                 decoded={decoded} (bound {dbound})  parts={parts}  ok={ok}"
+            );
+            assert!(
+                ok,
+                "E14 bound violated for n={n}, {case}: headers={headers} > {bound}, \
+                 decoded={decoded} > {dbound} or parts={parts} > 0"
+            );
+        }
+    }
     // E10: the planner's pruning bound on a selective window query.
     // Every count is a registry delta; the pruned answer must be
     // byte-identical to the index-off reference.
@@ -1072,6 +1268,7 @@ fn main() {
     e11();
     e12();
     e13();
+    e14();
     ablation();
     queries();
     figures();

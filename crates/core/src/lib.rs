@@ -59,7 +59,9 @@ pub use index::{unit_cubes, Candidates, IndexEntry, IndexNode, RTree, DEFAULT_FA
 pub use ingest::TailBuilder;
 pub use lift::{lift1, lift2};
 pub use mapping::{Mapping, MappingBuilder};
-pub use moving::mpoint::{distance_seq, distance_travelled_seq, inside_region_seq, trajectory_seq};
+pub use moving::mpoint::{
+    distance_seq, distance_travelled_seq, ever_inside_seq, inside_region_seq, trajectory_seq,
+};
 pub use moving::mregion::inside;
 pub use moving::{
     MovingBool, MovingInt, MovingLine, MovingPoint, MovingPoints, MovingReal, MovingRegion,

@@ -4,7 +4,7 @@
 use crate::lift::{lift1, lift2};
 use crate::mapping::{Mapping, MappingBuilder};
 use crate::moving::{MovingBool, MovingPoint, MovingReal};
-use crate::seq::UnitSeq;
+use crate::seq::{partition_units, UnitSeq};
 use crate::uconst::ConstUnit;
 use crate::unit::Unit;
 use crate::upoint::{Coincidence, UPoint};
@@ -46,8 +46,9 @@ where
 
 /// Lifted `inside` against a *static* region, generic over the access
 /// path — [`Mapping::inside_region`] for any `upoint` sequence
-/// (in-memory or storage-backed). The relation-wide `filter_inside`
-/// scan of `mob-rel` evaluates this per tuple.
+/// (in-memory or storage-backed). It builds the whole moving bool; a
+/// caller that only asks whether the point is *ever* inside should use
+/// [`ever_inside_seq`], for which this is the reference.
 pub fn inside_region_seq<S: UnitSeq<Unit = UPoint>>(s: &S, region: &Region) -> MovingBool {
     let all_false = |s: &S| -> MovingBool {
         let mut builder = MappingBuilder::new();
@@ -66,6 +67,79 @@ pub fn inside_region_seq<S: UnitSeq<Unit = UPoint>>(s: &S, region: &Region) -> M
         // inside" rather than panic on the infallible access path.
         Err(_) => all_false(s),
     }
+}
+
+/// Existential `inside` against a *static* region: is the moving point
+/// inside `region` at some instant of `window` (`None`: of its whole
+/// deftime)? The answer equals
+/// `!inside_region_seq(&s.at_periods(&Periods::single(w)), region).when_true().is_empty()`,
+/// but "∃t inside" is an OR over the units, so no lifted result is
+/// built:
+///
+/// - one header search skips the units before the window (the search
+///   of [`UnitSeq::at_periods`]), then a forward walk visits the units
+///   up to the window's end;
+/// - each unit is clipped to the window and skipped when its bounding
+///   rect misses `region.bbox()` — the cube fast path of
+///   [`URegion::inside_units`], decided before any region is built;
+/// - the first surviving unit builds the stationary [`URegion`] once,
+///   and every survivor runs the per-unit step
+///   [`URegion::inside_units`]; the walk stops at the first true piece.
+///
+/// For `k` units intersecting the window that is at most
+/// `⌈log2 n⌉ + 2 + k` header reads and `k` unit decodes — exactly one
+/// decode when the first windowed unit is inside.
+pub fn ever_inside_seq<S: UnitSeq<Unit = UPoint>>(
+    s: &S,
+    region: &Region,
+    window: Option<&TimeInterval>,
+) -> bool {
+    let n = s.len();
+    if region.is_empty() || n == 0 {
+        return false;
+    }
+    let bbox = region.bbox();
+    let mut i = window.map_or(0, |w| partition_units(s, 0..n, |iv| iv.r_disjoint(w)));
+    let mut stationary: Option<URegion> = None;
+    while i < n {
+        if let Some(w) = window {
+            if w.r_disjoint(&s.interval(i)) {
+                break;
+            }
+        }
+        let unit = s.unit(i);
+        i += 1;
+        let clipped = match window {
+            Some(w) => unit.restrict(w),
+            None => Some(unit.into_owned()),
+        };
+        let Some(up) = clipped else { continue };
+        if !up.bounding_cube().rect.intersects(&bbox) {
+            continue;
+        }
+        let ur = match &mut stationary {
+            Some(ur) => &*ur,
+            slot @ None => {
+                // Every unit the walk can still reach ends by the
+                // window's end (or the last unit's).
+                let end = window.map_or_else(|| *s.interval(n - 1).end(), |w| *w.end());
+                let span = TimeInterval::closed(*up.interval().start(), end);
+                match URegion::stationary(span, region) {
+                    Ok(ur) => &*slot.insert(ur),
+                    // As in `inside_region_seq`: never inside.
+                    Err(_) => return false,
+                }
+            }
+        };
+        if ur
+            .inside_units(&up, up.interval())
+            .iter()
+            .any(|b| *b.value())
+        {
+            return true;
+        }
+    }
+    false
 }
 
 impl Mapping<UPoint> {

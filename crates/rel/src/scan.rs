@@ -33,8 +33,8 @@ use crate::relation::{Relation, Tuple};
 use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue};
 use mob_base::error::{DecodeError, DecodeResult};
-use mob_base::{Instant, Periods, TimeInterval, Val};
-use mob_core::{inside_region_seq, UnitSeq};
+use mob_base::{Instant, TimeInterval, Val};
+use mob_core::{ever_inside_seq, UnitSeq};
 use mob_par::{CancelToken, Cancellable, Pool};
 use mob_spatial::{Cube, Region};
 use mob_storage::Clock;
@@ -498,9 +498,12 @@ impl Relation {
     }
 
     /// Keep the tuples whose `moving(point)` attribute `attr` is ever
-    /// inside the (static) `region` — the relation-wide lifted `inside`
-    /// scan. Tuples whose attribute is not a moving point (or never
-    /// inside) are dropped; input order is preserved.
+    /// inside the (static) `region` — the relation-wide existential
+    /// `inside` scan: each tuple is decided by
+    /// [`mob_core::ever_inside_seq`], which stops at the first unit
+    /// found inside and builds no lifted moving bool. Tuples whose
+    /// attribute is not a moving point (or never inside) are dropped;
+    /// input order is preserved.
     ///
     /// # Errors
     ///
@@ -525,8 +528,7 @@ impl Relation {
             Shape::Select,
             |tup, _| {
                 let seq = tup.at(idx).as_mpoint_seq()?;
-                let inside = !inside_region_seq(&seq, region).when_true().is_empty();
-                inside.then(|| tup.clone())
+                ever_inside_seq(&seq, region, None).then(|| tup.clone())
             },
         )
     }
@@ -535,7 +537,8 @@ impl Relation {
     /// `region` at some instant of `window` — the selective
     /// space × time window query ("which flights pass the storm zone
     /// tonight?"), and the scan the R-tree prunes best: the probe is a
-    /// single bounding cube.
+    /// single bounding cube. Each candidate is decided by
+    /// [`mob_core::ever_inside_seq`] over the units of `window` only.
     ///
     /// # Errors
     ///
@@ -558,9 +561,7 @@ impl Relation {
             Shape::Select,
             |tup, _| {
                 let seq = tup.at(idx).as_mpoint_seq()?;
-                let clipped = seq.at_periods(&Periods::single(*window));
-                let inside = !inside_region_seq(&clipped, region).when_true().is_empty();
-                inside.then(|| tup.clone())
+                ever_inside_seq(&seq, region, Some(window)).then(|| tup.clone())
             },
         )
     }
