@@ -18,7 +18,9 @@
 //! `atperiods`, O(log n + k) existential `passes` with an early exit)
 //! against the measured counts, plus the E10 planner bound
 //! (`index.nodes_visited + index.candidates < scan.tuples` on a
-//! selective window query, answers index-invariant).
+//! selective window query, answers index-invariant) and the E15 tail
+//! index bound (candidates within base-tree plus tail-cube hits after
+//! every delta count).
 
 use mob_base::t;
 use mob_bench::*;
@@ -944,6 +946,204 @@ fn e14() {
     println!("forms decode k units but only the lifted one refines them and builds an mbool");
 }
 
+/// E15 workload size: random-walk objects, one stored index at k = 0.
+const E15_OBJECTS: usize = 1000;
+/// Delta commits (one sample per object each) on top of the index.
+const E15_DELTAS: [usize; 5] = [0, 1, 2, 4, 8];
+/// Probes per row: 100×100 zones over the last three ticks.
+const E15_PROBES: usize = 16;
+/// Legs of history committed with the index.
+const E15_HISTORY: i64 = 12;
+
+/// One E15 row's generation: the store after `k` deltas, opened with
+/// its stored index, plus the probes of that row.
+struct E15Row {
+    k: usize,
+    generation: std::sync::Arc<mob_storage::Generation>,
+    rel: mob_rel::Relation,
+    probes: Vec<(Region, mob_base::TimeInterval)>,
+}
+
+/// splitmix64: the E15 walks and probes are a pure function of the seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Uniform in `[lo, hi)`.
+fn e15_uniform(state: &mut u64, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The E15 workload (live-ingest in miniature): `E15_OBJECTS` random
+/// walks in a 1000×1000 square with `E15_HISTORY` one-second legs,
+/// committed to a `MemIo` store with their index (the maintenance
+/// rebuild path), then one delta commit per tick of one sample per
+/// object. One row per k in `E15_DELTAS`.
+fn e15_rows() -> Vec<E15Row> {
+    use mob_core::MovingPoint;
+    use mob_rel::{rebuild_index_root, OpenRelOpts, Relation};
+    use mob_storage::{DurableStore, MemIo, RootRecord, StoreFile};
+    const INDEX: &str = "e15/index";
+    let mut rng = 0xE15u64;
+    let mut store = DurableStore::options().open(MemIo::new()).expect("open");
+    let mut file = StoreFile::new();
+    let mut ends = Vec::with_capacity(E15_OBJECTS);
+    for i in 0..E15_OBJECTS {
+        let (mut x, mut y) = (
+            e15_uniform(&mut rng, -500.0, 500.0),
+            e15_uniform(&mut rng, -500.0, 500.0),
+        );
+        let mut samples = vec![(t(0.0), pt(x, y))];
+        for leg in 1..=E15_HISTORY {
+            x += e15_uniform(&mut rng, -3.0, 3.0);
+            y += e15_uniform(&mut rng, -3.0, 3.0);
+            samples.push((t(leg as f64), pt(x, y)));
+        }
+        let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
+        file.put(format!("obj/{i:04}"), RootRecord::MPoint(stored));
+        ends.push((x, y));
+    }
+    let mut txn = store.begin();
+    txn.put_store_file(&file).expect("stage");
+    txn.commit().expect("snapshot commit");
+    let indexed = rebuild_index_root(&store.snapshot().expect("head"), &OpenRelOpts::new(), INDEX)
+        .expect("index rebuild")
+        .expect("an mpoint fleet");
+    let mut txn = store.begin();
+    txn.put_store_file(&indexed).expect("stage");
+    txn.commit().expect("index commit");
+    let mut rows = Vec::new();
+    for k in 0..=E15_DELTAS[E15_DELTAS.len() - 1] {
+        if k > 0 {
+            let now = (E15_HISTORY + k as i64) as f64;
+            let mut txn = store.begin();
+            for (i, (x, y)) in ends.iter_mut().enumerate() {
+                let from = pt(*x, *y);
+                *x += e15_uniform(&mut rng, -3.0, 3.0);
+                *y += e15_uniform(&mut rng, -3.0, 3.0);
+                let m = MovingPoint::from_samples(&[(t(now - 1.0), from), (t(now), pt(*x, *y))]);
+                txn.append_units(&format!("obj/{i:04}"), m.units());
+            }
+            txn.commit().expect("delta commit");
+        }
+        if !E15_DELTAS.contains(&k) {
+            continue;
+        }
+        let generation = store.snapshot().expect("head");
+        let rel = Relation::open(&generation, &OpenRelOpts::new().index(INDEX)).expect("open");
+        assert!(rel.has_index(), "E15: the stored index attaches");
+        let now = (E15_HISTORY + k as i64) as f64;
+        let probes = (0..E15_PROBES)
+            .map(|_| {
+                let (x, y) = (
+                    e15_uniform(&mut rng, -500.0, 400.0),
+                    e15_uniform(&mut rng, -500.0, 400.0),
+                );
+                let zone = Region::from_ring(mob_spatial::rect_ring(x, y, x + 100.0, y + 100.0));
+                (zone, mob_base::Interval::closed(t(now - 3.0), t(now)))
+            })
+            .collect();
+        rows.push(E15Row {
+            k,
+            generation,
+            rel,
+            probes,
+        });
+    }
+    rows
+}
+
+impl E15Row {
+    /// Base-tree hits and tail-cube hits, each summed over the row's
+    /// probes: their sum bounds a pruned scan's candidates (nothing is
+    /// quarantined, so `always` is empty).
+    fn hits(&self) -> (usize, usize) {
+        let base = self.rel.index_tree().expect("attached");
+        self.probes.iter().fold((0, 0), |(b, tl), (zone, window)| {
+            let cube = mob_spatial::Cube::new(zone.bbox(), window);
+            let tail = self.generation.tail().iter();
+            (
+                b + base.query(&cube).tuples.len(),
+                tl + tail.filter(|(_, c)| c.intersects(&cube)).count(),
+            )
+        })
+    }
+
+    /// Run every probe under `policy`: the answers and the candidates.
+    fn scan(&self, policy: mob_rel::IndexPolicy) -> (Vec<mob_rel::Relation>, usize) {
+        let opts = ScanOpts::new().index(policy);
+        let mut cands = 0;
+        let answers = self
+            .probes
+            .iter()
+            .map(|(zone, window)| {
+                let (got, stats) = self.rel.passes("trip", zone, window, &opts).expect("scan");
+                cands += stats.candidates.unwrap_or(0);
+                got
+            })
+            .collect();
+        (answers, cands)
+    }
+}
+
+/// E15: the tail index over a delta chain — the stored tree prunes the
+/// snapshot's units, one small in-memory tree over the tail cubes
+/// prunes the appended ones, so candidates per scan stay near the
+/// answer instead of growing to every stale object (DESIGN.md §11).
+fn e15() {
+    use mob_rel::IndexPolicy;
+    header("E15  tail index over a delta chain: candidates per scan vs deltas since the index [DESIGN.md §11]");
+    println!(
+        "workload: {E15_OBJECTS} random walks, index committed at k = 0, then k delta commits"
+    );
+    println!("of one sample per object; {E15_PROBES} passes() probes per row (100x100 zone of the");
+    println!("1000x1000 square, last 3 ticks); stale = roots in the tail (what the old `always`");
+    println!("list held), tail hits = tail cubes meeting a probe; per-scan means; full = index");
+    println!("off; `same` asserts byte-identical answers");
+    println!(
+        "{:>3} {:>6} {:>10} {:>10} {:>8} {:>8} {:>12} {:>12} {:>6}",
+        "k", "stale", "tail hits", "base hits", "cands", "nodes", "pruned ns", "full ns", "same"
+    );
+    let per = |x: usize| x as f64 / E15_PROBES as f64;
+    for row in e15_rows() {
+        let (want, _) = row.scan(IndexPolicy::Off);
+        let ((got, cands), report) =
+            mob_obs::explain("e15.passes(indexed)", || row.scan(IndexPolicy::Force));
+        assert_eq!(got, want, "E15: pruning changed an answer at k = {}", row.k);
+        let (base_hits, tail_hits) = row.hits();
+        assert!(
+            cands <= base_hits + tail_hits,
+            "E15: {cands} candidates > base hits {base_hits} + tail hits {tail_hits}"
+        );
+        let pruned = median_nanos(5, || {
+            std::hint::black_box(row.scan(IndexPolicy::Force));
+        });
+        let full = median_nanos(5, || {
+            std::hint::black_box(row.scan(IndexPolicy::Off));
+        });
+        println!(
+            "{:>3} {:>6} {:>10.1} {:>10.1} {:>8.1} {:>8.1} {:>12} {:>12} {:>6}",
+            row.k,
+            row.generation.tail().len(),
+            per(tail_hits),
+            per(base_hits),
+            per(cands),
+            per(report.metrics().get("index.nodes_visited") as usize),
+            pruned / E15_PROBES as u128,
+            full / E15_PROBES as u128,
+            got == want
+        );
+    }
+    println!("expected shape: stale jumps to every object at k = 1, but candidates stay near");
+    println!("base hits + tail hits (about a dozen), so pruned ns stays flat in k, where the");
+    println!("old planner probed every stale object; the tail tree adds its node visits, and");
+    println!("once the window leaves the indexed history (k >= 4) the base tree stops at its root");
+}
+
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
@@ -1243,6 +1443,39 @@ fn explain_mode() {
          or the pruned answer diverged (identical={identical})"
     );
 
+    // E15: the tail index keeps a stale generation's scans pruned:
+    // candidates (a registry delta) stay within base-tree hits plus
+    // tail-cube hits, and the E10 planner bound holds at every k.
+    println!(
+        "\nE15  passes() after k deltas on {E15_OBJECTS} objects: \
+         index.candidates <= base + tail hits, nodes_visited + candidates < scan.tuples"
+    );
+    for row in e15_rows() {
+        let (reference, _) = row.scan(IndexPolicy::Off);
+        let ((pruned, _), report) =
+            mob_obs::explain("e15.passes(indexed)", || row.scan(IndexPolicy::Force));
+        let nodes = report.metrics().get("index.nodes_visited");
+        let cands = report.metrics().get("index.candidates");
+        let tuples = report.metrics().get("scan.tuples");
+        let (base_hits, tail_hits) = row.hits();
+        let bound = (base_hits + tail_hits) as u64;
+        let identical = pruned == reference;
+        let ok = cands <= bound && nodes + cands < tuples && identical;
+        println!(
+            "  k={:>2}  stale={:>4}  candidates={cands} (bound {bound})  nodes_visited={nodes}  \
+             scan.tuples={tuples}  identical={identical}  ok={ok}",
+            row.k,
+            row.generation.tail().len()
+        );
+        assert!(
+            ok,
+            "E15 bound violated at k={}: candidates={cands} > {bound}, or nodes_visited={nodes} \
+             + candidates >= scan.tuples={tuples}, or the pruned answer diverged \
+             (identical={identical})",
+            row.k
+        );
+    }
+
     println!("\nall registry-derived counts satisfy the Section-5 and planner bounds.");
 }
 
@@ -1269,6 +1502,7 @@ fn main() {
     e12();
     e13();
     e14();
+    e15();
     ablation();
     queries();
     figures();

@@ -10,6 +10,7 @@ use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue, MPointRef};
 use mob_base::error::{DecodeError, DecodeResult, InvariantViolation, Result};
 use mob_base::{Real, Text, Val};
+use mob_core::IndexEntry;
 use mob_storage::line_store::{
     load_line, load_points, save_line, save_points, StoredLine, StoredPoints,
 };
@@ -296,13 +297,17 @@ impl Relation {
     /// [`AttrValue::Quarantined`] placeholders under
     /// [`OnError::SkipAndRecord`], exactly like [`Relation::from_stored`].
     ///
-    /// Index attach ([`OpenRelOpts::index`]): the stored tree may be
-    /// *stale* — built before later deltas appended units or objects.
-    /// Tuples the tree cannot speak for (ids past its coverage, roots
-    /// listed stale by the generation, quarantined tuples) bypass
-    /// pruning via the index's `always` list, so a stale index costs
-    /// pruning efficiency, never correctness. An unusable index marks
-    /// the relation index-damaged (next scan records `index.fallbacks`).
+    /// Index attach ([`OpenRelOpts::index`]): the stored tree was built
+    /// at the last full snapshot and may be *stale* — later deltas
+    /// appended units or created objects. Every root in the
+    /// generation's [tail](Generation::tail) contributes its tuple id and
+    /// tail cube to one small in-memory tree that scans probe next to
+    /// the stored one (see [`Relation::attach_stored_index_stale`]), so
+    /// appended units are pruned like indexed ones. Only quarantined
+    /// tuples bypass pruning, via the index's `always` list. A stored
+    /// tree that does not cover exactly the snapshot's roots, or fails to
+    /// load, marks the relation index-damaged (next scan records
+    /// `index.fallbacks`).
     ///
     /// # Errors
     ///
@@ -319,10 +324,13 @@ impl Relation {
         })?;
         let store = generation.store_arc();
         let mut rel = Relation::new(schema);
-        let mut stale_ids: Vec<u32> = Vec::new();
+        let mut tail: Vec<IndexEntry> = Vec::new();
+        // Tuples of roots the last full snapshot held: the ones its
+        // index can cover.
+        let mut base_tuples = 0usize;
         let mut stored_ix: Option<&mob_storage::index_store::StoredIndex> = None;
         let mut tuple_id = 0u32;
-        for (name, root) in generation.entries() {
+        for (pos, (name, root)) in generation.entries().iter().enumerate() {
             match root {
                 RootRecord::MPoint(m) => {
                     let value = match MPointRef::new(store.clone(), m.clone()) {
@@ -338,8 +346,12 @@ impl Relation {
                         }
                         Err(e) => return Err(e),
                     };
-                    if generation.is_stale(name) {
-                        stale_ids.push(tuple_id);
+                    if let Some(cube) = generation.tail_cube(name) {
+                        tail.push(IndexEntry {
+                            tuple: tuple_id,
+                            unit: 0,
+                            cube: *cube,
+                        });
                     }
                     let name_val =
                         AttrValue::Str(mob_base::Val::Def(mob_base::Text::try_new(name)?));
@@ -350,6 +362,9 @@ impl Relation {
                         }
                     })?;
                     tuple_id = tuple_id.saturating_add(1);
+                    if pos < generation.snapshot_roots() {
+                        base_tuples = tuple_id as usize;
+                    }
                 }
                 RootRecord::Index(ix) if opts.index.as_deref() == Some(name.as_str()) => {
                     stored_ix = Some(ix);
@@ -357,15 +372,15 @@ impl Relation {
                 _ => {}
             }
         }
-        if let Some(want) = &opts.index {
+        if opts.index.is_some() {
             let attached = match stored_ix {
                 Some(ix) => rel
                     .attach_stored_index_stale(
                         &opts.mpoint_attr,
                         ix,
                         generation.store(),
-                        &stale_ids,
-                        true,
+                        tail,
+                        base_tuples,
                     )
                     .map_err(|e| DecodeError::BadStructure {
                         what: "relation open",
@@ -378,7 +393,6 @@ impl Relation {
                 // open because of an access path.
                 rel.mark_index_damaged();
                 mob_obs::metric!("rel.index_unusable").add(1);
-                let _ = want;
             }
         }
         Ok(rel)
@@ -486,7 +500,7 @@ pub fn tuple_layout(t: &StoredTuple, store: &PageStore) -> TupleLayout {
 }
 
 /// Rebuild the R-tree index of a pinned [`Generation`] from scratch:
-/// open the generation as a relation (no stale index attached), bulk-load
+/// open the generation as a relation (no index attached), bulk-load
 /// a fresh tree over every `moving(point)` root, and return a new
 /// [`StoreFile`] carrying the same data plus the tree committed under
 /// `index_root` (a tag-11 [`RootRecord::Index`] entry).
@@ -533,9 +547,9 @@ pub fn rebuild_index_root(
 
 /// Package [`rebuild_index_root`] as a maintenance-supervisor
 /// [`Rebuilder`]: the closure the supervisor runs (under its retry
-/// policy) after every compaction, closing the stale-index degradation
-/// window — scans over the next generation prune through a tree that
-/// covers every appended unit again.
+/// policy) after every compaction, so scans over the next generation
+/// prune through one stored tree that covers every unit again instead
+/// of a stale tree plus a tail tree that grows with every delta.
 ///
 /// [`Rebuilder`]: mob_storage::Rebuilder
 pub fn index_rebuilder(opts: OpenRelOpts, index_root: String) -> mob_storage::Rebuilder {

@@ -5,9 +5,10 @@
 //! 1. **plan** ([`plan_scan`]) — inspect the [`ScanOpts`] index policy
 //!    and whatever index the relation carries, and choose an access
 //!    path: a full scan, or a pruned scan over index candidates.
-//! 2. **prune** ([`Plan::Pruned`]) — consult the R-tree for the
-//!    candidate tuple set of the query's probe volume and merge in the
-//!    tuples the index cannot speak for.
+//! 2. **prune** ([`Plan::Pruned`]) — consult the base R-tree and the
+//!    tail tree of units appended since it was built for the candidate
+//!    tuple set of the query's probe volume, and merge in the tuples
+//!    neither tree can speak for.
 //! 3. **execute** (in [`crate::scan`]) — run the per-tuple probe over
 //!    candidates only, in input-tuple order.
 //!
@@ -18,7 +19,7 @@
 use crate::relation::Relation;
 use crate::scan::{IndexPolicy, QueryStats};
 use mob_base::Instant;
-use mob_core::Candidates;
+use mob_core::{Candidates, RTree};
 use mob_spatial::{Cube, Rect};
 
 /// The probe volume of one scan: what part of (x, y, t) space the query
@@ -64,8 +65,8 @@ pub enum Plan {
 ///
 /// * the relation is marked index-damaged (a stored index failed to
 ///   load) and the policy still wants an index;
-/// * an index is attached but unusable — wrong attribute, or stale
-///   cardinality;
+/// * an index is attached but unusable — wrong attribute, or a
+///   cardinality other than the one recorded at attach;
 /// * [`IndexPolicy::Force`] with no index at all.
 ///
 /// [`IndexPolicy::Auto`] with no index (and no damage) is a plain full
@@ -98,7 +99,9 @@ pub fn plan_scan(
         }
         return (Plan::Full, full);
     };
-    let usable = ix.tree.num_tuples() == rel.len()
+    // The tail tree is built over the cardinality at attach, when every
+    // tuple went to the base tree, the tail tree or `always`.
+    let usable = ix.tail.num_tuples() == rel.len()
         && match need {
             AttrNeed::Exactly(attr) => ix.attr == attr,
             AttrNeed::AllMPoints => {
@@ -116,21 +119,25 @@ pub fn plan_scan(
 
     // Stage 2: prune.
     let _span = mob_obs::span("scan.prune");
-    let found: Candidates = match probe {
-        Probe::At(t) => ix.tree.query_instant(*t),
-        Probe::Window(rect) => ix.tree.query_rect(rect),
-        Probe::Volume(cube) => ix.tree.query(cube),
+    let search = |tree: &RTree| -> Candidates {
+        match probe {
+            Probe::At(t) => tree.query_instant(*t),
+            Probe::Window(rect) => tree.query_rect(rect),
+            Probe::Volume(cube) => tree.query(cube),
+        }
     };
-    // Both lists are sorted: the stable sort merges the two runs.
-    let mut cands: Vec<usize> = found
+    let (base, tail) = (search(&ix.tree), search(&ix.tail));
+    // All three lists are sorted: the stable sort merges the runs.
+    let mut cands: Vec<usize> = base
         .tuples
         .iter()
+        .chain(&tail.tuples)
         .chain(&ix.always)
         .map(|&t| t as usize)
         .collect();
     cands.sort();
     cands.dedup();
-    mob_obs::metric!("index.nodes_visited").add(found.nodes_visited);
+    mob_obs::metric!("index.nodes_visited").add(base.nodes_visited + tail.nodes_visited);
     mob_obs::metric!("index.candidates").add(cands.len() as u64);
     let stats = QueryStats {
         candidates: Some(cands.len()),

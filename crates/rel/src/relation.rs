@@ -7,7 +7,7 @@
 use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue};
 use mob_base::error::{InvariantViolation, Result};
-use mob_core::{unit_cubes, RTree};
+use mob_core::{unit_cubes, IndexEntry, RTree};
 use mob_storage::index_store::{load_index, StoredIndex};
 use mob_storage::PageStore;
 use std::sync::Arc;
@@ -36,18 +36,27 @@ impl Tuple {
 }
 
 /// A spatio-temporal index over one `moving(point)` attribute of a
-/// relation: a packed [`RTree`] over per-unit bounding cubes, plus the
-/// tuples that must bypass pruning entirely.
+/// relation: a packed base [`RTree`] over per-unit bounding cubes, a
+/// small *tail* tree over the units appended since the base was built,
+/// and the tuples that must bypass pruning entirely.
 ///
-/// `always` lists the tuple ids the tree cannot speak for — tuples
+/// `tail` holds one entry per tuple that gained units after the base
+/// tree was built: a cube covering every unit it gained, and every unit
+/// it has when the base tree never saw it. It is built over the
+/// relation's cardinality at attach, so its `num_tuples` records the
+/// coverage the planner checks.
+///
+/// `always` lists the tuple ids neither tree can speak for — tuples
 /// carrying a quarantined attribute (their outcome is an *error*, which
-/// pruning must not hide) or whose indexed attribute yields no unit
-/// sequence. They join every candidate set, so the pruned path reports
+/// pruning must not hide), whose indexed attribute yields no unit
+/// sequence, or that the base tree does not cover and the tail does not
+/// list. They join every candidate set, so the pruned path reports
 /// quarantine damage byte-identically to a full scan.
 #[derive(Debug)]
 pub struct RelIndex {
     pub(crate) attr: usize,
     pub(crate) tree: RTree,
+    pub(crate) tail: RTree,
     pub(crate) always: Vec<u32>,
 }
 
@@ -157,6 +166,7 @@ impl Relation {
         self.index = Some(Arc::new(RelIndex {
             attr: idx as usize,
             tree,
+            tail: RTree::bulk(self.tuples.len(), Vec::new()),
             always,
         }));
         self.index_damaged = false;
@@ -182,19 +192,25 @@ impl Relation {
         stored: &StoredIndex,
         store: &PageStore,
     ) -> Result<bool> {
-        self.attach_stored_index_stale(attr, stored, store, &[], false)
+        let n = self.len();
+        self.attach_stored_index_stale(attr, stored, store, Vec::new(), n)
     }
 
-    /// [`Relation::attach_stored_index`] tolerating a *stale* index —
-    /// the attach path for relations opened from a [generation] whose
-    /// delta chain grew past the committed index.
+    /// [`Relation::attach_stored_index`] for a *stale* index — the
+    /// attach path for relations opened from a [generation] whose delta
+    /// chain grew past the committed index.
     ///
-    /// The tree may cover a **prefix** of the relation (`num_tuples() <=
-    /// len`, requires `allow_partial`): tuples beyond its coverage and
-    /// every tuple id in `stale` (objects whose mapping gained units the
-    /// tree has never seen) join the `always` list, so pruned scans
-    /// still visit them and results stay byte-identical to a full scan —
-    /// staleness costs pruning efficiency, never correctness.
+    /// The stored tree must cover exactly tuples `0..base_tuples`, the
+    /// tuples that existed when it was built; otherwise it is unusable
+    /// and `Ok(false)` is returned as for a damaged index. `tail` lists
+    /// what happened since, one entry per tuple that gained units (the
+    /// entry's `unit` is ignored): its cube must cover every unit the
+    /// tuple gained, and every unit it has when its id is at or past
+    /// `base_tuples`. One small in-memory tree is bulk-loaded over the
+    /// tail and probed next to the stored one, so appended units are
+    /// pruned like indexed ones. Tuples at or past `base_tuples` with no
+    /// tail entry join the `always` list: staleness never costs
+    /// correctness.
     ///
     /// # Errors
     ///
@@ -206,35 +222,29 @@ impl Relation {
         attr: &str,
         stored: &StoredIndex,
         store: &PageStore,
-        stale: &[u32],
-        allow_partial: bool,
+        mut tail: Vec<IndexEntry>,
+        base_tuples: usize,
     ) -> Result<bool> {
         let idx = self.index_attr_checked(attr)?;
-        let usable = |n: usize| {
-            if allow_partial {
-                n <= self.len()
-            } else {
-                n == self.len()
-            }
-        };
+        let len = self.len();
         match load_index(stored, store) {
-            Ok(tree) if usable(tree.num_tuples()) => {
-                let covered = tree.num_tuples();
-                let mut always: Vec<u32> = (0..self.tuples.len())
-                    .filter(|&i| {
-                        let tup = &self.tuples[i];
-                        i >= covered
-                            || tup.values().iter().any(AttrValue::is_quarantined)
-                            || tup.at(idx as usize).as_mpoint_seq().is_none()
-                    })
+            Ok(tree) if tree.num_tuples() == base_tuples && base_tuples <= len => {
+                tail.retain(|e| (e.tuple as usize) < len);
+                let mut listed: Vec<u32> = tail.iter().map(|e| e.tuple).collect();
+                listed.sort_unstable();
+                let always: Vec<u32> = (0..len)
                     .map(|i| u32::try_from(i).expect("tuple count fits u32"))
+                    .filter(|&i| {
+                        let tup = &self.tuples[i as usize];
+                        tup.values().iter().any(AttrValue::is_quarantined)
+                            || tup.at(idx as usize).as_mpoint_seq().is_none()
+                            || (i as usize >= base_tuples && listed.binary_search(&i).is_err())
+                    })
                     .collect();
-                always.extend(stale.iter().copied().filter(|&i| (i as usize) < self.len()));
-                always.sort_unstable();
-                always.dedup();
                 self.index = Some(Arc::new(RelIndex {
                     attr: idx as usize,
                     tree,
+                    tail: RTree::bulk(len, tail),
                     always,
                 }));
                 self.index_damaged = false;
@@ -274,8 +284,9 @@ impl Relation {
         self.index.as_deref()
     }
 
-    /// The attached index's R-tree, e.g. for persisting via
-    /// [`mob_storage::index_store::save_index`].
+    /// The attached index's base R-tree, e.g. for persisting via
+    /// [`mob_storage::index_store::save_index`]. After
+    /// [`Relation::build_index`] it covers every unit.
     pub fn index_tree(&self) -> Option<&RTree> {
         self.index.as_ref().map(|ix| &ix.tree)
     }

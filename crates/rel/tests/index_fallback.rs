@@ -214,3 +214,79 @@ fn flipped_index_frames_degrade_to_recorded_full_scans() {
         "only {index_casualties} seeds damaged the index — campaign too weak"
     );
 }
+
+/// Regression: a delta that creates a root after the index was
+/// committed used to leave a tree covering only a prefix of the
+/// relation, which the planner refused on every scan (`fallbacks 1`,
+/// no candidates) although `has_index()` was true. The new root now
+/// lives in the tail tree and the scan stays pruned.
+#[test]
+fn index_tail_root_created_after_the_index_keeps_the_pruned_path() {
+    let _registry = exclusive_registry();
+    let mut store = DurableStore::options()
+        .chunk_size(CHUNK)
+        .open(committed_dir())
+        .expect("clean open");
+    let mut txn = store.begin();
+    let crossing = MovingPoint::from_samples(&[(t(3.0), pt(2.0, 1.0)), (t(8.0), pt(2.0, 4.0))]);
+    txn.append_units("F_new", crossing.units());
+    txn.commit().expect("delta creates F_new");
+    let snap = store.snapshot().expect("committed");
+    let rel = Relation::open(&snap, &rel_opts()).expect("clean fleet");
+    assert_eq!(rel.len(), FLIGHTS + 1);
+    assert!(rel.has_index());
+
+    let (zone, window) = probe();
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let auto = ScanOpts::new().index(IndexPolicy::Auto);
+    let (want, _) = rel.passes("trip", &zone, &window, &off).unwrap();
+    let (got, stats) = rel.passes("trip", &zone, &window, &auto).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(
+        want.len(),
+        3,
+        "flights 1 and 2 plus F_new cross the corridor"
+    );
+    assert_eq!(stats.index_fallbacks, 0);
+    let cand = stats.candidates.expect("pruned path");
+    assert!(cand < FLIGHTS + 1, "candidates {cand}");
+}
+
+/// A snapshot whose stored tree covers fewer roots than the snapshot
+/// holds cannot vouch for the rest, even when a delta later appends to
+/// them: the index is refused (a recorded fallback), never trusted.
+#[test]
+fn index_tail_never_stands_in_for_a_snapshot_root_the_tree_missed() {
+    let _registry = exclusive_registry();
+    let dir = committed_dir();
+    let mut store = DurableStore::options()
+        .chunk_size(CHUNK)
+        .open(dir)
+        .expect("clean open");
+    // Re-commit the snapshot with one more root the index never saw,
+    // alive inside the probe, then append to it after a gap: its tail
+    // cube misses the probe, so trusting the tail would lose it.
+    let mut file = store.snapshot().expect("committed").to_store_file();
+    let early = MovingPoint::from_samples(&[(t(2.0), pt(2.0, 1.0)), (t(9.0), pt(2.0, 2.0))]);
+    let stored = mob_storage::mapping_store::save_mpoint(&early, file.store_mut());
+    file.put("F_late", RootRecord::MPoint(stored));
+    let mut txn = store.begin();
+    txn.put_store_file(&file).expect("stage");
+    txn.commit().expect("snapshot with an unindexed root");
+    let mut txn = store.begin();
+    let later = MovingPoint::from_samples(&[(t(12.0), pt(2.0, 2.0)), (t(40.0), pt(90.0, 90.0))]);
+    txn.append_units("F_late", later.units());
+    txn.commit().expect("delta appends to F_late");
+
+    let snap = store.snapshot().expect("committed");
+    let rel = Relation::open(&snap, &rel_opts()).expect("clean fleet");
+    assert!(!rel.has_index() && rel.index_damaged());
+    let (zone, window) = probe();
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let auto = ScanOpts::new().index(IndexPolicy::Auto);
+    let (want, _) = rel.passes("trip", &zone, &window, &off).unwrap();
+    let (got, stats) = rel.passes("trip", &zone, &window, &auto).unwrap();
+    assert_eq!(got, want);
+    assert_eq!(want.len(), 3, "F_late crosses the corridor before its tail");
+    assert_eq!((stats.index_fallbacks, stats.candidates), (1, None));
+}

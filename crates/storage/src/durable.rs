@@ -865,7 +865,7 @@ impl<I: StoreIo> DurableStore<I> {
     /// Fold the delta chain into a fresh full snapshot: rewrite every
     /// live root of the current generation into a new store file and
     /// commit it through the full-image protocol. Superseded blobs and
-    /// delta files are dropped; the new generation has no stale roots.
+    /// delta files are dropped; the new generation has an empty tail.
     pub fn compact(&mut self) -> DecodeResult<u64> {
         let file = self.head.rebuild_store_file()?;
         let bytes = file.to_bytes()?;
@@ -1155,7 +1155,12 @@ mod tests {
                 other => panic!("unexpected roots {other:?}"),
             }
         }
-        assert!(replayed.is_stale("car") && replayed.is_stale("bus"));
+        assert!(replayed.tail_cube("car").is_some() && replayed.tail_cube("bus").is_some());
+        assert_eq!(
+            replayed.tail(),
+            live.tail(),
+            "replay grows the tail commit grew"
+        );
     }
 
     #[test]
@@ -1234,7 +1239,7 @@ mod tests {
         // All deltas folded; one snapshot on disk.
         assert_eq!(dir.list().unwrap(), vec![snapshot_name(5)]);
         let after = store.snapshot().unwrap();
-        assert!(after.stale().is_empty(), "compaction clears staleness");
+        assert!(after.tail().is_empty(), "compaction empties the tail");
         // Reopen agrees, without any replay.
         let reopened = open_mem(&dir);
         assert_eq!(reopened.generation(), 5);

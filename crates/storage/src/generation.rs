@@ -3,7 +3,8 @@
 //! A [`Generation`] is a frozen, shareable snapshot of one committed
 //! store state: a page store behind an `Arc`, the root catalog, and the
 //! bookkeeping the query layer needs (which roots changed since the
-//! last full snapshot, which blobs are quarantined). Readers pin a
+//! last full snapshot and where their appended units lie, which blobs
+//! are quarantined). Readers pin a
 //! generation with [`crate::DurableStore::snapshot`] and keep querying
 //! it — bit-for-bit unchanged — while a writer commits deltas and
 //! compactions that produce *new* generations.
@@ -38,7 +39,8 @@ use crate::range_store::StoredPeriods;
 use crate::region_store::StoredRegion;
 use crate::store_file::{RootRecord, StoreFile};
 use crate::view::{self, MappingView, Verify};
-use mob_base::{DecodeError, DecodeResult, TimeInterval};
+use mob_base::{DecodeError, DecodeResult, Instant, Real, TimeInterval};
+use mob_spatial::{Cube, Point, Rect};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -48,11 +50,14 @@ pub struct Generation {
     number: u64,
     store: Arc<PageStore>,
     catalog: Catalog,
-    /// Root names whose mappings changed after the last full snapshot
-    /// (sorted, deduplicated). Any stored index predates these changes,
-    /// so the planner must route stale roots through the exhaustive
-    /// `always` list instead of trusting index pruning.
-    stale: Vec<String>,
+    /// Catalog entries the last full snapshot held. Deltas append the
+    /// roots they create after them, so an entry at or past this
+    /// position did not exist at the snapshot.
+    snapshot_roots: usize,
+    /// The *tail*: one entry per root whose mapping changed after the
+    /// last full snapshot, sorted by name, with the union cube of every
+    /// unit record appended to it since (see [`Generation::tail`]).
+    tail: Vec<(String, Cube)>,
     /// Blob indices quarantined when the snapshot was decoded degraded.
     quarantined: Vec<usize>,
 }
@@ -65,13 +70,14 @@ impl Generation {
             number,
             store: Arc::new(PageStore::new()),
             catalog: Catalog::new(),
-            stale: Vec::new(),
+            snapshot_roots: 0,
+            tail: Vec::new(),
             quarantined: Vec::new(),
         }
     }
 
     /// Freeze a decoded snapshot file as a generation. A full snapshot
-    /// has no stale roots by construction — every index in it was
+    /// has an empty tail by construction — every index in it was
     /// written against the same catalog.
     #[must_use]
     pub fn from_store_file(number: u64, file: StoreFile, quarantined: Vec<usize>) -> Generation {
@@ -79,8 +85,9 @@ impl Generation {
         Generation {
             number,
             store: Arc::new(store),
+            snapshot_roots: catalog.len(),
             catalog,
-            stale: Vec::new(),
+            tail: Vec::new(),
             quarantined,
         }
     }
@@ -117,19 +124,36 @@ impl Generation {
         self.catalog.get(name)
     }
 
-    /// Root names modified since the last full snapshot (sorted).
+    /// Catalog entries the last full snapshot held: [`Generation::entries`]
+    /// past this position are roots created by deltas since.
     #[must_use]
-    pub fn stale(&self) -> &[String] {
-        &self.stale
+    pub fn snapshot_roots(&self) -> usize {
+        self.snapshot_roots
     }
 
-    /// Whether `name` changed since the last full snapshot (and must
-    /// bypass any stored index).
+    /// The tail: every root modified since the last full snapshot,
+    /// sorted by name, with the union cube of the unit records appended
+    /// to it since. Any stored index predates these appends.
+    ///
+    /// The cubes a snapshot-time index holds for a root, plus its tail
+    /// cube, cover every unit the root holds now: seam resolution only
+    /// trims or drops a stored tail unit, and ι-merging fuses a stored
+    /// unit with an appended one, whose cubes are both covered. For a
+    /// root created since the snapshot the tail cube covers it whole.
     #[must_use]
-    pub fn is_stale(&self, name: &str) -> bool {
-        self.stale
-            .binary_search_by(|s| s.as_str().cmp(name))
-            .is_ok()
+    pub fn tail(&self) -> &[(String, Cube)] {
+        &self.tail
+    }
+
+    /// The tail cube of `name`, or `None` when the root has not changed
+    /// since the last full snapshot. O(log n) in the tail's length.
+    #[must_use]
+    pub fn tail_cube(&self, name: &str) -> Option<&Cube> {
+        self.tail
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
+            .ok()
+            .and_then(|i| self.tail.get(i))
+            .map(|(_, cube)| cube)
     }
 
     /// Blob indices quarantined at decode time (degraded opens).
@@ -177,11 +201,11 @@ impl Generation {
         for (name, root) in self.catalog.entries() {
             // A stored index built before this generation's appends no
             // longer covers every unit, and the compacted snapshot
-            // starts with an empty stale list — carrying the old index
+            // starts with an empty tail — carrying the old index
             // over would let later opens attach it as fully trusted and
             // silently prune appended data. Drop it; the maintenance
             // rebuild step re-derives a fresh one.
-            if matches!(root, RootRecord::Index(_)) && !self.stale.is_empty() {
+            if matches!(root, RootRecord::Index(_)) && !self.tail.is_empty() {
                 continue;
             }
             entries.push((name.clone(), rewrite_root(&self.store, &mut dst, root)?));
@@ -252,20 +276,34 @@ impl Generation {
                 return Err(e);
             }
         };
-        let mut fresh_stale: Vec<String> = replaced
-            .iter()
-            .filter_map(|(slot, _)| self.catalog.entries().get(*slot))
-            .map(|(name, _)| name)
-            .chain(created.entries().iter().map(|(name, _)| name))
-            .filter(|name| self.stale.binary_search(name).is_err())
-            .cloned()
-            .collect();
-        if !fresh_stale.is_empty() {
-            fresh_stale.sort();
-            fresh_stale.dedup();
+        // Grow the tail from the records the batch appended: every
+        // root `stage` touched has a non-empty batch.
+        let mut fresh: Vec<(String, Cube)> = Vec::new();
+        for (name, records) in appends {
+            let Some(cube) = records_cube(records) else {
+                continue;
+            };
+            match self.tail.binary_search_by(|(n, _)| n.cmp(name)) {
+                Ok(i) => {
+                    if let Some((_, grown)) = self.tail.get_mut(i) {
+                        *grown = grown.union(&cube);
+                    }
+                }
+                Err(_) => fresh.push((name.clone(), cube)),
+            }
+        }
+        if !fresh.is_empty() {
+            fresh.sort_by(|a, b| a.0.cmp(&b.0));
+            fresh.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 = kept.1.union(&next.1);
+                }
+                same
+            });
             // Two sorted runs: the stable sort merges them in one pass.
-            self.stale.append(&mut fresh_stale);
-            self.stale.sort();
+            self.tail.append(&mut fresh);
+            self.tail.sort_by(|a, b| a.0.cmp(&b.0));
         }
         // New roots join the catalog in one O(n + k) index merge instead
         // of k shifts of the name index.
@@ -336,6 +374,37 @@ fn stage(
         }
     }
     Ok(created)
+}
+
+/// Union of the bounding cubes of `records`; `None` for an empty batch.
+fn records_cube(records: &[UPointRecord]) -> Option<Cube> {
+    records.iter().fold(None, |acc: Option<Cube>, r| {
+        let cube = record_cube(r);
+        Some(acc.map_or(cube, |acc| acc.union(&cube)))
+    })
+}
+
+/// The bounding cube of one unit record, as
+/// [`mob_core::UPoint::bounding_cube`] computes it. Replay input is
+/// untrusted: an endpoint the motion cannot evaluate (an infinite
+/// coefficient times zero is NaN) widens the cube to the whole plane
+/// instead of panicking.
+fn record_cube(r: &UPointRecord) -> Cube {
+    let m = &r.motion;
+    let at = |t: &Instant| {
+        let t = t.as_f64();
+        let x = Real::try_new(m.x0.get() + m.x1.get() * t).ok()?;
+        let y = Real::try_new(m.y0.get() + m.y1.get() * t).ok()?;
+        Some(Point::new(x, y))
+    };
+    let rect = match (at(r.interval.start()), at(r.interval.end())) {
+        (Some(p), Some(q)) => Rect::of_points([p, q]),
+        _ => {
+            let (lo, hi) = (Real::new(f64::NEG_INFINITY), Real::new(f64::INFINITY));
+            Rect::new(lo, lo, hi, hi)
+        }
+    };
+    Cube::new(rect, &r.interval)
 }
 
 /// Seam resolution between a stored mapping tail and the first appended
@@ -564,7 +633,7 @@ mod tests {
         }
         let whole = MovingPoint::from_samples(&samples);
         assert_eq!(load_units(&g, "car"), to_records(whole.units()));
-        assert!(g.is_stale("car"));
+        assert!(g.tail_cube("car").is_some());
         assert_eq!(g.number(), 4);
     }
 
@@ -582,10 +651,10 @@ mod tests {
         // The base generation is bit-identical after the commit.
         assert_eq!(load_units(&base, "road"), before);
         assert!(base.get("car").is_none());
-        // The successor sees both, and only the new root is stale.
+        // The successor sees both, and only the new root has a tail.
         assert_eq!(load_units(&next, "road"), before);
         assert_eq!(load_units(&next, "car"), batch);
-        assert!(next.is_stale("car") && !next.is_stale("road"));
+        assert!(next.tail_cube("car").is_some() && next.tail_cube("road").is_none());
     }
 
     #[test]
@@ -674,7 +743,8 @@ mod tests {
             .unwrap();
         let whole = MovingPoint::from_samples(&samples);
         assert_eq!(load_units(&next, "car"), to_records(whole.units()));
-        assert_eq!(next.stale(), ["car".to_string()]);
+        let names: Vec<&str> = next.tail().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["car"]);
     }
 
     #[test]
@@ -701,8 +771,150 @@ mod tests {
         ];
         assert!(g.append_in_place(2, &batch).is_err());
         assert_eq!((g.entries().to_vec(), g.store().num_blobs()), before);
-        assert!(g.stale().is_empty() && g.get("bus").is_none());
+        assert!(g.tail().is_empty() && g.get("bus").is_none());
         assert_eq!(g.number(), 1);
+    }
+
+    fn cube(r: &UPointRecord) -> Cube {
+        mob_core::UPoint::new(r.interval, r.motion).bounding_cube()
+    }
+
+    #[test]
+    fn record_cubes_match_unit_cubes_and_never_panic() {
+        for r in to_records(
+            MovingPoint::from_samples(&[
+                (t(-2.0), pt(0.5, -3.0)),
+                (t(1.0), pt(4.0, 2.0)),
+                (t(7.0), pt(-1.0, 2.5)),
+            ])
+            .units(),
+        ) {
+            assert_eq!(record_cube(&r), cube(&r));
+        }
+        // x(0) = 0 + inf * 0 is NaN: the cube widens to the whole plane.
+        let inf = mob_core::PointMotion::new(
+            Real::ZERO,
+            Real::new(f64::INFINITY),
+            Real::ZERO,
+            Real::ZERO,
+        );
+        let r = UPointRecord {
+            interval: TimeInterval::closed(t(0.0), t(1.0)),
+            motion: inf,
+        };
+        let c = record_cube(&r);
+        assert!(c.rect.contains_point(pt(1e300, -1e300)));
+        assert_eq!((c.t_min, c.t_max), (t(0.0), t(1.0)));
+    }
+
+    /// After appending `batches` to a root holding `base`, the root's
+    /// tail cube contains every appended record's cube, and every unit
+    /// the root holds is covered by the tail cube alone or by a base
+    /// unit of the same motion united with it — the cover the planner
+    /// relies on (a base tree entry plus the tail tree entry).
+    fn assert_tail_covers(base: &[UPointRecord], batches: &[Vec<UPointRecord>]) {
+        let mut file = StoreFile::new();
+        let units = save_array(base, file.store_mut());
+        let num_units = u32::try_from(base.len()).unwrap();
+        file.put(
+            "car",
+            RootRecord::MPoint(StoredMapping { num_units, units }),
+        );
+        let g = Generation::from_store_file(1, file, Vec::new());
+        assert!(g.tail().is_empty(), "a full snapshot has an empty tail");
+        let appends: Vec<_> = batches
+            .iter()
+            .map(|b| ("car".to_string(), b.clone()))
+            .collect();
+        let next = g.apply_appends(2, &appends).unwrap();
+        let tail = *next
+            .tail_cube("car")
+            .expect("appended root has a tail cube");
+        for r in batches.iter().flatten() {
+            assert!(tail.contains(&cube(r)), "appended {r:?} outside {tail:?}");
+        }
+        for u in load_units(&next, "car") {
+            let c = cube(&u);
+            let covered = tail.contains(&c)
+                || base
+                    .iter()
+                    .any(|b| b.motion == u.motion && cube(b).union(&tail).contains(&c));
+            assert!(covered, "unit {u:?} escapes the base cubes and the tail");
+        }
+    }
+
+    #[test]
+    fn tail_cubes_cover_appended_units_across_every_seam() {
+        let recs = |s: &[(f64, f64, f64)]| {
+            let samples: Vec<_> = s.iter().map(|&(ti, x, y)| (t(ti), pt(x, y))).collect();
+            to_records(MovingPoint::from_samples(&samples).units())
+        };
+        let two = recs(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]);
+        // Point-tail replacement.
+        assert_tail_covers(
+            &recs(&[(0.0, 0.0, 0.0)]),
+            &[recs(&[(0.0, 0.0, 0.0), (1.0, 3.0, 2.0)])],
+        );
+        // Right-closed trim, then a second batch in the same commit.
+        assert_tail_covers(
+            &two,
+            &[
+                recs(&[(1.0, 1.0, 0.0), (2.0, 1.0, 5.0)]),
+                recs(&[(2.0, 1.0, 5.0), (3.0, -4.0, 5.0)]),
+            ],
+        );
+        // ι-merge: the continuation has the stored tail's motion.
+        assert_tail_covers(&two, &[recs(&[(1.0, 1.0, 0.0), (2.0, 2.0, 0.0)])]);
+        // Gap.
+        assert_tail_covers(&two, &[recs(&[(5.0, 9.0, 9.0), (6.0, 8.0, 7.0)])]);
+    }
+
+    #[test]
+    fn tails_grow_per_commit_and_compaction_empties_them() {
+        let batch = |t0: f64, x: f64| {
+            to_records(
+                MovingPoint::from_samples(&[(t(t0), pt(x, 0.0)), (t(t0 + 1.0), pt(x, 1.0))])
+                    .units(),
+            )
+        };
+        let road = MovingPoint::from_samples(&[(t(0.0), pt(0.0, 0.0)), (t(5.0), pt(5.0, 0.0))]);
+        let base = gen_with_mpoint("road", &road);
+        assert_eq!(base.snapshot_roots(), 1);
+        let g1 = base
+            .apply_appends(2, &[("car".into(), batch(0.0, 3.0))])
+            .unwrap();
+        let g2 = g1
+            .apply_appends(
+                3,
+                &[
+                    ("car".into(), batch(4.0, -2.0)),
+                    ("road".into(), batch(7.0, 9.0)),
+                ],
+            )
+            .unwrap();
+        // Created roots sit past the snapshot's entries.
+        assert_eq!(g2.snapshot_roots(), 1);
+        assert_eq!(g2.entries()[1].0, "car");
+        let car = |t0: f64, t1: f64, x0: f64, x1: f64| Cube {
+            rect: mob_spatial::Rect::of_points([pt(x0, 0.0), pt(x1, 1.0)]),
+            t_min: t(t0),
+            t_max: t(t1),
+        };
+        assert_eq!(g1.tail(), [("car".to_string(), car(0.0, 1.0, 3.0, 3.0))]);
+        assert_eq!(
+            g2.tail(),
+            [
+                ("car".to_string(), car(0.0, 5.0, -2.0, 3.0)),
+                ("road".to_string(), car(7.0, 8.0, 9.0, 9.0)),
+            ]
+        );
+        // The pinned predecessor keeps its own tail.
+        assert_eq!(g1.tail().len(), 1);
+        // A compaction is a full snapshot: empty tail, every root in it.
+        let compacted =
+            Generation::from_store_file(4, g2.rebuild_store_file().unwrap(), Vec::new());
+        assert!(compacted.tail().is_empty());
+        assert_eq!(compacted.snapshot_roots(), compacted.entries().len());
     }
 
     #[test]

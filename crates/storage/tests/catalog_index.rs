@@ -4,17 +4,18 @@
 //!    non-mpoint roots) take random delta commits (unknown names, names
 //!    repeated within a batch, seams, gaps, overlaps). After every
 //!    commit the store's generation must match a reference that finds
-//!    roots with a front-to-back scan: entries in order, `stale()`,
-//!    `get` for every name, and the same verdict on every refused batch
+//!    roots with a front-to-back scan: entries in order, the tail (every
+//!    appended root with the union cube of its appended units), `get`
+//!    for every name, and the same verdict on every refused batch
 //!    (kind mismatch, overlap), which must leave the store unchanged.
 //!    Each case ends with a reopen that replays its delta chain in place
 //!    to the same generation.
 //! 2. **Replay**: a ~2k-root catalog plus a 3-delta chain reopens to a
-//!    generation equal to the live one.
+//!    generation equal to the live one, tail cubes included.
 
 use mob_base::t;
 use mob_core::{MovingPoint, UPoint, Unit};
-use mob_spatial::{pt, Points};
+use mob_spatial::{pt, Cube, Points};
 use mob_storage::line_store::save_points;
 use mob_storage::mapping_store::{save_mpoint, StoredMapping, UPointRecord};
 use mob_storage::{load_array, save_array, DurableStore, Generation, MemIo, RootRecord, StoreFile};
@@ -78,11 +79,11 @@ enum Refusal {
     Splice,
 }
 
-/// The linear-scan reference: a decoded entry list and a stale list.
+/// The linear-scan reference: a decoded entry list and the tail.
 #[derive(Clone)]
 struct Reference {
     entries: Vec<(String, Val)>,
-    stale: Vec<String>,
+    tail: Vec<(String, Cube)>,
 }
 
 impl Reference {
@@ -115,11 +116,17 @@ impl Reference {
                 Some(i) => next.entries[i].1 = merged,
                 None => next.entries.push((name.clone(), merged)),
             }
-            if !next.stale.contains(name) {
-                next.stale.push(name.clone());
+            let cube = recs
+                .iter()
+                .map(|r| UPoint::new(r.interval, r.motion).bounding_cube())
+                .reduce(|a, b| a.union(&b))
+                .expect("non-empty batch");
+            match next.tail.iter_mut().find(|(n, _)| n == name) {
+                Some((_, c)) => *c = c.union(&cube),
+                None => next.tail.push((name.clone(), cube)),
             }
         }
-        next.stale.sort();
+        next.tail.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(next)
     }
 }
@@ -198,7 +205,7 @@ fn random_batch(rng: &mut TestRng, reference: &Reference) -> Vec<(String, Vec<UP
 
 fn assert_matches(g: &Generation, reference: &Reference) {
     assert_eq!(decoded(g), reference.entries, "entries in order");
-    assert_eq!(g.stale(), reference.stale.as_slice(), "stale list");
+    assert_eq!(g.tail(), reference.tail.as_slice(), "tail");
     // The serialized file rebuilds the same index on decode.
     let bytes = g.to_store_file().to_bytes().expect("encode");
     let reread = Generation::from_store_file(
@@ -231,7 +238,7 @@ fn catalog_index_matches_a_linear_scan_reference() {
         txn.commit().expect("base commit");
         let mut reference = Reference {
             entries: decoded(&store.snapshot().expect("base")),
-            stale: Vec::new(),
+            tail: Vec::new(),
         };
         for step in 0..8 {
             let batch = random_batch(&mut rng, &reference);
@@ -332,6 +339,7 @@ fn catalog_replay_of_a_delta_chain_matches_the_live_generation() {
     assert_eq!(replayed.number(), live.number());
     assert_eq!(replayed.entries(), live.entries());
     assert_eq!(decoded(&replayed), decoded(&live));
-    assert_eq!(replayed.stale(), live.stale());
+    assert_eq!(replayed.tail(), live.tail(), "names and tail cubes");
+    assert_eq!(live.tail().len(), ROOTS.div_ceil(3) + 3);
     assert_eq!(live.entries().len(), ROOTS + 3);
 }
