@@ -16,22 +16,14 @@
 //! * [`batch_at_instant`] — `atinstant` for a whole sorted probe set in
 //!   one merge scan: `O(n + q)` interval-header reads (in practice
 //!   `O(q·log(n/q))` thanks to galloping) instead of `O(q log n)`, and
-//!   at most one decode per distinct hit unit;
-//! * [`batch_lift2`] / [`batch_inside`] — one probe argument against a
-//!   *slice* of mappings, decoding the probe's units exactly once for
-//!   the whole batch instead of once per pairing.
+//!   at most one decode per distinct hit unit.
 //!
 //! The kernels are strictly sequential — `mob-core` stays free of
 //! threading concerns. `mob-rel` composes them with the `mob-par`
 //! worker pool to turn relation scans parallel.
 
-use crate::lift::lift2;
-use crate::mapping::Mapping;
-use crate::moving::MovingBool;
 use crate::seq::{partition_units, UnitSeq};
 use crate::unit::Unit;
-use crate::upoint::UPoint;
-use crate::uregion::URegion;
 use mob_base::{Instant, TimeInterval, Val};
 use std::borrow::Cow;
 
@@ -183,51 +175,10 @@ pub fn batch_at_instant<S: UnitSeq>(
         .collect()
 }
 
-/// Binary lift of one probe argument against a **slice** of second
-/// arguments: `kernel` runs on every refinement part of `(a, bs[k])`
-/// for each `k`, and the probe's units are materialized (decoded)
-/// exactly **once** for the whole batch.
-///
-/// For an in-memory probe the materialization is a plain clone; for a
-/// storage-backed probe it replaces `bs.len()` full decode passes by
-/// one. Element `k` of the result equals `lift2(a, &bs[k], kernel)`.
-pub fn batch_lift2<SA, SB, UC, F>(a: &SA, bs: &[SB], kernel: F) -> Vec<Mapping<UC>>
-where
-    SA: UnitSeq,
-    SB: UnitSeq,
-    UC: Unit,
-    F: Fn(&TimeInterval, &SA::Unit, &SB::Unit) -> Vec<UC>,
-{
-    let _span = mob_obs::span("core.batch_lift2");
-    mob_obs::metric!("core.batch_lift2.pairs").add(bs.len() as u64);
-    let probe: Mapping<SA::Unit> = a.materialize();
-    bs.iter().map(|b| lift2(&probe, b, &kernel)).collect()
-}
-
-/// Algorithm `inside` (Sec 5.2) for one moving region against a slice
-/// of moving points: the region's units are decoded once for the whole
-/// batch. Element `k` equals `inside(&points[k], region)`.
-///
-/// This is the set-at-a-time shape of the Section-2 query "which
-/// flights passed over New Jersey?" — one region, a relation's worth of
-/// flights.
-pub fn batch_inside<SP, SR>(points: &[SP], region: &SR) -> Vec<MovingBool>
-where
-    SP: UnitSeq<Unit = UPoint>,
-    SR: UnitSeq<Unit = URegion>,
-{
-    let _span = mob_obs::span("core.batch_inside");
-    mob_obs::metric!("core.batch_inside.pairs").add(points.len() as u64);
-    let probe: Mapping<URegion> = region.materialize();
-    points
-        .iter()
-        .map(|p| crate::moving::mregion::inside(p, &probe))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Mapping;
     use crate::uconst::ConstUnit;
     use mob_base::{t, Interval};
 
@@ -292,25 +243,5 @@ mod tests {
         assert_eq!(c.seek(t(4.0)), None); // gap
         assert_eq!(c.seek(t(5.5)), Some(2)); // later unit still reachable
         assert_eq!(c.value_at(t(8.2)), Val::Def(4));
-    }
-
-    #[test]
-    fn batch_lift2_matches_lift2() {
-        let a = Mapping::try_new(vec![cu(0.0, 4.0, true, true, 10)]).unwrap();
-        let bs = vec![
-            Mapping::try_new(vec![cu(1.0, 3.0, true, true, 1)]).unwrap(),
-            Mapping::try_new(vec![cu(2.0, 6.0, true, true, 2)]).unwrap(),
-            Mapping::empty(),
-        ];
-        let kernel = |iv: &TimeInterval, ua: &ConstUnit<i64>, ub: &ConstUnit<i64>| {
-            vec![ConstUnit::new(*iv, ua.value() + ub.value())]
-        };
-        let batch = batch_lift2(&a, &bs, kernel);
-        for (k, b) in bs.iter().enumerate() {
-            let single = lift2(&a, b, |iv, ua, ub| {
-                vec![ConstUnit::new(*iv, ua.value() + ub.value())]
-            });
-            assert_eq!(batch[k], single, "pairing {k}");
-        }
     }
 }

@@ -4,12 +4,12 @@
 //! arrives whole; a live fleet instead streams `(instant, position)`
 //! samples. [`TailBuilder`] buffers the open tail of one object's
 //! trajectory and, on [`TailBuilder::seal`], converts the buffered
-//! samples into canonical `upoint` units **exactly** as
-//! `Mapping::from_samples` would have: every window `[t_i, t_{i+1})` is
-//! left-closed right-open, the final window is right-closed, and
-//! adjacent units with the same motion function are merged — the ι
-//! endpoint cleanup that makes the batch acceptable to
-//! `Mapping::try_new` without further normalization.
+//! samples into canonical `upoint` units with `Mapping::from_samples`
+//! itself: every window `[t_i, t_{i+1})` is left-closed right-open, the
+//! final window is right-closed, and adjacent units with the same
+//! motion function are merged — the ι endpoint cleanup that makes the
+//! batch acceptable to `Mapping::try_new` without further
+//! normalization.
 //!
 //! Sealing retains the last sample as the *anchor* of the next batch,
 //! so consecutive batches share their boundary instant just like
@@ -19,10 +19,10 @@
 //! which makes `seal` batches applied in sequence byte-identical to one
 //! `from_samples` call over the full sample list.
 
-use crate::unit::Unit;
+use crate::mapping::Mapping;
 use crate::upoint::UPoint;
 use mob_base::error::{InvariantViolation, Result};
-use mob_base::{Instant, TimeInterval};
+use mob_base::Instant;
 use mob_spatial::Point;
 
 /// Accumulates the open tail of one moving object's trajectory.
@@ -98,54 +98,29 @@ impl TailBuilder {
     /// Convert the buffered samples into canonical units (ι cleanup
     /// applied) and retain the last sample as the next batch's anchor.
     ///
-    /// Semantics per batch, with `anchor?` prepended to the samples:
-    /// zero samples → empty batch (anchor untouched); a single sample
-    /// and no anchor → one point-interval unit; otherwise one unit per
-    /// consecutive window, each `[t_i, t_{i+1})`, the last `[.., t_n]`,
-    /// with adjacent same-motion units merged exactly as
-    /// `MappingBuilder::push` would merge them.
+    /// The batch is `Mapping::from_samples` over `anchor?` followed by
+    /// the pending samples: zero samples → empty batch (anchor
+    /// untouched); a single sample and no anchor → one point-interval
+    /// unit; otherwise one unit per consecutive window, each
+    /// `[t_i, t_{i+1})`, the last `[.., t_n]`, with adjacent
+    /// same-motion units merged. [`TailBuilder::push`] keeps the
+    /// instants strictly increasing, as `from_samples` requires.
     pub fn seal(&mut self) -> Vec<UPoint> {
         if self.samples.is_empty() {
             return Vec::new();
         }
         let mut combined: Vec<(Instant, Point)> = Vec::with_capacity(self.samples.len() + 1);
-        if let Some(a) = self.anchor {
-            combined.push(a);
-        }
+        combined.extend(self.anchor);
         combined.append(&mut self.samples);
-        if let Some(&last) = combined.last() {
-            self.anchor = Some(last);
-        }
-        if combined.len() == 1 {
-            // No anchor and exactly one new sample: the object exists
-            // at a single instant so far.
-            let (t, p) = combined[0];
-            return vec![UPoint::between(TimeInterval::point(t), p, p)];
-        }
-        let mut out: Vec<UPoint> = Vec::with_capacity(combined.len() - 1);
-        let n = combined.len();
-        for (k, (a, b)) in combined.iter().zip(combined.iter().skip(1)).enumerate() {
-            let (t0, p0) = *a;
-            let (t1, p1) = *b;
-            let last = k + 2 == n;
-            let iv = TimeInterval::new(t0, t1, true, last);
-            let u = UPoint::between(TimeInterval::closed(t0, t1), p0, p1).with_interval(iv);
-            if let Some(prev) = out.last_mut() {
-                if let Some(merged) = prev.try_merge(&u) {
-                    *prev = merged;
-                    continue;
-                }
-            }
-            out.push(u);
-        }
-        out
+        self.anchor = combined.last().copied();
+        Mapping::from_samples(&combined).into_units()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::Mapping;
+    use crate::unit::Unit;
     use mob_base::t;
 
     fn pt(x: f64, y: f64) -> Point {

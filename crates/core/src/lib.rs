@@ -21,9 +21,8 @@
 //! * [`lift`] — the generic skeleton of binary lifted operations
 //!   (Algorithm 5.2's outer loop), generic over [`seq::UnitSeq`];
 //! * [`batch`] — set-at-a-time query kernels: a monotone
-//!   [`batch::UnitCursor`] with galloping seek, `batch_at_instant` over
-//!   sorted probe sets, and one-probe-many-mappings `batch_lift2` /
-//!   `batch_inside`;
+//!   [`batch::UnitCursor`] with galloping seek and `batch_at_instant`
+//!   over sorted probe sets;
 //! * [`moving`] — the eight moving types of Table 3 with their
 //!   operations (`trajectory`, `distance`, `atmin`, `inside`, `area`, …);
 //! * [`ops`] — Tables 1–3 as inspectable catalogues;
@@ -54,7 +53,7 @@ pub mod ureal;
 pub mod uregion;
 pub mod validate;
 
-pub use batch::{batch_at_instant, batch_inside, batch_lift2, UnitCursor};
+pub use batch::{batch_at_instant, UnitCursor};
 pub use index::{unit_cubes, Candidates, IndexEntry, IndexNode, RTree, DEFAULT_FANOUT};
 pub use ingest::TailBuilder;
 pub use lift::{lift1, lift2};

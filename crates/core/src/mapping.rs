@@ -121,6 +121,11 @@ impl<U: Unit> Mapping<U> {
         &self.units
     }
 
+    /// The units in time order, consuming the mapping.
+    pub fn into_units(self) -> Vec<U> {
+        self.units
+    }
+
     /// Number of units (slices).
     pub fn num_units(&self) -> usize {
         self.units.len()

@@ -7,21 +7,20 @@
 //! any external dependency or any `unsafe`:
 //!
 //! * [`Pool`] — a scoped worker pool over [`std::thread::scope`],
-//!   honoring the `MOB_THREADS` environment variable and falling back
-//!   to plain sequential execution at one thread;
-//! * [`Pool::chunked_map`] / [`Pool::chunked_for_each`] — split a slice
-//!   into contiguous chunks, process chunks on the workers (dynamic
-//!   chunk stealing over an atomic cursor), and reassemble results **in
-//!   input order**;
-//! * [`Pool::try_chunked_map_cancel`] + [`CancelToken`] — the same
-//!   dispatch with cooperative cancellation at chunk boundaries, for
-//!   deadline-bounded scans: once the token fires no new chunk is
-//!   claimed and the call reports how many items were actually mapped
-//!   ([`Cancellable::Cancelled`]).
+//!   honoring the `MOB_THREADS` environment variable;
+//! * [`Pool::chunked_map`] — the one dispatch: split a slice into
+//!   contiguous chunks, claim chunks off an atomic cursor, stop claiming
+//!   once a [`CancelToken`] fires, and reassemble the results **in
+//!   input order** ([`Cancellable::Done`]) or report how many items were
+//!   mapped before the stop ([`Cancellable::Cancelled`]).
+//!
+//! Every width runs the same claim loop: at one worker it runs on the
+//! caller's thread and nothing is spawned; above one, each scoped
+//! worker runs it.
 //!
 //! # Determinism guarantee
 //!
-//! `chunked_map(items, f)` returns exactly
+//! When it completes, `chunked_map(items, token, f)` returns exactly
 //! `items.iter().map(f).collect()` — element `i` of the output is
 //! `f(&items[i])`, for every thread count. Chunks are contiguous and
 //! results are stitched back together by chunk index, so scheduling
@@ -31,63 +30,34 @@
 //!
 //! # Observability
 //!
-//! The pool reports into `mob-obs`: `par.items` / `par.chunks` count
-//! the work dispatched (and `par.panics` the contained worker panics),
-//! each parallel dispatch is timed under a `par.chunked_map` span
-//! (`chunked_for_each` delegates to the map path), and every worker
-//! drains its thread-local span shard when its slice of work ends. The
-//! coordinator merges the shards **in worker-index order**
-//! ([`mob_obs::merge_shards`]) and replays them on its own thread
-//! ([`mob_obs::record_stats`]), so span *counts* aggregated from the
-//! workers are as deterministic as the results — only wall times (and
-//! the `par.*` scheduling metrics themselves) vary run to run. At one
-//! thread (the inline path) no worker is spawned and nothing is
-//! drained: spans stay on the caller's shard, exactly as if the kernel
-//! had been called directly.
-
+//! The pool reports into `mob-obs`: `par.items` counts the items
+//! dispatched, `par.chunks` the chunks claimed and `par.panics` the
+//! contained worker panics. A dispatch above one worker is timed under
+//! a `par.chunked_map` span, and every worker drains its thread-local
+//! span shard when its claim loop ends. The coordinator merges the
+//! shards **in worker-index order** ([`mob_obs::merge_shards`]) and
+//! replays them on its own thread ([`mob_obs::record_stats`]), so span
+//! *counts* aggregated from the workers are as deterministic as the
+//! results — only wall times (and the `par.*` scheduling metrics
+//! themselves) vary run to run. At one worker no span is opened and
+//! nothing is drained: spans stay on the caller's shard, exactly as if
+//! the kernel had been called directly.
+//!
 //! # Panic containment
 //!
 //! A panicking per-item closure does **not** bring the process (or the
 //! sibling workers) down: every chunk runs under
-//! [`std::panic::catch_unwind`], the pool drains the remaining chunks,
-//! and [`Pool::try_chunked_map`] / [`Pool::try_chunked_for_each`]
-//! resurface a single structured [`PoolError`] naming the lowest
-//! panicking chunk. The infallible [`Pool::chunked_map`] /
-//! [`Pool::chunked_for_each`] re-panic with that message on the
-//! *caller's* thread — never a cross-thread join abort.
+//! [`std::panic::catch_unwind`] and the remaining chunks still run.
+//! The call then panics once, on the *caller's* thread, with
+//! `worker closure panicked in chunk {k}: {message}` naming the lowest
+//! panicking chunk — deterministic for every thread count, and never a
+//! cross-thread join abort. Panics take precedence over cancellation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A worker closure panicked. The pool catches the unwind per chunk,
-/// finishes (drains) the remaining chunks, and reports the failure with
-/// the **lowest** panicking chunk index — deterministic for every
-/// thread count, because every chunk is attempted regardless of where
-/// the first panic lands.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PoolError {
-    /// Index of the (contiguous, input-ordered) chunk whose closure
-    /// panicked. The lowest failing index is reported when several do.
-    pub chunk: usize,
-    /// The panic payload, stringified.
-    pub message: String,
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker closure panicked in chunk {}: {}",
-            self.chunk, self.message
-        )
-    }
-}
-
-impl std::error::Error for PoolError {}
 
 /// A cooperative cancellation signal checked at **chunk boundaries**:
 /// workers consult the token before claiming each chunk, never
@@ -162,18 +132,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Fold the per-chunk errors gathered during a dispatch into the single
-/// reported [`PoolError`] (lowest chunk index), counting them in
-/// `par.panics`.
-fn first_error(mut errors: Vec<PoolError>) -> Option<PoolError> {
-    if errors.is_empty() {
-        return None;
-    }
-    mob_obs::metric!("par.panics").add(errors.len() as u64);
-    errors.sort_by_key(|e| e.chunk);
-    errors.into_iter().next()
-}
-
 /// Environment variable overriding the worker count (`0` or unset ⇒
 /// auto-detect from [`std::thread::available_parallelism`]).
 pub const THREADS_ENV: &str = "MOB_THREADS";
@@ -226,213 +184,96 @@ impl Pool {
         self.threads
     }
 
-    /// Map `f` over `items` in parallel, preserving input order in the
-    /// result (see the crate-level determinism guarantee).
+    /// Map `f` over `items`, preserving input order in the result (see
+    /// the crate-level determinism guarantee) — the pool's one dispatch.
     ///
-    /// The slice is split into contiguous chunks (a few per worker for
-    /// load balancing); workers claim chunks through an atomic cursor
-    /// and the per-chunk results are reassembled by chunk index.
-    pub fn chunked_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        match self.try_chunked_map(items, f) {
-            Ok(out) => out,
-            // Re-panic on the caller's thread with the contained,
-            // structured message — never a scoped-join abort.
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`Pool::chunked_map`] with **panic containment**: a panicking
-    /// closure yields `Err(`[`PoolError`]`)` naming the lowest
-    /// panicking chunk instead of unwinding through the pool. All
-    /// remaining chunks are still attempted (work is drained, sibling
-    /// workers are undisturbed), so the reported chunk is deterministic
-    /// for every thread count.
-    pub fn try_chunked_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        match self.try_chunked_map_cancel(items, &CancelToken::never(), f)? {
-            Cancellable::Done(out) => Ok(out),
-            // Unreachable: `never()` cannot fire. Return the empty
-            // mapping rather than panicking in the containment path.
-            Cancellable::Cancelled { .. } => Ok(Vec::new()),
-        }
-    }
-
-    /// [`Pool::try_chunked_map`] with **cooperative cancellation**: the
-    /// `cancel` token is consulted before every chunk claim (in both
-    /// the sequential and the scoped-threads path). Once it fires, no
-    /// new chunk starts; chunks already in flight finish, their results
-    /// are discarded, and the call reports
-    /// [`Cancellable::Cancelled`]`{ items_done }` — the number of items
-    /// actually mapped — instead of a complete result. Panics still
-    /// take precedence and surface as [`PoolError`].
-    pub fn try_chunked_map_cancel<T, R, F>(
+    /// The slice is split into contiguous chunks, about four per
+    /// worker, claimed off an atomic cursor; `cancel` is consulted
+    /// before every claim. Once it fires no new chunk starts, chunks
+    /// already running finish, and the call returns
+    /// [`Cancellable::Cancelled`]`{ items_done }` with the number of
+    /// items mapped. A token that never fires always yields
+    /// [`Cancellable::Done`].
+    ///
+    /// # Panics
+    ///
+    /// When `f` panics: every chunk is still attempted, then the call
+    /// panics on the caller's thread naming the lowest panicking chunk
+    /// (see the crate-level panic containment).
+    pub fn chunked_map<T, R, F>(
         &self,
         items: &[T],
         cancel: &CancelToken,
         f: F,
-    ) -> Result<Cancellable<Vec<R>>, PoolError>
+    ) -> Cancellable<Vec<R>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let workers = self.threads.min(items.len()).max(1);
         mob_obs::metric!("par.items").add(items.len() as u64);
-        // A few chunks per worker so a slow chunk does not serialize the
-        // tail; chunks stay contiguous so output order is trivial to
-        // restore.
-        let chunk_size = chunk_size_for(items.len(), workers);
-        if workers == 1 {
-            // Inline path: spans land on the caller's own shard — do
-            // not drain it, the caller (or an outer EXPLAIN capture)
-            // owns it.
-            let mut out = Vec::with_capacity(items.len());
-            let mut errors = Vec::new();
-            let mut n_chunks = 0u64;
-            let mut stopped = false;
-            for (k, chunk) in items.chunks(chunk_size).enumerate() {
-                if cancel.is_cancelled() {
-                    stopped = true;
-                    break;
-                }
-                n_chunks += 1;
-                match catch_unwind(AssertUnwindSafe(|| {
-                    chunk.iter().map(&f).collect::<Vec<R>>()
-                })) {
-                    Ok(mut part) => out.append(&mut part),
-                    Err(payload) => errors.push(PoolError {
-                        chunk: k,
-                        message: panic_message(payload.as_ref()),
-                    }),
-                }
-            }
-            mob_obs::metric!("par.chunks").add(n_chunks);
-            if let Some(e) = first_error(errors) {
-                return Err(e);
-            }
-            if stopped {
-                return Ok(Cancellable::Cancelled {
-                    items_done: out.len(),
-                });
-            }
-            return Ok(Cancellable::Done(out));
-        }
-        let _span = mob_obs::span("par.chunked_map");
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        mob_obs::metric!("par.chunks").add(chunks.len() as u64);
+        let workers = self.threads.min(items.len()).max(1);
+        let size = chunk_size_for(items.len(), workers);
+        let n_chunks = items.len().div_ceil(size);
         let cursor = AtomicUsize::new(0);
-        let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-        let errors: Mutex<Vec<PoolError>> = Mutex::new(Vec::new());
-        let obs = mob_obs::enabled();
-        let shards: Mutex<Vec<(usize, Vec<mob_obs::SpanStat>)>> =
-            Mutex::new(Vec::with_capacity(workers));
-        std::thread::scope(|scope| {
-            let (chunks, cursor, done, errors, shards, f, cancel) =
-                (&chunks, &cursor, &done, &errors, &shards, &f, cancel);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    loop {
-                        // Cooperative stop: consult the token before
-                        // claiming — a chunk already claimed finishes.
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        // AcqRel: the Release half publishes this worker's
-                        // claim before it touches chunk k; the Acquire half
-                        // pairs with the other workers' claims so no two
-                        // workers ever observe the same k.
-                        let k = cursor.fetch_add(1, Ordering::AcqRel);
-                        let Some(chunk) = chunks.get(k) else { break };
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            chunk.iter().map(f).collect::<Vec<R>>()
-                        })) {
-                            Ok(mapped) => {
-                                if let Ok(mut d) = done.lock() {
-                                    d.push((k, mapped));
-                                }
-                            }
-                            Err(payload) => {
-                                if let Ok(mut e) = errors.lock() {
-                                    e.push(PoolError {
-                                        chunk: k,
-                                        message: panic_message(payload.as_ref()),
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    if obs {
-                        if let Ok(mut s) = shards.lock() {
-                            s.push((w, mob_obs::take_thread_shard()));
-                        }
-                    }
-                });
+        let claim = || claim_loop(items, size, &cursor, cancel, &f);
+        let runs: Vec<Claimed<R>> = if workers == 1 {
+            // Spans land on the caller's own shard: do not drain it,
+            // the caller (or an outer EXPLAIN capture) owns it.
+            vec![claim()]
+        } else {
+            let _span = mob_obs::span("par.chunked_map");
+            let obs = mob_obs::enabled();
+            let (runs, shards): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let run = claim();
+                            let shard = if obs {
+                                mob_obs::take_thread_shard()
+                            } else {
+                                Vec::new()
+                            };
+                            (run, shard)
+                        })
+                    })
+                    .collect();
+                // Joined in spawn order: the shards merge in
+                // worker-index order. The claim loop contains closure
+                // panics, so a failed join is the pool's own bug.
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                    .unzip()
+            });
+            if obs {
+                mob_obs::record_stats(&mob_obs::merge_shards(shards));
             }
-        });
-        if obs {
-            merge_worker_shards(shards);
-        }
-        let gathered = match errors.into_inner() {
-            Ok(e) => e,
-            Err(poison) => poison.into_inner(),
+            runs
         };
-        if let Some(e) = first_error(gathered) {
-            return Err(e);
+        let mut parts = Vec::with_capacity(n_chunks);
+        let mut panics = Vec::new();
+        for run in runs {
+            parts.extend(run.mapped);
+            panics.extend(run.panicked);
         }
-        let mut parts = match done.into_inner() {
-            Ok(p) => p,
-            Err(poison) => poison.into_inner(),
-        };
-        // No chunk panicked (checked above), so a shortfall in completed
-        // chunks can only mean the token stopped the claim loop early.
-        if parts.len() < chunks.len() {
+        mob_obs::metric!("par.chunks").add((parts.len() + panics.len()) as u64);
+        if let Some((k, message)) = panics.iter().min_by_key(|(k, _)| *k) {
+            mob_obs::metric!("par.panics").add(panics.len() as u64);
+            panic!("worker closure panicked in chunk {k}: {message}");
+        }
+        // No chunk panicked, so a shortfall can only mean the token
+        // stopped the claim loops early.
+        if parts.len() < n_chunks {
             let items_done = parts.iter().map(|(_, part)| part.len()).sum();
-            return Ok(Cancellable::Cancelled { items_done });
+            return Cancellable::Cancelled { items_done };
         }
-        parts.sort_by_key(|(k, _)| *k);
+        parts.sort_unstable_by_key(|(k, _)| *k);
         let mut out = Vec::with_capacity(items.len());
-        for (_, mut part) in parts.drain(..) {
+        for (_, mut part) in parts {
             out.append(&mut part);
         }
-        debug_assert_eq!(out.len(), items.len(), "every chunk must be mapped");
-        Ok(Cancellable::Done(out))
-    }
-
-    /// Run `f` on every item, in parallel, for its side effects only
-    /// (counters, logging). Iteration order *within* a chunk is the
-    /// input order; chunk scheduling across workers is unspecified.
-    pub fn chunked_for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        if let Err(e) = self.try_chunked_for_each(items, f) {
-            panic!("{e}");
-        }
-    }
-
-    /// [`Pool::chunked_for_each`] with panic containment (see
-    /// [`Pool::try_chunked_map`]): side effects of chunks scheduled
-    /// after a panic still run, the panic surfaces once as a
-    /// [`PoolError`].
-    pub fn try_chunked_for_each<T, F>(&self, items: &[T], f: F) -> Result<(), PoolError>
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        self.try_chunked_map(items, |item| {
-            f(item);
-        })
-        .map(|_| ())
+        Cancellable::Done(out)
     }
 }
 
@@ -442,30 +283,79 @@ impl Default for Pool {
     }
 }
 
+/// What one claim loop did: the chunks it mapped and the chunks whose
+/// closure panicked (with the stringified payload), each tagged with
+/// its chunk index.
+struct Claimed<R> {
+    mapped: Vec<(usize, Vec<R>)>,
+    panicked: Vec<(usize, String)>,
+}
+
+/// The claim loop every worker runs — the caller's thread at one
+/// worker: consult the token, claim the next chunk off `cursor`, map it
+/// under `catch_unwind`, repeat until the chunks run out or the token
+/// fires. A chunk already claimed always finishes.
+fn claim_loop<T, R>(
+    items: &[T],
+    size: usize,
+    cursor: &AtomicUsize,
+    cancel: &CancelToken,
+    f: &impl Fn(&T) -> R,
+) -> Claimed<R> {
+    let mut run = Claimed {
+        mapped: Vec::new(),
+        panicked: Vec::new(),
+    };
+    while !cancel.is_cancelled() {
+        // AcqRel: the Release half publishes this worker's claim before
+        // it touches chunk k; the Acquire half pairs with the other
+        // workers' claims so no two workers ever observe the same k.
+        let k = cursor.fetch_add(1, Ordering::AcqRel);
+        let Some(chunk) = items.chunks(size).nth(k) else {
+            break;
+        };
+        match catch_unwind(AssertUnwindSafe(|| chunk.iter().map(f).collect::<Vec<R>>())) {
+            Ok(part) => run.mapped.push((k, part)),
+            Err(payload) => run.panicked.push((k, panic_message(payload.as_ref()))),
+        }
+    }
+    run
+}
+
 /// Contiguous chunk size: aim for ~4 chunks per worker, at least 1
 /// element each.
 fn chunk_size_for(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.saturating_mul(4).max(1)).max(1)
 }
 
-/// Merge the drained worker shards **in worker-index order** and replay
-/// the merged span totals on the coordinator's thread — the
-/// determinism half of the `mob-obs` contract (span counts independent
-/// of scheduling; see the crate docs).
-fn merge_worker_shards(shards: Mutex<Vec<(usize, Vec<mob_obs::SpanStat>)>>) {
-    let mut per_worker = match shards.into_inner() {
-        Ok(s) => s,
-        Err(poison) => poison.into_inner(),
-    };
-    per_worker.sort_by_key(|(w, _)| *w);
-    let merged = mob_obs::merge_shards(per_worker.into_iter().map(|(_, shard)| shard));
-    mob_obs::record_stats(&merged);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Arc;
+
+    /// Dispatch with a token that never fires.
+    fn map<T: Sync, R: Send>(pool: Pool, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        match pool.chunked_map(items, &CancelToken::never(), f) {
+            Cancellable::Done(out) => out,
+            Cancellable::Cancelled { items_done } => {
+                panic!("a never token cancelled after {items_done} items")
+            }
+        }
+    }
+
+    /// Run `dispatch`, which must panic, and return the panic message.
+    fn panic_of(dispatch: impl FnOnce()) -> String {
+        match catch_unwind(AssertUnwindSafe(dispatch)) {
+            Ok(()) => panic!("the dispatch did not panic"),
+            Err(payload) => panic_message(payload.as_ref()),
+        }
+    }
+
+    fn chunk_prefix(items: usize, threads: usize, item: usize) -> String {
+        let cs = chunk_size_for(items, threads.min(items));
+        format!("worker closure panicked in chunk {}: ", item / cs)
+    }
 
     #[test]
     fn map_preserves_order_for_every_thread_count() {
@@ -473,16 +363,18 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1usize, 2, 3, 4, 7, 16, 1000, 2000] {
             let pool = Pool::with_threads(threads);
-            assert_eq!(pool.chunked_map(&items, |x| x * 3 + 1), expect, "{threads}");
+            assert_eq!(map(pool, &items, |x| x * 3 + 1), expect, "{threads}");
         }
     }
 
     #[test]
     fn map_handles_edge_sizes() {
-        let pool = Pool::with_threads(4);
-        assert!(pool.chunked_map(&[] as &[u32], |x| *x).is_empty());
-        assert_eq!(pool.chunked_map(&[7u32], |x| x + 1), vec![8]);
-        assert_eq!(pool.chunked_map(&[1u32, 2], |x| x * 10), vec![10, 20]);
+        for threads in [1usize, 4] {
+            let pool = Pool::with_threads(threads);
+            assert!(map(pool, &[] as &[u32], |x| *x).is_empty());
+            assert_eq!(map(pool, &[7u32], |x| x + 1), vec![8]);
+            assert_eq!(map(pool, &[1u32, 2], |x| x * 10), vec![10, 20]);
+        }
     }
 
     #[test]
@@ -490,7 +382,7 @@ mod tests {
         let items: Vec<u64> = (1..=500).collect();
         for threads in [1usize, 3, 8] {
             let sum = AtomicU64::new(0);
-            Pool::with_threads(threads).chunked_for_each(&items, |x| {
+            map(Pool::with_threads(threads), &items, |x| {
                 sum.fetch_add(*x, Ordering::Relaxed);
             });
             assert_eq!(sum.load(Ordering::Relaxed), 500 * 501 / 2, "{threads}");
@@ -521,18 +413,16 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1usize, 4] {
             let pool = Pool::with_threads(threads);
-            let err = pool
-                .try_chunked_map(&items, |&x| {
+            let msg = panic_of(|| {
+                map(pool, &items, |&x| {
                     assert!(x != 37, "boom at {x}");
                     x * 2
-                })
-                .unwrap_err();
-            assert!(err.message.contains("boom at 37"), "{threads}: {err}");
-            let cs = chunk_size_for(items.len(), threads.min(items.len()));
-            assert_eq!(err.chunk, 37 / cs, "{threads} threads");
-            assert!(err.to_string().contains("chunk"), "{err}");
+                });
+            });
+            assert!(msg.starts_with(&chunk_prefix(100, threads, 37)), "{msg}");
+            assert!(msg.contains("boom at 37"), "{threads}: {msg}");
             // The pool survives: the very next dispatch is clean.
-            let ok = pool.try_chunked_map(&items, |&x| x + 1).unwrap();
+            let ok = map(pool, &items, |&x| x + 1);
             assert_eq!(ok, (1..=100).collect::<Vec<u64>>(), "{threads} threads");
         }
     }
@@ -546,15 +436,29 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let pool = Pool::with_threads(threads);
             for _ in 0..3 {
-                let err = pool
-                    .try_chunked_map(&items, |&x| {
+                let hits = AtomicU64::new(0);
+                let msg = panic_of(|| {
+                    map(pool, &items, |&x| {
+                        hits.fetch_add(1, Ordering::Relaxed);
                         assert!(x % 10 != 3, "p{x}");
                         x
+                    });
+                });
+                assert!(msg.starts_with(&chunk_prefix(200, threads, 3)), "{msg}");
+                assert!(msg.contains("p3"), "{threads}: {msg}");
+                // Work drained: every chunk ran, each up to and
+                // including its first panicking item.
+                let cs = chunk_size_for(200, threads);
+                let expect: usize = items
+                    .chunks(cs)
+                    .map(|c| {
+                        c.iter()
+                            .position(|x| x % 10 == 3)
+                            .map_or(c.len(), |p| p + 1)
                     })
-                    .unwrap_err();
-                let cs = chunk_size_for(items.len(), threads.min(items.len()));
-                assert_eq!(err.chunk, 3 / cs, "{threads} threads");
-                assert!(err.message.contains("p3"), "{threads}: {err}");
+                    .sum();
+                let expect = expect as u64;
+                assert_eq!(hits.load(Ordering::Relaxed), expect, "{threads}");
             }
         }
     }
@@ -564,13 +468,13 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         for threads in [1usize, 4] {
             let hits = AtomicU64::new(0);
-            let err = Pool::with_threads(threads)
-                .try_chunked_for_each(&items, |&x| {
+            let msg = panic_of(|| {
+                map(Pool::with_threads(threads), &items, |&x| {
                     hits.fetch_add(1, Ordering::Relaxed);
                     assert!(x != 0, "first item explodes");
-                })
-                .unwrap_err();
-            assert_eq!(err.chunk, 0, "{threads} threads");
+                });
+            });
+            assert!(msg.starts_with(&chunk_prefix(64, threads, 0)), "{msg}");
             // Work drained: everything before the panic in chunk 0 plus
             // all other chunks still ran.
             let cs = chunk_size_for(items.len(), threads.min(items.len())) as u64;
@@ -586,7 +490,7 @@ mod tests {
     #[should_panic(expected = "worker closure panicked in chunk")]
     fn infallible_map_repanics_on_the_caller_thread() {
         let items: Vec<u64> = (0..32).collect();
-        Pool::with_threads(4).chunked_map(&items, |&x| {
+        map(Pool::with_threads(4), &items, |&x| {
             assert!(x != 5, "contained");
             x
         });
@@ -596,10 +500,8 @@ mod tests {
     fn never_token_completes_and_matches_plain_map() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1usize, 4] {
-            let pool = Pool::with_threads(threads);
-            let got = pool
-                .try_chunked_map_cancel(&items, &CancelToken::never(), |x| x * 2)
-                .unwrap();
+            let got =
+                Pool::with_threads(threads).chunked_map(&items, &CancelToken::never(), |x| x * 2);
             let expect: Vec<u64> = items.iter().map(|x| x * 2).collect();
             assert_eq!(got, Cancellable::Done(expect), "{threads} threads");
         }
@@ -610,15 +512,18 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1usize, 4] {
             let calls = AtomicU64::new(0);
-            let got = Pool::with_threads(threads)
-                .try_chunked_map_cancel(&items, &CancelToken::new(|| true), |x| {
+            let got =
+                Pool::with_threads(threads).chunked_map(&items, &CancelToken::new(|| true), |x| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     *x
-                })
-                .unwrap();
+                });
             assert_eq!(got, Cancellable::Cancelled { items_done: 0 }, "{threads}");
             assert_eq!(calls.load(Ordering::Relaxed), 0, "{threads} threads");
         }
+        // Nothing to claim: even a fired token completes an empty map.
+        let empty =
+            Pool::with_threads(1).chunked_map(&[] as &[u64], &CancelToken::new(|| true), |x| *x);
+        assert_eq!(empty, Cancellable::Done(Vec::new()));
     }
 
     #[test]
@@ -626,39 +531,35 @@ mod tests {
         // The closure trips the flag mid-chunk; the chunk in flight
         // still finishes, the next boundary check stops the dispatch.
         let items: Vec<u64> = (0..100).collect();
-        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::new(AtomicBool::new(false));
         let token = {
             let flag = flag.clone();
             CancelToken::new(move || flag.load(Ordering::Acquire))
         };
-        let pool = Pool::with_threads(1);
-        let got = pool
-            .try_chunked_map_cancel(&items, &token, |&x| {
-                if x == 37 {
+        let trip_at = |at: u64| {
+            let flag = flag.clone();
+            move |&x: &u64| {
+                if x == at {
                     flag.store(true, Ordering::Release);
                 }
                 x
-            })
-            .unwrap();
+            }
+        };
+        let got = Pool::with_threads(1).chunked_map(&items, &token, trip_at(37));
         // One worker over 100 items: chunk size 25. Item 37 sits in
         // chunk 1, which completes; chunk 2 is never claimed.
         assert_eq!(got, Cancellable::Cancelled { items_done: 50 });
         assert!(token.is_cancelled());
 
         // Multi-threaded: items_done is scheduling-dependent but always
-        // honest — a multiple of completed chunks, never more than all.
+        // honest — whole chunks only, never more than all.
         flag.store(false, Ordering::Release);
-        match Pool::with_threads(4)
-            .try_chunked_map_cancel(&items, &token, |&x| {
-                if x == 0 {
-                    flag.store(true, Ordering::Release);
-                }
-                x
-            })
-            .unwrap()
-        {
-            Cancellable::Done(out) => assert_eq!(out.len(), 100),
-            Cancellable::Cancelled { items_done } => assert!(items_done <= 100),
+        match Pool::with_threads(4).chunked_map(&items, &token, trip_at(0)) {
+            Cancellable::Done(out) => assert_eq!(out, items),
+            Cancellable::Cancelled { items_done } => {
+                let cs = chunk_size_for(100, 4);
+                assert!(items_done < 100 && items_done % cs == 0, "{items_done}");
+            }
         }
     }
 
@@ -666,13 +567,23 @@ mod tests {
     fn panics_take_precedence_over_cancellation() {
         let items: Vec<u64> = (0..100).collect();
         for threads in [1usize, 4] {
-            let err = Pool::with_threads(threads)
-                .try_chunked_map_cancel(&items, &CancelToken::new(|| false), |&x| {
-                    assert!(x != 3, "early boom");
+            // The token fires as the closure panics at item 3.
+            let flag = Arc::new(AtomicBool::new(false));
+            let token = {
+                let flag = flag.clone();
+                CancelToken::new(move || flag.load(Ordering::Acquire))
+            };
+            let msg = panic_of(|| {
+                Pool::with_threads(threads).chunked_map(&items, &token, |&x| {
+                    if x == 3 {
+                        flag.store(true, Ordering::Release);
+                        panic!("early boom");
+                    }
                     x
-                })
-                .unwrap_err();
-            assert!(err.message.contains("early boom"), "{threads}: {err}");
+                });
+            });
+            assert!(token.is_cancelled());
+            assert!(msg.contains("early boom"), "{threads}: {msg}");
         }
     }
 
@@ -680,8 +591,7 @@ mod tests {
     fn results_are_not_affected_by_uneven_work() {
         // Heavier work at the front must not reorder results.
         let items: Vec<u64> = (0..257).collect();
-        let pool = Pool::with_threads(4);
-        let got = pool.chunked_map(&items, |&x| {
+        let got = map(Pool::with_threads(4), &items, |&x| {
             let spin = if x < 8 { 20_000 } else { 10 };
             let mut acc = x;
             for k in 0..spin {

@@ -328,53 +328,46 @@ impl Relation {
         // Tuples of roots the last full snapshot held: the ones its
         // index can cover.
         let mut base_tuples = 0usize;
-        let mut stored_ix: Option<&mob_storage::index_store::StoredIndex> = None;
         let mut tuple_id = 0u32;
         for (pos, (name, root)) in generation.entries().iter().enumerate() {
-            match root {
-                RootRecord::MPoint(m) => {
-                    let value = match MPointRef::new(store.clone(), m.clone()) {
-                        Ok(r) => AttrValue::MPointRef(r),
-                        Err(e @ DecodeError::Quarantined { .. })
-                            if opts.on_error == OnError::SkipAndRecord =>
-                        {
-                            mob_obs::metric!("rel.attrs_quarantined").add(1);
-                            AttrValue::Quarantined {
-                                ty: AttrType::MPoint,
-                                detail: e.to_string(),
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    if let Some(cube) = generation.tail_cube(name) {
-                        tail.push(IndexEntry {
-                            tuple: tuple_id,
-                            unit: 0,
-                            cube: *cube,
-                        });
-                    }
-                    let name_val =
-                        AttrValue::Str(mob_base::Val::Def(mob_base::Text::try_new(name)?));
-                    rel.insert(Tuple::new(vec![name_val, value])).map_err(|e| {
-                        DecodeError::BadStructure {
-                            what: "relation open",
-                            detail: e.to_string(),
-                        }
-                    })?;
-                    tuple_id = tuple_id.saturating_add(1);
-                    if pos < generation.snapshot_roots() {
-                        base_tuples = tuple_id as usize;
+            let RootRecord::MPoint(m) = root else {
+                continue;
+            };
+            let value = match MPointRef::new(store.clone(), m.clone()) {
+                Ok(r) => AttrValue::MPointRef(r),
+                Err(e @ DecodeError::Quarantined { .. })
+                    if opts.on_error == OnError::SkipAndRecord =>
+                {
+                    mob_obs::metric!("rel.attrs_quarantined").add(1);
+                    AttrValue::Quarantined {
+                        ty: AttrType::MPoint,
+                        detail: e.to_string(),
                     }
                 }
-                RootRecord::Index(ix) if opts.index.as_deref() == Some(name.as_str()) => {
-                    stored_ix = Some(ix);
+                Err(e) => return Err(e),
+            };
+            if let Some(cube) = generation.tail_cube(name) {
+                tail.push(IndexEntry {
+                    tuple: tuple_id,
+                    unit: 0,
+                    cube: *cube,
+                });
+            }
+            let name_val = AttrValue::Str(mob_base::Val::Def(mob_base::Text::try_new(name)?));
+            rel.insert(Tuple::new(vec![name_val, value])).map_err(|e| {
+                DecodeError::BadStructure {
+                    what: "relation open",
+                    detail: e.to_string(),
                 }
-                _ => {}
+            })?;
+            tuple_id = tuple_id.saturating_add(1);
+            if pos < generation.snapshot_roots() {
+                base_tuples = tuple_id as usize;
             }
         }
-        if opts.index.is_some() {
-            let attached = match stored_ix {
-                Some(ix) => rel
+        if let Some(index_root) = opts.index.as_deref() {
+            let attached = match generation.get(index_root) {
+                Some(RootRecord::Index(ix)) => rel
                     .attach_stored_index_stale(
                         &opts.mpoint_attr,
                         ix,
@@ -386,7 +379,7 @@ impl Relation {
                         what: "relation open",
                         detail: e.to_string(),
                     })?,
-                None => false,
+                _ => false,
             };
             if !attached {
                 // Missing or unusable: fall back loudly, never fail the
@@ -503,7 +496,8 @@ pub fn tuple_layout(t: &StoredTuple, store: &PageStore) -> TupleLayout {
 /// open the generation as a relation (no index attached), bulk-load
 /// a fresh tree over every `moving(point)` root, and return a new
 /// [`StoreFile`] carrying the same data plus the tree committed under
-/// `index_root` (a tag-11 [`RootRecord::Index`] entry).
+/// `index_root` (a tag-11 [`RootRecord::Index`] entry). An entry of
+/// that name already in the generation is replaced, not duplicated.
 ///
 /// Returns `Ok(None)` when the generation holds no `moving(point)`
 /// roots — there is nothing to index, so the caller (typically the
@@ -540,7 +534,7 @@ pub fn rebuild_index_root(
     })?;
     let mut file = generation.to_store_file();
     let stored = mob_storage::save_index(tree, file.store_mut());
-    file.put(index_root, RootRecord::Index(stored));
+    file.set(index_root, RootRecord::Index(stored));
     mob_obs::metric!("rel.index_rebuilt").add(1);
     Ok(Some(file))
 }

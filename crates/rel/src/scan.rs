@@ -20,6 +20,12 @@
 //! units. The planner never changes answers — see the equivalence
 //! contract in [`crate::plan`].
 //!
+//! Execute dispatches through [`Pool::chunked_map`], the pool's one
+//! entry point, with a [`CancelToken`] built from the scan's deadline
+//! (or one that never fires): a fired token surfaces as
+//! [`ScanError::Deadline`], and a panicking probe resurfaces on the
+//! caller's thread naming its chunk, at every width.
+//!
 //! # Determinism
 //!
 //! All operators inherit the ordering guarantee of
@@ -137,7 +143,7 @@ impl std::fmt::Debug for ScanDeadline {
 ///
 /// The default is **sequential**: one worker thread. Opt into
 /// parallelism with [`ScanOpts::parallel`] (honors `MOB_THREADS`) or an
-/// explicit [`ScanOpts::pool`]. A [`ScanOpts::deadline`] bounds the
+/// explicit [`ScanOpts::threads`]. A [`ScanOpts::deadline`] bounds the
 /// scan's wall time cooperatively. Every scan returns its exact
 /// [`QueryStats`]; registry deltas and span times come from
 /// [`mob_obs::explain`].
@@ -206,21 +212,17 @@ impl ScanOpts {
     /// ([`Pool::new`]).
     #[must_use]
     pub fn parallel() -> ScanOpts {
-        ScanOpts::default().pool(Pool::new())
+        ScanOpts {
+            pool: Pool::new(),
+            ..ScanOpts::default()
+        }
     }
 
-    /// Run on an explicit worker pool.
+    /// Run on `n` worker threads ([`Pool::with_threads`]).
     #[must_use]
-    pub fn pool(mut self, pool: Pool) -> ScanOpts {
-        self.pool = pool;
+    pub fn threads(mut self, n: usize) -> ScanOpts {
+        self.pool = Pool::with_threads(n);
         self
-    }
-
-    /// Run on `n` worker threads (shorthand for
-    /// [`Pool::with_threads`]).
-    #[must_use]
-    pub fn threads(self, n: usize) -> ScanOpts {
-        self.pool(Pool::with_threads(n))
     }
 
     /// What to do with tuples carrying quarantined attribute values
@@ -416,19 +418,16 @@ impl Relation {
         let dispatched = match plan {
             Plan::Full => opts
                 .pool
-                .try_chunked_map_cancel(tuples, &token, |tup| probe(tup, true)),
+                .chunked_map(tuples, &token, |tup| probe(tup, true)),
             Plan::Pruned(cands) => opts
                 .pool
-                .try_chunked_map_cancel(cands, &token, |&i| probe(&tuples[i], true)),
+                .chunked_map(cands, &token, |&i| probe(&tuples[i], true)),
         };
         let hits = match dispatched {
-            Ok(Cancellable::Done(hits)) => hits,
-            Ok(Cancellable::Cancelled { items_done }) => {
+            Cancellable::Done(hits) => hits,
+            Cancellable::Cancelled { items_done } => {
                 return Err(deadline_exceeded(what, items_done))
             }
-            // Keep the `chunked_map` contract: a worker panic resurfaces
-            // on the caller's thread with the contained message.
-            Err(e) => panic!("{e}"),
         };
         match (plan, shape) {
             // Map over a pruned plan: merge the candidates' outcomes

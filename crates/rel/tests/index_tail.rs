@@ -389,3 +389,87 @@ fn tail_index_answers_equal_full_scans_on_random_delta_chains() {
         tally.answered
     );
 }
+
+/// Four two-sample roots `F0..F3` over t 0–10, indexed and committed,
+/// then one delta that carries `F0` off to (500, 500) over t 10–20 —
+/// beyond every cube of the stored tree.
+fn indexed_fleet_with_a_far_delta() -> DurableStore<MemIo> {
+    let mut store = DurableStore::options()
+        .chunk_size(CHUNK)
+        .open(MemIo::new())
+        .expect("fresh dir");
+    let mut file = StoreFile::new();
+    for k in 0..4 {
+        let stored = save_mpoint(
+            &mpoint(&[(0, 10 * k, 0), (10, 10 * k, 10)]),
+            file.store_mut(),
+        );
+        file.put(format!("F{k}"), RootRecord::MPoint(stored));
+    }
+    let mut txn = store.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    commit_rebuilt_index(&mut store);
+    let mut txn = store.begin();
+    txn.append_units("F0", &units(&[(10, 0, 10), (20, 500, 500)]));
+    txn.commit().expect("commit delta");
+    store
+}
+
+/// Rebuild the index of the head and commit the result as a full image.
+fn commit_rebuilt_index(store: &mut DurableStore<MemIo>) {
+    let head = store.snapshot().expect("head");
+    let indexed = rebuild_index_root(&head, &OpenRelOpts::new(), INDEX)
+        .expect("rebuild")
+        .expect("an mpoint fleet");
+    let mut txn = store.begin();
+    txn.put_store_file(&indexed).expect("stage index");
+    txn.commit().expect("commit index");
+}
+
+/// `passes` through the far corner that only `F0`'s appended unit
+/// reaches: the index, whatever the open attached, answers as a full
+/// scan does.
+fn assert_far_passes_match_full(gen: &Generation, ctx: &str) {
+    let rel = Relation::open(gen, &OpenRelOpts::new().index(INDEX)).expect("open");
+    let zone = Region::from_ring(rect_ring(400.0, 400.0, 600.0, 600.0));
+    let window = Interval::closed(t(12.0), t(20.0));
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let force = ScanOpts::new().index(IndexPolicy::Force);
+    let (want, _) = rel.passes("trip", &zone, &window, &off).expect("full");
+    let (got, _) = rel.passes("trip", &zone, &window, &force).expect("pruned");
+    assert_eq!(want.len(), 1, "{ctx}: F0 passes the far corner");
+    assert_eq!(got, want, "{ctx}: pruned ≠ full");
+}
+
+#[test]
+fn a_full_image_of_a_delta_chain_drops_the_stale_index() {
+    let mut store = indexed_fleet_with_a_far_delta();
+    let head = store.snapshot().expect("head");
+    assert!(!head.tail().is_empty());
+    let mut txn = store.begin();
+    txn.put_store_file(&head.to_store_file())
+        .expect("stage image");
+    txn.commit().expect("commit image");
+    let snapshot = store.snapshot().expect("image");
+    assert!(snapshot.tail().is_empty(), "a full snapshot");
+    assert_far_passes_match_full(&snapshot, "full image");
+    assert!(
+        snapshot.get(INDEX).is_none(),
+        "the image carries a stale tree"
+    );
+}
+
+#[test]
+fn rebuilding_an_existing_index_replaces_its_root() {
+    let mut store = indexed_fleet_with_a_far_delta();
+    // Once over the delta chain, once more over the fresh snapshot that
+    // already holds the rebuilt tree.
+    for round in 0..2 {
+        commit_rebuilt_index(&mut store);
+        let head = store.snapshot().expect("rebuilt");
+        let named = head.entries().iter().filter(|(n, _)| n == INDEX).count();
+        assert_eq!(named, 1, "round {round}: one entry named {INDEX}");
+        assert_far_passes_match_full(&head, &format!("round {round}"));
+    }
+}

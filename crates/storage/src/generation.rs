@@ -182,11 +182,36 @@ impl Generation {
         }
     }
 
-    /// Re-materialize this generation as a serializable [`StoreFile`]
+    /// Re-materialize this generation as a serializable full image
     /// (pages forked, catalog cloned). Cheap: blob pages are shared.
+    /// With a non-empty tail the image leaves out every stored index,
+    /// which predates the tail's appends (the `image_carries` rule).
     #[must_use]
     pub fn to_store_file(&self) -> StoreFile {
-        StoreFile::from_parts(self.store.fork(), self.catalog.clone())
+        let entries = self.catalog.entries();
+        let catalog = if entries.iter().all(|(_, root)| self.image_carries(root)) {
+            self.catalog.clone()
+        } else {
+            Catalog::from_entries(
+                entries
+                    .iter()
+                    .filter(|(_, root)| self.image_carries(root))
+                    .cloned()
+                    .collect(),
+            )
+        };
+        StoreFile::from_parts(self.store.fork(), catalog)
+    }
+
+    /// Whether a full image of this generation ([`Generation::to_store_file`],
+    /// [`Generation::rebuild_store_file`]) carries `root`. A stored index
+    /// built before this generation's appends no longer covers every
+    /// unit, and a full snapshot starts with an empty tail — carrying
+    /// the old index over would let later opens attach it as fully
+    /// trusted and silently prune appended data. The image drops it;
+    /// the maintenance rebuild step re-derives a fresh one.
+    fn image_carries(&self, root: &RootRecord) -> bool {
+        self.tail.is_empty() || !matches!(root, RootRecord::Index(_))
     }
 
     /// Rewrite every live root into a fresh page store — the compaction
@@ -199,13 +224,7 @@ impl Generation {
         let mut dst = PageStore::with_page_size(self.store.page_size())?;
         let mut entries = Vec::with_capacity(self.catalog.len());
         for (name, root) in self.catalog.entries() {
-            // A stored index built before this generation's appends no
-            // longer covers every unit, and the compacted snapshot
-            // starts with an empty tail — carrying the old index
-            // over would let later opens attach it as fully trusted and
-            // silently prune appended data. Drop it; the maintenance
-            // rebuild step re-derives a fresh one.
-            if matches!(root, RootRecord::Index(_)) && !self.tail.is_empty() {
+            if !self.image_carries(root) {
                 continue;
             }
             entries.push((name.clone(), rewrite_root(&self.store, &mut dst, root)?));

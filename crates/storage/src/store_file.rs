@@ -149,6 +149,19 @@ impl StoreFile {
         self.catalog.push(name, root);
     }
 
+    /// Register `root` under `name`, replacing the record of the first
+    /// entry of that name in its slot when there is one, so the name
+    /// keeps a single entry. One O(n) scan of the entries: a file built
+    /// for a single write does not need the name index built for it.
+    pub fn set(&mut self, name: &str, root: RootRecord) {
+        match self.entries().iter().position(|(n, _)| n == name) {
+            Some(slot) => {
+                self.catalog.replace_root(slot, root);
+            }
+            None => self.catalog.push(name, root),
+        }
+    }
+
     /// The catalog, in insertion order.
     pub fn entries(&self) -> &[(String, RootRecord)] {
         self.catalog.entries()

@@ -54,7 +54,7 @@ use mob_core::{
 };
 use mob_obs::LocalCounter;
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// Default capacity of the per-view decoded-unit cache (entries).
 ///
@@ -62,10 +62,7 @@ use std::cell::{Cell, RefCell};
 /// monotone cursors, so the working set at any moment is a handful of
 /// units around the current boundary — a few slots absorb the repeated
 /// decodes of `refinement`-style walks without holding a materialized
-/// copy of the mapping alive. Capacity never changes behind the
-/// caller's back: grow it explicitly with
-/// [`MappingView::set_cache_capacity`] (e.g. before a
-/// [`MappingView::warm`] prefetch of a larger range).
+/// copy of the mapping alive.
 pub const DEFAULT_UNIT_CACHE: usize = 8;
 
 /// How much verification a record-opening entry point performs.
@@ -310,11 +307,10 @@ pub struct MappingView<'s, R: UnitRecord> {
     /// `view.units_decoded` in the `mob-obs` registry.
     units_decoded: LocalCounter,
     /// Decoded-unit LRU: `(unit index, decoded unit)`, most recent
-    /// first. Touched only by [`UnitSeq::unit`] and
-    /// [`MappingView::warm`]; the fallible `try_*` accessors always go
-    /// to the store so audits observe the raw bytes.
+    /// first, at most [`DEFAULT_UNIT_CACHE`] entries. Touched only by
+    /// [`UnitSeq::unit`]; the fallible `try_*` accessors always go to
+    /// the store so audits observe the raw bytes.
     cache: RefCell<Vec<(usize, R::Unit)>>,
-    cache_cap: Cell<usize>,
     /// `view.cache_hits` in the `mob-obs` registry.
     cache_hits: LocalCounter,
 }
@@ -353,7 +349,6 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
             headers_read: LocalCounter::new(mob_obs::metric!("view.headers_read")),
             units_decoded: LocalCounter::new(mob_obs::metric!("view.units_decoded")),
             cache: RefCell::new(Vec::new()),
-            cache_cap: Cell::new(DEFAULT_UNIT_CACHE),
             cache_hits: LocalCounter::new(mob_obs::metric!("view.cache_hits")),
         })
     }
@@ -467,47 +462,7 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
     fn cache_put(&self, i: usize, unit: R::Unit) {
         let mut cache = self.cache.borrow_mut();
         cache.insert(0, (i, unit));
-        cache.truncate(self.cache_cap.get().max(1));
-    }
-
-    /// Prefetch a contiguous range of units into the decoded-unit
-    /// cache — the explicit warm-up of a scan that will revisit its
-    /// units (e.g. a lifted operation against many other mappings).
-    ///
-    /// Warming **never grows the cache**: the prefetch is clipped to the
-    /// unit count *and* to [`MappingView::cache_capacity`] slots, so a
-    /// view's memory footprint only changes through the explicit
-    /// [`MappingView::set_cache_capacity`] call (or the `cache_capacity`
-    /// field of `mob-rel`'s `ScanOpts`). Warming more units than the
-    /// cache can hold would only churn the LRU, so the excess is simply
-    /// not decoded. Already cached units are not re-decoded (and not
-    /// counted as hits).
-    pub fn warm(&self, range: std::ops::Range<usize>) -> DecodeResult<()> {
-        let end = range
-            .end
-            .min(self.units.count)
-            .min(range.start.saturating_add(self.cache_cap.get()));
-        for i in range.start..end {
-            let already = self.cache.borrow().iter().any(|(k, _)| *k == i);
-            if !already {
-                let unit = self.try_unit(i)?;
-                self.cache_put(i, unit);
-            }
-        }
-        Ok(())
-    }
-
-    /// Current capacity of the decoded-unit cache, in entries.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache_cap.get()
-    }
-
-    /// Explicitly resize the decoded-unit cache (clamped to ≥ 1 entry).
-    /// Shrinking evicts least-recently-used entries immediately. This is
-    /// the only way a view's cache grows — see [`MappingView::warm`].
-    pub fn set_cache_capacity(&self, cap: usize) {
-        self.cache_cap.set(cap.max(1));
-        self.cache.borrow_mut().truncate(self.cache_cap.get());
+        cache.truncate(DEFAULT_UNIT_CACHE);
     }
 
     /// Interval headers read since the last counter reset (each is one
@@ -822,74 +777,6 @@ mod tests {
         assert_eq!(restricted, m.atperiods(&p));
         // Only the overlapped units were decoded.
         assert!(view.units_decoded() <= 6, "{}", view.units_decoded());
-    }
-
-    #[test]
-    fn warm_makes_probes_pure_cache_hits() {
-        let m = long_mpoint(32);
-        let mut store = PageStore::new();
-        let stored = save_mpoint(&m, &mut store);
-        let view = open_mpoint(&stored, &store, Verify::Full).unwrap();
-        // Growth is explicit: size the cache for the whole range first.
-        view.set_cache_capacity(view.len());
-        view.reset_counters();
-        view.warm(0..view.len()).unwrap();
-        let warmed = view.units_decoded();
-        assert_eq!(warmed, view.len() as u64, "warm decodes each unit once");
-        assert_eq!(view.cache_hits(), 0, "warming is not a hit");
-        // Every subsequent probe is served from the cache.
-        for k in 0..32 {
-            assert!(view.at_instant(t(k as f64 + 0.5)).is_def());
-        }
-        assert_eq!(view.units_decoded(), warmed, "no decode after warm");
-        assert_eq!(view.cache_hits(), 32);
-        // Re-warming an already warm range decodes nothing.
-        view.warm(0..view.len()).unwrap();
-        assert_eq!(view.units_decoded(), warmed);
-        // Out-of-range warms are clipped, empty warms are no-ops.
-        view.warm(1_000..2_000).unwrap();
-        view.warm(3..3).unwrap();
-        assert_eq!(view.units_decoded(), warmed);
-    }
-
-    #[test]
-    fn warm_never_grows_the_cache_and_hits_stay_honest() {
-        // Regression: `warm` used to grow the cache capacity as a silent
-        // per-view side effect, so a "cold" view (default capacity)
-        // warmed over a large range would report every later probe as a
-        // cache hit. Now the prefetch is clipped to capacity and the
-        // capacity is untouched.
-        let m = long_mpoint(32);
-        let mut store = PageStore::new();
-        let stored = save_mpoint(&m, &mut store);
-        let view = open_mpoint(&stored, &store, Verify::Full).unwrap();
-        assert_eq!(view.cache_capacity(), DEFAULT_UNIT_CACHE);
-        view.reset_counters();
-        view.warm(0..view.len()).unwrap();
-        assert_eq!(
-            view.cache_capacity(),
-            DEFAULT_UNIT_CACHE,
-            "warm must not grow the cache"
-        );
-        assert_eq!(
-            view.units_decoded(),
-            DEFAULT_UNIT_CACHE as u64,
-            "prefetch is clipped to capacity"
-        );
-        // A sequential sweep over all units: only the warmed prefix can
-        // hit; the tail decodes honestly instead of claiming hits.
-        view.reset_counters();
-        let n = view.len();
-        for i in 0..n {
-            let _ = view.unit(i);
-        }
-        assert_eq!(view.cache_hits(), DEFAULT_UNIT_CACHE as u64);
-        assert_eq!(view.units_decoded(), (n - DEFAULT_UNIT_CACHE) as u64);
-        // Explicit growth is available, and shrinking evicts eagerly.
-        view.set_cache_capacity(n);
-        assert_eq!(view.cache_capacity(), n);
-        view.set_cache_capacity(0);
-        assert_eq!(view.cache_capacity(), 1, "capacity clamps to >= 1");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    per-call `at_instant`, again on both access paths.
 
 use mob::core::{batch_at_instant, UnitSeq};
-use mob::par::Pool;
+use mob::par::{CancelToken, Cancellable, Pool};
 use mob::prelude::*;
 use mob::rel::{planes_relation, save_relation, OnError, ScanOpts};
 use mob::storage::mapping_store::save_mpoint;
@@ -180,7 +180,7 @@ proptest! {
         threads in 1usize..6,
     ) {
         let expect: Vec<i64> = items.iter().map(|x| x * 7 - 3).collect();
-        let got = Pool::with_threads(threads).chunked_map(&items, |x| x * 7 - 3);
-        prop_assert_eq!(got, expect);
+        let got = Pool::with_threads(threads).chunked_map(&items, &CancelToken::never(), |x| x * 7 - 3);
+        prop_assert_eq!(got, Cancellable::Done(expect));
     }
 }
