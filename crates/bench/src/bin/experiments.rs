@@ -1144,6 +1144,236 @@ fn e15() {
     println!("once the window leaves the indexed history (k >= 4) the base tree stops at its root");
 }
 
+/// E16 fleets are seeded like one `mob-bench` run.
+const E16_SEED: u64 = 5;
+/// Probes of each kind per layout.
+const E16_PROBES: usize = 64;
+
+/// How E16 groups a tuple's units into index entries.
+#[derive(Clone, Copy)]
+enum Layout {
+    /// One entry per unit (`unit_cubes`).
+    PerUnit,
+    /// Fixed runs of `r` consecutive units.
+    Fixed(usize),
+    /// The extent rule (`run_cubes_with`) at one divisor.
+    Extent(u32),
+}
+
+impl Layout {
+    const ALL: [Layout; 8] = [
+        Layout::PerUnit,
+        Layout::Fixed(4),
+        Layout::Fixed(8),
+        Layout::Fixed(16),
+        Layout::Fixed(32),
+        Layout::Extent(4),
+        Layout::Extent(8),
+        Layout::Extent(16),
+    ];
+
+    fn name(self) -> String {
+        match self {
+            Layout::PerUnit => "per-unit".to_string(),
+            Layout::Fixed(r) => format!("fixed r={r}"),
+            Layout::Extent(d) => format!("extent /{d}"),
+        }
+    }
+
+    /// Bulk-load `rel`'s `flight` attribute in this layout.
+    fn tree(self, rel: &mob_rel::Relation) -> mob_core::RTree {
+        use mob_core::{run_cubes_with, unit_cubes, IndexEntry};
+        let mut entries = Vec::new();
+        for (i, tup) in rel.tuples().iter().enumerate() {
+            let i = u32::try_from(i).expect("small relation");
+            let seq = tup.at(2).as_mpoint_seq().expect("flight is an mpoint");
+            match self {
+                Layout::PerUnit => entries.extend(unit_cubes(i, &seq)),
+                Layout::Fixed(r) => {
+                    entries.extend(unit_cubes(i, &seq).chunks(r).map(|run| IndexEntry {
+                        cube: run[1..].iter().fold(run[0].cube, |c, e| c.union(&e.cube)),
+                        ..run[0]
+                    }));
+                }
+                Layout::Extent(d) => entries.extend(run_cubes_with(i, &seq, d)),
+            }
+        }
+        mob_core::RTree::bulk(rel.len(), entries)
+    }
+}
+
+/// One E16 probe: what the tree is asked, and the scan it prunes.
+enum E16Probe {
+    Instant(mob_base::Instant),
+    Passes(Region, mob_base::TimeInterval),
+}
+
+impl E16Probe {
+    fn prune(&self, tree: &mob_core::RTree) -> mob_core::Candidates {
+        match self {
+            E16Probe::Instant(at) => tree.query_instant(*at),
+            E16Probe::Passes(zone, window) => {
+                tree.query(&mob_spatial::Cube::new(zone.bbox(), window))
+            }
+        }
+    }
+
+    fn scan(&self, rel: &mob_rel::Relation, opts: &ScanOpts) -> mob_rel::Relation {
+        match self {
+            E16Probe::Instant(at) => rel.snapshot_at(*at, opts),
+            E16Probe::Passes(zone, window) => rel.passes("flight", zone, window, opts),
+        }
+        .expect("scan")
+        .0
+    }
+}
+
+/// `E16_PROBES` probes: instants over `[0, span]`, or `passes` with a
+/// `side`-wide square zone in `[-extent, extent]²` and a `len`-long
+/// window in `[0, span]` (the `mob-bench` probe shapes).
+fn e16_probes(rng: &mut u64, passes: Option<(f64, f64, f64)>, span: f64) -> Vec<E16Probe> {
+    use mob_spatial::rect_ring;
+    (0..E16_PROBES)
+        .map(|_| match passes {
+            None => E16Probe::Instant(t(e15_uniform(rng, 0.0, span))),
+            Some((extent, side, len)) => {
+                let x = e15_uniform(rng, -extent, extent - side);
+                let y = e15_uniform(rng, -extent, extent - side);
+                let from = e15_uniform(rng, 0.0, span - len);
+                E16Probe::Passes(
+                    Region::from_ring(rect_ring(x, y, x + side, y + side)),
+                    mob_base::Interval::closed(t(from), t(from + len)),
+                )
+            }
+        })
+        .collect()
+}
+
+/// E16: run-packed index leaves — one entry per run of consecutive
+/// units, cut by a fixed length or by the tuple's own extent, on the
+/// track-probe taxis and the fleet-mix flights (DESIGN.md §11).
+fn e16() {
+    use mob_gen::taxi_fleet;
+    use mob_rel::{planes_relation, IndexPolicy};
+    use mob_storage::index_store::save_index;
+    header("E16  run-packed index leaves: entries, nodes visited and candidates per layout [DESIGN.md §11]");
+    println!(
+        "fleets: taxi_fleet(5, 128, 4096) (track-probe) and plane_fleet(5, 10000, 12) (fleet-mix);"
+    );
+    println!("per layout: entries, nodes, units per entry, then per probe kind the mean nodes");
+    println!(
+        "visited and candidates of {E16_PROBES} probes, and prune ns per probe (tree walk only);"
+    );
+    println!("every probe also runs as a scan through the stored tree (Force) and with the index");
+    println!("off; `same` asserts identical answers");
+    let taxis = planes_relation(
+        taxi_fleet(E16_SEED, 128, 4096)
+            .into_iter()
+            .enumerate()
+            .map(|(k, m)| ("taxi".to_string(), format!("T{k:04}"), m))
+            .collect(),
+    );
+    let flights = planes_relation(
+        plane_fleet(E16_SEED, 10_000, 12)
+            .into_iter()
+            .map(|p| (p.airline, p.id, p.flight))
+            .collect(),
+    );
+    let mut rng = 0xE16u64;
+    let track_kinds = [
+        ("instant", e16_probes(&mut rng, None, 4096.0)),
+        (
+            "passes",
+            e16_probes(&mut rng, Some((100.0, 10.0, 20.0)), 4096.0),
+        ),
+    ];
+    let fleet_kinds = [(
+        "passes",
+        e16_probes(&mut rng, Some((1000.0, 100.0, 15.0)), 100.0),
+    )];
+    for (fleet, mut rel, kinds) in [
+        ("track-probe", taxis, &track_kinds[..]),
+        ("fleet-mix", flights, &fleet_kinds[..]),
+    ] {
+        println!("\n{fleet}:");
+        print!(
+            "{:>12} {:>8} {:>7} {:>7}",
+            "layout", "entries", "nodes", "u/entry"
+        );
+        for (kind, _) in kinds {
+            print!(
+                " {:>14} {:>14}",
+                format!("{kind} nodes"),
+                format!("{kind} cands")
+            );
+        }
+        println!(" {:>9} {:>5}", "prune ns", "same");
+        let off = ScanOpts::new().index(IndexPolicy::Off);
+        let force = off.clone().index(IndexPolicy::Force);
+        let full: Vec<Vec<_>> = kinds
+            .iter()
+            .map(|(_, probes)| probes.iter().map(|q| q.scan(&rel, &off)).collect())
+            .collect();
+        let units: usize = rel
+            .tuples()
+            .iter()
+            .map(|tup| mob_core::UnitSeq::len(&tup.at(2).as_mpoint_seq().expect("mpoint")))
+            .sum();
+        for layout in Layout::ALL {
+            let tree = layout.tree(&rel);
+            let mut store = PageStore::new();
+            let stored = save_index(&tree, &mut store);
+            assert!(
+                rel.attach_stored_index("flight", &stored, &store)
+                    .expect("flight"),
+                "E16: the {} tree attaches",
+                layout.name()
+            );
+            print!(
+                "{:>12} {:>8} {:>7} {:>7.1}",
+                layout.name(),
+                tree.num_entries(),
+                tree.num_nodes(),
+                units as f64 / tree.num_entries() as f64
+            );
+            let mut same = true;
+            for ((_, probes), want) in kinds.iter().zip(&full) {
+                let (mut nodes, mut cands) = (0u64, 0usize);
+                for (q, want) in probes.iter().zip(want) {
+                    let c = q.prune(&tree);
+                    nodes += c.nodes_visited;
+                    cands += c.tuples.len();
+                    same &= q.scan(&rel, &force) == *want;
+                }
+                print!(
+                    " {:>14.1} {:>14.1}",
+                    nodes as f64 / E16_PROBES as f64,
+                    cands as f64 / E16_PROBES as f64
+                );
+            }
+            let probes = kinds.iter().map(|(_, p)| p.len()).sum::<usize>() as u128;
+            let prune = median_nanos(5, || {
+                for (_, qs) in kinds {
+                    for q in qs {
+                        std::hint::black_box(q.prune(&tree));
+                    }
+                }
+            });
+            println!(" {:>9} {:>5}", prune / probes, same);
+            assert!(
+                same,
+                "E16: the {} layout changed an answer on {fleet}",
+                layout.name()
+            );
+        }
+    }
+    println!("\nexpected shape: on the taxis every packed layout cuts entries, nodes visited and");
+    println!("prune time several-fold while passes candidates grow slowly with the run size; on");
+    println!("the flights fixed runs merge legs of a route into one long cube and candidates");
+    println!("climb several-fold with r, while the extent rule keeps 1.0 units per entry");
+    println!("(the per-unit tree) at divisors 8 and 16 and starts to pack flights at 4");
+}
+
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
@@ -1503,6 +1733,7 @@ fn main() {
     e13();
     e14();
     e15();
+    e16();
     ablation();
     queries();
     figures();

@@ -1,27 +1,40 @@
-//! Spatio-temporal index: a bulk-loaded **packed R-tree** over per-unit
-//! (x, y, t) bounding cubes.
+//! Spatio-temporal index: a bulk-loaded **packed R-tree** over
+//! (x, y, t) bounding cubes of *runs* of consecutive units.
 //!
 //! Sec 4.2 already stores summary information (bounding boxes / time
 //! intervals) with every unit precisely so that queries can prune
 //! without decoding unit payloads. This module turns those summaries
-//! into a queryable structure: [`unit_cubes`] extracts one [`Cube`] per
-//! unit from any [`UnitSeq`] of `upoint`s (in-memory mapping or
-//! storage-backed view alike), and [`RTree::build`] packs the cubes
-//! with the classic Sort-Tile-Recurse (STR) bulk load — sort by x,
-//! tile, sort by y, tile, sort by t, then pack consecutive runs into
-//! nodes bottom-up. The result is pointer-free (children are array
-//! index ranges, in the spirit of \[DG98\]) and therefore trivially
-//! serializable by `mob-storage`.
+//! into a queryable structure. [`run_cubes`] walks the units of any
+//! [`UnitSeq`] of `upoint`s (in-memory mapping or storage-backed view
+//! alike) once and emits one [`IndexEntry`] per maximal run of
+//! consecutive units whose union cube spans at most an eighth
+//! ([`DEFAULT_RUN_DIVISOR`]) of the tuple's own bounding cube on each
+//! of x, y and t. The rule follows the tuple's own scale: a 12-leg
+//! flight, whose every leg covers more than an eighth of its route,
+//! keeps one entry per unit, while a 4,096-unit taxi track packs about
+//! ten units per entry, so the tree a probe walks shrinks tenfold.
+//! [`unit_cubes`], one entry per unit, is the degenerate layout of
+//! one-unit runs; a tree built from it is just as valid.
+//!
+//! [`RTree::build`] packs the entries with the classic
+//! Sort-Tile-Recurse (STR) bulk load — sort by x, tile, sort by y,
+//! tile, sort by t, then pack consecutive runs into nodes bottom-up.
+//! The result is pointer-free (children are array index ranges, in the
+//! spirit of \[DG98\]) and therefore trivially serializable by
+//! `mob-storage`.
 //!
 //! # Pruning contract
 //!
 //! Cubes are *conservative*: a query can only use a miss as evidence of
-//! absence. [`RTree::query`] returns every `(tuple, unit)` whose cube
+//! absence. Every unit lies inside the cube of the entry for its run,
+//! and [`RTree::query`] returns every tuple with an entry cube that
 //! intersects the probe — a superset of the true answer — and the
 //! caller re-checks candidates with the exact Section-5 algorithms.
 //! Equivalently: a tuple **not** in the candidate set is guaranteed to
 //! have no unit intersecting the probe cube, so a pruned scan may skip
-//! it (or emit ⊥ for a snapshot) without changing the result.
+//! it (or emit ⊥ for a snapshot) without changing the result. How the
+//! units were grouped into entries never changes an answer, only how
+//! many candidates a probe yields.
 //!
 //! Decoded trees are untrusted like everything else read from storage:
 //! [`RTree::from_parts`] re-validates the full structure (child ranges
@@ -37,14 +50,16 @@ use mob_spatial::{Cube, Rect};
 /// Default node fan-out (maximum children per node).
 pub const DEFAULT_FANOUT: usize = 16;
 
-/// One leaf entry: the bounding cube of unit `unit` of tuple `tuple`.
+/// One leaf entry: the bounding cube of a run of consecutive units of
+/// tuple `tuple`, starting at unit `unit`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexEntry {
     /// Tuple id (position in the indexed relation).
     pub tuple: u32,
-    /// Unit index within the tuple's mapping.
+    /// Index of the first unit of the run within the tuple's mapping
+    /// (the run ends where the tuple's next entry starts).
     pub unit: u32,
-    /// The unit's (x, y, t) bounding cube.
+    /// The (x, y, t) bounding cube of every unit of the run.
     pub cube: Cube,
 }
 
@@ -73,13 +88,13 @@ pub struct IndexNode {
 pub struct Candidates {
     /// Candidate tuple ids, sorted ascending, deduplicated.
     pub tuples: Vec<u32>,
-    /// Entry (unit) cubes that intersected the probe.
+    /// Entries hit: entry (unit-run) cubes that intersected the probe.
     pub units: u64,
     /// Tree nodes visited (the `index.nodes_visited` metric).
     pub nodes_visited: u64,
 }
 
-/// A packed (STR bulk-loaded) R-tree over unit bounding cubes.
+/// A packed (STR bulk-loaded) R-tree over unit-run bounding cubes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RTree {
     num_tuples: u32,
@@ -217,7 +232,7 @@ impl RTree {
         self.num_tuples as usize
     }
 
-    /// Number of leaf entries (indexed unit cubes).
+    /// Number of leaf entries (indexed unit-run cubes).
     pub fn num_entries(&self) -> usize {
         self.entries.len()
     }
@@ -353,7 +368,7 @@ impl RTree {
         }
     }
 
-    /// Probe with a full (x, y, t) cube: every unit whose cube
+    /// Probe with a full (x, y, t) cube: every entry whose cube
     /// intersects `q` contributes its tuple to the candidate set.
     pub fn query(&self, q: &Cube) -> Candidates {
         self.search(|c| c.intersects(q))
@@ -418,6 +433,9 @@ fn idx_u32(n: usize) -> u32 {
 /// summary fields (interval + endpoint box) turned into index cubes.
 /// Works over both access paths: in-memory `Mapping<UPoint>` and the
 /// storage-backed `MappingView` decode each unit exactly once here.
+/// This is the layout of one-unit runs, which every tree written
+/// before [`run_cubes`] holds; indexes are now built with
+/// [`run_cubes`].
 pub fn unit_cubes<S>(tuple: u32, seq: &S) -> Vec<IndexEntry>
 where
     S: UnitSeq<Unit = UPoint>,
@@ -429,6 +447,71 @@ where
             cube: seq.unit(i).bounding_cube(),
         })
         .collect()
+}
+
+/// Default run granularity of [`run_cubes`]: a run's union cube may
+/// span at most one eighth of the tuple's own bounding cube on each of
+/// x, y and t.
+pub const DEFAULT_RUN_DIVISOR: u32 = 8;
+
+/// Extract one [`IndexEntry`] per *run* of consecutive units of a
+/// moving point, with the default divisor ([`DEFAULT_RUN_DIVISOR`]) —
+/// the entries [`crate::RTree`] indexes are built from.
+pub fn run_cubes<S>(tuple: u32, seq: &S) -> Vec<IndexEntry>
+where
+    S: UnitSeq<Unit = UPoint>,
+{
+    run_cubes_with(tuple, seq, DEFAULT_RUN_DIVISOR)
+}
+
+/// [`run_cubes`] with an explicit divisor (`≥ 1`): one entry per
+/// maximal run of consecutive units whose union cube is no wider than
+/// `1 / divisor` of the tuple's own bounding cube on each of x, y and
+/// t. `unit` is the run's first unit and `cube` the union of its unit
+/// cubes, so every unit still lies inside an entry cube and nothing is
+/// ever pruned wrongly. A unit too wide on its own forms a one-unit
+/// run, so a short straight flight keeps one entry per unit (exactly
+/// [`unit_cubes`]), while a long track that wanders through one city
+/// packs many units per entry.
+///
+/// Each unit is decoded exactly once, into the one vector
+/// [`unit_cubes`] returns; the runs are then cut greedily, left to
+/// right, once the tuple's extent is known, and merged in place, so
+/// building the entries allocates no more than [`unit_cubes`] does.
+pub fn run_cubes_with<S>(tuple: u32, seq: &S, divisor: u32) -> Vec<IndexEntry>
+where
+    S: UnitSeq<Unit = UPoint>,
+{
+    let mut entries = unit_cubes(tuple, seq);
+    let Some((first, rest)) = entries.split_first() else {
+        return entries;
+    };
+    let divisor = f64::from(divisor.max(1));
+    let limit =
+        extents(&union_cubes(&first.cube, rest.iter().map(|e| &e.cube))).map(|w| w / divisor);
+    let fits = |c: &Cube| extents(c).iter().zip(&limit).all(|(w, l)| w <= l);
+    // `entries[..=last]` holds the runs cut so far; the last one grows.
+    let mut last = 0;
+    for i in 1..entries.len() {
+        let grown = entries[last].cube.union(&entries[i].cube);
+        if fits(&grown) {
+            entries[last].cube = grown;
+        } else {
+            last += 1;
+            entries[last] = entries[i];
+        }
+    }
+    entries.truncate(last + 1);
+    entries
+}
+
+/// A cube's width along x, y and t.
+fn extents(c: &Cube) -> [f64; 3] {
+    [
+        c.rect.width().get(),
+        c.rect.height().get(),
+        c.t_max.as_f64() - c.t_min.as_f64(),
+    ]
 }
 
 #[cfg(test)]
@@ -582,5 +665,152 @@ mod tests {
             let u = crate::seq::UnitSeq::unit(&m, i).into_owned();
             assert_eq!(e.cube, u.bounding_cube());
         }
+    }
+
+    /// A seeded random walk of `n` steps of at most 1 per axis in a
+    /// 40×40 box — the shape of a taxi track that keeps crossing its own
+    /// city.
+    fn wander(seed: u64, n: usize) -> MovingPoint {
+        let mut state = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mut step = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) * 2.0 - 1.0
+        };
+        let (mut x, mut y) = (0.0f64, 0.0f64);
+        let samples: Vec<_> = (0..=n)
+            .map(|i| {
+                if i > 0 {
+                    x = (x + step()).clamp(-20.0, 20.0);
+                    y = (y + step()).clamp(-20.0, 20.0);
+                }
+                (t(i as f64), pt(x, y))
+            })
+            .collect();
+        MovingPoint::from_samples(&samples)
+    }
+
+    /// Check the layout contract of `runs` over `m`: the runs tile
+    /// `0..len` in order, every unit cube lies inside its run's cube, and
+    /// every run longer than one unit spans at most `1 / divisor` of the
+    /// tuple's bounding cube on each axis. Returns the run lengths.
+    fn check_runs(m: &MovingPoint, runs: &[IndexEntry], divisor: f64) -> Vec<usize> {
+        let cubes = unit_cubes(3, m);
+        let n = cubes.len();
+        let whole = cubes[1..]
+            .iter()
+            .fold(cubes[0].cube, |a, e| a.union(&e.cube));
+        let limit = extents(&whole).map(|w| w / divisor);
+        assert_eq!(
+            runs.first().map(|e| e.unit),
+            Some(0),
+            "first run starts at unit 0"
+        );
+        let mut lens = Vec::new();
+        for (k, run) in runs.iter().enumerate() {
+            assert_eq!(run.tuple, 3);
+            let end = runs.get(k + 1).map_or(n, |next| next.unit as usize);
+            assert!(
+                (run.unit as usize) < end,
+                "run {k} is empty or out of order"
+            );
+            let mut union = cubes[run.unit as usize].cube;
+            for u in &cubes[run.unit as usize..end] {
+                assert!(
+                    run.cube.contains(&u.cube),
+                    "unit {} escapes run {k}",
+                    u.unit
+                );
+                union = union.union(&u.cube);
+            }
+            assert_eq!(run.cube, union, "run {k} cube is the union of its units");
+            if end - run.unit as usize > 1 {
+                for (w, l) in extents(&run.cube).iter().zip(&limit) {
+                    assert!(w <= l, "run {k} spans {w} > {l}");
+                }
+            }
+            lens.push(end - run.unit as usize);
+        }
+        assert_eq!(lens.iter().sum::<usize>(), n, "runs tile every unit");
+        lens
+    }
+
+    #[test]
+    fn run_cubes_tile_a_wandering_track_into_bounded_runs() {
+        for seed in 0..8 {
+            let m = wander(seed, 2048);
+            let runs = run_cubes(3, &m);
+            let lens = check_runs(&m, &runs, f64::from(DEFAULT_RUN_DIVISOR));
+            assert!(
+                runs.len() * 4 <= lens.iter().sum::<usize>(),
+                "seed {seed}: {} runs over 2048 units do not pack",
+                runs.len()
+            );
+            // A coarser divisor never yields more runs.
+            let coarse = run_cubes_with(3, &m, 4);
+            check_runs(&m, &coarse, 4.0);
+            assert!(coarse.len() <= runs.len(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn run_cubes_keep_an_oversized_unit_on_its_own() {
+        // Short steps around the origin, one 100-unit jump, short steps
+        // again: the jump alone spans most of the tuple's x extent.
+        let mut samples: Vec<_> = (0..40)
+            .map(|i| (t(i as f64), pt((i % 2) as f64, 0.0)))
+            .collect();
+        samples.extend((40..80).map(|i| (t(i as f64), pt(100.0 + (i % 2) as f64, 0.0))));
+        let m = MovingPoint::from_samples(&samples);
+        let runs = run_cubes(3, &m);
+        let lens = check_runs(&m, &runs, f64::from(DEFAULT_RUN_DIVISOR));
+        let jump = runs
+            .iter()
+            .position(|e| e.unit == 39)
+            .expect("the jump starts a run");
+        assert_eq!(lens[jump], 1, "the jump is a one-unit run");
+        assert!(runs.len() < 79, "the short steps still pack");
+    }
+
+    #[test]
+    fn run_cubes_handle_a_stationary_tuple() {
+        // Zero spatial extent: 32 stationary units separated by gaps (so
+        // they do not merge), cut by the time axis alone.
+        let mut b = crate::mapping::MappingBuilder::new();
+        for i in 0..32 {
+            let iv = Interval::closed(t(2.0 * i as f64), t(2.0 * i as f64 + 1.0));
+            b.push(UPoint::between(iv, pt(5.0, 5.0), pt(5.0, 5.0)));
+        }
+        let m: MovingPoint = b.finish();
+        assert_eq!(crate::seq::UnitSeq::len(&m), 32);
+        let runs = run_cubes(3, &m);
+        let lens = check_runs(&m, &runs, f64::from(DEFAULT_RUN_DIVISOR));
+        // 63 time units / 8 allow a run of 4 units (7 time units).
+        assert_eq!(lens, vec![4; 8]);
+    }
+
+    #[test]
+    fn run_cubes_of_an_empty_sequence_are_empty() {
+        assert!(run_cubes(3, &MovingPoint::empty()).is_empty());
+        assert!(run_cubes_with(3, &MovingPoint::empty(), 1).is_empty());
+    }
+
+    #[test]
+    fn run_cubes_keep_a_straight_flight_per_unit() {
+        // A straight route flown in 12 legs whose speeds alternate (so
+        // the legs do not merge into one unit): every leg covers more
+        // than an eighth of the route.
+        let samples: Vec<_> = (0..=12)
+            .map(|i| {
+                let s = 3.0 * i as f64 + if i % 2 == 1 { 0.5 } else { 0.0 };
+                (t(i as f64), pt(s, 2.0 * s / 3.0))
+            })
+            .collect();
+        let m = MovingPoint::from_samples(&samples);
+        assert_eq!(crate::seq::UnitSeq::len(&m), 12);
+        assert_eq!(run_cubes(3, &m), unit_cubes(3, &m));
     }
 }

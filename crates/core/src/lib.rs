@@ -54,7 +54,10 @@ pub mod uregion;
 pub mod validate;
 
 pub use batch::{batch_at_instant, UnitCursor};
-pub use index::{unit_cubes, Candidates, IndexEntry, IndexNode, RTree, DEFAULT_FANOUT};
+pub use index::{
+    run_cubes, run_cubes_with, unit_cubes, Candidates, IndexEntry, IndexNode, RTree,
+    DEFAULT_FANOUT, DEFAULT_RUN_DIVISOR,
+};
 pub use ingest::TailBuilder;
 pub use lift::{lift1, lift2};
 pub use mapping::{Mapping, MappingBuilder};

@@ -7,7 +7,7 @@
 use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue};
 use mob_base::error::{InvariantViolation, Result};
-use mob_core::{unit_cubes, IndexEntry, RTree};
+use mob_core::{run_cubes, IndexEntry, RTree};
 use mob_storage::index_store::{load_index, StoredIndex};
 use mob_storage::PageStore;
 use std::sync::Arc;
@@ -36,9 +36,11 @@ impl Tuple {
 }
 
 /// A spatio-temporal index over one `moving(point)` attribute of a
-/// relation: a packed base [`RTree`] over per-unit bounding cubes, a
-/// small *tail* tree over the units appended since the base was built,
-/// and the tuples that must bypass pruning entirely.
+/// relation: a packed base [`RTree`] whose entries each cover a run of
+/// consecutive units of one tuple ([`mob_core::run_cubes`]; a tree
+/// written with one entry per unit is the special case of one-unit
+/// runs), a small *tail* tree over the units appended since the base
+/// was built, and the tuples that must bypass pruning entirely.
 ///
 /// `tail` holds one entry per tuple that gained units after the base
 /// tree was built: a cube covering every unit it gained, and every unit
@@ -138,7 +140,10 @@ impl Relation {
 
     /// Build (or rebuild) the R-tree index over the `moving(point)`
     /// attribute `attr` from the relation's own unit summaries: one
-    /// [`unit_cubes`] entry per unit, bulk-loaded via [`RTree::bulk`].
+    /// [`run_cubes`] entry per run of consecutive units (a run spans at
+    /// most an eighth of its tuple's bounding cube on each axis, and a
+    /// unit wider than that is a run of its own), bulk-loaded via
+    /// [`RTree::bulk`].
     ///
     /// Tuples whose indexed attribute cannot be opened (quarantined, or
     /// any attribute quarantined) go to the index's `always` list so
@@ -158,7 +163,7 @@ impl Relation {
                 continue;
             }
             match tup.at(idx as usize).as_mpoint_seq() {
-                Some(seq) => entries.extend(unit_cubes(i, &seq)),
+                Some(seq) => entries.extend(run_cubes(i, &seq)),
                 None => always.push(i),
             }
         }

@@ -1,0 +1,292 @@
+//! Run-packed index leaves: **one entry per run never changes an
+//! answer, and a per-unit tree from an older store still loads.**
+//!
+//! A relation of long seeded taxi tracks mixed with short flights is
+//! committed to a `MemIo` durable store with its index (the maintenance
+//! rebuild path), the store is reopened, and the relation opened from
+//! it with the stored tree. The taxis must pack into runs (at most a
+//! quarter as many entries as units), and `snapshot_at`, `passes` and
+//! `filter_inside` under [`IndexPolicy::Force`] must equal
+//! [`IndexPolicy::Off`] on every seeded probe. Every assertion names
+//! its seed.
+//!
+//! The compatibility case commits a tree with one entry per unit
+//! ([`unit_cubes`]), the layout every store written before run packing
+//! holds, and checks that it attaches without a fallback, answers
+//! exactly like a run-packed rebuild, and that `rebuild_index_root`
+//! over it writes the run-packed tree.
+
+use mob_base::{t, Instant, Interval};
+use mob_core::{unit_cubes, RTree, UnitSeq};
+use mob_gen::{plane_fleet, taxi_fleet};
+use mob_rel::{rebuild_index_root, IndexPolicy, OpenRelOpts, Relation, ScanOpts};
+use mob_spatial::{rect_ring, Region};
+use mob_storage::index_store::save_index;
+use mob_storage::mapping_store::save_mpoint;
+use mob_storage::{DurableStore, Generation, MemIo, RootRecord, StoreFile};
+use std::sync::Arc;
+
+const SEEDS: u64 = 4;
+const PROBES: usize = 25;
+const TAXIS: usize = 12;
+const TAXI_UNITS: usize = 1024;
+const FLIGHTS: usize = 150;
+const INDEX: &str = "fleet/index";
+
+/// splitmix64: a seed alone replays a case.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[lo, hi)`.
+    fn range(&mut self, lo: f64, hi: f64) -> f64 {
+        let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+        lo + unit * (hi - lo)
+    }
+}
+
+/// Commit the seed's taxis and flights as `moving(point)` roots of one
+/// snapshot in a fresh store; returns the store's directory.
+fn committed_fleet(seed: u64) -> MemIo {
+    let mut file = StoreFile::new();
+    for (k, m) in taxi_fleet(seed, TAXIS, TAXI_UNITS).iter().enumerate() {
+        let stored = save_mpoint(m, file.store_mut());
+        file.put(format!("taxi/{k:02}"), RootRecord::MPoint(stored));
+    }
+    for plane in plane_fleet(seed, FLIGHTS, 12) {
+        let stored = save_mpoint(&plane.flight, file.store_mut());
+        file.put(format!("flight/{}", plane.id), RootRecord::MPoint(stored));
+    }
+    let dir = MemIo::new();
+    let mut store = DurableStore::options()
+        .open(dir.clone())
+        .expect("fresh dir");
+    let mut txn = store.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    dir
+}
+
+/// Commit `file` as the next full snapshot of the store in `dir`.
+fn commit_file(dir: &MemIo, file: &StoreFile) {
+    let mut store = DurableStore::options().open(dir.clone()).expect("reopen");
+    let mut txn = store.begin();
+    txn.put_store_file(file).expect("stage");
+    txn.commit().expect("commit");
+}
+
+/// The head generation of a freshly reopened (recovered) store.
+fn reopen(dir: &MemIo) -> Arc<Generation> {
+    let store = DurableStore::options().open(dir.clone()).expect("reopen");
+    store.snapshot().expect("head")
+}
+
+/// Commit the index `rebuild_index_root` builds: the run-packed tree.
+fn commit_rebuilt_index(dir: &MemIo) {
+    let indexed = rebuild_index_root(&reopen(dir), &OpenRelOpts::new(), INDEX)
+        .expect("rebuild")
+        .expect("an mpoint fleet");
+    commit_file(dir, &indexed);
+}
+
+/// Commit a tree with one entry per unit, built with `unit_cubes` and
+/// saved with `save_index` — the index an older store holds.
+fn commit_per_unit_index(dir: &MemIo) {
+    let gen = reopen(dir);
+    let rel = Relation::open(&gen, &OpenRelOpts::new()).expect("open");
+    let mut entries = Vec::new();
+    for (i, tup) in rel.tuples().iter().enumerate() {
+        let seq = tup.at(1).as_mpoint_seq().expect("an mpoint");
+        entries.extend(unit_cubes(u32::try_from(i).expect("small"), &seq));
+    }
+    let tree = RTree::bulk(rel.len(), entries);
+    let mut file = gen.to_store_file();
+    let stored = save_index(&tree, file.store_mut());
+    file.set(INDEX, RootRecord::Index(stored));
+    commit_file(dir, &file);
+}
+
+fn open_indexed(ctx: &str, dir: &MemIo) -> Relation {
+    let rel = Relation::open(&reopen(dir), &OpenRelOpts::new().index(INDEX))
+        .unwrap_or_else(|e| panic!("{ctx}: open: {e}"));
+    assert!(rel.has_index(), "{ctx}: the committed index attaches");
+    assert!(!rel.index_damaged(), "{ctx}: the committed index is usable");
+    rel
+}
+
+/// Units and tree entries of the tuples whose name starts with
+/// `prefix`.
+fn units_and_entries(rel: &Relation, prefix: &str) -> (usize, usize) {
+    let tree = rel.index_tree().expect("attached");
+    let mut units = 0;
+    let mut entries = 0;
+    for (i, tup) in rel.tuples().iter().enumerate() {
+        if !tup.at(0).as_str().expect("a name").starts_with(prefix) {
+            continue;
+        }
+        units += tup.at(1).as_mpoint_seq().expect("an mpoint").len();
+        entries += tree
+            .entries()
+            .iter()
+            .filter(|e| e.tuple as usize == i)
+            .count();
+    }
+    (units, entries)
+}
+
+/// An answer's rows, comparable across stores: a stored moving point
+/// equals only a reference into the same store, so each row is its
+/// values' text (names, snapshot points, and unit counts of moving
+/// points), which identifies a row of two stores built from one seed.
+fn rows(rel: &Relation) -> Vec<String> {
+    rel.tuples()
+        .iter()
+        .map(|tup| format!("{:?}", tup.values()))
+        .collect()
+}
+
+/// Coverage tallies over a campaign.
+#[derive(Default)]
+struct Tally {
+    probes: usize,
+    answered: usize,
+    pruned: usize,
+}
+
+impl Tally {
+    /// Every campaign checks at least 100 probes, and enough of its
+    /// scans return rows and skip tuples that the checks mean something.
+    fn assert_covered(&self) {
+        assert!(self.probes >= 100, "only {} probes checked", self.probes);
+        assert!(
+            self.answered >= self.probes,
+            "only {} non-empty answers",
+            self.answered
+        );
+        assert!(
+            self.pruned >= self.probes,
+            "only {} pruned scans",
+            self.pruned
+        );
+    }
+}
+
+/// `PROBES` seeded probes of each scan kind: the index forced must
+/// answer exactly like the index off, with no fallback. With `alt`,
+/// the forced answer must also equal `alt`'s.
+fn check_probes(
+    ctx: &str,
+    rel: &Relation,
+    alt: Option<&Relation>,
+    rng: &mut Rng,
+    tally: &mut Tally,
+) {
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let force = ScanOpts::new().index(IndexPolicy::Force);
+    let horizon = TAXI_UNITS as f64;
+    for p in 0..PROBES {
+        // Zones inside the taxi city most of the time, across the
+        // flights' world otherwise.
+        let extent = if p % 4 == 3 { 1000.0 } else { 100.0 };
+        let side = rng.range(5.0, 40.0);
+        let (x, y) = (
+            rng.range(-extent, extent - side),
+            rng.range(-extent, extent - side),
+        );
+        let zone = Region::from_ring(rect_ring(x, y, x + side, y + side));
+        let from = rng.range(0.0, horizon);
+        let window = Interval::closed(t(from), t(from + rng.range(0.0, 30.0)));
+        let at: Instant = t(rng.range(0.0, horizon));
+        for op in ["passes", "filter_inside", "snapshot_at"] {
+            let run = |r: &Relation, o: &ScanOpts| {
+                match op {
+                    "passes" => r.passes("trip", &zone, &window, o),
+                    "filter_inside" => r.filter_inside("trip", &zone, o),
+                    _ => r.snapshot_at(at, o),
+                }
+                .unwrap_or_else(|e| panic!("{ctx} probe {p}: {op}: {e}"))
+            };
+            let (want, _) = run(rel, &off);
+            let (got, stats) = run(rel, &force);
+            assert_eq!(got, want, "{ctx} probe {p}: {op} pruned ≠ full");
+            assert_eq!(stats.index_fallbacks, 0, "{ctx} probe {p}: {op} fell back");
+            let cands = stats
+                .candidates
+                .unwrap_or_else(|| panic!("{ctx} probe {p}: {op} ran full"));
+            tally.pruned += usize::from(cands < rel.len());
+            tally.answered += usize::from(!want.is_empty());
+            if let Some(alt) = alt {
+                let (other, _) = run(alt, &force);
+                assert_eq!(
+                    rows(&got),
+                    rows(&other),
+                    "{ctx} probe {p}: {op} differs across layouts"
+                );
+            }
+        }
+        tally.probes += 1;
+    }
+}
+
+#[test]
+fn run_packed_index_forms_runs_and_never_changes_an_answer() {
+    let mut tally = Tally::default();
+    for seed in 0..SEEDS {
+        let ctx = format!("seed {seed}");
+        let dir = committed_fleet(seed);
+        commit_rebuilt_index(&dir);
+        let rel = open_indexed(&ctx, &dir);
+        let (units, entries) = units_and_entries(&rel, "taxi/");
+        assert!(
+            entries * 4 <= units,
+            "{ctx}: taxis keep {entries} entries for {units} units"
+        );
+        let (units, entries) = units_and_entries(&rel, "flight/");
+        assert!(entries <= units, "{ctx}: flights gain entries");
+        check_probes(&ctx, &rel, None, &mut Rng(seed), &mut tally);
+    }
+    tally.assert_covered();
+}
+
+#[test]
+fn per_unit_index_of_an_older_store_still_loads_and_answers() {
+    let mut tally = Tally::default();
+    for seed in 0..SEEDS {
+        let ctx = format!("seed {seed} per-unit");
+        let old = committed_fleet(seed);
+        commit_per_unit_index(&old);
+        let per_unit = open_indexed(&ctx, &old);
+        let (units, entries) = units_and_entries(&per_unit, "");
+        assert_eq!(
+            entries, units,
+            "{ctx}: the old layout has one entry per unit"
+        );
+
+        let new = committed_fleet(seed);
+        commit_rebuilt_index(&new);
+        let packed = open_indexed(&format!("seed {seed} packed"), &new);
+        check_probes(&ctx, &per_unit, Some(&packed), &mut Rng(seed), &mut tally);
+
+        // The maintenance rebuild over the old store writes the
+        // run-packed tree.
+        commit_rebuilt_index(&old);
+        let rebuilt = open_indexed(&format!("seed {seed} rebuilt"), &old);
+        assert_eq!(
+            rebuilt.index_tree(),
+            packed.index_tree(),
+            "{ctx}: the rebuild over a per-unit store packs runs"
+        );
+        assert!(
+            rebuilt.index_tree().expect("attached").num_entries() < entries,
+            "{ctx}: the rebuilt tree is smaller"
+        );
+    }
+    tally.assert_covered();
+}

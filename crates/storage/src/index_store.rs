@@ -2,6 +2,13 @@
 //! [`RTree`]): two database arrays — leaf entries and nodes — behind a
 //! fixed-size root record, exactly like every other Sec-4 value.
 //!
+//! A leaf entry is `(tuple, unit, cube)`: the cube of a run of
+//! consecutive units that starts at `unit` (`mob_core::run_cubes`).
+//! The layout carries no version tag because it needs none: an index
+//! written with one entry per unit (`mob_core::unit_cubes`, every store
+//! written before run packing) is a tree of one-unit runs, decodes
+//! through the same records and validation, and prunes soundly.
+//!
 //! Decode is untrusted end to end: record reads reject NaN coordinates
 //! and inverted bounds, and [`load_index`] re-runs the full structural
 //! validation ([`RTree::from_parts`]) — child ranges tiling each level,
