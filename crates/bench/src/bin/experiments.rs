@@ -1218,6 +1218,17 @@ impl E16Probe {
         }
     }
 
+    /// [`E16Probe::prune`] through the `f64` twin of a tree.
+    fn prune_f64(&self, twin: &F64Twin) -> mob_core::Candidates {
+        match self {
+            E16Probe::Instant(at) => twin.search(|c| c.t_min <= *at && *at <= c.t_max),
+            E16Probe::Passes(zone, window) => {
+                let q = mob_spatial::Cube::new(zone.bbox(), window);
+                twin.search(|c| c.intersects(&q))
+            }
+        }
+    }
+
     fn scan(&self, rel: &mob_rel::Relation, opts: &ScanOpts) -> mob_rel::Relation {
         match self {
             E16Probe::Instant(at) => rel.snapshot_at(*at, opts),
@@ -1253,8 +1264,7 @@ fn e16_probes(rng: &mut u64, passes: Option<(f64, f64, f64)>, span: f64) -> Vec<
 /// units, cut by a fixed length or by the tuple's own extent, on the
 /// track-probe taxis and the fleet-mix flights (DESIGN.md §11).
 fn e16() {
-    use mob_gen::taxi_fleet;
-    use mob_rel::{planes_relation, IndexPolicy};
+    use mob_rel::IndexPolicy;
     use mob_storage::index_store::save_index;
     header("E16  run-packed index leaves: entries, nodes visited and candidates per layout [DESIGN.md §11]");
     println!(
@@ -1266,19 +1276,7 @@ fn e16() {
     );
     println!("every probe also runs as a scan through the stored tree (Force) and with the index");
     println!("off; `same` asserts identical answers");
-    let taxis = planes_relation(
-        taxi_fleet(E16_SEED, 128, 4096)
-            .into_iter()
-            .enumerate()
-            .map(|(k, m)| ("taxi".to_string(), format!("T{k:04}"), m))
-            .collect(),
-    );
-    let flights = planes_relation(
-        plane_fleet(E16_SEED, 10_000, 12)
-            .into_iter()
-            .map(|p| (p.airline, p.id, p.flight))
-            .collect(),
-    );
+    let (taxis, flights) = e16_fleets();
     let mut rng = 0xE16u64;
     let track_kinds = [
         ("instant", e16_probes(&mut rng, None, 4096.0)),
@@ -1372,6 +1370,267 @@ fn e16() {
     println!("the flights fixed runs merge legs of a route into one long cube and candidates");
     println!("climb several-fold with r, while the extent rule keeps 1.0 units per entry");
     println!("(the per-unit tree) at divisors 8 and 16 and starts to pack flights at 4");
+}
+
+/// The E16 fleets as relations: `taxi_fleet(5, 128, 4096)`
+/// (track-probe) and `plane_fleet(5, 10000, 12)` (fleet-mix), with the
+/// moving point in attribute `flight`.
+fn e16_fleets() -> (mob_rel::Relation, mob_rel::Relation) {
+    use mob_gen::taxi_fleet;
+    let taxis = planes_relation(
+        taxi_fleet(E16_SEED, 128, 4096)
+            .into_iter()
+            .enumerate()
+            .map(|(k, m)| ("taxi".to_string(), format!("T{k:04}"), m))
+            .collect(),
+    );
+    let flights = planes_relation(
+        plane_fleet(E16_SEED, 10_000, 12)
+            .into_iter()
+            .map(|p| (p.airline, p.id, p.flight))
+            .collect(),
+    );
+    (taxis, flights)
+}
+
+/// The `f64` twin of a compact tree: the same packing with every leaf
+/// cube the unsnapped run cube from `raw` and every node cube the union
+/// of its children — the tree the same entries made before leaves were
+/// coded in the frame, walked as that tree was.
+struct F64Twin {
+    entries: Vec<mob_core::IndexEntry>,
+    nodes: Vec<mob_core::IndexNode>,
+}
+
+impl F64Twin {
+    fn of(compact: &mob_core::RTree, raw: &[mob_core::IndexEntry]) -> F64Twin {
+        let entries: Vec<mob_core::IndexEntry> = compact
+            .coded_entries()
+            .iter()
+            .map(|e| {
+                let i = raw
+                    .binary_search_by_key(&(e.tuple, e.unit), |r| (r.tuple, r.unit))
+                    .expect("every leaf comes from a raw run");
+                raw[i]
+            })
+            .collect();
+        let mut nodes = compact.nodes().to_vec();
+        for i in 0..nodes.len() {
+            let nd = nodes[i];
+            let (first, end) = (nd.first as usize, (nd.first + nd.count) as usize);
+            nodes[i].cube = if nd.level == 0 {
+                entries[first + 1..end]
+                    .iter()
+                    .fold(entries[first].cube, |a, e| a.union(&e.cube))
+            } else {
+                nodes[first + 1..end]
+                    .iter()
+                    .fold(nodes[first].cube, |a, c| a.union(&c.cube))
+            };
+        }
+        F64Twin { entries, nodes }
+    }
+
+    /// The walk `RTree::search` made over `f64` leaf cubes.
+    fn search(&self, hit: impl Fn(&mob_spatial::Cube) -> bool) -> mob_core::Candidates {
+        let mut out = mob_core::Candidates::default();
+        let mut stack: Vec<usize> = self.nodes.len().checked_sub(1).into_iter().collect();
+        while let Some(i) = stack.pop() {
+            let nd = &self.nodes[i];
+            out.nodes_visited += 1;
+            if !hit(&nd.cube) {
+                continue;
+            }
+            let range = nd.first as usize..(nd.first + nd.count) as usize;
+            if nd.level == 0 {
+                for e in &self.entries[range] {
+                    if hit(&e.cube) {
+                        out.units += 1;
+                        out.tuples.push(e.tuple);
+                    }
+                }
+            } else {
+                stack.extend(range);
+            }
+        }
+        out.tuples.sort_unstable();
+        out.tuples.dedup();
+        out
+    }
+}
+
+/// E17: compact index leaves — the fleets' run-packed trees with `f64`
+/// leaf cubes (tag 11, 56 B per entry) and with six 16-bit codes in the
+/// tree's frame (tag 12, 20 B per entry) (DESIGN.md §11).
+fn e17() {
+    use mob_core::run_cubes;
+    use mob_rel::IndexPolicy;
+    use mob_storage::index_store::{
+        load_index, save_index, IndexEntryRecord, IndexNodeRecord, StoredIndex,
+    };
+    use mob_storage::{save_array, RootRecord, StoreFile};
+    header("E17  compact index leaves: f64 vs 16-bit leaf cubes [DESIGN.md §11]");
+    println!(
+        "fleets: taxi_fleet(5, 128, 4096) (track-probe) and plane_fleet(5, 10000, 12) (fleet-mix),"
+    );
+    println!("indexed with run_cubes; the f64 tree is the compact tree's twin with unsnapped");
+    println!("leaves, stored as tag 11. Per layout: bytes per entry, index and snapshot bytes,");
+    println!(
+        "per probe kind the mean nodes visited and candidates of {E16_PROBES} probes, prune ns per"
+    );
+    println!("probe (tree walk) and load_index ns (medians of 5; tag 11 loads by coding its");
+    println!("leaves); `same` asserts every probe's Force scan through the stored tree equals");
+    println!("the scan with the index off");
+    let (taxis, flights) = e16_fleets();
+    let mut rng = 0xE17u64;
+    let taxi_kinds = [
+        ("instant", e16_probes(&mut rng, None, 4096.0)),
+        (
+            "passes",
+            e16_probes(&mut rng, Some((100.0, 10.0, 20.0)), 4096.0),
+        ),
+    ];
+    let flight_kinds = [
+        ("instant", e16_probes(&mut rng, None, 100.0)),
+        (
+            "passes",
+            e16_probes(&mut rng, Some((1000.0, 100.0, 15.0)), 100.0),
+        ),
+    ];
+    for (fleet, mut rel, kinds) in [
+        ("track-probe", taxis, &taxi_kinds[..]),
+        ("fleet-mix", flights, &flight_kinds[..]),
+    ] {
+        println!("\n{fleet}:");
+        print!(
+            "{:>7} {:>8} {:>7} {:>11} {:>11}",
+            "layout", "entries", "B/entry", "index B", "snapshot B"
+        );
+        for (kind, _) in kinds {
+            print!(
+                " {:>14} {:>14}",
+                format!("{kind} nodes"),
+                format!("{kind} cands")
+            );
+        }
+        println!(" {:>9} {:>10} {:>5}", "prune ns", "load ns", "same");
+        let off = ScanOpts::new().index(IndexPolicy::Off);
+        let force = off.clone().index(IndexPolicy::Force);
+        let full: Vec<Vec<_>> = kinds
+            .iter()
+            .map(|(_, probes)| probes.iter().map(|q| q.scan(&rel, &off)).collect())
+            .collect();
+        let mut raw = Vec::new();
+        let mut data = StoreFile::new();
+        for (i, tup) in rel.tuples().iter().enumerate() {
+            let seq = tup.at(2).as_mpoint_seq().expect("flight is an mpoint");
+            raw.extend(run_cubes(u32::try_from(i).expect("small"), &seq));
+            let m = tup.at(2).as_mpoint().expect("an in-memory mpoint");
+            let stored = save_mpoint(m, data.store_mut());
+            data.put(format!("m/{i}"), RootRecord::MPoint(stored));
+        }
+        let data = data.to_bytes().expect("the fleet serializes");
+        let compact = mob_core::RTree::bulk(rel.len(), raw.clone());
+        let twin = F64Twin::of(&compact, &raw);
+        let mut cands_by_layout = Vec::new();
+        for layout in ["f64", "u16"] {
+            let mut file = StoreFile::from_bytes(&data).expect("the fleet decodes");
+            let stored = if layout == "f64" {
+                let entries: Vec<IndexEntryRecord> =
+                    twin.entries.iter().copied().map(IndexEntryRecord).collect();
+                let nodes: Vec<IndexNodeRecord> =
+                    twin.nodes.iter().copied().map(IndexNodeRecord).collect();
+                StoredIndex {
+                    num_tuples: u32::try_from(compact.num_tuples()).expect("small"),
+                    fanout: u32::try_from(compact.fanout()).expect("small"),
+                    frame: None,
+                    entries: save_array(&entries, file.store_mut()),
+                    nodes: save_array(&nodes, file.store_mut()),
+                }
+            } else {
+                save_index(&compact, file.store_mut())
+            };
+            let store = file.store();
+            let index_bytes = stored.entries.byte_len(store).expect("entries")
+                + stored.nodes.byte_len(store).expect("nodes");
+            let load_ns = median_nanos(5, || {
+                std::hint::black_box(load_index(&stored, store).expect("loads"));
+            });
+            if layout == "u16" {
+                assert_eq!(
+                    load_index(&stored, store).expect("loads"),
+                    compact,
+                    "E17: the compact layout reloads its tree"
+                );
+            }
+            assert!(
+                rel.attach_stored_index("flight", &stored, store)
+                    .expect("flight"),
+                "E17: the {layout} tree attaches"
+            );
+            file.put("index", RootRecord::Index(stored.clone()));
+            let snapshot_bytes = file.to_bytes().expect("serializes").len();
+            print!(
+                "{:>7} {:>8} {:>7} {:>11} {:>11}",
+                layout,
+                compact.num_entries(),
+                stored.entry_bytes(),
+                index_bytes,
+                snapshot_bytes
+            );
+            let prune = |q: &E16Probe| {
+                if layout == "f64" {
+                    q.prune_f64(&twin)
+                } else {
+                    q.prune(&compact)
+                }
+            };
+            let mut same = true;
+            let mut cands_of_kinds = Vec::new();
+            for ((_, probes), want) in kinds.iter().zip(&full) {
+                let (mut nodes, mut cands) = (0u64, 0usize);
+                for (q, want) in probes.iter().zip(want) {
+                    let c = prune(q);
+                    nodes += c.nodes_visited;
+                    cands += c.tuples.len();
+                    same &= q.scan(&rel, &force) == *want;
+                }
+                cands_of_kinds.push(cands);
+                print!(
+                    " {:>14.2} {:>14.2}",
+                    nodes as f64 / E16_PROBES as f64,
+                    cands as f64 / E16_PROBES as f64
+                );
+            }
+            cands_by_layout.push(cands_of_kinds);
+            let probes = kinds.iter().map(|(_, p)| p.len()).sum::<usize>() as u128;
+            let prune_ns = median_nanos(5, || {
+                for (_, qs) in kinds {
+                    for q in qs {
+                        std::hint::black_box(prune(q));
+                    }
+                }
+            });
+            println!(" {:>9} {:>10} {:>5}", prune_ns / probes, load_ns, same);
+            assert!(
+                same,
+                "E17: the {layout} layout changed an answer on {fleet}"
+            );
+        }
+        for (k, (kind, _)) in kinds.iter().enumerate() {
+            let (f, c) = (cands_by_layout[0][k], cands_by_layout[1][k]);
+            assert!(
+                c >= f,
+                "E17: snapped leaves cannot shed {kind} candidates ({f} -> {c})"
+            );
+            println!(
+                "  {kind}: candidates {:+.3} % from f64 to u16",
+                100.0 * (c as f64 - f as f64) / (f as f64).max(1.0)
+            );
+        }
+    }
+    println!("\nexpected shape: 20 of 56 B per entry and a third of the entry bytes, with");
+    println!("candidates and nodes visited within a fraction of a percent of the f64 tree");
 }
 
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
@@ -1734,6 +1993,7 @@ fn main() {
     e14();
     e15();
     e16();
+    e17();
     ablation();
     queries();
     figures();

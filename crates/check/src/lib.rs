@@ -42,6 +42,9 @@ pub struct EntryReport {
     /// `Ok(())` or the first failure, phase-tagged (`open:`, `validate:`,
     /// `load:`).
     pub result: Result<(), String>,
+    /// What else the audit learned, printed after the count: for an
+    /// index, its leaf record layout and bytes per entry.
+    pub note: Option<String>,
 }
 
 impl EntryReport {
@@ -51,6 +54,15 @@ impl EntryReport {
             kind,
             count: Some(count),
             result: Ok(()),
+            note: None,
+        }
+    }
+
+    /// The count as printed: `N units`, then the note if any.
+    fn count_text(&self, n: usize) -> String {
+        match &self.note {
+            Some(note) => format!("{n} units, {note}"),
+            None => format!("{n} units"),
         }
     }
 
@@ -65,6 +77,7 @@ impl EntryReport {
             kind,
             count: None,
             result: Err(format!("{phase}: {err}")),
+            note: None,
         }
     }
 }
@@ -97,7 +110,12 @@ impl AuditReport {
         for e in &self.entries {
             match (&e.result, e.count) {
                 (Ok(()), Some(n)) => {
-                    out.push_str(&format!("ok   {:<10} {:<20} {} units\n", e.kind, e.name, n));
+                    out.push_str(&format!(
+                        "ok   {:<10} {:<20} {}\n",
+                        e.kind,
+                        e.name,
+                        e.count_text(n)
+                    ));
                 }
                 (Ok(()), None) => {
                     out.push_str(&format!("ok   {:<10} {}\n", e.kind, e.name));
@@ -197,11 +215,19 @@ pub fn audit_entry(name: &str, root: &RootRecord, store: &PageStore) -> EntryRep
             },
             Err(e) => EntryReport::fail(name, kind, "load", e),
         },
-        // `load_index` re-runs the full structural validation: every
-        // child cube contained in its parent, every level tiling the
-        // one below, every leaf tuple id in range.
+        // `load_index` re-runs the full structural validation: the
+        // frame equal to the root cube, every child cube contained in
+        // its parent, every level tiling the one below, every leaf
+        // tuple id in range.
         RootRecord::Index(s) => match index_store::load_index(s, store) {
-            Ok(tree) => EntryReport::ok(name, kind, tree.num_entries()),
+            Ok(tree) => EntryReport {
+                note: Some(format!(
+                    "{} leaves, {} B/entry",
+                    s.layout(),
+                    s.entry_bytes()
+                )),
+                ..EntryReport::ok(name, kind, tree.num_entries())
+            },
             Err(e) => EntryReport::fail(name, kind, "load", e),
         },
     }
@@ -279,9 +305,12 @@ impl DeepReport {
                 Verdict::Corrupt => "CORRUPT   ",
             };
             match (&e.result, e.count) {
-                (Ok(()), Some(n)) => {
-                    out.push_str(&format!("{tag} {:<10} {:<20} {n} units\n", e.kind, e.name))
-                }
+                (Ok(()), Some(n)) => out.push_str(&format!(
+                    "{tag} {:<10} {:<20} {}\n",
+                    e.kind,
+                    e.name,
+                    e.count_text(n)
+                )),
                 (Ok(()), None) => out.push_str(&format!("{tag} {:<10} {}\n", e.kind, e.name)),
                 (Err(err), _) => {
                     out.push_str(&format!("{tag} {:<10} {:<20} {err}\n", e.kind, e.name))
@@ -676,6 +705,28 @@ mod tests {
             report.all_ok(),
             "roundtrip audit failed:\n{}",
             report.render()
+        );
+    }
+
+    #[test]
+    fn audit_reports_the_index_leaf_layout() {
+        let report = audit_store_file(&demo_store_file(42));
+        assert!(report.all_ok(), "{}", report.render());
+        assert!(
+            report.render().contains("u16 leaves, 20 B/entry"),
+            "{}",
+            report.render()
+        );
+        // A store written before compact leaves: f64 cubes, audited clean.
+        let old = audit_bytes(include_bytes!(
+            "../../storage/tests/fixtures/index_tag11.mob"
+        ));
+        assert!(old.all_ok(), "{}", old.render());
+        assert_eq!(old.entries.len(), 7, "six tracks and their index");
+        assert!(
+            old.render().contains("f64 leaves, 56 B/entry"),
+            "{}",
+            old.render()
         );
     }
 

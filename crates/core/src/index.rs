@@ -23,35 +23,53 @@
 //! spirit of \[DG98\]) and therefore trivially serializable by
 //! `mob-storage`.
 //!
+//! # Compact leaves
+//!
+//! A tree's **frame** is its root cube, the union of every leaf cube.
+//! [`RTree::build`] codes each leaf cube in the frame: [`encode`] turns
+//! each of the six bounds into a code, a fraction `code / CODE_MAX` of
+//! its frame axis, rounding mins down and maxes up, and the tree keeps
+//! the codes ([`CodedEntry`], 20 bytes) — in memory as on disk, with
+//! the frame kept once. Each leaf stands for the cube [`decode`] gives
+//! back: the run's cube snapped outward to the grid. Leaf nodes are the
+//! decoded unions of their entries, and a probe is compared with the
+//! leaves in code space, so no search or load decodes a leaf. The frame
+//! is per tree, not per node, so an entry decodes without its parent
+//! and a shrunk node cube still fails the containment check.
+//!
 //! # Pruning contract
 //!
 //! Cubes are *conservative*: a query can only use a miss as evidence of
 //! absence. Every unit lies inside the cube of the entry for its run,
-//! and [`RTree::query`] returns every tuple with an entry cube that
-//! intersects the probe — a superset of the true answer — and the
-//! caller re-checks candidates with the exact Section-5 algorithms.
-//! Equivalently: a tuple **not** in the candidate set is guaranteed to
-//! have no unit intersecting the probe cube, so a pruned scan may skip
-//! it (or emit ⊥ for a snapshot) without changing the result. How the
-//! units were grouped into entries never changes an answer, only how
-//! many candidates a probe yields.
+//! snapping only widens that cube, and [`RTree::query`] returns every
+//! tuple with an entry cube that intersects the probe — a superset of
+//! the true answer — and the caller re-checks candidates with the exact
+//! Section-5 algorithms. Equivalently: a tuple **not** in the candidate
+//! set is guaranteed to have no unit intersecting the probe cube, so a
+//! pruned scan may skip it (or emit ⊥ for a snapshot) without changing
+//! the result. How the units were grouped into entries, and how coarse
+//! the grid is, never changes an answer, only how many candidates a
+//! probe yields.
 //!
 //! Decoded trees are untrusted like everything else read from storage:
-//! [`RTree::from_parts`] re-validates the full structure (child ranges
-//! tile each level exactly, every child cube contained in its parent,
-//! leaf ids in range) and rejects anything inconsistent with a
-//! [`DecodeError`].
+//! [`RTree::from_coded_parts`] and [`RTree::from_parts`] (the older
+//! layout with `f64` leaf cubes) re-validate the full structure (child
+//! ranges tile each level exactly, every child cube contained in its
+//! parent, leaf ids in range) and reject anything inconsistent with a
+//! [`DecodeError`]; the coded form also refuses a frame other than the
+//! root cube and codes whose min is above their max.
 
 use crate::seq::UnitSeq;
 use crate::upoint::UPoint;
-use mob_base::{DecodeError, DecodeResult, Instant};
+use mob_base::{DecodeError, DecodeResult, Instant, Real};
 use mob_spatial::{Cube, Rect};
 
 /// Default node fan-out (maximum children per node).
 pub const DEFAULT_FANOUT: usize = 16;
 
 /// One leaf entry: the bounding cube of a run of consecutive units of
-/// tuple `tuple`, starting at unit `unit`.
+/// tuple `tuple`, starting at unit `unit` — what [`RTree::build`] is
+/// given, and what [`RTree::entries`] decodes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexEntry {
     /// Tuple id (position in the indexed relation).
@@ -59,8 +77,21 @@ pub struct IndexEntry {
     /// Index of the first unit of the run within the tuple's mapping
     /// (the run ends where the tuple's next entry starts).
     pub unit: u32,
-    /// The (x, y, t) bounding cube of every unit of the run.
+    /// The (x, y, t) bounding cube of every unit of the run; in the
+    /// entries of a tree, snapped outward to the frame's 16-bit grid.
     pub cube: Cube,
+}
+
+/// One leaf entry as a tree holds and stores it: the run's cube as six
+/// [`encode`]d codes in the tree's frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CodedEntry {
+    /// Tuple id (position in the indexed relation).
+    pub tuple: u32,
+    /// Index of the first unit of the run.
+    pub unit: u32,
+    /// Codes of `(min_x, min_y, max_x, max_y, t_min, t_max)`.
+    pub codes: [u16; 6],
 }
 
 /// One tree node: a cube covering a contiguous run of children.
@@ -71,7 +102,7 @@ pub struct IndexEntry {
 /// level, leaves first, the single root last.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexNode {
-    /// Union cube of all children.
+    /// Union cube of all children (of the decoded entries at level 0).
     pub cube: Cube,
     /// Index of the first child (entry index at level 0, node index
     /// above).
@@ -94,19 +125,46 @@ pub struct Candidates {
     pub nodes_visited: u64,
 }
 
-/// A packed (STR bulk-loaded) R-tree over unit-run bounding cubes.
+/// A packed (STR bulk-loaded) R-tree over unit-run bounding cubes, its
+/// leaf entries held as codes in the frame (the root cube).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RTree {
     num_tuples: u32,
     fanout: u32,
-    entries: Vec<IndexEntry>,
+    entries: Vec<CodedEntry>,
     nodes: Vec<IndexNode>,
 }
 
-/// Sort key: center of a cube along one axis (plain `f64` — carrier-set
-/// types guarantee no NaN, so `total_cmp` is a total order anyway).
-fn center(lo: f64, hi: f64) -> f64 {
-    (lo + hi) / 2.0
+/// STR sort key: the sum of an entry's min and max code on one axis
+/// (`0` = x, `1` = y, `2` = t), twice its center in code units.
+fn center(e: &CodedEntry, axis: usize) -> u32 {
+    let [x0, y0, x1, y1, t0, t1] = e.codes;
+    let (lo, hi) = match axis {
+        0 => (x0, x1),
+        1 => (y0, y1),
+        _ => (t0, t1),
+    };
+    u32::from(lo) + u32::from(hi)
+}
+
+/// The codes covering a non-empty run of entries: the smallest min and
+/// the largest max code on each axis. Decoding is monotone, so this
+/// decodes to the union of the entries' decoded cubes.
+fn code_union(entries: &[CodedEntry]) -> [u16; 6] {
+    entries
+        .iter()
+        .fold([CODE_MAX, CODE_MAX, 0, 0, CODE_MAX, 0], |acc, e| {
+            let [a0, a1, a2, a3, a4, a5] = acc;
+            let [c0, c1, c2, c3, c4, c5] = e.codes;
+            [
+                a0.min(c0),
+                a1.min(c1),
+                a2.max(c2),
+                a3.max(c3),
+                a4.min(c4),
+                a5.max(c5),
+            ]
+        })
 }
 
 impl RTree {
@@ -118,90 +176,92 @@ impl RTree {
 
     /// Bulk-load with an explicit fan-out (`≥ 2`).
     ///
-    /// STR: sort the entries by x-center and cut into vertical slabs,
-    /// sort each slab by y-center and cut into runs, sort each run by
-    /// t-center; then pack consecutive entries into leaf nodes of
-    /// `fanout` and build the upper levels by packing consecutive nodes
-    /// until a single root remains.
-    pub fn build(num_tuples: usize, mut entries: Vec<IndexEntry>, fanout: usize) -> RTree {
+    /// First every leaf cube is coded in the frame, the union of all
+    /// leaf cubes ([`encode`]): the tree keeps the codes, so each leaf
+    /// stands for the cube snapped outward to the frame's grid. Then
+    /// STR on code centers: sort the entries by x-center and cut into
+    /// vertical slabs, sort each slab by y-center and cut into runs,
+    /// sort each run by t-center; then pack consecutive entries into
+    /// leaf nodes of `fanout`, each node the decoded union of its
+    /// entries, and build the upper levels by packing consecutive nodes
+    /// until a single root remains. The root cube is the frame.
+    pub fn build(num_tuples: usize, entries: Vec<IndexEntry>, fanout: usize) -> RTree {
         let fanout = fanout.max(2);
-        let n = entries.len();
-        if n > 0 {
-            let leaves = n.div_ceil(fanout);
-            // Number of slabs per axis: the smallest s with s³ ≥ leaves
-            // (integer cube root, no float/int casts).
-            let mut s = 1usize;
-            while s * s * s < leaves {
-                s += 1;
-            }
-            entries.sort_by(|a, b| {
-                center(a.cube.rect.min_x().get(), a.cube.rect.max_x().get()).total_cmp(&center(
-                    b.cube.rect.min_x().get(),
-                    b.cube.rect.max_x().get(),
-                ))
-            });
-            let slab = n.div_ceil(s);
-            for chunk in entries.chunks_mut(slab.max(1)) {
-                chunk.sort_by(|a, b| {
-                    center(a.cube.rect.min_y().get(), a.cube.rect.max_y().get()).total_cmp(&center(
-                        b.cube.rect.min_y().get(),
-                        b.cube.rect.max_y().get(),
-                    ))
-                });
-                let run = chunk.len().div_ceil(s);
-                for run_chunk in chunk.chunks_mut(run.max(1)) {
-                    run_chunk.sort_by(|a, b| {
-                        center(a.cube.t_min.as_f64(), a.cube.t_max.as_f64())
-                            .total_cmp(&center(b.cube.t_min.as_f64(), b.cube.t_max.as_f64()))
-                    });
-                }
+        let mut tree = RTree {
+            num_tuples: idx_u32(num_tuples),
+            fanout: idx_u32(fanout),
+            entries: Vec::new(),
+            nodes: Vec::new(),
+        };
+        let Some(frame) = entries.iter().map(|e| e.cube).reduce(|a, c| a.union(&c)) else {
+            return tree;
+        };
+        let grid = Grid::new(&frame);
+        let mut coded: Vec<CodedEntry> = entries
+            .iter()
+            .map(|e| CodedEntry {
+                tuple: e.tuple,
+                unit: e.unit,
+                codes: grid.encode(&e.cube),
+            })
+            .collect();
+        // The codes replace the f64 cubes; free those before packing.
+        drop(entries);
+
+        let n = coded.len();
+        let leaves = n.div_ceil(fanout);
+        // Number of slabs per axis: the smallest s with s³ ≥ leaves
+        // (integer cube root, no float/int casts).
+        let mut s = 1usize;
+        while s * s * s < leaves {
+            s += 1;
+        }
+        coded.sort_by_key(|e| center(e, 0));
+        let slab = n.div_ceil(s);
+        for chunk in coded.chunks_mut(slab.max(1)) {
+            chunk.sort_by_key(|e| center(e, 1));
+            let run = chunk.len().div_ceil(s);
+            for run_chunk in chunk.chunks_mut(run.max(1)) {
+                run_chunk.sort_by_key(|e| center(e, 2));
             }
         }
 
         // Pack bottom-up: leaf nodes over entry runs, then node runs.
         let mut nodes: Vec<IndexNode> = Vec::new();
-        if n > 0 {
-            let mut first = 0usize;
-            for chunk in entries.chunks(fanout) {
-                let cube = union_cubes(&chunk[0].cube, chunk[1..].iter().map(|e| &e.cube));
+        let mut first = 0usize;
+        for chunk in coded.chunks(fanout) {
+            nodes.push(IndexNode {
+                cube: grid.decode(code_union(chunk)),
+                first: idx_u32(first),
+                count: idx_u32(chunk.len()),
+                level: 0,
+            });
+            first += chunk.len();
+        }
+        let mut level = 0u32;
+        let mut lvl_start = 0usize;
+        while nodes.len() - lvl_start > 1 {
+            let lvl_end = nodes.len();
+            level += 1;
+            let mut child = lvl_start;
+            while child < lvl_end {
+                let count = fanout.min(lvl_end - child);
+                let cube = union_cubes(
+                    &nodes[child].cube,
+                    nodes[child + 1..child + count].iter().map(|nd| &nd.cube),
+                );
                 nodes.push(IndexNode {
                     cube,
-                    first: idx_u32(first),
-                    count: idx_u32(chunk.len()),
-                    level: 0,
+                    first: idx_u32(child),
+                    count: idx_u32(count),
+                    level,
                 });
-                first += chunk.len();
+                child += count;
             }
-            let mut level = 0u32;
-            let mut lvl_start = 0usize;
-            while nodes.len() - lvl_start > 1 {
-                let lvl_end = nodes.len();
-                level += 1;
-                let mut child = lvl_start;
-                while child < lvl_end {
-                    let count = fanout.min(lvl_end - child);
-                    let cube = union_cubes(
-                        &nodes[child].cube,
-                        nodes[child + 1..child + count].iter().map(|nd| &nd.cube),
-                    );
-                    nodes.push(IndexNode {
-                        cube,
-                        first: idx_u32(child),
-                        count: idx_u32(count),
-                        level,
-                    });
-                    child += count;
-                }
-                lvl_start = lvl_end;
-            }
+            lvl_start = lvl_end;
         }
-
-        let tree = RTree {
-            num_tuples: idx_u32(num_tuples),
-            fanout: idx_u32(fanout),
-            entries,
-            nodes,
-        };
+        tree.entries = coded;
+        tree.nodes = nodes;
         debug_assert!(
             tree.validate().is_ok(),
             "bulk load broke its own invariants"
@@ -209,14 +269,93 @@ impl RTree {
         tree
     }
 
-    /// Reassemble a tree from decoded parts, re-validating everything —
-    /// the untrusted entry point `mob-storage`'s `load_index` uses.
+    /// Reassemble a tree from the `f64` layout every store written
+    /// before compact leaves holds — leaf cubes as `f64` — re-validating
+    /// everything, then coding the leaves in the frame (the root cube).
+    /// The codes are snapped outward, so each leaf node is widened to
+    /// cover its decoded entries, and each parent to cover its
+    /// children; the root, and so the frame, stays. The untrusted entry
+    /// point `mob-storage`'s `load_index` uses for that layout.
     pub fn from_parts(
         num_tuples: u32,
         fanout: u32,
         entries: Vec<IndexEntry>,
+        mut nodes: Vec<IndexNode>,
+    ) -> DecodeResult<RTree> {
+        for (i, e) in entries.iter().enumerate() {
+            check_tuple(e.tuple, num_tuples)?;
+            if e.cube.rect.is_empty() || e.cube.t_max < e.cube.t_min {
+                return Err(bad(format!("entry {i} carries an empty or inverted cube")));
+            }
+        }
+        validate_nodes(fanout, entries.len(), &nodes, |node, range| {
+            range
+                .clone()
+                .find(|&c| entries.get(c).is_none_or(|e| !node.cube.contains(&e.cube)))
+        })?;
+        let Some(frame) = nodes.last().map(|root| root.cube) else {
+            return Ok(RTree {
+                num_tuples,
+                fanout,
+                entries: Vec::new(),
+                nodes,
+            });
+        };
+        let grid = Grid::new(&frame);
+        let coded: Vec<CodedEntry> = entries
+            .iter()
+            .map(|e| CodedEntry {
+                tuple: e.tuple,
+                unit: e.unit,
+                codes: grid.encode(&e.cube),
+            })
+            .collect();
+        // Children precede their parents in the node array, so one pass
+        // in order sees every child already widened.
+        // The ranges were validated above; `get` keeps the walk total.
+        for i in 0..nodes.len() {
+            let Some(nd) = nodes.get(i).copied() else {
+                break;
+            };
+            let range = nd.first as usize..nd.first as usize + nd.count as usize;
+            let cube = if nd.level == 0 {
+                coded
+                    .get(range)
+                    .map(|run| nd.cube.union(&grid.decode(code_union(run))))
+            } else {
+                nodes
+                    .get(range)
+                    .map(|kids| union_cubes(&nd.cube, kids.iter().map(|c| &c.cube)))
+            };
+            if let (Some(cube), Some(slot)) = (cube, nodes.get_mut(i)) {
+                slot.cube = cube;
+            }
+        }
+        let tree = RTree {
+            num_tuples,
+            fanout,
+            entries: coded,
+            nodes,
+        };
+        debug_assert!(tree.validate().is_ok(), "widening broke containment");
+        Ok(tree)
+    }
+
+    /// Reassemble a tree from its compact stored form — the frame, the
+    /// coded leaf entries and the nodes — re-validating everything: the
+    /// frame must equal the root cube, and the tree must pass
+    /// [`RTree::validate`]. The untrusted entry point `mob-storage`'s
+    /// `load_index` uses for that layout.
+    pub fn from_coded_parts(
+        num_tuples: u32,
+        fanout: u32,
+        frame: Cube,
+        entries: Vec<CodedEntry>,
         nodes: Vec<IndexNode>,
     ) -> DecodeResult<RTree> {
+        if nodes.last().is_some_and(|root| root.cube != frame) {
+            return Err(bad("frame differs from the root cube".to_string()));
+        }
         let tree = RTree {
             num_tuples,
             fanout,
@@ -247,9 +386,29 @@ impl RTree {
         self.fanout as usize
     }
 
-    /// The leaf entries in packed order (for serialization).
-    pub fn entries(&self) -> &[IndexEntry] {
+    /// The tree's frame: the root cube, the box every leaf code is a
+    /// fraction of. `None` for an empty tree.
+    pub fn frame(&self) -> Option<Cube> {
+        self.nodes.last().map(|root| root.cube)
+    }
+
+    /// The leaf entries in packed order, as codes in the frame (for
+    /// serialization).
+    pub fn coded_entries(&self) -> &[CodedEntry] {
         &self.entries
+    }
+
+    /// The leaf entries in packed order with their cubes decoded: each
+    /// the run's cube snapped outward to the frame's grid.
+    pub fn entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
+        let grid = self.frame().map(|f| Grid::new(&f));
+        self.entries.iter().filter_map(move |e| {
+            grid.map(|g| IndexEntry {
+                tuple: e.tuple,
+                unit: e.unit,
+                cube: g.decode(e.codes),
+            })
+        })
     }
 
     /// The nodes, leaves first, root last (for serialization).
@@ -264,133 +423,74 @@ impl RTree {
     ///   topped by a single root;
     /// * the children of each level tile the level below **exactly**
     ///   (level 0 tiles the entry array);
-    /// * every child cube is contained in its parent's cube;
-    /// * every leaf entry's tuple id is `< num_tuples`.
+    /// * every child cube is contained in its parent's cube — at level
+    ///   0, the entry's cube as its codes decode in the frame;
+    /// * every leaf entry's tuple id is `< num_tuples`, and no entry has
+    ///   a min code above its max code.
     ///
     /// Decode paths call this on untrusted bytes, so violations are
     /// [`DecodeError`]s, never panics.
     pub fn validate(&self) -> DecodeResult<()> {
-        let bad = |detail: String| DecodeError::BadStructure {
-            what: "rtree index",
-            detail,
-        };
-        if self.fanout < 2 {
-            return Err(bad(format!("fanout {} < 2", self.fanout)));
+        for e in &self.entries {
+            check_tuple(e.tuple, self.num_tuples)?;
+            check_codes(e.codes)?;
         }
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.tuple >= self.num_tuples {
-                return Err(DecodeError::OutOfBounds {
-                    what: "rtree entry tuple id",
-                    index: e.tuple as usize,
-                    bound: self.num_tuples as usize,
-                });
-            }
-            if e.cube.rect.is_empty() || e.cube.t_max < e.cube.t_min {
-                return Err(bad(format!("entry {i} carries an empty or inverted cube")));
-            }
-        }
-        if self.entries.is_empty() {
-            if !self.nodes.is_empty() {
-                return Err(bad("nodes present without entries".to_string()));
-            }
-            return Ok(());
-        }
-        if self.nodes.is_empty() {
-            return Err(bad("entries present without nodes".to_string()));
-        }
-        // Walk the node array level by level; each level must tile its
-        // child array exactly, left to right.
-        let mut pos = 0usize;
-        let mut level = 0u32;
-        let mut lvl_start;
-        let mut child_bound = self.entries.len(); // size of the level below
-        let mut prev_level_first = 0usize; // node index where the level below starts
-        loop {
-            lvl_start = pos;
-            let mut next_child = if level == 0 { 0 } else { prev_level_first };
-            let tile_end = if level == 0 {
-                child_bound
-            } else {
-                prev_level_first + child_bound
-            };
-            while pos < self.nodes.len() && self.nodes[pos].level == level {
-                let nd = &self.nodes[pos];
-                if nd.count == 0 {
-                    return Err(bad(format!("node {pos} has no children")));
-                }
-                if nd.first as usize != next_child {
-                    return Err(bad(format!(
-                        "node {pos} children start at {} instead of {next_child}",
-                        nd.first
-                    )));
-                }
-                let end = nd.first as usize + nd.count as usize;
-                if end > tile_end {
-                    return Err(DecodeError::OutOfBounds {
-                        what: "rtree node child range",
-                        index: end,
-                        bound: tile_end,
-                    });
-                }
-                for c in nd.first as usize..end {
-                    let child_cube = if level == 0 {
-                        &self.entries[c].cube
-                    } else {
-                        &self.nodes[c].cube
-                    };
-                    if !nd.cube.contains(child_cube) {
-                        return Err(bad(format!(
-                            "node {pos} (level {level}) does not contain child {c}"
-                        )));
+        let grid = self.frame().map(|f| Grid::new(&f));
+        validate_nodes(
+            self.fanout,
+            self.entries.len(),
+            &self.nodes,
+            |node, range| {
+                // An entry lies inside the node exactly when its codes lie
+                // inside the node's cube coded inward.
+                let inward = grid.and_then(|g| g.inward(&node.cube));
+                range.clone().find(|&c| {
+                    let codes = self.entries.get(c).map(|e| e.codes);
+                    match (codes, inward) {
+                        (Some([x0, y0, x1, y1, t0, t1]), Some([a0, b0, a1, b1, s0, s1])) => {
+                            x0 < a0 || y0 < b0 || x1 > a1 || y1 > b1 || t0 < s0 || t1 > s1
+                        }
+                        _ => true,
                     }
-                }
-                next_child = end;
-                pos += 1;
-            }
-            if next_child != tile_end {
-                return Err(bad(format!(
-                    "level {level} covers children up to {next_child}, expected {tile_end}"
-                )));
-            }
-            let lvl_len = pos - lvl_start;
-            if lvl_len == 0 {
-                return Err(bad(format!("level {level} is empty")));
-            }
-            if pos == self.nodes.len() {
-                if lvl_len != 1 {
-                    return Err(bad(format!("top level has {lvl_len} roots, expected 1")));
-                }
-                return Ok(());
-            }
-            prev_level_first = lvl_start;
-            child_bound = lvl_len;
-            level += 1;
-        }
+                })
+            },
+        )
     }
 
     /// Probe with a full (x, y, t) cube: every entry whose cube
     /// intersects `q` contributes its tuple to the candidate set.
     pub fn query(&self, q: &Cube) -> Candidates {
-        self.search(|c| c.intersects(q))
+        let meets = |g: &Grid| g.meets(Some(&q.rect), Some((q.t_min, q.t_max)));
+        self.search(|c| c.intersects(q), meets)
     }
 
     /// Probe with an instant only (the `snapshot_at` prune): time-axis
     /// overlap, any spatial extent.
     pub fn query_instant(&self, t: Instant) -> Candidates {
-        self.search(|c| c.t_min <= t && t <= c.t_max)
+        let meets = |g: &Grid| g.meets(None, Some((t, t)));
+        self.search(|c| c.t_min <= t && t <= c.t_max, meets)
     }
 
     /// Probe with a spatial rectangle only (the `filter_inside` prune):
     /// space-axis overlap, any time.
     pub fn query_rect(&self, r: &Rect) -> Candidates {
-        self.search(move |c| c.rect.intersects(r))
+        let meets = |g: &Grid| g.meets(Some(r), None);
+        self.search(move |c| c.rect.intersects(r), meets)
     }
 
-    fn search(&self, hit: impl Fn(&Cube) -> bool) -> Candidates {
+    /// Walk the tree: nodes whose cube passes `hit`, and entries whose
+    /// codes lie in the code window `meets` gives for the frame — the
+    /// entries whose decoded cube passes `hit`, compared in code space.
+    fn search(
+        &self,
+        hit: impl Fn(&Cube) -> bool,
+        meets: impl Fn(&Grid) -> Option<[u16; 6]>,
+    ) -> Candidates {
         let mut out = Candidates::default();
-        if self.nodes.is_empty() {
+        let Some(frame) = self.frame() else {
             return out;
-        }
+        };
+        let window = meets(&Grid::new(&frame));
         let mut stack = vec![self.nodes.len() - 1];
         while let Some(i) = stack.pop() {
             let nd = &self.nodes[i];
@@ -400,8 +500,12 @@ impl RTree {
             }
             let range = nd.first as usize..nd.first as usize + nd.count as usize;
             if nd.level == 0 {
+                let Some([a0, b0, a1, b1, s0, s1]) = window else {
+                    continue;
+                };
                 for e in &self.entries[range] {
-                    if hit(&e.cube) {
+                    let [x0, y0, x1, y1, t0, t1] = e.codes;
+                    if x0 <= a1 && x1 >= a0 && y0 <= b1 && y1 >= b0 && t0 <= s1 && t1 >= s0 {
                         out.units += 1;
                         out.tuples.push(e.tuple);
                     }
@@ -416,10 +520,392 @@ impl RTree {
     }
 }
 
+/// A structural violation of the index.
+fn bad(detail: String) -> DecodeError {
+    DecodeError::BadStructure {
+        what: "rtree index",
+        detail,
+    }
+}
+
+/// Refuse a leaf tuple id outside the relation.
+fn check_tuple(tuple: u32, num_tuples: u32) -> DecodeResult<()> {
+    if tuple >= num_tuples {
+        return Err(DecodeError::OutOfBounds {
+            what: "rtree entry tuple id",
+            index: tuple as usize,
+            bound: num_tuples as usize,
+        });
+    }
+    Ok(())
+}
+
+/// The structural checks common to both leaf layouts over `entries`
+/// leaves: fanout, levels, exact tiling, one root, and containment —
+/// of each child node in its parent here, and of the leaf entries in a
+/// level-0 node through `escapes(node, range)`, which returns the first
+/// entry of `range` not inside `node`.
+fn validate_nodes(
+    fanout: u32,
+    entries: usize,
+    nodes: &[IndexNode],
+    escapes: impl Fn(&IndexNode, &std::ops::Range<usize>) -> Option<usize>,
+) -> DecodeResult<()> {
+    if fanout < 2 {
+        return Err(bad(format!("fanout {fanout} < 2")));
+    }
+    if entries == 0 {
+        if !nodes.is_empty() {
+            return Err(bad("nodes present without entries".to_string()));
+        }
+        return Ok(());
+    }
+    if nodes.is_empty() {
+        return Err(bad("entries present without nodes".to_string()));
+    }
+    // Walk the node array level by level; each level must tile its
+    // child array exactly, left to right.
+    let mut pos = 0usize;
+    let mut level = 0u32;
+    let mut lvl_start;
+    let mut child_bound = entries; // size of the level below
+    let mut prev_level_first = 0usize; // node index where the level below starts
+    loop {
+        lvl_start = pos;
+        let mut next_child = if level == 0 { 0 } else { prev_level_first };
+        let tile_end = if level == 0 {
+            child_bound
+        } else {
+            prev_level_first + child_bound
+        };
+        while let Some(nd) = nodes.get(pos).filter(|nd| nd.level == level) {
+            if nd.count == 0 {
+                return Err(bad(format!("node {pos} has no children")));
+            }
+            if nd.first as usize != next_child {
+                return Err(bad(format!(
+                    "node {pos} children start at {} instead of {next_child}",
+                    nd.first
+                )));
+            }
+            let end = nd.first as usize + nd.count as usize;
+            if end > tile_end {
+                return Err(DecodeError::OutOfBounds {
+                    what: "rtree node child range",
+                    index: end,
+                    bound: tile_end,
+                });
+            }
+            let range = nd.first as usize..end;
+            let escaped = if level == 0 {
+                escapes(nd, &range)
+            } else {
+                range.clone().find(|&c| {
+                    nodes
+                        .get(c)
+                        .is_none_or(|child| !nd.cube.contains(&child.cube))
+                })
+            };
+            if let Some(c) = escaped {
+                return Err(bad(format!(
+                    "node {pos} (level {level}) does not contain child {c}"
+                )));
+            }
+            next_child = end;
+            pos += 1;
+        }
+        if next_child != tile_end {
+            return Err(bad(format!(
+                "level {level} covers children up to {next_child}, expected {tile_end}"
+            )));
+        }
+        let lvl_len = pos - lvl_start;
+        if lvl_len == 0 {
+            return Err(bad(format!("level {level} is empty")));
+        }
+        if pos == nodes.len() {
+            if lvl_len != 1 {
+                return Err(bad(format!("top level has {lvl_len} roots, expected 1")));
+            }
+            return Ok(());
+        }
+        prev_level_first = lvl_start;
+        child_bound = lvl_len;
+        level += 1;
+    }
+}
+
 /// Union of a non-empty cube sequence, seeded with its first element
 /// (callers always union over `chunks()` output, which is never empty).
 fn union_cubes<'a>(first: &Cube, rest: impl Iterator<Item = &'a Cube>) -> Cube {
     rest.fold(*first, |acc, c| acc.union(c))
+}
+
+/// Largest leaf code: code `c` stands for the fraction `c / CODE_MAX`
+/// of its frame axis, so `0` and `CODE_MAX` are the frame bounds.
+pub const CODE_MAX: u16 = u16::MAX;
+
+/// [`CODE_MAX`] as a float: the number of steps a frame axis is cut
+/// into.
+const STEPS: f64 = CODE_MAX as f64;
+
+/// A cube's six bounds in code order:
+/// `(min_x, min_y, max_x, max_y, t_min, t_max)`.
+fn bounds(c: &Cube) -> [f64; 6] {
+    [
+        c.rect.min_x().get(),
+        c.rect.min_y().get(),
+        c.rect.max_x().get(),
+        c.rect.max_y().get(),
+        c.t_min.as_f64(),
+        c.t_max.as_f64(),
+    ]
+}
+
+/// Encode `cube`, which must lie inside `frame`, as six codes in
+/// `frame`: each min rounds down to the largest code that decodes at or
+/// below it, each max up to the smallest code that decodes at or above
+/// it, so [`decode`] gives back a cube that contains `cube` and lies
+/// inside `frame`. On a frame axis of zero or non-finite width every
+/// min codes as `0` and every max as [`CODE_MAX`]: the frame bounds.
+pub fn encode(cube: &Cube, frame: &Cube) -> [u16; 6] {
+    Grid::new(frame).encode(cube)
+}
+
+/// Decode six codes in `frame`, the inverse of [`encode`]: always a
+/// cube inside `frame`, never NaN, with `0` and [`CODE_MAX`] decoding
+/// to the frame bounds exactly. Codes whose min is above their max
+/// decode to an empty or inverted cube; [`check_codes`] refuses them.
+pub fn decode(codes: [u16; 6], frame: &Cube) -> Cube {
+    Grid::new(frame).decode(codes)
+}
+
+/// Refuse codes whose min is above their max on any axis: they stand
+/// for no cube, and decoding them would hide the damage.
+pub fn check_codes(codes: [u16; 6]) -> DecodeResult<()> {
+    let [x0, y0, x1, y1, t0, t1] = codes;
+    if x0 > x1 || y0 > y1 || t0 > t1 {
+        return Err(DecodeError::BadStructure {
+            what: "rtree entry codes",
+            detail: format!("min code above max code in {codes:?}"),
+        });
+    }
+    Ok(())
+}
+
+/// A frame set up for coding: its x, y and t axes.
+#[derive(Clone, Copy, Debug)]
+struct Grid([Axis; 3]);
+
+impl Grid {
+    fn new(frame: &Cube) -> Grid {
+        let [x0, y0, x1, y1, t0, t1] = bounds(frame);
+        Grid([Axis::new(x0, x1), Axis::new(y0, y1), Axis::new(t0, t1)])
+    }
+
+    fn encode(&self, cube: &Cube) -> [u16; 6] {
+        let [x, y, t] = &self.0;
+        let [x0, y0, x1, y1, t0, t1] = bounds(cube);
+        [
+            x.code_down(x0),
+            y.code_down(y0),
+            x.code_up(x1),
+            y.code_up(y1),
+            t.code_down(t0),
+            t.code_up(t1),
+        ]
+    }
+
+    fn decode(&self, codes: [u16; 6]) -> Cube {
+        let [x, y, t] = &self.0;
+        let [x0, y0, x1, y1, t0, t1] = codes;
+        Cube {
+            rect: Rect::new(
+                Real::new(x.at(x0)),
+                Real::new(y.at(y0)),
+                Real::new(x.at(x1)),
+                Real::new(y.at(y1)),
+            ),
+            t_min: Instant::new(Real::new(t.at(t0))),
+            t_max: Instant::new(Real::new(t.at(t1))),
+        }
+    }
+
+    /// The code window of the entries whose decoded cube meets a probe
+    /// (`None` for an unconstrained part): an entry meets it exactly
+    /// when each min code is at or below the window's max and each max
+    /// code at or above its min, window in [`encode`] order. `None`
+    /// when no code range can meet it.
+    fn meets(&self, rect: Option<&Rect>, span: Option<(Instant, Instant)>) -> Option<[u16; 6]> {
+        let [x, y, t] = &self.0;
+        let any = (0, CODE_MAX);
+        let (xa, xb, ya, yb) = match rect {
+            Some(r) if r.is_empty() => return None,
+            Some(r) => {
+                let (xa, xb) = x.meets(r.min_x().get(), r.max_x().get())?;
+                let (ya, yb) = y.meets(r.min_y().get(), r.max_y().get())?;
+                (xa, xb, ya, yb)
+            }
+            None => (any.0, any.1, any.0, any.1),
+        };
+        let (ta, tb) = match span {
+            Some((a, b)) => t.meets(a.as_f64(), b.as_f64())?,
+            None => any,
+        };
+        Some([xa, ya, xb, yb, ta, tb])
+    }
+
+    /// `cube` coded inward: the smallest min codes and the largest max
+    /// codes whose decoded values stay inside it, so a cube of codes
+    /// decodes inside `cube` exactly when its mins are at or above and
+    /// its maxes at or below these. `None` when no code on some axis
+    /// decodes inside.
+    fn inward(&self, cube: &Cube) -> Option<[u16; 6]> {
+        let [x, y, t] = &self.0;
+        let [x0, y0, x1, y1, t0, t1] = bounds(cube);
+        Some([
+            x.first_at_or_above(x0)?,
+            y.first_at_or_above(y0)?,
+            x.last_at_or_below(x1)?,
+            y.last_at_or_below(y1)?,
+            t.first_at_or_above(t0)?,
+            t.last_at_or_below(t1)?,
+        ])
+    }
+}
+
+/// One frame axis `lo..=hi` cut into [`CODE_MAX`] steps.
+#[derive(Clone, Copy, Debug)]
+struct Axis {
+    lo: f64,
+    hi: f64,
+    /// Width of one step; `0` when the width is zero, not finite, or
+    /// too small to cut, and every code then stands for a bound.
+    step: f64,
+    /// Steps per unit length (an estimate's scale).
+    per_unit: f64,
+}
+
+impl Axis {
+    fn new(lo: f64, hi: f64) -> Axis {
+        let w = hi - lo;
+        let step = if w.is_finite() { w / STEPS } else { 0.0 };
+        Axis {
+            lo,
+            hi,
+            step,
+            per_unit: STEPS / w,
+        }
+    }
+
+    /// The value code `c` stands for: monotone in `c`, `lo` at `0` and
+    /// `hi` at [`CODE_MAX`], never outside `lo..=hi`.
+    fn at(&self, c: u16) -> f64 {
+        if c == CODE_MAX {
+            self.hi
+        } else {
+            (self.lo + f64::from(c) * self.step).min(self.hi)
+        }
+    }
+
+    /// `false` when every code stands for a bound.
+    fn cut(&self) -> bool {
+        self.step > 0.0
+    }
+
+    /// The code of a min bound `v`: the largest code that decodes at or
+    /// below it, or `0` on an axis not [`Axis::cut`].
+    fn code_down(&self, v: f64) -> u16 {
+        if !self.cut() {
+            return 0;
+        }
+        self.last_at_or_below(v).unwrap_or(0)
+    }
+
+    /// The code of a max bound `v`: the smallest code that decodes at
+    /// or above it, or [`CODE_MAX`] on an axis not [`Axis::cut`].
+    fn code_up(&self, v: f64) -> u16 {
+        if !self.cut() {
+            return CODE_MAX;
+        }
+        self.first_at_or_above(v).unwrap_or(CODE_MAX)
+    }
+
+    /// The largest code that decodes at or below `v`, if any.
+    fn last_at_or_below(&self, v: f64) -> Option<u16> {
+        last_below(self.nearest(v), |c| self.at(c) <= v)
+    }
+
+    /// The smallest code that decodes at or above `v`, if any: one past
+    /// the largest code that decodes below it.
+    fn first_at_or_above(&self, v: f64) -> Option<u16> {
+        let est = self.nearest(v).saturating_sub(1);
+        match last_below(est, |c| self.at(c) < v) {
+            None => Some(0),
+            Some(c) => c.checked_add(1),
+        }
+    }
+
+    /// The codes whose decoded interval meets `a..=b`: an interval of
+    /// codes `lo..=hi` meets it exactly when `lo` is at or below the
+    /// second code returned and `hi` at or above the first.
+    fn meets(&self, a: f64, b: f64) -> Option<(u16, u16)> {
+        Some((self.first_at_or_above(a)?, self.last_at_or_below(b)?))
+    }
+
+    /// The code nearest to `v`, from one multiplication: the estimate
+    /// [`last_below`] corrects.
+    fn nearest(&self, v: f64) -> u16 {
+        let x = (v - self.lo) * self.per_unit + 0.5;
+        // A float-to-integer `as` truncates and saturates, with negative
+        // values and NaN at 0; anything past the last code is the last.
+        u16::try_from(x as u64).unwrap_or(CODE_MAX)
+    }
+}
+
+/// The largest code `c` with `below(c)`, for a `below` that holds on a
+/// prefix of the codes, or `None` when it holds for none, starting from
+/// the estimate `est`. Rounding leaves the estimate at most a code off,
+/// so a step or two settles it, each evaluating `below` once; only an
+/// axis too narrow for the magnitude of its bounds, where many codes
+/// decode to one `f64`, or with no cut at all, falls through to
+/// bisection.
+fn last_below(est: u16, below: impl Fn(u16) -> bool) -> Option<u16> {
+    let mut c = est;
+    if below(c) {
+        // Walk up while the next code still holds.
+        for _ in 0..2 {
+            if c == CODE_MAX || !below(c + 1) {
+                return Some(c);
+            }
+            c += 1;
+        }
+    } else {
+        // Walk down to the first code that holds; the one above it did
+        // not.
+        for _ in 0..2 {
+            c = c.checked_sub(1)?;
+            if below(c) {
+                return Some(c);
+            }
+        }
+    }
+    if !below(0) {
+        return None;
+    }
+    let (mut yes, mut no) = (0u16, CODE_MAX);
+    if below(no) {
+        return Some(no);
+    }
+    while no - yes > 1 {
+        let mid = yes + (no - yes) / 2;
+        if below(mid) {
+            yes = mid;
+        } else {
+            no = mid;
+        }
+    }
+    Some(yes)
 }
 
 /// Saturating `usize → u32` for packed-array offsets and counts.
@@ -541,7 +1027,6 @@ mod tests {
     fn brute(tree: &RTree, hit: impl Fn(&Cube) -> bool) -> Vec<u32> {
         let mut out: Vec<u32> = tree
             .entries()
-            .iter()
             .filter(|e| hit(&e.cube))
             .map(|e| e.tuple)
             .collect();
@@ -622,36 +1107,376 @@ mod tests {
         );
     }
 
+    /// Exhaustive reference on seeded probes: the code-space leaf test
+    /// must pick exactly the entries whose decoded cube meets a probe,
+    /// including probes on grid values and outside the frame.
+    #[test]
+    fn frame_code_space_probes_agree_with_decoded_cubes() {
+        use mob_base::r;
+        let mut state = 0xc0deu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut entries = Vec::new();
+        for k in 0..40u32 {
+            entries.extend(run_cubes(k, &wander(u64::from(k), 64)));
+        }
+        let tree = RTree::build(40, entries, 4);
+        let on_grid: Vec<IndexEntry> = tree.entries().collect();
+        for p in 0..400 {
+            // Every fourth probe reuses a decoded bound exactly.
+            let pick = |v: f64, k: usize| {
+                if p % 4 == 0 {
+                    let e = &on_grid[(p * 7 + k) % on_grid.len()].cube;
+                    [
+                        e.rect.min_x(),
+                        e.rect.min_y(),
+                        e.rect.max_x(),
+                        e.rect.max_y(),
+                    ][k % 4]
+                        .get()
+                } else {
+                    v
+                }
+            };
+            let (x, y) = (pick(next() * 50.0 - 25.0, 0), pick(next() * 50.0 - 25.0, 1));
+            let (w, h) = (next() * 6.0, next() * 6.0);
+            let rect = Rect::new(r(x), r(y), r(x + w), r(y + h));
+            let from = if p % 4 == 0 {
+                on_grid[p % on_grid.len()].cube.t_max.as_f64()
+            } else {
+                next() * 70.0 - 3.0
+            };
+            let span = Interval::closed(t(from), t(from + next() * 4.0));
+            let cube = Cube::new(rect, &span);
+            assert_eq!(
+                tree.query(&cube).tuples,
+                brute(&tree, |c| c.intersects(&cube)),
+                "probe {p}"
+            );
+            assert_eq!(
+                tree.query_rect(&rect).tuples,
+                brute(&tree, |c| c.rect.intersects(&rect)),
+                "rect {p}"
+            );
+            let at = t(from);
+            assert_eq!(
+                tree.query_instant(at).tuples,
+                brute(&tree, |c| c.t_min <= at && at <= c.t_max),
+                "instant {p}"
+            );
+        }
+    }
+
+    /// A tree's f64 parts: its entries decoded and its nodes as built.
+    fn f64_parts(tree: &RTree) -> (Vec<IndexEntry>, Vec<IndexNode>) {
+        (tree.entries().collect(), tree.nodes.clone())
+    }
+
     #[test]
     fn from_parts_rejects_forged_layouts() {
         let tree = fleet_tree(4, 6);
         let (nt, f) = (tree.num_tuples, tree.fanout);
+        let (entries, nodes) = f64_parts(&tree);
         // Pristine parts round-trip.
-        RTree::from_parts(nt, f, tree.entries.clone(), tree.nodes.clone()).unwrap();
+        assert_eq!(
+            RTree::from_parts(nt, f, entries.clone(), nodes.clone()).unwrap(),
+            tree
+        );
         // Tuple id out of range.
-        let mut e = tree.entries.clone();
+        let mut e = entries.clone();
         e[0].tuple = 99;
-        assert!(RTree::from_parts(nt, f, e, tree.nodes.clone()).is_err());
+        assert!(RTree::from_parts(nt, f, e, nodes.clone()).is_err());
         // Shrunk node cube no longer contains its children.
-        let mut nd = tree.nodes.clone();
+        let mut nd = nodes.clone();
         let last = nd.len() - 1;
-        nd[last].cube = tree.entries[0].cube;
-        assert!(RTree::from_parts(nt, f, tree.entries.clone(), nd).is_err());
+        nd[last].cube = entries[0].cube;
+        assert!(RTree::from_parts(nt, f, entries.clone(), nd).is_err());
         // Child range overflowing the entry array.
-        let mut nd = tree.nodes.clone();
+        let mut nd = nodes.clone();
         nd[0].count += 1000;
-        assert!(RTree::from_parts(nt, f, tree.entries.clone(), nd).is_err());
+        assert!(RTree::from_parts(nt, f, entries.clone(), nd).is_err());
         // Dropping the root leaves a forest, not a tree.
-        let mut nd = tree.nodes.clone();
+        let mut nd = nodes.clone();
         nd.pop();
         assert!(nd.len() > 1, "test premise: multiple leaf nodes");
-        assert!(RTree::from_parts(nt, f, tree.entries.clone(), nd).is_err());
+        assert!(RTree::from_parts(nt, f, entries.clone(), nd).is_err());
         // Fanout below 2.
-        assert!(RTree::from_parts(nt, 1, tree.entries.clone(), tree.nodes.clone()).is_err());
+        assert!(RTree::from_parts(nt, 1, entries.clone(), nodes.clone()).is_err());
         // Entries without nodes / nodes without entries.
-        assert!(RTree::from_parts(nt, f, tree.entries.clone(), Vec::new()).is_err());
-        assert!(RTree::from_parts(nt, f, Vec::new(), tree.nodes.clone()).is_err());
+        assert!(RTree::from_parts(nt, f, entries.clone(), Vec::new()).is_err());
+        assert!(RTree::from_parts(nt, f, Vec::new(), nodes.clone()).is_err());
         assert!(RTree::from_parts(nt, f, Vec::new(), Vec::new()).is_ok());
+
+        // The compact form: pristine coded parts rebuild the tree.
+        let frame = tree.frame().unwrap();
+        let coded = tree.coded_entries().to_vec();
+        let rebuilt = RTree::from_coded_parts(nt, f, frame, coded.clone(), nodes.clone()).unwrap();
+        assert_eq!(rebuilt, tree);
+        // A frame that differs from the root cube.
+        let mut wide = frame;
+        wide.t_max = t(frame.t_max.as_f64() + 1.0);
+        assert!(RTree::from_coded_parts(nt, f, wide, coded.clone(), nodes.clone()).is_err());
+        // A min code above its max code.
+        let mut bad = coded.clone();
+        bad[0].codes.swap(0, 2);
+        assert!(bad[0].codes[0] > bad[0].codes[2], "test premise");
+        assert!(RTree::from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
+        // A shrunk leaf node no longer contains the decoded entries.
+        let mut nd = nodes.clone();
+        nd[0].cube = entries[0].cube;
+        assert!(RTree::from_coded_parts(nt, f, frame, coded.clone(), nd).is_err());
+        // A tuple id out of range, in the coded form too.
+        let mut bad = coded.clone();
+        bad[0].tuple = 99;
+        assert!(RTree::from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
+        // The empty tree has no frame to check.
+        assert!(RTree::from_coded_parts(nt, f, frame, Vec::new(), Vec::new()).is_ok());
+    }
+
+    /// A cube from its six bounds in code order.
+    fn cube6(b: [f64; 6]) -> Cube {
+        let [x0, y0, x1, y1, t0, t1] = b;
+        use mob_base::r;
+        Cube::new(
+            Rect::new(r(x0), r(y0), r(x1), r(y1)),
+            &Interval::closed(t(t0), t(t1)),
+        )
+    }
+
+    /// The codec contract on `cubes`: each decoded cube contains its
+    /// input and lies inside the frame (their union), re-encoding a
+    /// decoded cube gives it back, the bulk-loaded tree's root is the
+    /// frame, and its compact parts rebuild it exactly.
+    fn check_frame(ctx: &str, cubes: &[Cube]) {
+        let frame = cubes[1..].iter().fold(cubes[0], |a, c| a.union(c));
+        for (i, c) in cubes.iter().enumerate() {
+            let codes = encode(c, &frame);
+            check_codes(codes).unwrap_or_else(|e| panic!("{ctx} cube {i}: {e}"));
+            let d = decode(codes, &frame);
+            assert!(d.contains(c), "{ctx} cube {i}: {d:?} misses {c:?}");
+            assert!(frame.contains(&d), "{ctx} cube {i}: {d:?} leaves the frame");
+            assert_eq!(decode(encode(&d, &frame), &frame), d, "{ctx} cube {i}");
+        }
+        let entries: Vec<IndexEntry> = cubes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| IndexEntry {
+                tuple: i as u32,
+                unit: 0,
+                cube: *c,
+            })
+            .collect();
+        let tree = RTree::build(cubes.len(), entries, 4);
+        tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(tree.frame(), Some(frame), "{ctx}: root cube is the frame");
+        for e in tree.entries() {
+            assert!(e.cube.contains(&cubes[e.tuple as usize]), "{ctx}");
+        }
+        let back = RTree::from_coded_parts(
+            tree.num_tuples,
+            tree.fanout,
+            frame,
+            tree.coded_entries().to_vec(),
+            tree.nodes.clone(),
+        )
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(back, tree, "{ctx}: compact parts rebuild the tree");
+        // Every probe over the frame and past it finds every entry it
+        // meets.
+        let all = tree.query(&frame);
+        assert_eq!(all.tuples.len(), cubes.len(), "{ctx}: the frame meets all");
+    }
+
+    #[test]
+    fn frame_codec_holds_on_seeded_cubes() {
+        let mut state = 0x5eedu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (lo, span) in [(0.0, 1.0), (-5000.0, 10_000.0), (1e9, 3.7), (-1e-3, 2e-3)] {
+            let cubes: Vec<Cube> = (0..200)
+                .map(|_| {
+                    let mut b = [0.0; 6];
+                    for axis in [(0, 2), (1, 3), (4, 5)] {
+                        let (a, c) = (lo + next() * span, lo + next() * span);
+                        b[axis.0] = a.min(c);
+                        b[axis.1] = a.max(c);
+                    }
+                    cube6(b)
+                })
+                .collect();
+            check_frame(&format!("frame at {lo} + {span}"), &cubes);
+        }
+    }
+
+    #[test]
+    fn frame_codes_zero_and_max_are_the_frame_bounds() {
+        let frame = cube6([-3.0, 1.0, 7.5, 2.0, 10.0, 20.0]);
+        assert_eq!(
+            decode([0; 6], &frame),
+            cube6([-3.0, 1.0, -3.0, 1.0, 10.0, 10.0])
+        );
+        assert_eq!(
+            decode([CODE_MAX; 6], &frame),
+            cube6([7.5, 2.0, 7.5, 2.0, 20.0, 20.0])
+        );
+        assert_eq!(
+            encode(&frame, &frame),
+            [0, 0, CODE_MAX, CODE_MAX, 0, CODE_MAX]
+        );
+        // Decoding is monotone in the code on every axis.
+        let axis = Axis::new(-3.0, 7.5);
+        let mut prev = axis.at(0);
+        for c in 1..=CODE_MAX {
+            let v = axis.at(c);
+            assert!(prev <= v && v <= 7.5, "code {c}");
+            prev = v;
+        }
+    }
+
+    #[test]
+    fn frame_of_zero_width_axes() {
+        // A stationary fleet: every x and y equal, time still spread.
+        let still: Vec<Cube> = (0..20)
+            .map(|i| cube6([4.0, -2.0, 4.0, -2.0, f64::from(i), f64::from(i) + 1.0]))
+            .collect();
+        check_frame("stationary", &still);
+        // A single instant: the time axis has zero width.
+        let instant: Vec<Cube> = (0..20)
+            .map(|i| cube6([f64::from(i), 0.0, f64::from(i) + 2.0, 1.0, 5.0, 5.0]))
+            .collect();
+        check_frame("instant", &instant);
+        // One point cube.
+        check_frame("point", &[cube6([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])]);
+    }
+
+    #[test]
+    fn frame_bounds_and_negative_zero() {
+        let cubes = [
+            cube6([-0.0, -0.0, 0.0, 0.0, -0.0, 0.0]),
+            cube6([0.0, -1.0, 3.0, -0.0, 0.0, 8.0]),
+            cube6([-0.0, 0.0, 3.0, 5.0, -0.0, -0.0]),
+            cube6([3.0, 5.0, 3.0, 5.0, 8.0, 8.0]),
+        ];
+        check_frame("signed zeros", &cubes);
+        let mut rev = cubes;
+        rev.reverse();
+        check_frame("signed zeros reversed", &rev);
+    }
+
+    #[test]
+    fn frame_with_an_infinite_tail_cube() {
+        // The tail index widens a unit it cannot evaluate to the whole
+        // plane; every x and y bound then codes to the frame bounds.
+        let (lo, hi) = (f64::NEG_INFINITY, f64::INFINITY);
+        let cubes = [
+            cube6([0.0, 0.0, 1.0, 1.0, 0.0, 1.0]),
+            cube6([lo, lo, hi, hi, 1.0, 2.0]),
+            cube6([5.0, -3.0, 6.0, 9.0, 2.0, 3.0]),
+        ];
+        check_frame("infinite tail", &cubes);
+        let frame = cubes[1..].iter().fold(cubes[0], |a, c| a.union(c));
+        let codes = encode(&cubes[0], &frame);
+        assert_eq!(codes[..4], [0, 0, CODE_MAX, CODE_MAX]);
+        // Every code decodes to a frame bound on an infinite axis.
+        let axis = Axis::new(lo, hi);
+        for c in [0, 1, 30_000, CODE_MAX - 1] {
+            assert_eq!(axis.at(c), lo);
+        }
+        assert_eq!(axis.at(CODE_MAX), hi);
+        // A half-infinite axis: all times from -inf.
+        check_frame(
+            "half-infinite",
+            &[
+                cube6([0.0, 0.0, 1.0, 1.0, lo, 3.0]),
+                cube6([1.0, 1.0, 2.0, 2.0, 0.0, 4.0]),
+            ],
+        );
+    }
+
+    #[test]
+    fn frame_width_overflowing_to_infinity() {
+        let cubes = [
+            cube6([-1e308, 0.0, -1e307, 1.0, 0.0, 1.0]),
+            cube6([-5.0, 0.0, 5.0, 1.0, 0.0, 1.0]),
+            cube6([1e307, 0.0, 1e308, 1.0, 0.0, 1.0]),
+        ];
+        check_frame("overflowing width", &cubes);
+        let frame = cubes[1..].iter().fold(cubes[0], |a, c| a.union(c));
+        for c in &cubes {
+            let codes = encode(c, &frame);
+            assert_eq!((codes[0], codes[2]), (0, CODE_MAX), "x codes at the bounds");
+            assert!(!Axis::new(-1e308, 1e308).at(1).is_nan());
+        }
+    }
+
+    #[test]
+    fn frame_too_narrow_for_its_magnitude() {
+        // 1e9 ± a few ulps: many codes decode to one f64, so the
+        // estimate's steps do not settle and bisection does.
+        let base = 1e9;
+        let ulp = f64::EPSILON * base;
+        let cubes: Vec<Cube> = (0..8)
+            .map(|i| {
+                let a = base + f64::from(i) * ulp;
+                cube6([a, 0.0, a + ulp, 1.0, a, a + 2.0 * ulp])
+            })
+            .collect();
+        check_frame("narrow", &cubes);
+    }
+
+    #[test]
+    fn frame_widening_of_an_f64_tree() {
+        // A tree in the f64 layout: leaf cubes off the grid and nodes
+        // that are the unions of them.
+        let built = fleet_tree(6, 9);
+        let raw: Vec<IndexEntry> = built
+            .entries()
+            .map(|e| IndexEntry {
+                cube: {
+                    let m = zigzag(e.tuple as usize, 9);
+                    crate::seq::UnitSeq::unit(&m, e.unit as usize).bounding_cube()
+                },
+                ..e
+            })
+            .collect();
+        let mut nodes = built.nodes.clone();
+        for i in 0..nodes.len() {
+            let nd = nodes[i];
+            let r = nd.first as usize..(nd.first + nd.count) as usize;
+            nodes[i].cube = if nd.level == 0 {
+                raw[r.clone()][1..]
+                    .iter()
+                    .fold(raw[r.start].cube, |a, e| a.union(&e.cube))
+            } else {
+                nodes[r.clone()][1..]
+                    .iter()
+                    .fold(nodes[r.start].cube, |a, c| a.union(&c.cube))
+            };
+        }
+        let frame = nodes.last().unwrap().cube;
+        let tree = RTree::from_parts(built.num_tuples, built.fanout, raw.clone(), nodes).unwrap();
+        assert_eq!(tree.frame(), Some(frame), "the root keeps the frame");
+        for (snapped, f) in tree.entries().zip(&raw) {
+            assert!(snapped.cube.contains(&f.cube), "snapped outward");
+        }
+        // Its compact form stores and reloads as the same tree.
+        let back = RTree::from_coded_parts(
+            tree.num_tuples,
+            tree.fanout,
+            frame,
+            tree.coded_entries().to_vec(),
+            tree.nodes.clone(),
+        )
+        .expect("widened nodes contain the snapped leaves");
+        assert_eq!(back, tree);
     }
 
     #[test]

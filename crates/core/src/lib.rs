@@ -55,8 +55,8 @@ pub mod validate;
 
 pub use batch::{batch_at_instant, UnitCursor};
 pub use index::{
-    run_cubes, run_cubes_with, unit_cubes, Candidates, IndexEntry, IndexNode, RTree,
-    DEFAULT_FANOUT, DEFAULT_RUN_DIVISOR,
+    run_cubes, run_cubes_with, unit_cubes, Candidates, CodedEntry, IndexEntry, IndexNode, RTree,
+    CODE_MAX, DEFAULT_FANOUT, DEFAULT_RUN_DIVISOR,
 };
 pub use ingest::TailBuilder;
 pub use lift::{lift1, lift2};

@@ -264,8 +264,8 @@ impl OpenRelOpts {
         self
     }
 
-    /// Attach the stored index committed under this root name (a tag-11
-    /// [`RootRecord::Index`] entry). A missing, damaged, or unusable
+    /// Attach the stored index committed under this root name (a
+    /// [`RootRecord::Index`] entry of either leaf layout). A missing, damaged, or unusable
     /// index marks the relation *index-damaged* — scans fall back to
     /// full, recording `index.fallbacks` — and never fails the open.
     #[must_use]
@@ -496,7 +496,8 @@ pub fn tuple_layout(t: &StoredTuple, store: &PageStore) -> TupleLayout {
 /// open the generation as a relation (no index attached), bulk-load
 /// a fresh tree over every `moving(point)` root, and return a new
 /// [`StoreFile`] carrying the same data plus the tree committed under
-/// `index_root` (a tag-11 [`RootRecord::Index`] entry). An entry of
+/// `index_root` (a [`RootRecord::Index`] entry with compact 16-bit
+/// leaves, tag 12). An entry of
 /// that name already in the generation is replaced, not duplicated.
 ///
 /// Returns `Ok(None)` when the generation holds no `moving(point)`

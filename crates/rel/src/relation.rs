@@ -178,8 +178,8 @@ impl Relation {
         Ok(())
     }
 
-    /// Attach a deserialized index ([`StoredIndex`], the tag-11 root
-    /// record) to this relation.
+    /// Attach a deserialized index ([`StoredIndex`], the index root
+    /// record of either leaf layout) to this relation.
     ///
     /// Returns `Ok(true)` when the index loaded, re-validated and
     /// matched the relation's cardinality. `Ok(false)` means the stored

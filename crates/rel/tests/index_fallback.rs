@@ -3,7 +3,7 @@
 //! frame costs performance (a recorded planner fallback), never
 //! correctness.
 //!
-//! The campaign commits a fleet plus its R-tree (tag-11 root record),
+//! The campaign commits a fleet plus its R-tree (index root record),
 //! then reopens through a [`FaultyIo`] that flips bits deterministically
 //! per seed. Whatever the flips hit, pruned and full scans must return
 //! identical relations; when the index blob is the casualty, attaching

@@ -15,12 +15,21 @@
 //! holds, and checks that it attaches without a fallback, answers
 //! exactly like a run-packed rebuild, and that `rebuild_index_root`
 //! over it writes the run-packed tree.
+//!
+//! The same holds for **real old bytes** of the `f64` leaf layout (root
+//! tag 11): `index_tag11.mob` is a store file written by `save_index`
+//! before leaf entries became 16-bit codes in the tree's frame — six
+//! taxi tracks of eight units (`taxi_fleet(11, 6, 8)`) under
+//! `taxi/0..5` plus the tree `rebuild_index_root` built over them. It
+//! must attach with no fallback, answer like a freshly built compact
+//! tree on seeded probes across its frame, and be rewritten compactly
+//! by the next rebuild.
 
 use mob_base::{t, Instant, Interval};
 use mob_core::{unit_cubes, RTree, UnitSeq};
 use mob_gen::{plane_fleet, taxi_fleet};
 use mob_rel::{rebuild_index_root, IndexPolicy, OpenRelOpts, Relation, ScanOpts};
-use mob_spatial::{rect_ring, Region};
+use mob_spatial::{rect_ring, Cube, Region};
 use mob_storage::index_store::save_index;
 use mob_storage::mapping_store::save_mpoint;
 use mob_storage::{DurableStore, Generation, MemIo, RootRecord, StoreFile};
@@ -32,6 +41,7 @@ const TAXIS: usize = 12;
 const TAXI_UNITS: usize = 1024;
 const FLIGHTS: usize = 150;
 const INDEX: &str = "fleet/index";
+const TAG11: &[u8] = include_bytes!("../../storage/tests/fixtures/index_tag11.mob");
 
 /// splitmix64: a seed alone replays a case.
 struct Rng(u64);
@@ -133,7 +143,7 @@ fn units_and_entries(rel: &Relation, prefix: &str) -> (usize, usize) {
         }
         units += tup.at(1).as_mpoint_seq().expect("an mpoint").len();
         entries += tree
-            .entries()
+            .coded_entries()
             .iter()
             .filter(|e| e.tuple as usize == i)
             .count();
@@ -289,4 +299,94 @@ fn per_unit_index_of_an_older_store_still_loads_and_answers() {
         );
     }
     tally.assert_covered();
+}
+
+/// A fresh durable store holding the tag-11 fixture's bytes.
+fn tag11_store() -> MemIo {
+    let file = StoreFile::from_bytes(TAG11).expect("the fixture decodes");
+    let dir = MemIo::new();
+    commit_file(&dir, &file);
+    dir
+}
+
+/// The leaf layout of the index committed in `dir`.
+fn layout(dir: &MemIo) -> &'static str {
+    match reopen(dir).get(INDEX) {
+        Some(RootRecord::Index(ix)) => ix.layout(),
+        other => panic!("no index root: {other:?}"),
+    }
+}
+
+#[test]
+fn tag11_index_of_real_old_bytes_attaches_and_answers_like_a_compact_tree() {
+    let old = tag11_store();
+    assert_eq!(layout(&old), "f64", "the fixture holds f64 leaves");
+    let f64_rel = open_indexed("tag 11", &old);
+
+    let new = tag11_store();
+    commit_rebuilt_index(&new);
+    assert_eq!(layout(&new), "u16", "a rebuild writes compact leaves");
+    let compact = open_indexed("compact", &new);
+
+    let frame: Cube = compact
+        .index_tree()
+        .and_then(|tree| tree.frame())
+        .expect("a non-empty tree");
+    let (x0, y0) = (frame.rect.min_x().get(), frame.rect.min_y().get());
+    let (x1, y1) = (frame.rect.max_x().get(), frame.rect.max_y().get());
+    let (t0, t1) = (frame.t_min.as_f64(), frame.t_max.as_f64());
+
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let force = ScanOpts::new().index(IndexPolicy::Force);
+    let mut rng = Rng(0x7a9_1100);
+    let mut tally = Tally::default();
+    for p in 0..120 {
+        let side = rng.range(0.05, 0.4) * (x1 - x0).max(y1 - y0);
+        let (x, y) = (rng.range(x0 - side, x1), rng.range(y0 - side, y1));
+        let zone = Region::from_ring(rect_ring(x, y, x + side, y + side));
+        let from = rng.range(t0 - 1.0, t1);
+        let window = Interval::closed(t(from), t(from + rng.range(0.0, 3.0)));
+        let at: Instant = t(rng.range(t0 - 1.0, t1 + 1.0));
+        for op in ["passes", "filter_inside", "snapshot_at"] {
+            let run = |r: &Relation, o: &ScanOpts| {
+                match op {
+                    "passes" => r.passes("trip", &zone, &window, o),
+                    "filter_inside" => r.filter_inside("trip", &zone, o),
+                    _ => r.snapshot_at(at, o),
+                }
+                .unwrap_or_else(|e| panic!("probe {p}: {op}: {e}"))
+            };
+            let (want, _) = run(&f64_rel, &off);
+            let (got, stats) = run(&f64_rel, &force);
+            assert_eq!(
+                got, want,
+                "probe {p}: {op} pruned ≠ full on the tag-11 store"
+            );
+            assert_eq!(stats.index_fallbacks, 0, "probe {p}: {op} fell back");
+            let cands = stats
+                .candidates
+                .unwrap_or_else(|| panic!("probe {p}: {op} ran full"));
+            tally.pruned += usize::from(cands < f64_rel.len());
+            tally.answered += usize::from(!want.is_empty());
+            let (other, stats) = run(&compact, &force);
+            assert_eq!(
+                stats.index_fallbacks, 0,
+                "probe {p}: {op} compact fell back"
+            );
+            assert_eq!(
+                rows(&got),
+                rows(&other),
+                "probe {p}: {op} differs between the f64 and the compact tree"
+            );
+        }
+        tally.probes += 1;
+    }
+    tally.assert_covered();
+
+    // The maintenance rebuild over the old store writes the compact
+    // record, and the very tree a fresh build gives.
+    commit_rebuilt_index(&old);
+    assert_eq!(layout(&old), "u16");
+    let rebuilt = open_indexed("rebuilt", &old);
+    assert_eq!(rebuilt.index_tree(), compact.index_tree());
 }

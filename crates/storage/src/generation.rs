@@ -594,6 +594,7 @@ fn rewrite_root(
         RootRecord::Index(i) => RootRecord::Index(StoredIndex {
             num_tuples: i.num_tuples,
             fanout: i.fanout,
+            frame: i.frame,
             entries: rewrite_saved(src, dst, &i.entries)?,
             nodes: rewrite_saved(src, dst, &i.nodes)?,
         }),

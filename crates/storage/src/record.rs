@@ -92,6 +92,11 @@ pub fn get_u32(buf: &[u8], off: usize) -> DecodeResult<u32> {
     }
 }
 
+/// Little-endian u16 helpers for record implementations.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Read a byte at `off` as bool (bounds-checked; any nonzero is `true`).
 pub fn get_bool(buf: &[u8], off: usize) -> DecodeResult<bool> {
     match buf.get(off) {

@@ -25,7 +25,7 @@
 
 use crate::catalog::Catalog;
 use crate::dbarray::{Placement, SavedArray};
-use crate::index_store::StoredIndex;
+use crate::index_store::{self, StoredIndex};
 use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{
     StoredMLine, StoredMPoints, StoredMRegion, StoredMapping, UBoolRecord, ULineRecord,
@@ -64,8 +64,9 @@ pub enum RootRecord {
     Region(StoredRegion),
     /// `range(instant)` value.
     Periods(StoredPeriods),
-    /// Packed R-tree over per-unit bounding cubes (the query planner's
-    /// pruning structure).
+    /// Packed R-tree over unit-run bounding cubes (the query planner's
+    /// pruning structure): tag 12 with 16-bit leaf codes in a stored
+    /// frame, or tag 11 with `f64` leaf cubes (read only).
     Index(StoredIndex),
 }
 
@@ -83,7 +84,13 @@ impl RootRecord {
             RootRecord::Points(_) => 8,
             RootRecord::Region(_) => 9,
             RootRecord::Periods(_) => 10,
-            RootRecord::Index(_) => 11,
+            RootRecord::Index(ix) => {
+                if ix.frame.is_some() {
+                    12
+                } else {
+                    11
+                }
+            }
         }
     }
 
@@ -604,6 +611,9 @@ fn write_root(out: &mut Vec<u8>, root: &RootRecord) {
         RootRecord::Index(ix) => {
             put_u32(out, ix.num_tuples);
             put_u32(out, ix.fanout);
+            if let Some(frame) = &ix.frame {
+                index_store::put_cube(out, frame);
+            }
             write_saved(out, &ix.entries);
             write_saved(out, &ix.nodes);
         }
@@ -675,9 +685,18 @@ fn read_root(cur: &mut Cursor<'_>, tag: u8, n_blobs: usize) -> DecodeResult<Root
             count: cur.take_u32("periods root count")?,
             intervals: read_saved(cur, n_blobs)?,
         }),
-        11 => RootRecord::Index(StoredIndex {
+        11 | 12 => RootRecord::Index(StoredIndex {
             num_tuples: cur.take_u32("index root tuple count")?,
             fanout: cur.take_u32("index root fanout")?,
+            frame: if tag == 12 {
+                let mut b = [0.0; 6];
+                for v in &mut b {
+                    *v = cur.take_f64("index root frame")?;
+                }
+                Some(index_store::cube_from_bounds(b)?)
+            } else {
+                None
+            },
             entries: read_saved(cur, n_blobs)?,
             nodes: read_saved(cur, n_blobs)?,
         }),

@@ -372,9 +372,31 @@ fn sweep_periods() {
     sweep(&single(put_periods), "periods");
 }
 
+/// A store file written before compact index leaves: six taxi tracks
+/// plus their tree with `f64` leaf cubes (root tag 11).
+const INDEX_TAG11: &[u8] = include_bytes!("fixtures/index_tag11.mob");
+
 #[test]
 fn sweep_index() {
-    sweep(&single(put_index), "index");
+    // The compact record (tag 12: frame plus 16-bit leaf codes).
+    let file = single(put_index);
+    assert!(
+        matches!(file.get("index"), Some(RootRecord::Index(ix)) if ix.layout() == "u16"),
+        "save_index writes compact leaves"
+    );
+    sweep(&file, "index");
+}
+
+/// The tag-11 reader, over real old bytes that re-encode unchanged.
+#[test]
+fn sweep_index_tag11() {
+    let old = StoreFile::from_bytes(INDEX_TAG11).expect("the fixture decodes");
+    assert!(
+        matches!(old.get("fleet/index"), Some(RootRecord::Index(ix)) if ix.layout() == "f64"),
+        "the fixture holds f64 leaves"
+    );
+    assert_eq!(old.to_bytes().expect("serializes"), INDEX_TAG11);
+    sweep(&old, "index tag 11");
 }
 
 #[test]
