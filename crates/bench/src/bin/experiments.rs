@@ -610,55 +610,56 @@ fn e11() {
     println!("WAL path turns per-tick durability from O(store) into O(appended units)");
 }
 
-/// E12: delta-chain replay on reopen against catalog size — each
-/// appended root is found through the catalog's name index in
-/// O(log n), so replay cost per appended root stays about flat as the
-/// catalog grows (DESIGN.md §13).
+/// E12: delta-chain replay on reopen against catalog size, touched-array
+/// length and chain length — each appended root is found through the
+/// catalog's name index, and a replayed chain decodes and writes each
+/// touched root once, so replay cost per appended root stays about flat
+/// as the catalog grows and falls as the chain grows (DESIGN.md §13).
 fn e12() {
     use mob_core::MovingPoint;
     use mob_storage::mapping_store::UPointRecord;
     use mob_storage::{
         load_array, DurableStore, Generation, MemIo, RootRecord, StoreFile, StoreIo,
     };
-    header("E12  delta replay on reopen: cost per appended root vs catalog size [DESIGN.md §13]");
-    const DELTAS: usize = 3;
+    use std::sync::Arc;
+    header("E12  delta replay on reopen: cost per appended root vs catalog size, array length and chain length [DESIGN.md §13]");
     const APPENDED: usize = 1000;
-    println!("workload: n mpoint roots (3 samples each, names in shuffled order) in one");
-    println!("snapshot, then {DELTAS} delta commits of one unit to each of {APPENDED} evenly spaced roots;");
-    println!("reopen = MemIo open (checksums, catalog decode, replay); replay = chain");
-    println!("reopen - snapshot-only reopen; the reopened generation is asserted equal to");
-    println!("the live one (entries and every unit array)");
-    println!(
-        "{:>8} {:>14} {:>14} {:>12} {:>10}",
-        "roots", "snap reopen ns", "chain reopen", "replay ns", "ns/root"
-    );
-    let reopen = |io: &MemIo| -> std::sync::Arc<Generation> {
+    let reopen = |io: &MemIo| -> Arc<Generation> {
         let store = DurableStore::options().open(io.clone()).expect("reopen");
         store.snapshot().expect("committed")
     };
-    let units = |g: &Generation| -> Vec<Vec<UPointRecord>> {
+    // The logical content of a generation: replay writes each touched
+    // root once where the live commits wrote it once per delta, so the
+    // two agree on names, kinds, unit counts and units, not on blob ids.
+    let logical = |g: &Generation| -> Vec<(String, &'static str, u32, Vec<UPointRecord>)> {
         g.entries()
             .iter()
-            .map(|(_, root)| match root {
-                RootRecord::MPoint(m) => load_array(&m.units, g.store()).expect("units"),
+            .map(|(name, root)| match root {
+                RootRecord::MPoint(m) => (
+                    name.clone(),
+                    root.kind_name(),
+                    m.num_units,
+                    load_array(&m.units, g.store()).expect("units"),
+                ),
                 other => panic!("E12: unexpected {} root", other.kind_name()),
             })
             .collect()
     };
-    for n in [1_000usize, 10_000, 40_000] {
+    // n roots of `units` zig-zag units each (names in shuffled order) in
+    // one snapshot, then `deltas` commits of one unit to each of
+    // APPENDED evenly spaced roots. Returns the median replay ns (chain
+    // reopen minus snapshot-only reopen), after asserting the reopened
+    // generation equals the live one.
+    let run = |n: usize, units: usize, deltas: usize| -> (u128, u128, u128) {
         // 7919 is prime and divides no n, so this permutes 0..n.
         let name = |i: usize| format!("obj/{:06}", (i * 7919) % n);
+        let zig = |i: usize, k: usize| pt(i as f64 + k as f64, (k % 2) as f64);
         let io = MemIo::new();
         let mut store = DurableStore::options().open(io.clone()).expect("open");
         let mut file = StoreFile::new();
         for i in 0..n {
-            let x = i as f64;
-            let m = MovingPoint::from_samples(&[
-                (t(0.0), pt(x, 0.0)),
-                (t(1.0), pt(x, 1.0)),
-                (t(2.0), pt(x + 1.0, 1.0)),
-            ]);
-            let stored = save_mpoint(&m, file.store_mut());
+            let samples: Vec<_> = (0..=units).map(|k| (t(k as f64), zig(i, k))).collect();
+            let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
             file.put(name(i), RootRecord::MPoint(stored));
         }
         let mut txn = store.begin();
@@ -669,15 +670,14 @@ fn e12() {
             snap_io.write_file(&f, &bytes).expect("copy snapshot");
         }
         let stride = n / APPENDED;
-        for d in 0..DELTAS {
-            let t0 = 2.0 + d as f64;
+        for d in 0..deltas {
+            let k = units + d;
             let mut txn = store.begin();
-            for k in 0..APPENDED {
-                let i = k * stride;
-                let x = i as f64 + 1.0 + d as f64;
+            for j in 0..APPENDED {
+                let i = j * stride;
                 let m = MovingPoint::from_samples(&[
-                    (t(t0), pt(x, 1.0)),
-                    (t(t0 + 1.0), pt(x + 1.0, 1.0)),
+                    (t(k as f64), zig(i, k)),
+                    (t(k as f64 + 1.0), zig(i, k + 1)),
                 ]);
                 txn.append_units(&name(i), m.units());
             }
@@ -686,27 +686,62 @@ fn e12() {
         let live = store.snapshot().expect("live");
         let replayed = reopen(&io);
         assert_eq!(replayed.number(), live.number(), "E12: generation");
-        assert_eq!(replayed.entries(), live.entries(), "E12: catalog");
-        assert_eq!(units(&replayed), units(&live), "E12: unit arrays");
+        assert_eq!(
+            replayed.snapshot_roots(),
+            live.snapshot_roots(),
+            "E12: snapshot roots"
+        );
+        assert_eq!(
+            logical(&replayed),
+            logical(&live),
+            "E12: catalog and unit arrays"
+        );
+        assert_eq!(replayed.tail(), live.tail(), "E12: tail");
         let snap_ns = median_nanos(9, || {
             std::hint::black_box(reopen(&snap_io));
         });
         let chain_ns = median_nanos(9, || {
             std::hint::black_box(reopen(&io));
         });
-        let replay_ns = chain_ns.saturating_sub(snap_ns);
+        (snap_ns, chain_ns, chain_ns.saturating_sub(snap_ns))
+    };
+    println!("workload: n mpoint roots (names in shuffled order) in one snapshot, then a");
+    println!("chain of delta commits of one unit to each of {APPENDED} evenly spaced roots;");
+    println!("reopen = MemIo open (checksums, catalog decode, replay); replay = chain");
+    println!("reopen - snapshot-only reopen; the reopened generation is asserted equal to");
+    println!("the live one (names, kinds, unit counts, every unit array, tail)");
+    println!(
+        "{:>8} {:>7} {:>7} {:>14} {:>14} {:>12} {:>10}",
+        "roots", "units", "deltas", "snap reopen ns", "chain reopen", "replay ns", "ns/root"
+    );
+    let row = |n: usize, units: usize, deltas: usize| {
+        let (snap_ns, chain_ns, replay_ns) = run(n, units, deltas);
         println!(
-            "{:>8} {:>14} {:>14} {:>12} {:>10}",
+            "{:>8} {:>7} {:>7} {:>14} {:>14} {:>12} {:>10}",
             n,
+            units,
+            deltas,
             snap_ns,
             chain_ns,
             replay_ns,
-            replay_ns / (DELTAS * APPENDED) as u128
+            replay_ns / (deltas * APPENDED) as u128
         );
+    };
+    for n in [1_000usize, 10_000, 40_000] {
+        row(n, 3, 3);
+    }
+    for units in [3usize, 200] {
+        for deltas in [1usize, 3, 6] {
+            row(2_000, units, deltas);
+        }
     }
     println!("expected shape: snapshot reopen grows linearly with the catalog (every byte is");
-    println!("verified and decoded); ns per appended root stays about flat — a linear name");
-    println!("scan per appended root would grow it with the catalog instead");
+    println!("verified and decoded); ns per appended root stays about flat in the catalog —");
+    println!("a linear name scan per appended root would grow it with the catalog instead.");
+    println!("A chain decodes and writes each touched root once, so ns per appended root");
+    println!("falls as the chain grows, and the array length it pays for is spread over the");
+    println!("chain; rewriting every touched array per delta would keep 200-unit rows flat");
+    println!("in the chain length and far above the 3-unit ones");
 }
 
 /// The E13 workload: a crossing mpoint of about `n` units, a 20-unit

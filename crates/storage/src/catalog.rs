@@ -8,9 +8,12 @@
 //! hashing). A catalog assembled from a plain entry list (decode,
 //! compaction) builds it at once; a catalog filled by pushes builds it
 //! at its first lookup, so filling costs O(n) and not n index shifts.
-//! From then on pushes and [`Catalog::append`] keep it current, so a
-//! delta commit or replay costs O(k log n) lookups for k appended roots
-//! over n entries.
+//! From then on pushes and [`Catalog::append`] keep it current. An
+//! append batch looks its k roots up with [`Catalog::slot_from`], a
+//! finger search that gallops forward from the previous hit: the
+//! ingestion front end seals batches in name order, so a batch costs
+//! O(k log(n/k)) comparisons near the last hit rather than k cold
+//! binary searches over n entries.
 //!
 //! A name may occur more than once in the entry list (the file format
 //! does not forbid it). The **first occurrence wins**: only the lowest
@@ -80,6 +83,28 @@ impl Catalog {
     #[must_use]
     pub fn slot(&self, name: &str) -> Option<usize> {
         let at = self.locate(name).ok()?;
+        self.index().get(at).map(|&slot| idx_usize(slot))
+    }
+
+    /// [`Catalog::slot`] for a run of lookups in ascending name order:
+    /// `finger` carries the previous lookup's place in the name index,
+    /// and a name at or after the previous one is found by a forward
+    /// gallop from there — O(log d) for a name d index positions on, so
+    /// k sorted names cost O(k log(n/k)) and touch the index near where
+    /// the last search left it. A name that sorts before the previous
+    /// one falls back to a full binary search. Start a run with
+    /// [`Finger::default`]; any order of names gives the same answers as
+    /// [`Catalog::slot`].
+    #[must_use]
+    pub fn slot_from<'n>(&self, name: &'n str, finger: &mut Finger<'n>) -> Option<usize> {
+        let found = if name >= finger.name {
+            self.gallop(name, finger.at)
+        } else {
+            self.locate(name)
+        };
+        let (Ok(at) | Err(at)) = found;
+        *finger = Finger { name, at };
+        let at = found.ok()?;
         self.index().get(at).map(|&slot| idx_usize(slot))
     }
 
@@ -168,12 +193,47 @@ impl Catalog {
             .binary_search_by(|&slot| self.name_at(slot).cmp(name))
     }
 
+    /// [`Catalog::locate`] for a `name` that sorts after every indexed
+    /// name before position `from`: probe `from`, `from + 1`, `from + 3`,
+    /// … until a name at or after `name`, then binary-search the last
+    /// stride.
+    fn gallop(&self, name: &str, from: usize) -> Result<usize, usize> {
+        let index = self.index();
+        let (mut lo, mut step) = (from.min(index.len()), 1usize);
+        // Every indexed name before `lo` sorts below `name`.
+        let hi = loop {
+            let probe = lo.saturating_add(step - 1);
+            match index.get(probe) {
+                Some(&slot) if self.name_at(slot) < name => {
+                    lo = probe + 1;
+                    step = step.saturating_mul(2);
+                }
+                Some(_) => break probe + 1,
+                None => break index.len(),
+            }
+        };
+        let stride = index.get(lo..hi).unwrap_or_default();
+        match stride.binary_search_by(|&slot| self.name_at(slot).cmp(name)) {
+            Ok(i) => Ok(lo + i),
+            Err(i) => Err(lo + i),
+        }
+    }
+
     /// The name at an indexed slot (every indexed slot is in range).
     fn name_at(&self, slot: u32) -> &str {
         self.entries
             .get(idx_usize(slot))
             .map_or("", |(name, _)| name.as_str())
     }
+}
+
+/// Where the previous lookup of a [`Catalog::slot_from`] run landed: its
+/// name and its position in the name index. Every indexed name before
+/// that position sorts below the name.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Finger<'n> {
+    name: &'n str,
+    at: usize,
 }
 
 /// The name index of an entry list: slots sorted by name, the first

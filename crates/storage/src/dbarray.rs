@@ -101,15 +101,15 @@ pub fn save_array_with_threshold<T: FixedRecord>(
 
 /// Load a database array back into records.
 ///
+/// The records are parsed through [`read_array_bytes`]: in place from
+/// the tuple or from a blob inside one page, and from one copy only for
+/// a blob that straddles pages.
+///
 /// The stored bytes are untrusted: ragged buffers, counts that disagree
 /// with the byte length, and invalid record values all surface as
 /// [`DecodeError`]s.
 pub fn load_array<T: FixedRecord>(saved: &SavedArray, store: &PageStore) -> DecodeResult<Vec<T>> {
-    let bytes = match &saved.placement {
-        Placement::Inline(b) => b.clone(),
-        Placement::External(id) => store.try_read_blob(*id)?,
-    };
-    let items = read_all::<T>(&bytes)?;
+    let items = read_array_bytes(saved, store, 0, saved.byte_len(store)?, read_all::<T>)?;
     if items.len() != saved.count {
         return Err(DecodeError::CountMismatch {
             what: T::WHAT,

@@ -89,7 +89,7 @@
 use crate::delta::{
     decode_delta_payload, delta_name, encode_delta_payload, parse_delta_name, DeltaPayload,
 };
-use crate::generation::Generation;
+use crate::generation::{Generation, Replay};
 use crate::io::StoreIo;
 use crate::mapping_store::UPointRecord;
 use crate::page::{open_frame, seal_frame, validate_page_size, FRAME_OVERHEAD};
@@ -458,8 +458,9 @@ impl Recovery {
 /// decodes under its own generation (`degraded` tolerates damaged chunk
 /// frames, as [`StoreOptions::degraded`] does); every newer snapshot is
 /// torn. The deltas above the base then replay in generation order,
-/// each decoded strictly and applied to the recovered generation in
-/// place. The first delta that is missing, undecodable or inapplicable
+/// each decoded strictly and applied to one replay session over the
+/// recovered generation, which writes every touched root once at the
+/// end. The first delta that is missing, undecodable or inapplicable
 /// ends the chain; every delta above it is a chain gap. Returns the
 /// recovered generation and the fate of every file. Reads files; writes
 /// and removes none.
@@ -523,11 +524,12 @@ pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, 
     // The generation the next delta must produce; `None` once the chain
     // has ended.
     let mut expect = floor.checked_add(1);
+    let mut replay = head.replay();
     for (g, name) in deltas {
         let fate = if g <= floor {
             Fate::Discarded(Discard::Shadowed)
         } else if Some(g) == expect {
-            replay_delta(io, g, &name, &mut head)
+            replay_delta(io, g, &name, &mut replay)
         } else {
             Fate::Discarded(Discard::ChainGap)
         };
@@ -539,6 +541,7 @@ pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, 
         }
         files.push(RecoveredFile { name, fate });
     }
+    replay.finish();
     files.sort_by(|a, b| a.name.cmp(&b.name));
     let recovery = Recovery {
         files,
@@ -548,14 +551,15 @@ pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, 
     Ok((head, recovery))
 }
 
-/// Decode delta file `name` strictly and apply it to `head` as
-/// generation `g`. A failed apply leaves `head` as it was.
-fn replay_delta<I: StoreIo>(io: &I, g: u64, name: &str, head: &mut Generation) -> Fate {
+/// Decode delta file `name` strictly and apply it to the chain being
+/// replayed as generation `g`. A failed apply leaves the replay as the
+/// previous delta left it.
+fn replay_delta<I: StoreIo>(io: &I, g: u64, name: &str, replay: &mut Replay<'_>) -> Fate {
     let (payload, bytes) = match decode_delta(io, g, name) {
         Ok(decoded) => decoded,
         Err(e) => return Fate::Discarded(Discard::Undecodable(e.to_string())),
     };
-    match head.append_in_place(g, &payload.appends) {
+    match replay.apply_delta(g, &payload.appends) {
         Ok(()) => Fate::Replayed {
             batches: payload.appends.len(),
             bytes,

@@ -9,25 +9,41 @@
 //! it — bit-for-bit unchanged — while a writer commits deltas and
 //! compactions that produce *new* generations.
 //!
-//! The write side never mutates a generation a reader can see. An
-//! append batch finds every touched root through the catalog's name
-//! index in O(log n), splices the appended units onto its mapping,
-//! writes only the new unit arrays, and points the root's catalog slot
-//! at them. [`Generation::apply_appends`] does this to a copy (catalog
-//! copied, page store forked: blob pages are shared behind `Arc`s — see
-//! [`PageStore::fork`]), which is how commits leave pinned readers
-//! alone. Delta replay on open, where nothing can pin the generation
-//! yet, does it in place (`append_in_place`), so a replayed delta costs
-//! O(k log n) catalog work for k appended roots over n entries plus the
-//! touched mappings' units, and nothing proportional to the store. A
-//! failing batch leaves the generation as it was either way.
+//! The write side never mutates a generation a reader can see. Appends
+//! go through one routine, a `Replay` session over a chain of deltas:
+//! recovery opens one on the recovered generation in place (nothing can
+//! pin it yet) and feeds it every delta of the chain; a commit
+//! ([`Generation::apply_appends`]) opens one on a copy (catalog copied,
+//! page store forked: blob pages are shared behind `Arc`s — see
+//! [`PageStore::fork`]) and feeds it a chain of one, which is how
+//! commits leave pinned readers alone.
+//!
+//! A replay finds each batch's root with a finger search of the
+//! catalog's name index ([`Catalog::slot_from`]: batches arrive in name
+//! order, so each lookup gallops forward from the previous hit). The
+//! first time the chain touches a root it decodes the stored array and
+//! checks all of it with [`splice_units`], since the stored bytes are
+//! untrusted; it then holds the decoded units, and every later batch
+//! for that root is resolved and checked at the seam only — O(records),
+//! not O(array). `Replay::finish` writes each touched root once,
+//! merges the appended cubes into the tail once, and joins new roots to
+//! the catalog in first-touch order. A replayed chain of k deltas over
+//! a root therefore decodes and writes its array once, not k times, and
+//! leaves no superseded copies in the page store.
+//!
+//! A delta applies whole or not at all. While a delta is applied, an
+//! undo log keeps, per root an earlier delta touched, the units the
+//! delta changed (mutation happens only at the end of the array, so
+//! that is a short suffix) and the previous cube; a failing batch
+//! restores them and drops the roots the delta touched first. The
+//! deltas applied before it stay.
 //!
 //! Everything here sits on the untrusted-decode path (delta replay runs
 //! it on whatever survived a crash), so all validation returns
 //! [`DecodeError`]s: no indexing, no unwraps, no panicking interval
 //! constructors.
 
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, Finger};
 use crate::dbarray::{load_array, save_array, Placement, SavedArray};
 use crate::index_store::StoredIndex;
 use crate::line_store::{StoredLine, StoredPoints};
@@ -42,6 +58,7 @@ use crate::view::{self, MappingView, Verify};
 use mob_base::{DecodeError, DecodeResult, Instant, Real, TimeInterval};
 use mob_spatial::{Cube, Point, Rect};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One committed, immutable store state (see the module docs).
@@ -238,7 +255,7 @@ impl Generation {
     /// mpoint and the batch must continue it (see [`splice_units`] and
     /// the seam rules below). Untouched roots share their pages with
     /// `self` via [`PageStore::fork`]; the successor's catalog is a copy
-    /// of this one.
+    /// of this one. This is a `Replay` of a chain of one delta.
     ///
     /// Seam between the stored tail and the first appended unit (the
     /// ingestion anchor makes consecutive batches share a boundary
@@ -253,113 +270,194 @@ impl Generation {
         appends: &[(String, Vec<UPointRecord>)],
     ) -> DecodeResult<Generation> {
         let mut next = self.clone();
-        next.append_in_place(number, appends)?;
+        let mut replay = next.replay();
+        replay.apply_delta(number, appends)?;
+        replay.finish();
         Ok(next)
     }
 
-    /// [`Generation::apply_appends`] where the generation lies: `self`
-    /// becomes generation `number` without a copy of its catalog, so
-    /// the cost is O(k log n) catalog work for k appended roots over n
-    /// entries plus the touched mappings' units. The page store is
-    /// forked first when another generation shares it. On error `self`
-    /// is unchanged.
-    pub(crate) fn append_in_place(
+    /// Start replaying a delta chain onto this generation in place (see
+    /// [`Replay`]). Nothing changes until [`Replay::finish`].
+    pub(crate) fn replay(&mut self) -> Replay<'_> {
+        Replay {
+            head: self,
+            number: None,
+            roots: Vec::new(),
+            by_slot: Vec::new(),
+            created: BTreeMap::new(),
+            deltas: 0,
+            dirty: Vec::new(),
+        }
+    }
+}
+
+/// A delta chain being replayed onto one [`Generation`] (see the module
+/// docs). Each root the chain touches is decoded once, at its first
+/// touch, and held as one unit vector plus the union cube of what the
+/// chain appended to it; every later batch for it is checked and
+/// spliced at the seam only. [`Replay::finish`] writes each touched
+/// root once and merges the cubes into the tail once.
+///
+/// A delta is applied whole or not at all: [`Replay::apply_delta`]
+/// undoes a failed delta's changes and keeps the deltas applied before
+/// it.
+#[must_use = "a replay changes its generation only at `finish`"]
+pub(crate) struct Replay<'g> {
+    head: &'g mut Generation,
+    /// Number of the last delta applied; `None` before the first.
+    number: Option<u64>,
+    /// Every root the chain touched, in first-touch order.
+    roots: Vec<Touched>,
+    /// Per catalog slot, one past the position of its root in `roots`;
+    /// 0 while untouched. Sized at the first touch of a cataloged root.
+    by_slot: Vec<usize>,
+    /// Roots the chain creates, by name: their positions in `roots`.
+    created: BTreeMap<String, usize>,
+    /// Deltas begun so far; names the one being applied.
+    deltas: u64,
+    /// Positions in `roots` of the roots the delta being applied has
+    /// changed that an earlier delta touched: its undo log.
+    dirty: Vec<usize>,
+}
+
+/// One root a [`Replay`] touched.
+struct Touched {
+    name: String,
+    /// Catalog slot; `None` for a root the chain creates.
+    slot: Option<usize>,
+    /// The root's units: canonical after every applied batch.
+    units: Vec<UPointRecord>,
+    /// `units.len()`, checked to fit the record's `u32`.
+    num_units: u32,
+    /// Union cube of the records the chain appended.
+    cube: Option<Cube>,
+    /// Whether `units` is the stored array as loaded, not yet checked
+    /// by a splice.
+    loaded: bool,
+    /// The delta that last touched the root.
+    delta: u64,
+    /// Undo state for that delta: the first `keep` units are as they
+    /// were before it, `saved` holds the ones it changed from `keep`
+    /// on (last first), `prior` the cube.
+    keep: usize,
+    saved: Vec<UPointRecord>,
+    prior: Option<Cube>,
+}
+
+impl Touched {
+    /// Save the last unit before it changes, unless the delta being
+    /// applied already changed or pushed it.
+    fn guard(&mut self) {
+        if let Some(&last) = self.units.last() {
+            if self.units.len() <= self.keep {
+                self.saved.push(last);
+                self.keep = self.units.len() - 1;
+            }
+        }
+    }
+
+    /// Undo the delta that last touched the root.
+    fn undo(&mut self) {
+        self.units.truncate(self.keep);
+        self.units.extend(self.saved.iter().rev());
+        self.num_units = u32::try_from(self.units.len()).unwrap_or(u32::MAX);
+        self.cube = self.prior;
+    }
+}
+
+impl Replay<'_> {
+    /// Apply one delta's batches, in order, as generation `number`: the
+    /// rules of [`Generation::apply_appends`]. A failing batch undoes
+    /// every change this delta made and leaves the replay as it was
+    /// after the previous delta.
+    pub(crate) fn apply_delta(
         &mut self,
         number: u64,
         appends: &[(String, Vec<UPointRecord>)],
     ) -> DecodeResult<()> {
-        if Arc::get_mut(&mut self.store).is_none() {
-            self.store = Arc::new(self.store.fork());
-        }
-        let Some(store) = Arc::get_mut(&mut self.store) else {
-            // Unreachable: the store was just unshared.
-            return Err(DecodeError::BadStructure {
-                what: "delta apply",
-                detail: "page store is shared".into(),
-            });
-        };
-        let mark = store.num_blobs();
-        // Sized once: a log grown by doubling while the batch's unit
-        // arrays are written leaves its old buffers as heap holes
-        // between long-lived pages.
-        let mut replaced = Vec::with_capacity(appends.len());
-        let created = match stage(&mut self.catalog, store, appends, &mut replaced) {
-            Ok(created) => created,
-            Err(e) => {
-                // Newest first, so a root replaced twice ends at its
-                // original; then drop the arrays the batch wrote.
-                for (slot, old) in replaced.into_iter().rev() {
-                    self.catalog.replace_root(slot, RootRecord::MPoint(old));
-                }
-                store.truncate_blobs(mark);
+        self.deltas += 1;
+        self.dirty.clear();
+        let mark = self.roots.len();
+        let mut finger = Finger::default();
+        for (name, records) in appends {
+            if records.is_empty() {
+                continue;
+            }
+            if let Err(e) = self.extend(name, records, &mut finger) {
+                self.roll_back(mark);
                 return Err(e);
             }
-        };
-        // Grow the tail from the records the batch appended: every
-        // root `stage` touched has a non-empty batch.
-        let mut fresh: Vec<(String, Cube)> = Vec::new();
-        for (name, records) in appends {
-            let Some(cube) = records_cube(records) else {
-                continue;
-            };
-            match self.tail.binary_search_by(|(n, _)| n.cmp(name)) {
-                Ok(i) => {
-                    if let Some((_, grown)) = self.tail.get_mut(i) {
-                        *grown = grown.union(&cube);
-                    }
-                }
-                Err(_) => fresh.push((name.clone(), cube)),
-            }
         }
-        if !fresh.is_empty() {
-            fresh.sort_by(|a, b| a.0.cmp(&b.0));
-            fresh.dedup_by(|next, kept| {
-                let same = next.0 == kept.0;
-                if same {
-                    kept.1 = kept.1.union(&next.1);
-                }
-                same
-            });
-            // Two sorted runs: the stable sort merges them in one pass.
-            self.tail.append(&mut fresh);
-            self.tail.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        // New roots join the catalog in one O(n + k) index merge instead
-        // of k shifts of the name index.
-        self.catalog.append(created);
-        self.number = number;
+        self.number = Some(number);
         Ok(())
     }
-}
 
-/// Apply every batch of `appends` in order (see
-/// [`Generation::apply_appends`] for the rules): write each touched
-/// root's spliced units to `store` and point its catalog slot at them,
-/// logging the mapping each slot held in `replaced`. Returns the roots
-/// the batch creates, in first-touch order; a root named twice
-/// continues from its first batch's array.
-fn stage(
-    catalog: &mut Catalog,
-    store: &mut PageStore,
-    appends: &[(String, Vec<UPointRecord>)],
-    replaced: &mut Vec<(usize, StoredMapping)>,
-) -> DecodeResult<Catalog> {
-    let mut created = Catalog::new();
-    for (name, records) in appends {
-        if records.is_empty() {
-            continue;
-        }
-        // A root this batch created lives in `created` until install.
-        let known = catalog.slot(name);
-        let (target, slot) = match known {
-            Some(slot) => (&mut *catalog, Some(slot)),
-            None => {
-                let slot = created.slot(name);
-                (&mut created, slot)
-            }
+    /// Splice one non-empty batch onto its root.
+    fn extend<'n>(
+        &mut self,
+        name: &'n str,
+        records: &[UPointRecord],
+        finger: &mut Finger<'n>,
+    ) -> DecodeResult<()> {
+        let at = self.touch(name, finger)?;
+        let delta = self.deltas;
+        let Some(root) = self.roots.get_mut(at) else {
+            return Err(DecodeError::BadStructure {
+                what: "delta apply",
+                detail: format!("replay lost root {name:?}"),
+            });
         };
-        let mut combined: Vec<UPointRecord> = match slot.and_then(|s| target.root_at(s)) {
-            Some(RootRecord::MPoint(sm)) => load_array(&sm.units, store)?,
+        if root.delta != delta {
+            root.delta = delta;
+            root.keep = root.units.len();
+            root.saved.clear();
+            root.prior = root.cube;
+            self.dirty.push(at);
+        }
+        root.guard();
+        resolve_seam(&mut root.units, records, name)?;
+        if std::mem::take(&mut root.loaded) {
+            // The stored array is untrusted: check all of it once.
+            root.units = splice_units(std::mem::take(&mut root.units))?;
+        }
+        for &r in records {
+            root.guard();
+            push_unit(&mut root.units, r)?;
+        }
+        root.num_units =
+            u32::try_from(root.units.len()).map_err(|_| DecodeError::BadStructure {
+                what: "delta apply",
+                detail: format!("mapping {name:?} exceeds u32 units"),
+            })?;
+        let cube = records_cube(records);
+        root.cube = match (root.cube, cube) {
+            (Some(a), Some(b)) => Some(a.union(&b)),
+            (a, b) => a.or(b),
+        };
+        Ok(())
+    }
+
+    /// The position in `roots` of the root named `name`, decoding its
+    /// stored units on the chain's first touch.
+    fn touch<'n>(&mut self, name: &'n str, finger: &mut Finger<'n>) -> DecodeResult<usize> {
+        let catalog = &self.head.catalog;
+        let Some(slot) = catalog.slot_from(name, finger) else {
+            if let Some(&at) = self.created.get(name) {
+                return Ok(at);
+            }
+            let at = self.roots.len();
+            self.created.insert(name.to_string(), at);
+            self.roots.push(self.fresh(name, None, Vec::new()));
+            return Ok(at);
+        };
+        if self.by_slot.is_empty() {
+            self.by_slot = vec![0; catalog.len()];
+        }
+        if let Some(at) = self.by_slot.get(slot).and_then(|p| p.checked_sub(1)) {
+            return Ok(at);
+        }
+        let units = match catalog.root_at(slot) {
+            Some(RootRecord::MPoint(sm)) => load_array(&sm.units, &self.head.store)?,
             Some(other) => {
                 return Err(DecodeError::BadStructure {
                     what: "delta apply",
@@ -371,28 +469,118 @@ fn stage(
             }
             None => Vec::new(),
         };
-        resolve_seam(&mut combined, records, name)?;
-        combined.extend_from_slice(records);
-        let spliced = splice_units(combined)?;
-        let num_units = u32::try_from(spliced.len()).map_err(|_| DecodeError::BadStructure {
-            what: "delta apply",
-            detail: format!("mapping {name:?} exceeds u32 units"),
-        })?;
-        let root = RootRecord::MPoint(StoredMapping {
-            num_units,
-            units: save_array(&spliced, store),
-        });
-        match slot {
-            None => target.push(name.clone(), root),
-            Some(slot) => {
-                let old = target.replace_root(slot, root);
-                if let (Some(_), Some(RootRecord::MPoint(old))) = (known, old) {
-                    replaced.push((slot, old));
-                }
-            }
+        let at = self.roots.len();
+        if let Some(p) = self.by_slot.get_mut(slot) {
+            *p = at + 1;
+        }
+        let mut root = self.fresh(name, Some(slot), units);
+        root.loaded = true;
+        self.roots.push(root);
+        Ok(at)
+    }
+
+    /// A root first touched by the delta being applied.
+    fn fresh(&self, name: &str, slot: Option<usize>, units: Vec<UPointRecord>) -> Touched {
+        Touched {
+            name: name.to_string(),
+            slot,
+            num_units: 0,
+            units,
+            cube: None,
+            loaded: false,
+            delta: self.deltas,
+            keep: 0,
+            saved: Vec::new(),
+            prior: None,
         }
     }
-    Ok(created)
+
+    /// Undo the delta being applied: drop the roots it touched first
+    /// and restore the ones an earlier delta touched.
+    fn roll_back(&mut self, mark: usize) {
+        for root in self.roots.get(mark..).unwrap_or_default() {
+            if let Some(p) = root.slot.and_then(|s| self.by_slot.get_mut(s)) {
+                *p = 0;
+            }
+        }
+        self.created.retain(|_, at| *at < mark);
+        self.roots.truncate(mark);
+        for &at in &self.dirty {
+            if let Some(root) = self.roots.get_mut(at) {
+                root.undo();
+            }
+        }
+        self.dirty.clear();
+    }
+
+    /// Install the replayed chain: write each touched root's units once,
+    /// repoint its catalog slot (new roots join the catalog in
+    /// first-touch order), merge the appended cubes into the tail once
+    /// and take the last applied delta's number. A replay that applied
+    /// nothing leaves the generation as it was.
+    pub(crate) fn finish(self) {
+        let Replay {
+            head,
+            number,
+            roots,
+            ..
+        } = self;
+        let Some(number) = number else {
+            return;
+        };
+        let Generation {
+            number: head_number,
+            store,
+            catalog,
+            tail,
+            ..
+        } = head;
+        *head_number = number;
+        if roots.is_empty() {
+            return;
+        }
+        if Arc::get_mut(store).is_none() {
+            *store = Arc::new(store.fork());
+        }
+        let Some(pages) = Arc::get_mut(store) else {
+            // Unreachable: the store was just unshared.
+            return;
+        };
+        let mut created = Catalog::new();
+        let mut fresh: Vec<(String, Cube)> = Vec::new();
+        for root in roots {
+            let record = RootRecord::MPoint(StoredMapping {
+                num_units: root.num_units,
+                units: save_array(&root.units, pages),
+            });
+            match root.slot {
+                Some(slot) => {
+                    catalog.replace_root(slot, record);
+                }
+                None => created.push(root.name.clone(), record),
+            }
+            let Some(cube) = root.cube else {
+                continue;
+            };
+            match tail.binary_search_by(|(n, _)| n.cmp(&root.name)) {
+                Ok(i) => {
+                    if let Some((_, grown)) = tail.get_mut(i) {
+                        *grown = grown.union(&cube);
+                    }
+                }
+                Err(_) => fresh.push((root.name, cube)),
+            }
+        }
+        if !fresh.is_empty() {
+            // Two sorted runs: the stable sort merges them in one pass.
+            fresh.sort_by(|a, b| a.0.cmp(&b.0));
+            tail.extend(fresh);
+            tail.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        // New roots join the catalog in one O(n + k) index merge instead
+        // of k shifts of the name index.
+        catalog.append(created);
+    }
 }
 
 /// Union of the bounding cubes of `records`; `None` for an empty batch.
@@ -482,39 +670,47 @@ fn resolve_seam(
 pub fn splice_units(units: Vec<UPointRecord>) -> DecodeResult<Vec<UPointRecord>> {
     let mut out: Vec<UPointRecord> = Vec::with_capacity(units.len());
     for u in units {
-        let Some(prev) = out.last_mut() else {
-            out.push(u);
-            continue;
-        };
-        if prev.interval.cmp_start(&u.interval) != Ordering::Less {
-            return Err(DecodeError::BadStructure {
-                what: "unit splice",
-                detail: "units not sorted by interval start".into(),
-            });
-        }
-        if !prev.interval.disjoint(&u.interval) {
-            return Err(DecodeError::BadStructure {
-                what: "unit splice",
-                detail: "unit intervals overlap".into(),
-            });
-        }
-        if prev.interval.adjacent(&u.interval) && prev.motion == u.motion {
-            let merged = TimeInterval::try_new(
-                *prev.interval.start(),
-                *u.interval.end(),
-                prev.interval.left_closed(),
-                u.interval.right_closed(),
-            )
-            .map_err(|e| DecodeError::BadStructure {
-                what: "unit splice",
-                detail: format!("merge produced an invalid interval: {e}"),
-            })?;
-            prev.interval = merged;
-            continue;
-        }
-        out.push(u);
+        push_unit(&mut out, u)?;
     }
     Ok(out)
+}
+
+/// One step of [`splice_units`]: append `u` to the canonical sequence
+/// `out`, checking it against the last unit only, and ι-merge the two
+/// when they are adjacent with the same motion.
+fn push_unit(out: &mut Vec<UPointRecord>, u: UPointRecord) -> DecodeResult<()> {
+    let Some(prev) = out.last_mut() else {
+        out.push(u);
+        return Ok(());
+    };
+    if prev.interval.cmp_start(&u.interval) != Ordering::Less {
+        return Err(DecodeError::BadStructure {
+            what: "unit splice",
+            detail: "units not sorted by interval start".into(),
+        });
+    }
+    if !prev.interval.disjoint(&u.interval) {
+        return Err(DecodeError::BadStructure {
+            what: "unit splice",
+            detail: "unit intervals overlap".into(),
+        });
+    }
+    if prev.interval.adjacent(&u.interval) && prev.motion == u.motion {
+        let merged = TimeInterval::try_new(
+            *prev.interval.start(),
+            *u.interval.end(),
+            prev.interval.left_closed(),
+            u.interval.right_closed(),
+        )
+        .map_err(|e| DecodeError::BadStructure {
+            what: "unit splice",
+            detail: format!("merge produced an invalid interval: {e}"),
+        })?;
+        prev.interval = merged;
+        return Ok(());
+    }
+    out.push(u);
+    Ok(())
 }
 
 /// Copy a saved array into `dst`, preserving its placement (inline
@@ -789,10 +985,77 @@ mod tests {
             ("bus".to_string(), ok),
             ("car".to_string(), overlap),
         ];
-        assert!(g.append_in_place(2, &batch).is_err());
+        let mut replay = g.replay();
+        assert!(replay.apply_delta(2, &batch).is_err());
+        replay.finish();
         assert_eq!((g.entries().to_vec(), g.store().num_blobs()), before);
         assert!(g.tail().is_empty() && g.get("bus").is_none());
         assert_eq!(g.number(), 1);
+    }
+
+    #[test]
+    fn a_refused_delta_keeps_the_deltas_replayed_before_it() {
+        // Delta 2 leaves `car` ending in a point unit after a unit whose
+        // motion delta 3's continuation shares: the continuation
+        // replaces the point and ι-merges into the unit before it, two
+        // units below the end. Delta 3 then fails, and the undo restores
+        // both units.
+        let stay = mob_core::PointMotion::new(Real::ZERO, Real::ZERO, Real::ZERO, Real::ZERO);
+        let jump = mob_core::PointMotion::new(Real::new(4.0), Real::ZERO, Real::ZERO, Real::ZERO);
+        let moving = UPointRecord {
+            interval: TimeInterval::closed_open(t(0.0), t(1.0)),
+            motion: stay,
+        };
+        let point = UPointRecord {
+            interval: TimeInterval::point(t(1.0)),
+            motion: jump,
+        };
+        let mut file = StoreFile::new();
+        let units = save_array(&[moving], file.store_mut());
+        file.put(
+            "car",
+            RootRecord::MPoint(StoredMapping {
+                num_units: 1,
+                units,
+            }),
+        );
+        let mut g = Generation::from_store_file(1, file, Vec::new());
+        let merge = vec![UPointRecord {
+            interval: TimeInterval::closed_open(t(1.0), t(2.0)),
+            motion: stay,
+        }];
+        let overlap = vec![UPointRecord {
+            interval: TimeInterval::closed(t(0.5), t(3.0)),
+            motion: jump,
+        }];
+        let bus = to_records(
+            MovingPoint::from_samples(&[(t(0.0), pt(9.0, 9.0)), (t(1.0), pt(8.0, 8.0))]).units(),
+        );
+        let more = to_records(
+            MovingPoint::from_samples(&[(t(1.0), pt(8.0, 8.0)), (t(2.0), pt(7.0, 7.0))]).units(),
+        );
+        let mut replay = g.replay();
+        let delta = [
+            ("bus".to_string(), bus.clone()),
+            ("car".to_string(), vec![point]),
+        ];
+        replay.apply_delta(2, &delta).unwrap();
+        let refused = [
+            ("car".to_string(), merge),
+            ("bus".to_string(), more),
+            ("van".to_string(), bus.clone()),
+            ("car".to_string(), overlap),
+        ];
+        assert!(replay.apply_delta(3, &refused).is_err());
+        replay.finish();
+        assert_eq!(g.number(), 2);
+        assert_eq!(load_units(&g, "car"), [moving, point]);
+        assert_eq!(load_units(&g, "bus"), bus);
+        assert!(g.get("van").is_none());
+        let names: Vec<&str> = g.tail().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["bus", "car"]);
+        assert_eq!(g.tail_cube("bus"), records_cube(&bus).as_ref());
+        assert_eq!(g.tail_cube("car"), Some(&record_cube(&point)));
     }
 
     fn cube(r: &UPointRecord) -> Cube {

@@ -76,7 +76,7 @@ pub mod supervisor;
 pub mod tuple;
 pub mod view;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, Finger};
 pub use checksum::{checksum64, checksum64_seeded, CHECKSUM_SEED};
 pub use clock::{Clock, SystemClock, VirtualClock};
 pub use dbarray::{

@@ -168,13 +168,6 @@ impl PageStore {
         }
     }
 
-    /// Drop every blob from index `len` on, undoing writes nothing
-    /// references (the arrays of an append batch that failed). Blob ids
-    /// below `len` are unaffected.
-    pub(crate) fn truncate_blobs(&mut self, len: usize) {
-        self.blobs.truncate(len);
-    }
-
     /// Quarantine a blob: its backing storage failed an integrity check
     /// (page checksum mismatch on a durable file), so every later read
     /// surfaces [`DecodeError::Quarantined`] instead of untrusted

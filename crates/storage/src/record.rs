@@ -234,7 +234,11 @@ pub fn read_all<T: FixedRecord>(buf: &[u8]) -> DecodeResult<Vec<T>> {
             record_size: T::SIZE,
         });
     }
-    buf.chunks(T::SIZE).map(T::read).collect()
+    let mut out = Vec::with_capacity(buf.len() / T::SIZE);
+    for chunk in buf.chunks(T::SIZE) {
+        out.push(T::read(chunk)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

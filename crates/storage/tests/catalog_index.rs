@@ -12,13 +12,18 @@
 //!    to the same generation.
 //! 2. **Replay**: a ~2k-root catalog plus a 3-delta chain reopens to a
 //!    generation equal to the live one, tail cubes included.
+//! 3. **Finger search**: [`Catalog::slot_from`] runs over batches in
+//!    sorted, reverse-sorted and shuffled order, with duplicate and
+//!    absent names, against the same front-to-back scan.
 
 use mob_base::t;
 use mob_core::{MovingPoint, UPoint, Unit};
 use mob_spatial::{pt, Cube, Points};
 use mob_storage::line_store::save_points;
 use mob_storage::mapping_store::{save_mpoint, StoredMapping, UPointRecord};
-use mob_storage::{load_array, save_array, DurableStore, Generation, MemIo, RootRecord, StoreFile};
+use mob_storage::{
+    load_array, save_array, Catalog, DurableStore, Finger, Generation, MemIo, RootRecord, StoreFile,
+};
 use proptest::prelude::TestRng;
 
 /// Names `root/00..` below this bound may appear in a base catalog;
@@ -342,4 +347,76 @@ fn catalog_replay_of_a_delta_chain_matches_the_live_generation() {
     assert_eq!(replayed.tail(), live.tail(), "names and tail cubes");
     assert_eq!(live.tail().len(), ROOTS.div_ceil(3) + 3);
     assert_eq!(live.entries().len(), ROOTS + 3);
+}
+
+/// Every lookup of a `slot_from` run over `batch` agrees with the
+/// first occurrence a front-to-back scan finds.
+fn assert_finger_run(cat: &Catalog, batch: &[String], ctx: &str) {
+    let mut finger = Finger::default();
+    for (i, n) in batch.iter().enumerate() {
+        let want = cat.entries().iter().position(|(e, _)| e == n);
+        assert_eq!(
+            cat.slot_from(n, &mut finger),
+            want,
+            "{ctx}: lookup {i} of {n:?}"
+        );
+        assert_eq!(cat.slot(n), want, "{ctx}: plain lookup of {n:?}");
+    }
+}
+
+#[test]
+fn finger_search_matches_a_linear_scan_in_any_batch_order() {
+    let mut rng = TestRng::deterministic();
+    let mut probes = 0;
+    for case in 0..200 {
+        // Names from a pool twice the catalog's size: duplicates in the
+        // catalog, absent names in the batches.
+        let pool = 1 + rng.below(300);
+        let named = |k: u64| format!("obj/{k:04}");
+        let entries: Vec<(String, RootRecord)> = (0..rng.below(pool + 1))
+            .map(|_| {
+                let units = save_array::<UPointRecord>(&[], StoreFile::new().store_mut());
+                let root = RootRecord::MPoint(StoredMapping {
+                    num_units: 0,
+                    units,
+                });
+                (named(rng.below(pool)), root)
+            })
+            .collect();
+        // Built from a list, filled by pushes, and merged by `append`.
+        let built = Catalog::from_entries(entries.clone());
+        let mut pushed = Catalog::new();
+        let mut appended = Catalog::from_entries(entries[..entries.len() / 2].to_vec());
+        let mut rest = Catalog::new();
+        for (i, (n, root)) in entries.iter().enumerate() {
+            pushed.push(n.clone(), root.clone());
+            if i >= entries.len() / 2 {
+                rest.push(n.clone(), root.clone());
+            }
+        }
+        appended.append(rest);
+        let mut batch: Vec<String> = (0..rng.below(2 * pool + 1))
+            .map(|_| named(rng.below(2 * pool)))
+            .collect();
+        batch.sort();
+        let mut reversed = batch.clone();
+        reversed.reverse();
+        let mut shuffled = batch.clone();
+        for i in (1..shuffled.len()).rev() {
+            let j = rng.below(i as u64 + 1) as usize;
+            shuffled.swap(i, j);
+        }
+        for cat in [&built, &pushed, &appended] {
+            assert_eq!(cat.entries(), built.entries());
+            for (order, names) in [
+                ("sorted", &batch),
+                ("reverse-sorted", &reversed),
+                ("shuffled", &shuffled),
+            ] {
+                assert_finger_run(cat, names, &format!("case {case}, {order}"));
+                probes += names.len();
+            }
+        }
+    }
+    assert!(probes > 50_000, "{probes} probes");
 }
