@@ -292,6 +292,13 @@ impl Relation {
     /// answering queries bit-for-bit identically while a writer ingests
     /// deltas and compacts newer generations of the same store.
     ///
+    /// What the generation already checked is not checked again: a root
+    /// it vouches for ([`Generation::checked_mpoint`], written by this
+    /// process from checked units) opens with the `O(1)` layout checks
+    /// only, every other root with the full structural scan, and the
+    /// index tree comes from [`Generation::index_tree`], which decodes
+    /// each index root once per lineage of delta commits.
+    ///
     /// Damage policy ([`OpenRelOpts::on_error`]): quarantined roots
     /// (recovered degraded) abort under [`OnError::Fail`] or become
     /// [`AttrValue::Quarantined`] placeholders under
@@ -302,12 +309,11 @@ impl Relation {
     /// appended units or created objects. Every root in the
     /// generation's [tail](Generation::tail) contributes its tuple id and
     /// tail cube to one small in-memory tree that scans probe next to
-    /// the stored one (see [`Relation::attach_stored_index_stale`]), so
-    /// appended units are pruned like indexed ones. Only quarantined
-    /// tuples bypass pruning, via the index's `always` list. A stored
-    /// tree that does not cover exactly the snapshot's roots, or fails to
-    /// load, marks the relation index-damaged (next scan records
-    /// `index.fallbacks`).
+    /// the stored one, so appended units are pruned like indexed ones.
+    /// Only quarantined tuples bypass pruning, via the index's `always`
+    /// list. A stored tree that does not cover exactly the snapshot's
+    /// roots, or fails to load, marks the relation index-damaged (next
+    /// scan records `index.fallbacks`).
     ///
     /// # Errors
     ///
@@ -333,7 +339,11 @@ impl Relation {
             let RootRecord::MPoint(m) = root else {
                 continue;
             };
-            let value = match MPointRef::new(store.clone(), m.clone()) {
+            let opened = match generation.checked_mpoint(pos) {
+                Some(checked) => MPointRef::checked(checked),
+                None => MPointRef::new(store.clone(), m.clone()),
+            };
+            let value = match opened {
                 Ok(r) => AttrValue::MPointRef(r),
                 Err(e @ DecodeError::Quarantined { .. })
                     if opts.on_error == OnError::SkipAndRecord =>
@@ -366,20 +376,14 @@ impl Relation {
             }
         }
         if let Some(index_root) = opts.index.as_deref() {
-            let attached = match generation.get(index_root) {
-                Some(RootRecord::Index(ix)) => rel
-                    .attach_stored_index_stale(
-                        &opts.mpoint_attr,
-                        ix,
-                        generation.store(),
-                        tail,
-                        base_tuples,
-                    )
+            let attached = match generation.index_tree(index_root) {
+                Ok(tree) => rel
+                    .attach_tree(&opts.mpoint_attr, tree, tail, base_tuples)
                     .map_err(|e| DecodeError::BadStructure {
                         what: "relation open",
                         detail: e.to_string(),
                     })?,
-                _ => false,
+                Err(_) => false,
             };
             if !attached {
                 // Missing or unusable: fall back loudly, never fail the

@@ -57,7 +57,7 @@ impl Tuple {
 #[derive(Debug)]
 pub struct RelIndex {
     pub(crate) attr: usize,
-    pub(crate) tree: RTree,
+    pub(crate) tree: Arc<RTree>,
     pub(crate) tail: RTree,
     pub(crate) always: Vec<u32>,
 }
@@ -167,7 +167,7 @@ impl Relation {
                 None => always.push(i),
             }
         }
-        let tree = RTree::bulk(self.tuples.len(), entries);
+        let tree = Arc::new(RTree::bulk(self.tuples.len(), entries));
         self.index = Some(Arc::new(RelIndex {
             attr: idx as usize,
             tree,
@@ -197,70 +197,75 @@ impl Relation {
         stored: &StoredIndex,
         store: &PageStore,
     ) -> Result<bool> {
-        let n = self.len();
-        self.attach_stored_index_stale(attr, stored, store, Vec::new(), n)
+        match load_index(stored, store) {
+            Ok(tree) => {
+                let n = self.len();
+                self.attach_tree(attr, Arc::new(tree), Vec::new(), n)
+            }
+            Err(_) => {
+                self.index_attr_checked(attr)?;
+                self.mark_index_damaged();
+                Ok(false)
+            }
+        }
     }
 
-    /// [`Relation::attach_stored_index`] for a *stale* index — the
-    /// attach path for relations opened from a [generation] whose delta
-    /// chain grew past the committed index.
+    /// Attach a loaded base tree that may be *stale* — the attach path
+    /// of [`Relation::open`], for relations opened from a [generation]
+    /// whose delta chain grew past the committed index; the tree is the
+    /// generation's, decoded once per index root.
     ///
-    /// The stored tree must cover exactly tuples `0..base_tuples`, the
-    /// tuples that existed when it was built; otherwise it is unusable
-    /// and `Ok(false)` is returned as for a damaged index. `tail` lists
-    /// what happened since, one entry per tuple that gained units (the
-    /// entry's `unit` is ignored): its cube must cover every unit the
-    /// tuple gained, and every unit it has when its id is at or past
-    /// `base_tuples`. One small in-memory tree is bulk-loaded over the
-    /// tail and probed next to the stored one, so appended units are
-    /// pruned like indexed ones. Tuples at or past `base_tuples` with no
-    /// tail entry join the `always` list: staleness never costs
-    /// correctness.
+    /// The tree must cover exactly tuples `0..base_tuples`, the tuples
+    /// that existed when it was built; otherwise it is unusable, the
+    /// relation is marked index-damaged and `Ok(false)` is returned as
+    /// for a damaged index. `tail` lists what happened since, one entry
+    /// per tuple that gained units (the entry's `unit` is ignored): its
+    /// cube must cover every unit the tuple gained, and every unit it
+    /// has when its id is at or past `base_tuples`. One small in-memory
+    /// tree is bulk-loaded over the tail and probed next to the base
+    /// one, so appended units are pruned like indexed ones. Tuples at
+    /// or past `base_tuples` with no tail entry join the `always` list:
+    /// staleness never costs correctness.
     ///
     /// # Errors
     ///
     /// Fails only on caller misuse: `attr` unknown or not `mpoint`.
     ///
+    /// [`Relation::open`]: crate::Relation::open
     /// [generation]: mob_storage::Generation
-    pub fn attach_stored_index_stale(
+    pub(crate) fn attach_tree(
         &mut self,
         attr: &str,
-        stored: &StoredIndex,
-        store: &PageStore,
+        tree: Arc<RTree>,
         mut tail: Vec<IndexEntry>,
         base_tuples: usize,
     ) -> Result<bool> {
         let idx = self.index_attr_checked(attr)?;
         let len = self.len();
-        match load_index(stored, store) {
-            Ok(tree) if tree.num_tuples() == base_tuples && base_tuples <= len => {
-                tail.retain(|e| (e.tuple as usize) < len);
-                let mut listed: Vec<u32> = tail.iter().map(|e| e.tuple).collect();
-                listed.sort_unstable();
-                let always: Vec<u32> = (0..len)
-                    .map(|i| u32::try_from(i).expect("tuple count fits u32"))
-                    .filter(|&i| {
-                        let tup = &self.tuples[i as usize];
-                        tup.values().iter().any(AttrValue::is_quarantined)
-                            || tup.at(idx as usize).as_mpoint_seq().is_none()
-                            || (i as usize >= base_tuples && listed.binary_search(&i).is_err())
-                    })
-                    .collect();
-                self.index = Some(Arc::new(RelIndex {
-                    attr: idx as usize,
-                    tree,
-                    tail: RTree::bulk(len, tail),
-                    always,
-                }));
-                self.index_damaged = false;
-                Ok(true)
-            }
-            _ => {
-                self.index = None;
-                self.index_damaged = true;
-                Ok(false)
-            }
+        if tree.num_tuples() != base_tuples || base_tuples > len {
+            self.mark_index_damaged();
+            return Ok(false);
         }
+        tail.retain(|e| (e.tuple as usize) < len);
+        let mut listed: Vec<u32> = tail.iter().map(|e| e.tuple).collect();
+        listed.sort_unstable();
+        let always: Vec<u32> = (0..len)
+            .map(|i| u32::try_from(i).expect("tuple count fits u32"))
+            .filter(|&i| {
+                let tup = &self.tuples[i as usize];
+                tup.values().iter().any(AttrValue::is_quarantined)
+                    || tup.at(idx as usize).as_mpoint_seq().is_none()
+                    || (i as usize >= base_tuples && listed.binary_search(&i).is_err())
+            })
+            .collect();
+        self.index = Some(Arc::new(RelIndex {
+            attr: idx as usize,
+            tree,
+            tail: RTree::bulk(len, tail),
+            always,
+        }));
+        self.index_damaged = false;
+        Ok(true)
     }
 
     /// Resolve `attr` and require it to be a `moving(point)` column.
@@ -293,7 +298,7 @@ impl Relation {
     /// [`mob_storage::index_store::save_index`]. After
     /// [`Relation::build_index`] it covers every unit.
     pub fn index_tree(&self) -> Option<&RTree> {
-        self.index.as_ref().map(|ix| &ix.tree)
+        self.index.as_ref().map(|ix| &*ix.tree)
     }
 
     /// `true` when an index is attached.

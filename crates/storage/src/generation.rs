@@ -23,7 +23,9 @@
 //! order, so each lookup gallops forward from the previous hit). The
 //! first time the chain touches a root it decodes the stored array and
 //! checks all of it with [`splice_units`], since the stored bytes are
-//! untrusted; it then holds the decoded units, and every later batch
+//! untrusted — unless the generation marked the root checked (below),
+//! in which case the record decode and the seam check are all it
+//! needs. It then holds the decoded units, and every later batch
 //! for that root is resolved and checked at the seam only — O(records),
 //! not O(array). `Replay::finish` writes each touched root once,
 //! merges the appended cubes into the tail once, and joins new roots to
@@ -38,6 +40,30 @@
 //! restores them and drops the roots the delta touched first. The
 //! deltas applied before it stay.
 //!
+//! # What a generation has already checked
+//!
+//! A generation also records what this process has checked about it,
+//! so that reading what it just wrote does not check it again:
+//!
+//! * **A check mark per catalog slot.** `Replay::finish` marks every
+//!   root it writes. Those arrays are units that came through
+//!   [`load_array`]'s per-record decode plus a full [`splice_units`]
+//!   pass, or a seam check and `push_unit` per appended record: sorted,
+//!   disjoint, canonical and free of bad fields. A delta commit clones
+//!   its predecessor, so marks pass down a chain of commits. Any
+//!   generation built another way has no marks: a snapshot read from
+//!   disk, a full commit, a compaction, an index rebuild and the base
+//!   recovery replays onto ([`Generation::from_store_file`]). A marked
+//!   root opens through [`Generation::checked_mpoint`] with the layout
+//!   checks only ([`Verify::Preverified`]), and a replay that touches it
+//!   again skips the full splice pass and checks the seam alone.
+//! * **The decoded index trees.** [`Generation::index_tree`] decodes an
+//!   index root on first use and keeps the tree behind an `Arc`. A
+//!   delta commit cannot change an index root (a replay refuses any
+//!   target that is not an mpoint), so the clone hands the tree on. A
+//!   generation built from a store file starts with none, and a failed
+//!   load is never kept: a damaged index is refused on every call.
+//!
 //! Everything here sits on the untrusted-decode path (delta replay runs
 //! it on whatever survived a crash), so all validation returns
 //! [`DecodeError`]s: no indexing, no unwraps, no panicking interval
@@ -45,7 +71,7 @@
 
 use crate::catalog::{Catalog, Finger};
 use crate::dbarray::{load_array, save_array, Placement, SavedArray};
-use crate::index_store::StoredIndex;
+use crate::index_store::{load_index, StoredIndex};
 use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{
     StoredMLine, StoredMPoints, StoredMRegion, StoredMapping, UPointRecord,
@@ -56,10 +82,11 @@ use crate::region_store::StoredRegion;
 use crate::store_file::{RootRecord, StoreFile};
 use crate::view::{self, MappingView, Verify};
 use mob_base::{DecodeError, DecodeResult, Instant, Real, TimeInterval};
+use mob_core::RTree;
 use mob_spatial::{Cube, Point, Rect};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One committed, immutable store state (see the module docs).
 #[derive(Clone)]
@@ -77,6 +104,61 @@ pub struct Generation {
     tail: Vec<(String, Cube)>,
     /// Blob indices quarantined when the snapshot was decoded degraded.
     quarantined: Vec<usize>,
+    /// Per catalog slot, whether this process wrote the slot's root from
+    /// checked units (see the module docs). Slots past the end are
+    /// unmarked.
+    checked: Vec<bool>,
+    /// Trees decoded from index roots, by catalog slot.
+    trees: Trees,
+}
+
+/// The trees a generation decoded from its index roots, by catalog slot.
+/// A clone copies the handles, so a delta commit hands them on.
+#[derive(Default)]
+struct Trees(Mutex<Vec<(usize, Arc<RTree>)>>);
+
+impl Trees {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(usize, Arc<RTree>)>> {
+        // A poisoned lock still holds whole entries: a push is the only
+        // write.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Trees {
+    fn clone(&self) -> Trees {
+        Trees(Mutex::new(self.lock().clone()))
+    }
+}
+
+/// A generation's word that it wrote the `moving(point)` root in one of
+/// its catalog slots from units this process had checked (see the
+/// module docs). Only [`Generation::checked_mpoint`] hands one out, so
+/// a holder may open the root with [`Verify::Preverified`].
+#[derive(Clone, Copy)]
+pub struct CheckedMPoint<'g> {
+    stored: &'g StoredMapping,
+    store: &'g Arc<PageStore>,
+}
+
+impl<'g> CheckedMPoint<'g> {
+    /// The root record.
+    #[must_use]
+    pub fn stored(&self) -> &'g StoredMapping {
+        self.stored
+    }
+
+    /// The page store holding the root's unit array.
+    #[must_use]
+    pub fn store(&self) -> &'g Arc<PageStore> {
+        self.store
+    }
+
+    /// A lazy view over the root's units, with the `O(1)` layout checks
+    /// only: the generation checked the units when it wrote them.
+    pub fn open(&self) -> DecodeResult<MappingView<'g, UPointRecord>> {
+        view::open_mpoint(self.stored, self.store, Verify::Preverified)
+    }
 }
 
 impl Generation {
@@ -90,12 +172,15 @@ impl Generation {
             snapshot_roots: 0,
             tail: Vec::new(),
             quarantined: Vec::new(),
+            checked: Vec::new(),
+            trees: Trees::default(),
         }
     }
 
     /// Freeze a decoded snapshot file as a generation. A full snapshot
     /// has an empty tail by construction — every index in it was
-    /// written against the same catalog.
+    /// written against the same catalog. Nothing in it is marked checked
+    /// and no index tree is decoded yet: the file's bytes are untrusted.
     #[must_use]
     pub fn from_store_file(number: u64, file: StoreFile, quarantined: Vec<usize>) -> Generation {
         let (store, catalog) = file.into_parts();
@@ -106,6 +191,8 @@ impl Generation {
             catalog,
             tail: Vec::new(),
             quarantined,
+            checked: Vec::new(),
+            trees: Trees::default(),
         }
     }
 
@@ -197,6 +284,70 @@ impl Generation {
                 detail: format!("no entry named {name:?}"),
             }),
         }
+    }
+
+    /// The `moving(point)` root at catalog `slot`, when this generation
+    /// wrote it from units this process had checked; `None` for every
+    /// other slot, which must be opened with [`Verify::Full`].
+    #[must_use]
+    pub fn checked_mpoint(&self, slot: usize) -> Option<CheckedMPoint<'_>> {
+        if !self.checked.get(slot).copied().unwrap_or(false) {
+            return None;
+        }
+        match self.catalog.root_at(slot)? {
+            RootRecord::MPoint(stored) => Some(CheckedMPoint {
+                stored,
+                store: &self.store,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The tree of the index root `name`, decoded and fully re-validated
+    /// ([`load_index`]) the first time it is asked for and shared after
+    /// that. A load that fails is returned and not kept, so a damaged
+    /// index fails every call.
+    ///
+    /// # Errors
+    ///
+    /// No root named `name`, a root of another kind, or the load's error.
+    pub fn index_tree(&self, name: &str) -> DecodeResult<Arc<RTree>> {
+        let missing = |detail: String| DecodeError::BadStructure {
+            what: "generation catalog",
+            detail,
+        };
+        let slot = self
+            .catalog
+            .slot(name)
+            .ok_or_else(|| missing(format!("no entry named {name:?}")))?;
+        let stored = match self.catalog.root_at(slot) {
+            Some(RootRecord::Index(stored)) => stored,
+            Some(other) => {
+                return Err(missing(format!(
+                    "entry {name:?} is a {}, not an index",
+                    other.kind_name()
+                )))
+            }
+            None => return Err(missing(format!("no entry named {name:?}"))),
+        };
+        let kept = |trees: &[(usize, Arc<RTree>)]| {
+            trees
+                .iter()
+                .find(|(s, _)| *s == slot)
+                .map(|(_, tree)| Arc::clone(tree))
+        };
+        if let Some(tree) = kept(&self.trees.lock()) {
+            return Ok(tree);
+        }
+        // Loaded outside the lock; a racing load that finished first
+        // wins, so every caller shares one tree.
+        let tree = Arc::new(load_index(stored, &self.store)?);
+        let mut trees = self.trees.lock();
+        if let Some(first) = kept(&trees) {
+            return Ok(first);
+        }
+        trees.push((slot, Arc::clone(&tree)));
+        Ok(tree)
     }
 
     /// Re-materialize this generation as a serializable full image
@@ -331,8 +482,8 @@ struct Touched {
     num_units: u32,
     /// Union cube of the records the chain appended.
     cube: Option<Cube>,
-    /// Whether `units` is the stored array as loaded, not yet checked
-    /// by a splice.
+    /// Whether `units` is an untrusted stored array as loaded, not yet
+    /// checked by a splice.
     loaded: bool,
     /// The delta that last touched the root.
     delta: u64,
@@ -474,7 +625,9 @@ impl Replay<'_> {
             *p = at + 1;
         }
         let mut root = self.fresh(name, Some(slot), units);
-        root.loaded = true;
+        // A root this process wrote from checked units needs the seam
+        // check only; any other stored array is untrusted.
+        root.loaded = self.head.checked_mpoint(slot).is_none();
         self.roots.push(root);
         Ok(at)
     }
@@ -533,6 +686,7 @@ impl Replay<'_> {
             store,
             catalog,
             tail,
+            checked,
             ..
         } = head;
         *head_number = number;
@@ -548,6 +702,8 @@ impl Replay<'_> {
         };
         let mut created = Catalog::new();
         let mut fresh: Vec<(String, Cube)> = Vec::new();
+        // Every root written here holds checked units: mark its slot.
+        checked.resize(catalog.len(), false);
         for root in roots {
             let record = RootRecord::MPoint(StoredMapping {
                 num_units: root.num_units,
@@ -556,6 +712,9 @@ impl Replay<'_> {
             match root.slot {
                 Some(slot) => {
                     catalog.replace_root(slot, record);
+                    if let Some(mark) = checked.get_mut(slot) {
+                        *mark = true;
+                    }
                 }
                 None => created.push(root.name.clone(), record),
             }
@@ -580,6 +739,7 @@ impl Replay<'_> {
         // New roots join the catalog in one O(n + k) index merge instead
         // of k shifts of the name index.
         catalog.append(created);
+        checked.resize(catalog.len(), true);
     }
 }
 

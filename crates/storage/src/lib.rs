@@ -92,7 +92,7 @@ pub use durable::{
     recover, snapshot_name, DecodedImage, Discard, DurableStore, Fate, RecoveredFile, Recovery,
     StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
 };
-pub use generation::{splice_units, Generation};
+pub use generation::{splice_units, CheckedMPoint, Generation};
 pub use index_store::{load_index, save_index, StoredIndex};
 pub use ingest::Ingestor;
 pub use io::{FaultMask, FaultyIo, FsIo, MemIo, StoreIo, FAULT_MASKS, STORAGE_FULL_MARKER};

@@ -345,13 +345,22 @@ pub const FRAME_OVERHEAD: usize = 12;
 /// stored crc, and a flip in the stored crc disagrees with the
 /// recomputed one — so damage is always caught *before* the structural
 /// decoder sees the bytes ([`open_frame`]).
+///
+/// The frame is built in place: the crc's 8 bytes are reserved in `out`,
+/// `len || payload` follows, and the crc of that slice is written back
+/// over the reservation — the payload is copied once, into `out`.
 pub fn seal_frame(out: &mut Vec<u8>, payload: &[u8]) {
     let len = crate::checked::count_u32(payload.len());
-    let mut covered = Vec::with_capacity(4 + payload.len());
-    covered.extend_from_slice(&len.to_le_bytes());
-    covered.extend_from_slice(payload);
-    out.extend_from_slice(&checksum64(&covered).to_le_bytes());
-    out.extend_from_slice(&covered);
+    out.reserve(FRAME_OVERHEAD.saturating_add(payload.len()));
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(payload);
+    let (crc, covered) = out.split_at_mut(start.saturating_add(8));
+    let sum = checksum64(covered).to_le_bytes();
+    for (d, s) in crc.iter_mut().skip(start).zip(sum) {
+        *d = s;
+    }
 }
 
 /// Open one sealed frame at the front of `bytes`: verify the checksum,
@@ -695,6 +704,39 @@ mod tests {
             assert_eq!(got, payload);
             assert!(rest.is_empty());
         }
+    }
+
+    /// The frame sealer as it was before it sealed in place: a copy of
+    /// `len || payload`, checksummed, then appended after the crc.
+    fn seal_frame_by_copy(out: &mut Vec<u8>, payload: &[u8]) {
+        let len = crate::checked::count_u32(payload.len());
+        let mut covered = Vec::with_capacity(4 + payload.len());
+        covered.extend_from_slice(&len.to_le_bytes());
+        covered.extend_from_slice(payload);
+        out.extend_from_slice(&checksum64(&covered).to_le_bytes());
+        out.extend_from_slice(&covered);
+    }
+
+    #[test]
+    fn in_place_frames_are_byte_identical_to_copied_ones() {
+        let chunk: Vec<u8> = (0..crate::DEFAULT_CHUNK_SIZE)
+            .map(|i| (i * 31 % 251) as u8)
+            .collect();
+        let payloads: [&[u8]; 4] = [b"", b"x", &chunk, &chunk[..chunk.len() - 1]];
+        for payload in payloads {
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            seal_frame(&mut fast, payload);
+            seal_frame_by_copy(&mut slow, payload);
+            assert_eq!(fast, slow, "frame of {} bytes", payload.len());
+        }
+        // Back to back, after a prefix that is not a frame: each frame
+        // seals only its own bytes.
+        let (mut fast, mut slow) = (b"head".to_vec(), b"head".to_vec());
+        for payload in payloads.iter().chain(payloads.iter().rev()) {
+            seal_frame(&mut fast, payload);
+            seal_frame_by_copy(&mut slow, payload);
+        }
+        assert_eq!(fast, slow);
     }
 
     #[test]

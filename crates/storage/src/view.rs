@@ -38,6 +38,16 @@
 //!    (and, for value-level damage, [`MappingView::validate`]) passed.
 //!    Audit paths never rely on them — [`MappingView::try_unit`] and
 //!    friends surface [`DecodeError`]s instead.
+//!
+//! The full scan of stage 1 can be skipped ([`Verify::Preverified`])
+//! only where the same check already ran, which a reader learns from
+//! one of three sources: an earlier [`Verify::Full`] open of the same
+//! `(stored, store)` pair (blobs are immutable); a caller that holds
+//! such a view's result, like `mob-rel`'s per-query views of a
+//! reference it verified once; or a generation that wrote the array
+//! itself from units this process had checked — decoded record by
+//! record and spliced sorted, disjoint and canonical by a replay — and
+//! vouches for it through [`crate::Generation::checked_mpoint`].
 
 use crate::dbarray::{read_array_bytes, read_subarray, SavedArray};
 use crate::mapping_store::{
@@ -79,11 +89,15 @@ pub enum Verify {
     Full,
     /// The `O(1)` layout checks only. Sound **only** when the same
     /// `(stored, store)` pair has already passed a [`Verify::Full`] open
-    /// once: [`PageStore`] blobs are append-only and immutable, so a
+    /// once — [`PageStore`] blobs are append-only and immutable, so a
     /// verification performed at load time remains valid for every later
-    /// view. `mob-rel` relies on this to open a fresh view per query
-    /// (per worker thread) without paying a relation-sized scan each
-    /// time.
+    /// view — or when the generation holding the pair wrote the array
+    /// from units this process had checked, which only that generation
+    /// can vouch for ([`crate::Generation::checked_mpoint`]). `mob-rel`
+    /// relies on this to open a fresh view per query (per worker
+    /// thread) without paying a relation-sized scan each time, and to
+    /// open the roots a live generation just wrote without checking
+    /// them again.
     Preverified,
 }
 
