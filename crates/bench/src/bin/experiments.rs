@@ -30,7 +30,7 @@ use mob_gen::plane_fleet;
 use mob_rel::{close_encounters, long_flights, planes_relation, ScanOpts};
 use mob_spatial::{pt, Region};
 use mob_storage::dbarray::save_array_with_threshold;
-use mob_storage::mapping_store::save_mpoint;
+use mob_storage::mapping_store::{save_mpoint, UPointRecord};
 use mob_storage::{open_mpoint, PageStore, Verify};
 
 fn header(title: &str) {
@@ -514,7 +514,6 @@ fn e10() {
 /// the appended units (plus fixed framing), not by the store size; the
 /// registry's `durable.bytes_committed` counter is the witness.
 fn e11() {
-    use mob_storage::mapping_store::UPointRecord;
     use mob_storage::{DurableStore, FixedRecord, Ingestor, MemIo};
     header(
         "E11  live ingestion: delta commit bytes ~ appended units, not store size [DESIGN.md §13]",
@@ -608,6 +607,133 @@ fn e11() {
     println!("expected shape: delta bytes grow with k (the tick's appended units) and are");
     println!("flat in the history size; the snapshot/delta ratio grows with history — the");
     println!("WAL path turns per-tick durability from O(store) into O(appended units)");
+    e11_seam_commits();
+}
+
+/// E11, the in-memory half of a delta commit: ns per appended root of
+/// `Generation::apply_appends` on roots a full commit left unmarked
+/// (each touched array decoded and checked whole) and on the same roots
+/// marked by the delta commit after it (the seam decoded, the rest of
+/// each array copied as bytes). Asserts the live head equals the head
+/// reopened from the directory.
+fn e11_seam_commits() {
+    use mob_core::MovingPoint;
+    use mob_storage::{DurableStore, MemIo, RootRecord, StoreFile};
+    const ROOTS: usize = 1000;
+    const REPS: usize = 9;
+    println!();
+    println!("in-memory commit: {ROOTS} mpoint roots of n zig-zag units in a full commit, then");
+    println!("one unit appended to every root per commit; ns per appended root of");
+    println!("`apply_appends` (median of {REPS}) on the full commit's head (unmarked) and on");
+    println!("the next delta commit's head (marked); live head asserted equal to the reopened");
+    println!(
+        "{:>8} {:>16} {:>16} {:>10}",
+        "units", "unmarked ns/root", "marked ns/root", "ratio"
+    );
+    for units in [3usize, 48, 200] {
+        let name = |i: usize| format!("obj/{i:04}");
+        let zig = |i: usize, k: usize| pt(i as f64 + k as f64, (k % 2) as f64);
+        // Tick k's batch: one unit per root from instant k.
+        let batch = |k: usize| -> Vec<(String, Vec<UPointRecord>)> {
+            (0..ROOTS)
+                .map(|i| {
+                    let m = MovingPoint::from_samples(&[
+                        (t(k as f64), zig(i, k)),
+                        (t(k as f64 + 1.0), zig(i, k + 1)),
+                    ]);
+                    let recs = m
+                        .units()
+                        .iter()
+                        .map(|u| UPointRecord {
+                            interval: *u.interval(),
+                            motion: *u.motion(),
+                        })
+                        .collect();
+                    (name(i), recs)
+                })
+                .collect()
+        };
+        let commit = |store: &mut DurableStore<MemIo>, appends: &[(String, Vec<UPointRecord>)]| {
+            let mut txn = store.begin();
+            for (n, recs) in appends {
+                let us: Vec<_> = recs
+                    .iter()
+                    .map(|r| mob_core::UPoint::new(r.interval, r.motion))
+                    .collect();
+                txn.append_units(n, &us);
+            }
+            txn.commit().expect("delta commit");
+        };
+        let io = MemIo::new();
+        let mut store = DurableStore::options().open(io.clone()).expect("open");
+        let mut file = StoreFile::new();
+        for i in 0..ROOTS {
+            let samples: Vec<_> = (0..=units).map(|k| (t(k as f64), zig(i, k))).collect();
+            let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
+            file.put(name(i), RootRecord::MPoint(stored));
+        }
+        let mut txn = store.begin();
+        txn.put_store_file(&file).expect("stage");
+        txn.commit().expect("full commit");
+        let mut per_root = |appends: &[(String, Vec<UPointRecord>)]| {
+            let head = store.snapshot().expect("head");
+            let ns = median_nanos(REPS, || {
+                std::hint::black_box(
+                    head.apply_appends(head.number() + 1, appends)
+                        .expect("apply"),
+                );
+            });
+            commit(&mut store, appends);
+            (head, ns / ROOTS as u128)
+        };
+        let (unmarked, unmarked_ns) = per_root(&batch(units));
+        let (marked, marked_ns) = per_root(&batch(units + 1));
+        assert!(
+            (0..ROOTS).all(|s| unmarked.checked_mpoint(s).is_none()
+                && marked.checked_mpoint(s).is_some()),
+            "E11: a full commit marks no root, a delta commit marks every root it wrote"
+        );
+        let live = store.snapshot().expect("live");
+        drop(store);
+        let reopened = DurableStore::options()
+            .open(io)
+            .expect("reopen")
+            .snapshot()
+            .expect("reopened");
+        assert_eq!(logical(&reopened), logical(&live), "E11: reopened vs live");
+        assert_eq!(reopened.tail(), live.tail(), "E11: tail");
+        println!(
+            "{:>8} {:>16} {:>16} {:>10.1}",
+            units,
+            unmarked_ns,
+            marked_ns,
+            unmarked_ns as f64 / marked_ns.max(1) as f64
+        );
+    }
+    println!("expected shape: unmarked ns per root grows with the array (a whole decode,");
+    println!("check and re-encode); marked ns per root stays close to the 3-unit row, the");
+    println!("rest of each array being one byte copy");
+}
+
+/// The logical content of a generation of mpoint roots: names, kinds,
+/// unit counts and units. A replayed chain writes each touched root
+/// once where live commits wrote it once per delta, so a reopened
+/// generation agrees with the live one on this, not on blob ids.
+type Logical = Vec<(String, &'static str, u32, Vec<UPointRecord>)>;
+
+fn logical(g: &mob_storage::Generation) -> Logical {
+    g.entries()
+        .iter()
+        .map(|(name, root)| match root {
+            mob_storage::RootRecord::MPoint(m) => (
+                name.clone(),
+                root.kind_name(),
+                m.num_units,
+                mob_storage::load_array(&m.units, g.store()).expect("units"),
+            ),
+            other => panic!("unexpected {} root", other.kind_name()),
+        })
+        .collect()
 }
 
 /// E12: delta-chain replay on reopen against catalog size, touched-array
@@ -617,33 +743,13 @@ fn e11() {
 /// as the catalog grows and falls as the chain grows (DESIGN.md §13).
 fn e12() {
     use mob_core::MovingPoint;
-    use mob_storage::mapping_store::UPointRecord;
-    use mob_storage::{
-        load_array, DurableStore, Generation, MemIo, RootRecord, StoreFile, StoreIo,
-    };
+    use mob_storage::{DurableStore, Generation, MemIo, RootRecord, StoreFile, StoreIo};
     use std::sync::Arc;
     header("E12  delta replay on reopen: cost per appended root vs catalog size, array length and chain length [DESIGN.md §13]");
     const APPENDED: usize = 1000;
     let reopen = |io: &MemIo| -> Arc<Generation> {
         let store = DurableStore::options().open(io.clone()).expect("reopen");
         store.snapshot().expect("committed")
-    };
-    // The logical content of a generation: replay writes each touched
-    // root once where the live commits wrote it once per delta, so the
-    // two agree on names, kinds, unit counts and units, not on blob ids.
-    let logical = |g: &Generation| -> Vec<(String, &'static str, u32, Vec<UPointRecord>)> {
-        g.entries()
-            .iter()
-            .map(|(name, root)| match root {
-                RootRecord::MPoint(m) => (
-                    name.clone(),
-                    root.kind_name(),
-                    m.num_units,
-                    load_array(&m.units, g.store()).expect("units"),
-                ),
-                other => panic!("E12: unexpected {} root", other.kind_name()),
-            })
-            .collect()
     };
     // n roots of `units` zig-zag units each (names in shuffled order) in
     // one snapshot, then `deltas` commits of one unit to each of

@@ -856,11 +856,26 @@ impl Axis {
     /// The code nearest to `v`, from one multiplication: the estimate
     /// [`last_below`] corrects.
     fn nearest(&self, v: f64) -> u16 {
-        let x = (v - self.lo) * self.per_unit + 0.5;
-        // A float-to-integer `as` truncates and saturates, with negative
-        // values and NaN at 0; anything past the last code is the last.
-        u16::try_from(x as u64).unwrap_or(CODE_MAX)
+        truncated_code((v - self.lo) * self.per_unit + 0.5)
     }
+}
+
+/// `x` truncated toward zero as a code: NaN and anything below 1 at 0,
+/// anything at or past the last code the last.
+fn truncated_code(x: f64) -> u16 {
+    if x.is_nan() || x < 1.0 {
+        return 0;
+    }
+    if x >= f64::from(CODE_MAX) {
+        return CODE_MAX;
+    }
+    // 1 <= x < 65535: the sign bit is clear and the unbiased exponent
+    // is 0..=15, so the integer part is the mantissa with its implicit
+    // one, shifted right past the 52 - exponent fraction bits.
+    let bits = x.to_bits();
+    let exponent = (bits >> 52) - 1023;
+    let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+    u16::try_from(mantissa >> (52 - exponent)).unwrap_or(CODE_MAX)
 }
 
 /// The largest code `c` with `below(c)`, for a `below` that holds on a
@@ -1313,6 +1328,48 @@ mod tests {
                 })
                 .collect();
             check_frame(&format!("frame at {lo} + {span}"), &cubes);
+        }
+    }
+
+    #[test]
+    fn frame_truncated_code_matches_the_saturating_cast() {
+        // The expression `truncated_code` replaced: a float-to-integer
+        // `as` truncates toward zero and saturates, NaN at 0.
+        let cast = |x: f64| u16::try_from(x as u64).unwrap_or(CODE_MAX);
+        let check = |x: f64| assert_eq!(truncated_code(x), cast(x), "x = {x:e}");
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            0.0,
+            -0.0,
+            f64::MAX,
+            f64::MIN,
+            65_534.999_999_999,
+            65535.0,
+            65535.5,
+            65536.0,
+            1e300,
+        ] {
+            check(x);
+        }
+        for i in 0..=65_536u32 {
+            let x = f64::from(i);
+            for y in [x, x + 0.5, x + 1e-9, x - 1e-9, x.next_up(), x.next_down()] {
+                check(y);
+            }
+        }
+        let mut state = 0x5eedu64;
+        for _ in 0..200_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+            check(unit * 70_000.0 - 2_000.0);
+            check(f64::from_bits(state));
         }
     }
 

@@ -87,16 +87,23 @@ pub fn save_array_with_threshold<T: FixedRecord>(
     store: &mut PageStore,
     threshold: usize,
 ) -> SavedArray {
-    let bytes = write_all(items);
+    place(items.len(), write_all(items), store, threshold)
+}
+
+/// Save the encoded bytes of `count` records as a database array,
+/// placed as [`save_array`] places them: the one placement rule for
+/// callers that assemble an array's bytes themselves.
+pub(crate) fn save_array_bytes(count: usize, bytes: Vec<u8>, store: &mut PageStore) -> SavedArray {
+    place(count, bytes, store, INLINE_THRESHOLD)
+}
+
+fn place(count: usize, bytes: Vec<u8>, store: &mut PageStore, threshold: usize) -> SavedArray {
     let placement = if bytes.len() <= threshold {
         Placement::Inline(bytes)
     } else {
-        Placement::External(store.write_blob(&bytes))
+        Placement::External(store.write_blob(bytes))
     };
-    SavedArray {
-        count: items.len(),
-        placement,
-    }
+    SavedArray { count, placement }
 }
 
 /// Load a database array back into records.

@@ -541,7 +541,7 @@ pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, 
         }
         files.push(RecoveredFile { name, fate });
     }
-    replay.finish();
+    replay.finish()?;
     files.sort_by(|a, b| a.name.cmp(&b.name));
     let recovery = Recovery {
         files,

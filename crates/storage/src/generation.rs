@@ -20,14 +20,26 @@
 //!
 //! A replay finds each batch's root with a finger search of the
 //! catalog's name index ([`Catalog::slot_from`]: batches arrive in name
-//! order, so each lookup gallops forward from the previous hit). The
-//! first time the chain touches a root it decodes the stored array and
-//! checks all of it with [`splice_units`], since the stored bytes are
-//! untrusted — unless the generation marked the root checked (below),
-//! in which case the record decode and the seam check are all it
-//! needs. It then holds the decoded units, and every later batch
-//! for that root is resolved and checked at the seam only — O(records),
-//! not O(array). `Replay::finish` writes each touched root once,
+//! order, so each lookup gallops forward from the previous hit). What
+//! the first touch of a root in the chain decodes depends on its mark
+//! (below):
+//!
+//! * **An unmarked root** is untrusted bytes: the replay decodes its
+//!   whole stored array and the first splice checks all of it with
+//!   [`splice_units`]. Recovery's base and the first commit after a
+//!   full commit, compaction or rebuild take this path.
+//! * **A marked root** gets the layout check only (byte length =
+//!   count × record size), and its records stay bytes. A seam step
+//!   decodes a stored record only when it reaches it: the last one,
+//!   and the one below a point tail the seam pops. A commit on a marked
+//!   root thus decodes O(records), not O(array).
+//!
+//! Either way the replay holds a root as a count of stored records kept
+//! verbatim plus the decoded units after them, and every later batch
+//! for that root is resolved and checked at the seam only.
+//! `Replay::finish` writes each touched root once — a marked root's
+//! kept records copied from its stored array as bytes, then its
+//! decoded units encoded, into one buffer the size of the new array —
 //! merges the appended cubes into the tail once, and joins new roots to
 //! the catalog in first-touch order. A replayed chain of k deltas over
 //! a root therefore decodes and writes its array once, not k times, and
@@ -38,7 +50,9 @@
 //! delta changed (mutation happens only at the end of the array, so
 //! that is a short suffix) and the previous cube; a failing batch
 //! restores them and drops the roots the delta touched first. The
-//! deltas applied before it stay.
+//! deltas applied before it stay. The log counts positions from the
+//! front of the whole array, kept records included, so decoding one
+//! more stored record mid-delta leaves it exact.
 //!
 //! # What a generation has already checked
 //!
@@ -48,15 +62,16 @@
 //! * **A check mark per catalog slot.** `Replay::finish` marks every
 //!   root it writes. Those arrays are units that came through
 //!   [`load_array`]'s per-record decode plus a full [`splice_units`]
-//!   pass, or a seam check and `push_unit` per appended record: sorted,
-//!   disjoint, canonical and free of bad fields. A delta commit clones
-//!   its predecessor, so marks pass down a chain of commits. Any
+//!   pass, or records kept verbatim from an array already marked, each
+//!   followed by a seam check and `push_unit` per appended record:
+//!   sorted, disjoint, canonical and free of bad fields. A delta commit
+//!   clones its predecessor, so marks pass down a chain of commits. Any
 //!   generation built another way has no marks: a snapshot read from
 //!   disk, a full commit, a compaction, an index rebuild and the base
 //!   recovery replays onto ([`Generation::from_store_file`]). A marked
 //!   root opens through [`Generation::checked_mpoint`] with the layout
 //!   checks only ([`Verify::Preverified`]), and a replay that touches it
-//!   again skips the full splice pass and checks the seam alone.
+//!   again decodes and checks only what its seam reaches.
 //! * **The decoded index trees.** [`Generation::index_tree`] decodes an
 //!   index root on first use and keeps the tree behind an `Arc`. A
 //!   delta commit cannot change an index root (a replay refuses any
@@ -70,7 +85,9 @@
 //! constructors.
 
 use crate::catalog::{Catalog, Finger};
-use crate::dbarray::{load_array, save_array, Placement, SavedArray};
+use crate::dbarray::{
+    load_array, read_array_bytes, save_array, save_array_bytes, Placement, SavedArray,
+};
 use crate::index_store::{load_index, StoredIndex};
 use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{
@@ -78,6 +95,7 @@ use crate::mapping_store::{
 };
 use crate::page::PageStore;
 use crate::range_store::StoredPeriods;
+use crate::record::FixedRecord;
 use crate::region_store::StoredRegion;
 use crate::store_file::{RootRecord, StoreFile};
 use crate::view::{self, MappingView, Verify};
@@ -423,7 +441,7 @@ impl Generation {
         let mut next = self.clone();
         let mut replay = next.replay();
         replay.apply_delta(number, appends)?;
-        replay.finish();
+        replay.finish()?;
         Ok(next)
     }
 
@@ -443,11 +461,14 @@ impl Generation {
 }
 
 /// A delta chain being replayed onto one [`Generation`] (see the module
-/// docs). Each root the chain touches is decoded once, at its first
-/// touch, and held as one unit vector plus the union cube of what the
-/// chain appended to it; every later batch for it is checked and
-/// spliced at the seam only. [`Replay::finish`] writes each touched
-/// root once and merges the cubes into the tail once.
+/// docs). Each root the chain touches is taken in once, at its first
+/// touch — decoded whole when unmarked, left as bytes behind the
+/// layout check when marked — and held as the stored records it keeps
+/// verbatim, the decoded units after them and the union cube of what
+/// the chain appended to it; every batch for it is checked and spliced
+/// at the seam only, after the full splice check of an unmarked root.
+/// [`Replay::finish`] writes each touched root once and merges the
+/// cubes into the tail once.
 ///
 /// A delta is applied whole or not at all: [`Replay::apply_delta`]
 /// undoes a failed delta's changes and keeps the deltas applied before
@@ -471,14 +492,20 @@ pub(crate) struct Replay<'g> {
     dirty: Vec<usize>,
 }
 
-/// One root a [`Replay`] touched.
+/// One root a [`Replay`] touched. Its units are the first `base`
+/// records of its stored array, kept as bytes, followed by `units`.
 struct Touched {
     name: String,
     /// Catalog slot; `None` for a root the chain creates.
     slot: Option<usize>,
-    /// The root's units: canonical after every applied batch.
+    /// Records at the front of the stored array kept verbatim: never
+    /// decoded, copied as bytes at `finish`. Only a marked root keeps
+    /// any; every other root holds all its units in `units`.
+    base: usize,
+    /// The root's units from position `base` on: with the `base`
+    /// records, canonical after every applied batch.
     units: Vec<UPointRecord>,
-    /// `units.len()`, checked to fit the record's `u32`.
+    /// `base + units.len()`, checked to fit the record's `u32`.
     num_units: u32,
     /// Union cube of the records the chain appended.
     cube: Option<Cube>,
@@ -487,31 +514,73 @@ struct Touched {
     loaded: bool,
     /// The delta that last touched the root.
     delta: u64,
-    /// Undo state for that delta: the first `keep` units are as they
-    /// were before it, `saved` holds the ones it changed from `keep`
-    /// on (last first), `prior` the cube.
+    /// Undo state for that delta, in positions counted from the front
+    /// of the whole array (`base` included): the first `keep` units are
+    /// as they were before it, `saved` holds the ones it changed from
+    /// `keep` on (last first), `prior` the cube.
     keep: usize,
     saved: Vec<UPointRecord>,
     prior: Option<Cube>,
 }
 
 impl Touched {
+    /// Number of units, the `base` records included.
+    fn len(&self) -> usize {
+        self.base + self.units.len()
+    }
+
+    /// The stored array the `base` records are kept from.
+    fn stored<'c>(&self, catalog: &'c Catalog) -> DecodeResult<&'c SavedArray> {
+        match self.slot.and_then(|s| catalog.root_at(s)) {
+            Some(RootRecord::MPoint(stored)) => Ok(&stored.units),
+            _ => Err(DecodeError::BadStructure {
+                what: "delta apply",
+                detail: format!("replay lost the stored array of {:?}", self.name),
+            }),
+        }
+    }
+
+    /// Decode the stored record just below `units` when `units` is
+    /// empty: a seam step is about to compare, trim, pop or ι-merge the
+    /// last unit. The root's units do not change, so the undo state,
+    /// kept in whole-array positions, stays exact.
+    fn refill(&mut self, head: &Generation) -> DecodeResult<()> {
+        if !self.units.is_empty() || self.base == 0 {
+            return Ok(());
+        }
+        let below = self.base - 1;
+        let record = read_array_bytes(
+            self.stored(&head.catalog)?,
+            &head.store,
+            below * UPointRecord::SIZE,
+            UPointRecord::SIZE,
+            UPointRecord::read,
+        )?;
+        self.units.push(record);
+        self.base = below;
+        Ok(())
+    }
+
     /// Save the last unit before it changes, unless the delta being
     /// applied already changed or pushed it.
     fn guard(&mut self) {
+        let len = self.len();
         if let Some(&last) = self.units.last() {
-            if self.units.len() <= self.keep {
+            if len <= self.keep {
                 self.saved.push(last);
-                self.keep = self.units.len() - 1;
+                self.keep = len - 1;
             }
         }
     }
 
     /// Undo the delta that last touched the root.
     fn undo(&mut self) {
-        self.units.truncate(self.keep);
+        // `keep` never falls below `base`: it is at least the length
+        // when the delta began or a position `units` held, and a refill
+        // only lowers `base`.
+        self.units.truncate(self.keep.saturating_sub(self.base));
         self.units.extend(self.saved.iter().rev());
-        self.num_units = u32::try_from(self.units.len()).unwrap_or(u32::MAX);
+        self.num_units = u32::try_from(self.len()).unwrap_or(u32::MAX);
         self.cube = self.prior;
     }
 }
@@ -552,6 +621,7 @@ impl Replay<'_> {
     ) -> DecodeResult<()> {
         let at = self.touch(name, finger)?;
         let delta = self.deltas;
+        let head = &*self.head;
         let Some(root) = self.roots.get_mut(at) else {
             return Err(DecodeError::BadStructure {
                 what: "delta apply",
@@ -560,11 +630,12 @@ impl Replay<'_> {
         };
         if root.delta != delta {
             root.delta = delta;
-            root.keep = root.units.len();
+            root.keep = root.len();
             root.saved.clear();
             root.prior = root.cube;
             self.dirty.push(at);
         }
+        root.refill(head)?;
         root.guard();
         resolve_seam(&mut root.units, records, name)?;
         if std::mem::take(&mut root.loaded) {
@@ -572,14 +643,15 @@ impl Replay<'_> {
             root.units = splice_units(std::mem::take(&mut root.units))?;
         }
         for &r in records {
+            // A popped point tail leaves the unit below it next.
+            root.refill(head)?;
             root.guard();
             push_unit(&mut root.units, r)?;
         }
-        root.num_units =
-            u32::try_from(root.units.len()).map_err(|_| DecodeError::BadStructure {
-                what: "delta apply",
-                detail: format!("mapping {name:?} exceeds u32 units"),
-            })?;
+        root.num_units = u32::try_from(root.len()).map_err(|_| DecodeError::BadStructure {
+            what: "delta apply",
+            detail: format!("mapping {name:?} exceeds u32 units"),
+        })?;
         let cube = records_cube(records);
         root.cube = match (root.cube, cube) {
             (Some(a), Some(b)) => Some(a.union(&b)),
@@ -588,8 +660,10 @@ impl Replay<'_> {
         Ok(())
     }
 
-    /// The position in `roots` of the root named `name`, decoding its
-    /// stored units on the chain's first touch.
+    /// The position in `roots` of the root named `name`, taking in its
+    /// stored array on the chain's first touch: a marked root only
+    /// after the layout check, its records left as bytes; any other
+    /// root decoded whole, to be checked whole by the first splice.
     fn touch<'n>(&mut self, name: &'n str, finger: &mut Finger<'n>) -> DecodeResult<usize> {
         let catalog = &self.head.catalog;
         let Some(slot) = catalog.slot_from(name, finger) else {
@@ -598,7 +672,7 @@ impl Replay<'_> {
             }
             let at = self.roots.len();
             self.created.insert(name.to_string(), at);
-            self.roots.push(self.fresh(name, None, Vec::new()));
+            self.roots.push(self.fresh(name, None));
             return Ok(at);
         };
         if self.by_slot.is_empty() {
@@ -607,9 +681,21 @@ impl Replay<'_> {
         if let Some(at) = self.by_slot.get(slot).and_then(|p| p.checked_sub(1)) {
             return Ok(at);
         }
-        let units = match catalog.root_at(slot) {
-            Some(RootRecord::MPoint(sm)) => load_array(&sm.units, &self.head.store)?,
-            Some(other) => {
+        let mut root = self.fresh(name, Some(slot));
+        match (catalog.root_at(slot), self.head.checked_mpoint(slot)) {
+            // A root this process wrote from checked units: a seam step
+            // decodes only the records it reaches.
+            (_, Some(marked)) => {
+                let units = &marked.stored().units;
+                units.check_layout::<UPointRecord>(marked.store())?;
+                root.base = units.count;
+            }
+            // Any other stored array is untrusted.
+            (Some(RootRecord::MPoint(sm)), None) => {
+                root.units = load_array(&sm.units, &self.head.store)?;
+                root.loaded = true;
+            }
+            (Some(other), None) => {
                 return Err(DecodeError::BadStructure {
                     what: "delta apply",
                     detail: format!(
@@ -618,27 +704,24 @@ impl Replay<'_> {
                     ),
                 })
             }
-            None => Vec::new(),
-        };
+            (None, None) => {}
+        }
         let at = self.roots.len();
         if let Some(p) = self.by_slot.get_mut(slot) {
             *p = at + 1;
         }
-        let mut root = self.fresh(name, Some(slot), units);
-        // A root this process wrote from checked units needs the seam
-        // check only; any other stored array is untrusted.
-        root.loaded = self.head.checked_mpoint(slot).is_none();
         self.roots.push(root);
         Ok(at)
     }
 
     /// A root first touched by the delta being applied.
-    fn fresh(&self, name: &str, slot: Option<usize>, units: Vec<UPointRecord>) -> Touched {
+    fn fresh(&self, name: &str, slot: Option<usize>) -> Touched {
         Touched {
             name: name.to_string(),
             slot,
+            base: 0,
             num_units: 0,
-            units,
+            units: Vec::new(),
             cube: None,
             loaded: false,
             delta: self.deltas,
@@ -671,7 +754,16 @@ impl Replay<'_> {
     /// first-touch order), merge the appended cubes into the tail once
     /// and take the last applied delta's number. A replay that applied
     /// nothing leaves the generation as it was.
-    pub(crate) fn finish(self) {
+    ///
+    /// A marked root is written with [`save_spliced`]: its kept records
+    /// are copied from the stored array as bytes.
+    ///
+    /// # Errors
+    ///
+    /// A kept record that cannot be read, which the layout check at
+    /// first touch rules out. The generation is then part-written and
+    /// must be dropped.
+    pub(crate) fn finish(self) -> DecodeResult<()> {
         let Replay {
             head,
             number,
@@ -679,7 +771,7 @@ impl Replay<'_> {
             ..
         } = self;
         let Some(number) = number else {
-            return;
+            return Ok(());
         };
         let Generation {
             number: head_number,
@@ -691,23 +783,28 @@ impl Replay<'_> {
         } = head;
         *head_number = number;
         if roots.is_empty() {
-            return;
+            return Ok(());
         }
         if Arc::get_mut(store).is_none() {
             *store = Arc::new(store.fork());
         }
         let Some(pages) = Arc::get_mut(store) else {
             // Unreachable: the store was just unshared.
-            return;
+            return Ok(());
         };
         let mut created = Catalog::new();
         let mut fresh: Vec<(String, Cube)> = Vec::new();
         // Every root written here holds checked units: mark its slot.
         checked.resize(catalog.len(), false);
         for root in roots {
+            let units = if root.base == 0 {
+                save_array(&root.units, pages)
+            } else {
+                save_spliced(root.stored(catalog)?, root.base, &root.units, pages)?
+            };
             let record = RootRecord::MPoint(StoredMapping {
                 num_units: root.num_units,
-                units: save_array(&root.units, pages),
+                units,
             });
             match root.slot {
                 Some(slot) => {
@@ -740,7 +837,37 @@ impl Replay<'_> {
         // of k shifts of the name index.
         catalog.append(created);
         checked.resize(catalog.len(), true);
+        Ok(())
     }
+}
+
+/// Save a marked root's units in one buffer of exact size: the first
+/// `base` records of its `stored` array copied as bytes, a page at a
+/// time so each piece is borrowed from its page and nothing is decoded,
+/// then `suffix` encoded. The bytes and their placement are those of
+/// [`save_array`] over the whole sequence.
+fn save_spliced(
+    stored: &SavedArray,
+    base: usize,
+    suffix: &[UPointRecord],
+    store: &mut PageStore,
+) -> DecodeResult<SavedArray> {
+    let prefix = base * UPointRecord::SIZE;
+    let mut bytes = Vec::with_capacity(prefix + suffix.len() * UPointRecord::SIZE);
+    let step = store.page_size();
+    let mut off = 0;
+    while off < prefix {
+        let len = step.min(prefix - off);
+        read_array_bytes(stored, store, off, len, |b| {
+            bytes.extend_from_slice(b);
+            Ok(())
+        })?;
+        off += len;
+    }
+    for u in suffix {
+        u.write(&mut bytes);
+    }
+    Ok(save_array_bytes(base + suffix.len(), bytes, store))
 }
 
 /// Union of the bounding cubes of `records`; `None` for an empty batch.
@@ -878,7 +1005,7 @@ fn push_unit(out: &mut Vec<UPointRecord>, u: UPointRecord) -> DecodeResult<()> {
 fn rewrite_saved(src: &PageStore, dst: &mut PageStore, a: &SavedArray) -> DecodeResult<SavedArray> {
     let placement = match &a.placement {
         Placement::Inline(b) => Placement::Inline(b.clone()),
-        Placement::External(id) => Placement::External(dst.write_blob(&src.try_read_blob(*id)?)),
+        Placement::External(id) => Placement::External(dst.write_blob(src.try_read_blob(*id)?)),
     };
     Ok(SavedArray {
         count: a.count,
@@ -1147,7 +1274,7 @@ mod tests {
         ];
         let mut replay = g.replay();
         assert!(replay.apply_delta(2, &batch).is_err());
-        replay.finish();
+        replay.finish().unwrap();
         assert_eq!((g.entries().to_vec(), g.store().num_blobs()), before);
         assert!(g.tail().is_empty() && g.get("bus").is_none());
         assert_eq!(g.number(), 1);
@@ -1207,7 +1334,7 @@ mod tests {
             ("car".to_string(), overlap),
         ];
         assert!(replay.apply_delta(3, &refused).is_err());
-        replay.finish();
+        replay.finish().unwrap();
         assert_eq!(g.number(), 2);
         assert_eq!(load_units(&g, "car"), [moving, point]);
         assert_eq!(load_units(&g, "bus"), bus);
@@ -1380,6 +1507,97 @@ mod tests {
         let mut rev = recs.clone();
         rev.reverse();
         assert!(splice_units(rev).is_err());
+    }
+
+    /// The bytes of a saved array, wherever they are placed.
+    fn array_bytes(a: &SavedArray, store: &PageStore) -> (bool, Vec<u8>) {
+        match &a.placement {
+            Placement::Inline(b) => (true, b.clone()),
+            Placement::External(id) => (false, store.try_read_blob(*id).unwrap()),
+        }
+    }
+
+    fn stored_units<'g>(g: &'g Generation, name: &str) -> &'g SavedArray {
+        match g.get(name) {
+            Some(RootRecord::MPoint(sm)) => &sm.units,
+            other => panic!("{name}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_refill_keeps_the_undo_log_exact() {
+        // `car` is a two-page zig-zag, then `b` and a point tail `c`
+        // that a continuation with `b`'s motion replaces and ι-merges
+        // into `b`: the seam reaches two records below the end.
+        let stay = mob_core::PointMotion::new(Real::ZERO, Real::ZERO, Real::ZERO, Real::ZERO);
+        let jump = mob_core::PointMotion::new(Real::new(4.0), Real::ZERO, Real::ZERO, Real::ZERO);
+        let zig: Vec<_> = (0..100)
+            .map(|i| (t(f64::from(i)), pt(f64::from(i), f64::from(i % 2))))
+            .collect();
+        let mut units = to_records(MovingPoint::from_samples(&zig).units());
+        let end = *units.last().unwrap().interval.end();
+        units.last_mut().unwrap().interval = TimeInterval::closed_open(t(98.0), end);
+        units.push(UPointRecord {
+            interval: TimeInterval::closed_open(t(99.0), t(100.0)),
+            motion: stay,
+        });
+        let mut file = StoreFile::new();
+        let saved = save_array(&units, file.store_mut());
+        assert!(saved.byte_len(file.store_mut()).unwrap() > 4096);
+        let num_units = u32::try_from(units.len()).unwrap();
+        file.put(
+            "car",
+            RootRecord::MPoint(StoredMapping {
+                num_units,
+                units: saved,
+            }),
+        );
+        let c = UPointRecord {
+            interval: TimeInterval::point(t(100.0)),
+            motion: jump,
+        };
+        let g = Generation::from_store_file(1, file, Vec::new())
+            .apply_appends(2, &[("car".to_string(), vec![c])])
+            .unwrap();
+        assert!(g.checked_mpoint(0).is_some(), "the commit marks `car`");
+        let before = array_bytes(stored_units(&g, "car"), g.store());
+        let merge = [UPointRecord {
+            interval: TimeInterval::closed_open(t(100.0), t(101.0)),
+            motion: stay,
+        }];
+        let mut merged = units.clone();
+        merged.last_mut().unwrap().interval = TimeInterval::closed_open(t(99.0), t(101.0));
+
+        // A replay that touched `car` in an earlier delta without
+        // reaching a record, then a delta that pops `c`, refills `b` and
+        // merges into it, refused afterwards: the undo restores all of
+        // `car`, and `finish` writes its original bytes.
+        for refuse in [false, true] {
+            let mut head = g.clone();
+            let mut replay = head.replay();
+            replay.deltas = 1;
+            let at = replay.touch("car", &mut Finger::default()).unwrap();
+            replay.deltas = 2;
+            let mark = replay.roots.len();
+            replay
+                .extend("car", &merge, &mut Finger::default())
+                .unwrap();
+            assert_eq!(replay.roots[at].base, units.len() - 1, "one refill below c");
+            if refuse {
+                replay.roll_back(mark);
+            }
+            replay.number = Some(3);
+            replay.finish().unwrap();
+            let after = array_bytes(stored_units(&head, "car"), head.store());
+            if refuse {
+                assert_eq!(after, before, "undo across a refill");
+            } else {
+                let mut fresh = PageStore::new();
+                let want = save_array(&merged, &mut fresh);
+                assert_eq!(after, array_bytes(&want, &fresh), "merged into b");
+                assert_eq!(load_units(&head, "car"), merged);
+            }
+        }
     }
 
     #[test]

@@ -125,17 +125,27 @@ impl PageStore {
         self.page_size
     }
 
-    /// Store a blob, counting one page write per page.
-    pub fn write_blob(&mut self, bytes: &[u8]) -> BlobId {
-        let pages: Vec<Vec<u8>> = if bytes.is_empty() {
+    /// Store a blob, counting one page write per page. The bytes are
+    /// taken by value: an owned buffer that fits in one page becomes
+    /// that page without a copy, and a longer blob is copied once, page
+    /// by page (a borrowed slice is copied once either way).
+    pub fn write_blob(&mut self, bytes: impl Into<Vec<u8>> + AsRef<[u8]>) -> BlobId {
+        let len = bytes.as_ref().len();
+        let pages: Vec<Vec<u8>> = if len == 0 {
             Vec::new()
+        } else if len <= self.page_size {
+            vec![bytes.into()]
         } else {
-            bytes.chunks(self.page_size).map(|c| c.to_vec()).collect()
+            bytes
+                .as_ref()
+                .chunks(self.page_size)
+                .map(<[u8]>::to_vec)
+                .collect()
         };
         self.pages_written.add(pages.len() as u64);
         self.blobs.push(Blob {
             pages: Arc::new(pages),
-            len: bytes.len(),
+            len,
             quarantined: false,
         });
         BlobId(self.blobs.len() - 1)
@@ -437,7 +447,7 @@ mod tests {
     fn roundtrip_and_page_count() {
         let mut store = small_store(8);
         let data: Vec<u8> = (0..20).collect();
-        let id = store.write_blob(&data);
+        let id = store.write_blob(data.as_slice());
         assert_eq!(store.blob_pages(id), 3); // 8 + 8 + 4
         assert_eq!(store.pages_written(), 3);
         assert_eq!(store.read_blob(id), data);
@@ -461,7 +471,7 @@ mod tests {
     fn range_reads_touch_only_overlapping_pages() {
         let mut store = small_store(8);
         let data: Vec<u8> = (0..32).collect();
-        let id = store.write_blob(&data);
+        let id = store.write_blob(data.as_slice());
         store.reset_counters();
         // Range inside one page.
         assert_eq!(copy_range(&store, id, 9, 4).ok(), Some(vec![9, 10, 11, 12]));
@@ -493,7 +503,7 @@ mod tests {
                 }
             })
             .collect();
-        let id = store.write_blob(&crate::record::write_all(&recs));
+        let id = store.write_blob(crate::record::write_all(&recs));
         (store, id, recs)
     }
 
@@ -527,7 +537,7 @@ mod tests {
     #[test]
     fn blob_range_borrows_inside_a_page_and_copies_across() {
         let mut store = small_store(8);
-        let id = store.write_blob(&(0..32).collect::<Vec<u8>>());
+        let id = store.write_blob((0..32).collect::<Vec<u8>>());
         let pages: Vec<_> = store.blobs[id.0]
             .pages
             .iter()
@@ -545,7 +555,7 @@ mod tests {
     fn blob_range_errors_match_the_copy_path() {
         let (mut store, id, _) = straddling_records();
         let blob_len = 40 * UPointRecord::SIZE;
-        let bad = store.write_blob(&[1, 2, 3]);
+        let bad = store.write_blob([1, 2, 3]);
         store.mark_quarantined(bad).unwrap_or(());
         store.reset_counters();
         let never = |_: &[u8]| -> DecodeResult<()> { unreachable!("no bytes on an error") };
@@ -586,15 +596,29 @@ mod tests {
         }
         assert_eq!(store.pages_read(), 0);
         let mut empty = small_store(16);
-        let e = empty.write_blob(&[]);
+        let e = empty.write_blob(Vec::new());
         assert_eq!(copy_range(&empty, e, 0, 0).ok(), Some(vec![]));
         assert_eq!(empty.pages_read(), 0);
     }
 
     #[test]
+    fn an_owned_one_page_blob_becomes_its_page() {
+        let mut store = small_store(8);
+        let bytes = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
+        let at = bytes.as_ptr();
+        let id = store.write_blob(bytes);
+        assert_eq!(store.blobs[id.0].pages[0].as_ptr(), at, "moved, not copied");
+        // A longer one is chunked into pages of the store's size.
+        let long = store.write_blob((0..20).collect::<Vec<u8>>());
+        assert_eq!(store.blob_pages(long), 3);
+        assert_eq!(store.read_blob(long), (0..20).collect::<Vec<u8>>());
+        assert_eq!(store.pages_written(), 4);
+    }
+
+    #[test]
     fn empty_blob() {
         let mut store = PageStore::new();
-        let id = store.write_blob(&[]);
+        let id = store.write_blob(Vec::new());
         assert_eq!(store.blob_pages(id), 0);
         assert!(store.read_blob(id).is_empty());
     }
@@ -602,7 +626,7 @@ mod tests {
     #[test]
     fn try_reads_reject_bad_ids_and_ranges() {
         let mut store = small_store(8);
-        let id = store.write_blob(&[1, 2, 3, 4]);
+        let id = store.write_blob([1, 2, 3, 4]);
         assert_eq!(store.num_blobs(), 1);
         assert_eq!(store.blob_len(id).unwrap(), 4);
         assert_eq!(store.try_read_blob(id).unwrap(), vec![1, 2, 3, 4]);
@@ -620,8 +644,8 @@ mod tests {
     #[test]
     fn multiple_blobs_independent() {
         let mut store = small_store(4);
-        let a = store.write_blob(&[1, 2, 3, 4, 5]);
-        let b = store.write_blob(&[9, 9]);
+        let a = store.write_blob([1, 2, 3, 4, 5]);
+        let b = store.write_blob([9, 9]);
         assert_eq!(store.read_blob(a), vec![1, 2, 3, 4, 5]);
         assert_eq!(store.read_blob(b), vec![9, 9]);
     }
@@ -639,8 +663,8 @@ mod tests {
     #[test]
     fn quarantine_blocks_reads_but_not_neighbours() {
         let mut store = small_store(4);
-        let bad = store.write_blob(&[1, 2, 3, 4, 5, 6]);
-        let good = store.write_blob(&[7, 8]);
+        let bad = store.write_blob([1, 2, 3, 4, 5, 6]);
+        let good = store.write_blob([7, 8]);
         assert!(!store.is_quarantined(bad));
         store.mark_quarantined(bad).unwrap_or(());
         // Idempotent; metric counted once (asserted indirectly: no panic).
@@ -669,8 +693,8 @@ mod tests {
     #[test]
     fn fork_shares_blobs_and_isolates_appends() {
         let mut base = small_store(4);
-        let a = base.write_blob(&[1, 2, 3, 4, 5]);
-        let bad = base.write_blob(&[9]);
+        let a = base.write_blob([1, 2, 3, 4, 5]);
+        let bad = base.write_blob([9]);
         base.mark_quarantined(bad).unwrap_or(());
         let mut fork = base.fork();
         // Existing blobs carry over: same ids, same bytes, same flags,
@@ -680,12 +704,12 @@ mod tests {
         assert_eq!(fork.read_blob(a), vec![1, 2, 3, 4, 5]);
         assert!(fork.is_quarantined(bad));
         // New blobs in the fork do not appear in the base.
-        let c = fork.write_blob(&[7, 7, 7]);
+        let c = fork.write_blob([7, 7, 7]);
         assert_eq!(c.index(), 2);
         assert_eq!(fork.num_blobs(), 3);
         assert_eq!(base.num_blobs(), 2);
         // And the base can keep evolving independently.
-        let d = base.write_blob(&[8]);
+        let d = base.write_blob([8]);
         assert_eq!(d.index(), 2);
         assert_eq!(base.read_blob(d), vec![8]);
         assert_eq!(fork.read_blob(c), vec![7, 7, 7]);
