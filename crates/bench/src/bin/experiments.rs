@@ -612,10 +612,11 @@ fn e11() {
 
 /// E11, the in-memory half of a delta commit: ns per appended root of
 /// `Generation::apply_appends` on roots a full commit left unmarked
-/// (each touched array decoded and checked whole) and on the same roots
-/// marked by the delta commit after it (the seam decoded, the rest of
-/// each array copied as bytes). Asserts the live head equals the head
-/// reopened from the directory.
+/// (each touched array given the full check first) and on the same
+/// roots marked by the delta commit after it (the layout check only).
+/// Either way the seam is decoded and the rest of each array copied as
+/// bytes. Asserts the live head equals the head reopened from the
+/// directory.
 fn e11_seam_commits() {
     use mob_core::MovingPoint;
     use mob_storage::{DurableStore, MemIo, RootRecord, StoreFile};
@@ -710,9 +711,9 @@ fn e11_seam_commits() {
             unmarked_ns as f64 / marked_ns.max(1) as f64
         );
     }
-    println!("expected shape: unmarked ns per root grows with the array (a whole decode,");
-    println!("check and re-encode); marked ns per root stays close to the 3-unit row, the");
-    println!("rest of each array being one byte copy");
+    println!("expected shape: unmarked ns per root grows with the array (full check, seam,");
+    println!("prefix copy); marked ns per root stays close to the 3-unit row, the rest of");
+    println!("each array being one byte copy");
 }
 
 /// The logical content of a generation of mpoint roots: names, kinds,

@@ -294,7 +294,7 @@ impl Relation {
     ///
     /// What the generation already checked is not checked again: a root
     /// it vouches for ([`Generation::checked_mpoint`], written by this
-    /// process from checked units) opens with the `O(1)` layout checks
+    /// process from checked records) opens with the `O(1)` layout checks
     /// only, every other root with the full structural scan, and the
     /// index tree comes from [`Generation::index_tree`], which decodes
     /// each index root once per lineage of delta commits.

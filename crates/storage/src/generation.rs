@@ -20,30 +20,29 @@
 //!
 //! A replay finds each batch's root with a finger search of the
 //! catalog's name index ([`Catalog::slot_from`]: batches arrive in name
-//! order, so each lookup gallops forward from the previous hit). What
-//! the first touch of a root in the chain decodes depends on its mark
-//! (below):
+//! order, so each lookup gallops forward from the previous hit). The
+//! first touch of a stored root in the chain runs, through
+//! [`view::open_mpoint`], the check `mob-rel`'s `Relation::open`
+//! applies to the same root: [`Verify::Full`] on an unmarked root
+//! (every record read, intervals sorted and pairwise disjoint, plus the
+//! deep validate pass in debug builds), [`Verify::Preverified`] (the
+//! layout checks only) on a marked one (below). An array
+//! `Relation::open` would refuse is refused here too, with the same
+//! error. After that every root is held the same way: a count of stored
+//! records kept verbatim, never decoded, plus the decoded units after
+//! them. Every batch is resolved and checked at the seam only; a seam
+//! step decodes a stored record when it reaches it: the last one, and
+//! the one below a point tail the seam pops. A stored array is
+//! therefore kept byte for byte, and a commit decodes O(records), not
+//! O(array).
 //!
-//! * **An unmarked root** is untrusted bytes: the replay decodes its
-//!   whole stored array and the first splice checks all of it with
-//!   [`splice_units`]. Recovery's base and the first commit after a
-//!   full commit, compaction or rebuild take this path.
-//! * **A marked root** gets the layout check only (byte length =
-//!   count × record size), and its records stay bytes. A seam step
-//!   decodes a stored record only when it reaches it: the last one,
-//!   and the one below a point tail the seam pops. A commit on a marked
-//!   root thus decodes O(records), not O(array).
-//!
-//! Either way the replay holds a root as a count of stored records kept
-//! verbatim plus the decoded units after them, and every later batch
-//! for that root is resolved and checked at the seam only.
-//! `Replay::finish` writes each touched root once — a marked root's
-//! kept records copied from its stored array as bytes, then its
-//! decoded units encoded, into one buffer the size of the new array —
-//! merges the appended cubes into the tail once, and joins new roots to
-//! the catalog in first-touch order. A replayed chain of k deltas over
-//! a root therefore decodes and writes its array once, not k times, and
-//! leaves no superseded copies in the page store.
+//! `Replay::finish` writes each touched root once — its kept records
+//! copied from its stored array as bytes, then its decoded units
+//! encoded, into one buffer the size of the new array — merges the
+//! appended cubes into the tail once, and joins new roots to the
+//! catalog in first-touch order. A replayed chain of k deltas over a
+//! root therefore writes its array once, not k times, and leaves no
+//! superseded copies in the page store.
 //!
 //! A delta applies whole or not at all. While a delta is applied, an
 //! undo log keeps, per root an earlier delta touched, the units the
@@ -60,12 +59,12 @@
 //! so that reading what it just wrote does not check it again:
 //!
 //! * **A check mark per catalog slot.** `Replay::finish` marks every
-//!   root it writes. Those arrays are units that came through
-//!   [`load_array`]'s per-record decode plus a full [`splice_units`]
-//!   pass, or records kept verbatim from an array already marked, each
-//!   followed by a seam check and `push_unit` per appended record:
-//!   sorted, disjoint, canonical and free of bad fields. A delta commit
-//!   clones its predecessor, so marks pass down a chain of commits. Any
+//!   root it writes. Such an array is records kept verbatim from a
+//!   stored array that passed [`Verify::Full`] in this process, or was
+//!   itself marked, followed by records written after a seam check and
+//!   `push_unit` each: every record reads cleanly and the intervals are
+//!   sorted and pairwise disjoint. A delta commit clones its
+//!   predecessor, so marks pass down a chain of commits. Any
 //!   generation built another way has no marks: a snapshot read from
 //!   disk, a full commit, a compaction, an index rebuild and the base
 //!   recovery replays onto ([`Generation::from_store_file`]). A marked
@@ -85,9 +84,7 @@
 //! constructors.
 
 use crate::catalog::{Catalog, Finger};
-use crate::dbarray::{
-    load_array, read_array_bytes, save_array, save_array_bytes, Placement, SavedArray,
-};
+use crate::dbarray::{read_array_bytes, save_array, save_array_bytes, Placement, SavedArray};
 use crate::index_store::{load_index, StoredIndex};
 use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{
@@ -424,7 +421,10 @@ impl Generation {
     /// mpoint and the batch must continue it (see [`splice_units`] and
     /// the seam rules below). Untouched roots share their pages with
     /// `self` via [`PageStore::fork`]; the successor's catalog is a copy
-    /// of this one. This is a `Replay` of a chain of one delta.
+    /// of this one. This is a `Replay` of a chain of one delta: a touched
+    /// root first gets the check its mark selects ([`Verify::Full`]
+    /// unless this generation marked it), then is extended at its seam,
+    /// its stored records kept byte for byte.
     ///
     /// Seam between the stored tail and the first appended unit (the
     /// ingestion anchor makes consecutive batches share a boundary
@@ -462,13 +462,11 @@ impl Generation {
 
 /// A delta chain being replayed onto one [`Generation`] (see the module
 /// docs). Each root the chain touches is taken in once, at its first
-/// touch — decoded whole when unmarked, left as bytes behind the
-/// layout check when marked — and held as the stored records it keeps
-/// verbatim, the decoded units after them and the union cube of what
-/// the chain appended to it; every batch for it is checked and spliced
-/// at the seam only, after the full splice check of an unmarked root.
-/// [`Replay::finish`] writes each touched root once and merges the
-/// cubes into the tail once.
+/// touch, behind the check its mark selects, and held as the stored
+/// records it keeps verbatim, the decoded units after them and the
+/// union cube of what the chain appended to it; every batch for it is
+/// checked and spliced at the seam only. [`Replay::finish`] writes each
+/// touched root once and merges the cubes into the tail once.
 ///
 /// A delta is applied whole or not at all: [`Replay::apply_delta`]
 /// undoes a failed delta's changes and keeps the deltas applied before
@@ -499,19 +497,16 @@ struct Touched {
     /// Catalog slot; `None` for a root the chain creates.
     slot: Option<usize>,
     /// Records at the front of the stored array kept verbatim: never
-    /// decoded, copied as bytes at `finish`. Only a marked root keeps
-    /// any; every other root holds all its units in `units`.
+    /// decoded, copied as bytes at `finish`. The whole stored array at
+    /// first touch; 0 for a root the chain creates.
     base: usize,
     /// The root's units from position `base` on: with the `base`
-    /// records, canonical after every applied batch.
+    /// records, sorted and pairwise disjoint after every applied batch.
     units: Vec<UPointRecord>,
     /// `base + units.len()`, checked to fit the record's `u32`.
     num_units: u32,
     /// Union cube of the records the chain appended.
     cube: Option<Cube>,
-    /// Whether `units` is an untrusted stored array as loaded, not yet
-    /// checked by a splice.
-    loaded: bool,
     /// The delta that last touched the root.
     delta: u64,
     /// Undo state for that delta, in positions counted from the front
@@ -638,10 +633,6 @@ impl Replay<'_> {
         root.refill(head)?;
         root.guard();
         resolve_seam(&mut root.units, records, name)?;
-        if std::mem::take(&mut root.loaded) {
-            // The stored array is untrusted: check all of it once.
-            root.units = splice_units(std::mem::take(&mut root.units))?;
-        }
         for &r in records {
             // A popped point tail leaves the unit below it next.
             root.refill(head)?;
@@ -661,9 +652,9 @@ impl Replay<'_> {
     }
 
     /// The position in `roots` of the root named `name`, taking in its
-    /// stored array on the chain's first touch: a marked root only
-    /// after the layout check, its records left as bytes; any other
-    /// root decoded whole, to be checked whole by the first splice.
+    /// stored array on the chain's first touch: checked as
+    /// `Relation::open` checks it (in full unless the generation marked
+    /// it), its records left as bytes.
     fn touch<'n>(&mut self, name: &'n str, finger: &mut Finger<'n>) -> DecodeResult<usize> {
         let catalog = &self.head.catalog;
         let Some(slot) = catalog.slot_from(name, finger) else {
@@ -682,20 +673,18 @@ impl Replay<'_> {
             return Ok(at);
         }
         let mut root = self.fresh(name, Some(slot));
-        match (catalog.root_at(slot), self.head.checked_mpoint(slot)) {
-            // A root this process wrote from checked units: a seam step
-            // decodes only the records it reaches.
-            (_, Some(marked)) => {
-                let units = &marked.stored().units;
-                units.check_layout::<UPointRecord>(marked.store())?;
-                root.base = units.count;
+        match catalog.root_at(slot) {
+            Some(RootRecord::MPoint(stored)) => {
+                // The check `Relation::open` applies to the same root:
+                // layout only when this generation vouches for it.
+                let verify = match self.head.checked_mpoint(slot) {
+                    Some(_) => Verify::Preverified,
+                    None => Verify::Full,
+                };
+                view::open_mpoint(stored, &self.head.store, verify)?;
+                root.base = stored.units.count;
             }
-            // Any other stored array is untrusted.
-            (Some(RootRecord::MPoint(sm)), None) => {
-                root.units = load_array(&sm.units, &self.head.store)?;
-                root.loaded = true;
-            }
-            (Some(other), None) => {
+            Some(other) => {
                 return Err(DecodeError::BadStructure {
                     what: "delta apply",
                     detail: format!(
@@ -704,7 +693,7 @@ impl Replay<'_> {
                     ),
                 })
             }
-            (None, None) => {}
+            None => {}
         }
         let at = self.roots.len();
         if let Some(p) = self.by_slot.get_mut(slot) {
@@ -723,7 +712,6 @@ impl Replay<'_> {
             num_units: 0,
             units: Vec::new(),
             cube: None,
-            loaded: false,
             delta: self.deltas,
             keep: 0,
             saved: Vec::new(),
@@ -755,8 +743,10 @@ impl Replay<'_> {
     /// and take the last applied delta's number. A replay that applied
     /// nothing leaves the generation as it was.
     ///
-    /// A marked root is written with [`save_spliced`]: its kept records
-    /// are copied from the stored array as bytes.
+    /// A root that keeps stored records is written with
+    /// [`save_spliced`], which copies them from the stored array as
+    /// bytes; one that keeps none (a root the chain creates, or one
+    /// whose every record a seam step decoded) with [`save_array`].
     ///
     /// # Errors
     ///
@@ -841,7 +831,7 @@ impl Replay<'_> {
     }
 }
 
-/// Save a marked root's units in one buffer of exact size: the first
+/// Save a touched root's units in one buffer of exact size: the first
 /// `base` records of its `stored` array copied as bytes, a page at a
 /// time so each piece is borrowed from its page and nothing is decoded,
 /// then `suffix` encoded. The bytes and their placement are those of
@@ -903,8 +893,8 @@ fn record_cube(r: &UPointRecord) -> Cube {
 
 /// Seam resolution between a stored mapping tail and the first appended
 /// unit (see [`Generation::apply_appends`]). Mutates `existing` in
-/// place; overlaps beyond the shared boundary instant are left for the
-/// splice pass to reject.
+/// place; overlaps beyond the shared boundary instant are left for
+/// [`push_unit`] to reject.
 fn resolve_seam(
     existing: &mut Vec<UPointRecord>,
     appended: &[UPointRecord],
@@ -952,6 +942,10 @@ fn resolve_seam(
 /// as `Mapping::from_units` would for a pre-sorted input. The result
 /// satisfies the `Mapping::try_new` invariants (sorted, disjoint,
 /// adjacent ⇒ distinct values).
+///
+/// A replay runs one step of it, `push_unit`, per appended record;
+/// the whole-sequence form is the per-delta reference its tests hold
+/// the replay to.
 ///
 /// Runs on untrusted replay input: every failure is a [`DecodeError`].
 pub fn splice_units(units: Vec<UPointRecord>) -> DecodeResult<Vec<UPointRecord>> {
@@ -1087,6 +1081,7 @@ fn rewrite_root(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dbarray::load_array;
     use crate::mapping_store::save_mpoint;
     use mob_base::t;
     use mob_core::{Mapping, MovingPoint, TailBuilder, Unit};

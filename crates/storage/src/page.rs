@@ -237,27 +237,13 @@ impl PageStore {
         Ok(self.blob(id)?.len)
     }
 
-    /// Fallible counterpart of [`PageStore::read_blob`]: dangling blob
-    /// ids (e.g. decoded from corrupt root records) surface as a
-    /// [`DecodeError`] instead of a panic.
+    /// Read a blob back whole, counting one page read per page. A
+    /// dangling id (e.g. decoded from a corrupt root record) or a
+    /// quarantined blob is a [`DecodeError`].
     pub fn try_read_blob(&self, id: BlobId) -> DecodeResult<Vec<u8>> {
         let blob = self.blob(id)?;
         self.pages_read.add(blob.pages.len() as u64);
         Ok(blob.pages.concat())
-    }
-
-    /// Read a blob back, counting one page read per page.
-    ///
-    /// Panics on a dangling id — for trusted in-process ids only; decode
-    /// paths use [`PageStore::try_read_blob`].
-    pub fn read_blob(&self, id: BlobId) -> Vec<u8> {
-        let blob = &self.blobs[id.0];
-        self.pages_read.add(blob.pages.len() as u64);
-        let mut out = Vec::with_capacity(blob.len);
-        for p in blob.pages.iter() {
-            out.extend_from_slice(p);
-        }
-        out
     }
 
     /// Run `read` over bytes `offset..offset + len` of a blob, touching
@@ -450,7 +436,7 @@ mod tests {
         let id = store.write_blob(data.as_slice());
         assert_eq!(store.blob_pages(id), 3); // 8 + 8 + 4
         assert_eq!(store.pages_written(), 3);
-        assert_eq!(store.read_blob(id), data);
+        assert_eq!(store.try_read_blob(id).unwrap(), data);
         assert_eq!(store.pages_read(), 3);
         store.reset_counters();
         assert_eq!(store.pages_written(), 0);
@@ -611,7 +597,10 @@ mod tests {
         // A longer one is chunked into pages of the store's size.
         let long = store.write_blob((0..20).collect::<Vec<u8>>());
         assert_eq!(store.blob_pages(long), 3);
-        assert_eq!(store.read_blob(long), (0..20).collect::<Vec<u8>>());
+        assert_eq!(
+            store.try_read_blob(long).unwrap(),
+            (0..20).collect::<Vec<u8>>()
+        );
         assert_eq!(store.pages_written(), 4);
     }
 
@@ -620,7 +609,7 @@ mod tests {
         let mut store = PageStore::new();
         let id = store.write_blob(Vec::new());
         assert_eq!(store.blob_pages(id), 0);
-        assert!(store.read_blob(id).is_empty());
+        assert!(store.try_read_blob(id).unwrap().is_empty());
     }
 
     #[test]
@@ -646,8 +635,8 @@ mod tests {
         let mut store = small_store(4);
         let a = store.write_blob([1, 2, 3, 4, 5]);
         let b = store.write_blob([9, 9]);
-        assert_eq!(store.read_blob(a), vec![1, 2, 3, 4, 5]);
-        assert_eq!(store.read_blob(b), vec![9, 9]);
+        assert_eq!(store.try_read_blob(a).unwrap(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(store.try_read_blob(b).unwrap(), vec![9, 9]);
     }
 
     #[test]
@@ -701,7 +690,7 @@ mod tests {
         // and no page writes were counted for the fork.
         assert_eq!(fork.num_blobs(), 2);
         assert_eq!(fork.pages_written(), 0);
-        assert_eq!(fork.read_blob(a), vec![1, 2, 3, 4, 5]);
+        assert_eq!(fork.try_read_blob(a).unwrap(), vec![1, 2, 3, 4, 5]);
         assert!(fork.is_quarantined(bad));
         // New blobs in the fork do not appear in the base.
         let c = fork.write_blob([7, 7, 7]);
@@ -711,8 +700,8 @@ mod tests {
         // And the base can keep evolving independently.
         let d = base.write_blob([8]);
         assert_eq!(d.index(), 2);
-        assert_eq!(base.read_blob(d), vec![8]);
-        assert_eq!(fork.read_blob(c), vec![7, 7, 7]);
+        assert_eq!(base.try_read_blob(d).unwrap(), vec![8]);
+        assert_eq!(fork.try_read_blob(c).unwrap(), vec![7, 7, 7]);
     }
 
     #[test]

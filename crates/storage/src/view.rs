@@ -45,9 +45,12 @@
 //! `(stored, store)` pair (blobs are immutable); a caller that holds
 //! such a view's result, like `mob-rel`'s per-query views of a
 //! reference it verified once; or a generation that wrote the array
-//! itself from units this process had checked — decoded record by
-//! record and spliced sorted, disjoint and canonical by a replay — and
-//! vouches for it through [`crate::Generation::checked_mpoint`].
+//! itself and vouches for it through
+//! [`crate::Generation::checked_mpoint`]. Such an array is records a
+//! replay kept verbatim from a stored array that passed a
+//! [`Verify::Full`] open (or was itself vouched for), followed by
+//! records it appended after a seam check each: what stage 1 checks
+//! holds for it, and no more.
 
 use crate::dbarray::{read_array_bytes, read_subarray, SavedArray};
 use crate::mapping_store::{
@@ -92,8 +95,8 @@ pub enum Verify {
     /// once — [`PageStore`] blobs are append-only and immutable, so a
     /// verification performed at load time remains valid for every later
     /// view — or when the generation holding the pair wrote the array
-    /// from units this process had checked, which only that generation
-    /// can vouch for ([`crate::Generation::checked_mpoint`]). `mob-rel`
+    /// from records this process had checked, which only that
+    /// generation can vouch for ([`crate::Generation::checked_mpoint`]). `mob-rel`
     /// relies on this to open a fresh view per query (per worker
     /// thread) without paying a relation-sized scan each time, and to
     /// open the roots a live generation just wrote without checking

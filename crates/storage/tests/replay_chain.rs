@@ -1,12 +1,12 @@
 //! Delta-chain replay against a per-delta reference model.
 //!
 //! Recovery replays a whole delta chain in one session: each touched
-//! root is decoded once, every later batch is checked and spliced at its
-//! seam only, and each root is written once at the end. The reference
-//! here is the rule that session must reproduce, applied the slow way:
-//! for each delta and each batch, `units = splice_units(seam(units) ++
-//! records)`, a refused batch refusing its whole delta and ending the
-//! chain.
+//! root gets the check `Relation::open` would give it once, every batch
+//! is checked and spliced at its seam only, and each root is written
+//! once at the end. The reference here is the rule that session must
+//! reproduce, applied the slow way: for each delta and each batch,
+//! `units = splice_units(seam(units) ++ records)`, a refused batch
+//! refusing its whole delta and ending the chain.
 //!
 //! Every chain is committed through a live [`DurableStore`] (a delta
 //! the live store refuses is written into the directory from a sibling
@@ -14,17 +14,18 @@
 //! must equal the reference and the live head field by field — catalog
 //! names in order, kinds, `num_units`, every decoded unit array, the
 //! tail, `number()` and `snapshot_roots()` — and every delta file's fate
-//! must be the one the reference predicts. Arrays are both inline and
-//! external, so the physical blob ids of replay and live commits differ
-//! and only this logical comparison holds. Failures name their seed.
+//! must be the one the reference predicts, a refused one with the error
+//! the live commit gave. Arrays are both inline and external, so the
+//! physical blob ids of replay and live commits differ and only this
+//! logical comparison holds. Failures name their seed.
 
 use mob_base::{t, Real, TimeInterval};
 use mob_core::{MovingPoint, PointMotion, UPoint, Unit};
 use mob_spatial::{pt, Cube};
 use mob_storage::mapping_store::{StoredMapping, UPointRecord};
 use mob_storage::{
-    delta_name, load_array, recover, save_array, splice_units, Discard, DurableStore, Fate,
-    FixedRecord, Generation, MemIo, RootRecord, StoreFile, StoreIo, INLINE_THRESHOLD,
+    delta_name, load_array, open_mpoint, recover, save_array, splice_units, Discard, DurableStore,
+    Fate, FixedRecord, Generation, MemIo, RootRecord, StoreFile, StoreIo, Verify, INLINE_THRESHOLD,
 };
 
 /// A tiny seeded generator (splitmix64), so a failing case is replayed
@@ -211,11 +212,12 @@ fn forged_delta(g: u64, delta: &[Batch]) -> Vec<u8> {
     io.read_file(&delta_name(g)).expect("sibling delta file")
 }
 
-/// What a chain did: deltas replayed, and whether one was refused.
+/// What a chain did: deltas replayed, and the reason recovery gave
+/// for the refused delta, if one was.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     replayed: usize,
-    refused: bool,
+    refused: Option<String>,
 }
 
 /// Commit `chain` live, recover it, and hold the recovered head to the
@@ -243,6 +245,8 @@ fn check_chain(chain: &Chain, ctx: &str) -> Outcome {
     // is refused.
     let mut fates: Vec<(String, Option<usize>)> = Vec::new();
     let mut refused = false;
+    // The live commit's error for the refused delta.
+    let mut live_error = String::new();
     for (i, delta) in chain.deltas.iter().enumerate() {
         let g = 2 + i as u64;
         let want = model.apply(delta);
@@ -253,7 +257,8 @@ fn check_chain(chain: &Chain, ctx: &str) -> Outcome {
                 model = next;
                 fates.push((delta_name(g), Some(delta.len())));
             }
-            (Err(_), Err(_)) => {
+            (Err(_), Err(e)) => {
+                live_error = e;
                 io.write_file(&delta_name(g), &forged_delta(g, delta))
                     .expect("write forged delta");
                 fates.push((delta_name(g), None));
@@ -272,6 +277,7 @@ fn check_chain(chain: &Chain, ctx: &str) -> Outcome {
     drop(store);
 
     let (head, recovery) = recover(&io, false).expect("recover");
+    let mut reason = None;
     for (name, want) in &fates {
         let fate = recovery
             .files
@@ -284,7 +290,10 @@ fn check_chain(chain: &Chain, ctx: &str) -> Outcome {
                 let len = io.read_file(name).expect("delta file").len() as u64;
                 assert_eq!(*bytes, len, "{ctx}: {name} bytes");
             }
-            (None, Some(Fate::Discarded(Discard::Inapplicable(_)))) => {}
+            (None, Some(Fate::Discarded(Discard::Inapplicable(why)))) => {
+                assert_eq!(why, &live_error, "{ctx}: {name}: recovery vs live refusal");
+                reason = Some(why.clone());
+            }
             (want, fate) => panic!("{ctx}: {name}: expected {want:?}, recovered {fate:?}"),
         }
     }
@@ -326,7 +335,7 @@ fn check_chain(chain: &Chain, ctx: &str) -> Outcome {
     }
     Outcome {
         replayed: fates.len() - usize::from(refused),
-        refused,
+        refused: reason,
     }
 }
 
@@ -490,7 +499,9 @@ fn an_overlapping_batch_in_the_middle_of_the_chain() {
         out,
         Outcome {
             replayed: 2,
-            refused: true
+            refused: Some(
+                "decode unit splice: bad structure: units not sorted by interval start".into()
+            )
         }
     );
 }
@@ -499,6 +510,17 @@ fn an_overlapping_batch_in_the_middle_of_the_chain() {
 fn a_forged_unsorted_stored_array() {
     let mut forged = track(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 0.0, 3.0)]);
     forged.reverse();
+    // The replay refuses the array with the error of the full check
+    // `Relation::open` runs on the same root.
+    let mut file = StoreFile::new();
+    let stored = StoredMapping {
+        num_units: 2,
+        units: save_array(&forged, file.store_mut()),
+    };
+    let full_check = match open_mpoint(&stored, file.store(), Verify::Full) {
+        Ok(_) => panic!("the forged array passes a full check"),
+        Err(e) => e.to_string(),
+    };
     let chain = Chain {
         base: vec![
             one("ok", track(&[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])),
@@ -514,7 +536,7 @@ fn a_forged_unsorted_stored_array() {
         out,
         Outcome {
             replayed: 1,
-            refused: true
+            refused: Some(full_check)
         }
     );
 }
@@ -618,7 +640,7 @@ fn seeded_chains_replay_like_the_per_delta_reference() {
             .count();
         let out = check_chain(&chain, &format!("seed {seed}"));
         replayed += out.replayed;
-        refused += usize::from(out.refused);
+        refused += usize::from(out.refused.is_some());
     }
     eprintln!("coverage: {refused} refused chains, {external} external arrays, {replayed} deltas");
     assert!(

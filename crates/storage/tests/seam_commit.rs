@@ -1,19 +1,22 @@
 //! Seam commits against a per-delta reference.
 //!
-//! A delta commit extends a root its generation marked checked at the
-//! seam: it decodes only the stored records a seam step reaches (the
-//! last one, and the one below a point tail it pops) and copies the rest
-//! of the stored array as bytes. The reference is the slow rule, per
-//! batch: `units = splice_units(seam(units) ++ records)`.
+//! A delta commit extends every root at the seam, after the check
+//! `Relation::open` would give it (the full check on an unmarked root,
+//! the layout check on a marked one): it decodes only the stored records
+//! a seam step reaches (the last one, and the one below a point tail it
+//! pops) and copies the rest of the stored array as bytes. The reference
+//! is the slow rule, per batch: `units = splice_units(seam(units) ++
+//! records)`.
 //!
 //! Every chain starts with a full commit, which marks nothing, and a
-//! delta touching every root, which marks them all, so every later
-//! delta commits on marked roots. After each commit every root's stored
-//! array must be byte-identical to `save_array` of the reference units
-//! (same placement, same bytes), and a refused delta must leave the
-//! head as it was. At the end the head reopened from the `MemIo`
-//! directory (recovery replays the chain through the full check) must
-//! equal the live head byte for byte. Failures name their seed.
+//! warm-up delta touching every root, which extends them unmarked and
+//! marks them all, so every later delta commits on marked roots. After
+//! each commit, the warm-up included, every root's stored array must be
+//! byte-identical to `save_array` of the reference units (same
+//! placement, same bytes), and a refused delta must leave the head as
+//! it was. At the end the head reopened from the `MemIo` directory
+//! (recovery replays the chain through the full check) must equal the
+//! live head byte for byte. Failures name their seed.
 
 use mob_base::{t, Real, TimeInterval};
 use mob_core::{MovingPoint, PointMotion, UPoint, Unit};
@@ -220,6 +223,7 @@ fn check(base: &[Batch], warm: &[Batch], deltas: &[Vec<Batch>], ctx: &str) -> Se
     model = apply(&model, warm).unwrap_or_else(|e| panic!("{ctx}: warm-up: {e}"));
     commit(&mut store, warm).unwrap_or_else(|e| panic!("{ctx}: warm-up commit: {e}"));
     let head = store.snapshot().expect("head");
+    assert_eq!(arrays(&head), expected(&model), "{ctx}: warm-up");
     assert!(
         (0..head.entries().len()).all(|slot| head.checked_mpoint(slot).is_some()),
         "{ctx}: the warm-up marks every root"
@@ -297,6 +301,25 @@ fn seam_commit_pops_a_point_tail_and_merges_into_the_unit_below() {
     let then = vec![one("car", zigzag(11.0, 3))];
     let seen = check(&[one("car", car)], &warm, &[merge, then], "pop and merge");
     assert_eq!((seen.marked, seen.pops, seen.merges), (2, 1, 1));
+}
+
+#[test]
+fn seam_commit_pops_a_stored_point_tail_and_merges_on_an_unmarked_root() {
+    // The full commit stores `car` ending in `b` = [9, 10) at x = 0 and
+    // a point tail at x = 4; the warm-up, on the unmarked root, replaces
+    // the point with a continuation at x = 0 that ι-merges into `b`.
+    let mut car = zigzag_then_rest(9);
+    car.push(unit(TimeInterval::point(t(10.0)), 4.0));
+    let warm = [one(
+        "car",
+        vec![unit(TimeInterval::closed_open(t(10.0), t(11.0)), 0.0)],
+    )];
+    let base = [one("car", car)];
+    let merged = apply(&base.to_vec(), &warm).expect("the warm-up applies");
+    assert_eq!(merged[0].1.len(), base[0].1.len() - 1, "pops and merges");
+    let then = vec![one("car", zigzag(11.0, 3))];
+    let seen = check(&base, &warm, &[then], "unmarked pop and merge");
+    assert_eq!((seen.marked, seen.pops), (1, 0));
 }
 
 #[test]
