@@ -1949,6 +1949,247 @@ fn e18() {
     println!("pays the decode once");
 }
 
+/// E19 workload size: live-ingest's store at a maintenance cycle.
+const E19_OBJECTS: usize = 1000;
+const E19_HISTORY: i64 = 32;
+const E19_DELTAS: i64 = 8;
+/// Delta commits the E19 writer makes next to the spawned supervisor.
+const E19_WRITER_COMMITS: usize = 64;
+
+/// E19: one maintenance commit per cycle. A supervised cycle used to
+/// commit the compacted data as one full image and then the same data
+/// again with the rebuilt index as a second; it now rewrites the live
+/// roots into pages shared with the old head, runs the rebuilder on
+/// that in-memory generation and commits its file once (DESIGN.md §14).
+fn e19() {
+    use mob_core::MovingPoint;
+    use mob_rel::{index_rebuilder, OpenRelOpts};
+    use mob_storage::{Clock, DurableStore, MemIo, RootRecord, StoreFile, StoreIo};
+    const INDEX: &str = "e19/index";
+    header("E19  one maintenance commit per cycle: bytes and commits per cycle [DESIGN.md §14]");
+    if !mob_obs::enabled() {
+        println!(
+            "observability is disabled ({}=0) — bytes cannot be derived",
+            mob_obs::OBS_ENV
+        );
+        return;
+    }
+    println!("workload: {E19_OBJECTS} random walks of {E19_HISTORY} legs committed with their index, then");
+    println!(
+        "{E19_DELTAS} delta commits of one sample per object (live-ingest's store at a cycle)."
+    );
+    println!("two commits = compact(), then the rebuilder's file through Txn::put_store_file");
+    println!("(the sequence a cycle ran before); one commit = compact_with(rebuilder). Each");
+    println!("row is one cycle on a fresh copy of the directory; commits and bytes are the");
+    println!("durable.commits / durable.bytes_committed deltas (each full-image commit is one");
+    println!("write, one fsync and one rename); ms is the median of 5 cycles, the two");
+    println!("sequences alternated; both must leave equal head images");
+    let mut rng = 0xE19u64;
+    let dir = MemIo::new();
+    let mut store = DurableStore::options().open(dir.clone()).expect("open");
+    let mut file = StoreFile::new();
+    let mut ends = Vec::with_capacity(E19_OBJECTS);
+    for i in 0..E19_OBJECTS {
+        let (mut x, mut y) = (
+            e15_uniform(&mut rng, -500.0, 500.0),
+            e15_uniform(&mut rng, -500.0, 500.0),
+        );
+        let mut samples = vec![(t(0.0), pt(x, y))];
+        for leg in 1..=E19_HISTORY {
+            x += e15_uniform(&mut rng, -3.0, 3.0);
+            y += e15_uniform(&mut rng, -3.0, 3.0);
+            samples.push((t(leg as f64), pt(x, y)));
+        }
+        let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
+        file.put(format!("obj/{i:04}"), RootRecord::MPoint(stored));
+        ends.push((x, y));
+    }
+    let mut txn = store.begin();
+    txn.put_store_file(&file).expect("stage");
+    txn.commit().expect("snapshot commit");
+    let rebuilder = index_rebuilder(OpenRelOpts::new(), INDEX.to_string());
+    store
+        .compact_with(Some(&rebuilder))
+        .expect("index the fleet");
+    let mut step = |ends: &mut [(f64, f64)], now: f64| -> Vec<MovingPoint> {
+        ends.iter_mut()
+            .map(|(x, y)| {
+                let from = pt(*x, *y);
+                *x += e15_uniform(&mut rng, -3.0, 3.0);
+                *y += e15_uniform(&mut rng, -3.0, 3.0);
+                MovingPoint::from_samples(&[(t(now - 1.0), from), (t(now), pt(*x, *y))])
+            })
+            .collect()
+    };
+    let append = |txn: &mut mob_storage::Txn<'_, MemIo>, moved: &[MovingPoint]| {
+        for (i, m) in moved.iter().enumerate() {
+            txn.append_units(&format!("obj/{i:04}"), m.units());
+        }
+    };
+    for k in 1..=E19_DELTAS {
+        let moved = step(&mut ends, (E19_HISTORY + k) as f64);
+        let mut txn = store.begin();
+        append(&mut txn, &moved);
+        txn.commit().expect("delta commit");
+    }
+    drop(store);
+    let copy_dir = |dir: &MemIo| {
+        let copy = MemIo::new();
+        for (name, bytes) in dir.dump() {
+            copy.write_file(&name, &bytes).expect("copy file");
+        }
+        copy
+    };
+    // One cycle on a fresh copy: (commits, bytes, snapshots kept, ns,
+    // head image).
+    let cycle = |one: bool| {
+        let mut store = DurableStore::options()
+            .open(copy_dir(&dir))
+            .expect("reopen");
+        assert_eq!(store.pending_deltas(), E19_DELTAS as u64, "E19: the chain");
+        let mut committed = mob_obs::Snapshot::default();
+        let ns = median_nanos(1, || {
+            let ((), report) = mob_obs::explain("e19.cycle", || {
+                if one {
+                    let (_, rebuilt) = store.compact_with(Some(&rebuilder)).expect("maintenance");
+                    assert!(rebuilt, "E19: the one commit carries the index");
+                } else {
+                    store.compact().expect("compact");
+                    let indexed = rebuilder(&store.snapshot().expect("compacted"))
+                        .expect("rebuild")
+                        .expect("an mpoint fleet");
+                    let mut txn = store.begin();
+                    txn.put_store_file(&indexed).expect("stage");
+                    txn.commit().expect("index commit");
+                }
+            });
+            committed = report.metrics().clone();
+        });
+        let snaps = store
+            .io()
+            .list()
+            .expect("list")
+            .iter()
+            .filter(|n| n.starts_with("snap-"))
+            .count();
+        let image = store
+            .snapshot()
+            .expect("head")
+            .to_store_file()
+            .to_bytes()
+            .expect("image");
+        (
+            committed.get("durable.commits"),
+            committed.get("durable.bytes_committed"),
+            snaps,
+            ns,
+            image,
+        )
+    };
+    let mut rows = [Vec::new(), Vec::new()];
+    for _ in 0..5 {
+        for (row, one) in rows.iter_mut().zip([false, true]) {
+            row.push(cycle(one));
+        }
+    }
+    println!(
+        "{:<12} {:>7} {:>15} {:>9} {:>9}",
+        "sequence", "commits", "bytes committed", "snapshots", "cycle ms"
+    );
+    for (label, row) in ["two commits", "one commit"].iter().zip(&mut rows) {
+        row.sort_by_key(|c| c.3);
+        let (commits, bytes, snaps, _, _) = &row[0];
+        println!(
+            "{:<12} {:>7} {:>15} {:>9} {:>9.2}",
+            label,
+            commits,
+            bytes,
+            snaps,
+            row[row.len() / 2].3 as f64 / 1e6
+        );
+    }
+    let (two, one) = (&rows[0][0], &rows[1][0]);
+    assert_eq!(
+        one.4, two.4,
+        "E19: both sequences commit the same head image"
+    );
+    assert!(
+        (one.0, two.0) == (1, 2) && one.1 < two.1,
+        "E19: one commit writes less"
+    );
+    println!("expected shape: the one commit writes the indexed image alone, about the");
+    println!("rebuild commit's share of the two, with one fsync and one rename per cycle");
+    println!("and one snapshot left (no fallback snapshot)");
+
+    // The writer's side: the supervisor holds the store lock through a
+    // whole attempt, rebuild included, so a delta commit that arrives
+    // during a cycle waits it out.
+    let store = std::sync::Arc::new(std::sync::Mutex::new(
+        DurableStore::options()
+            .open(copy_dir(&dir))
+            .expect("reopen"),
+    ));
+    let config = mob_storage::SupervisorConfig {
+        poll_interval: std::time::Duration::from_millis(1),
+        ..mob_storage::SupervisorConfig::default()
+    };
+    let clock = std::sync::Arc::new(mob_storage::SystemClock::new());
+    let handle = mob_storage::Supervisor::new(std::sync::Arc::clone(&store), config, clock.clone())
+        .with_rebuilder(rebuilder.clone())
+        .spawn();
+    let (mut waits, mut lock_max) = (Vec::with_capacity(E19_WRITER_COMMITS), 0f64);
+    for k in 1..=E19_WRITER_COMMITS {
+        let moved = step(&mut ends, (E19_HISTORY + E19_DELTAS) as f64 + k as f64);
+        let start = clock.now();
+        let mut guard = store
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        lock_max = lock_max.max((clock.now() - start).as_secs_f64() * 1e3);
+        let mut txn = guard.begin();
+        append(&mut txn, &moved);
+        txn.commit().expect("writer commit");
+        drop(guard);
+        waits.push((clock.now() - start).as_secs_f64() * 1e3);
+    }
+    let status = handle.status();
+    handle.stop();
+    waits.sort_by(f64::total_cmp);
+    let at = |q: f64| waits[((waits.len() - 1) as f64 * q).round() as usize];
+    println!(
+        "writer next to a spawned supervisor: {E19_WRITER_COMMITS} one-sample delta commits back to back,"
+    );
+    println!("each timed from the lock request to the commit's return; lock ms = longest wait");
+    println!("for the store lock alone");
+    println!(
+        "{:>7} {:>6} {:>8} {:>13} {:>13} {:>13} {:>11}",
+        "commits",
+        "cycles",
+        "rebuilds",
+        "commit p50 ms",
+        "commit p90 ms",
+        "commit max ms",
+        "lock max ms"
+    );
+    println!(
+        "{:>7} {:>6} {:>8} {:>13.2} {:>13.2} {:>13.2} {:>11.2}",
+        waits.len(),
+        status.compactions,
+        status.rebuilds,
+        at(0.5),
+        at(0.9),
+        at(1.0),
+        lock_max
+    );
+    assert_eq!(status.gave_up, 0, "E19: the supervisor never gave up");
+    assert_eq!(
+        status.rebuilds, status.compactions,
+        "E19: every cycle lands its rebuild"
+    );
+    println!("expected shape: p50 is a plain delta commit; once per cycle a commit waits out");
+    println!("the whole cycle (lock ms: rewrite, rebuild and commit, growing with the history");
+    println!("from about the cycle ms above), and every cycle lands its rebuild");
+}
+
 /// A1: ablation of the bounding-cube summary field (Sec 4.2).
 fn ablation() {
     header("A1  ablation: bounding-cube fast path (disjoint workloads)");
@@ -2311,6 +2552,7 @@ fn main() {
     e16();
     e17();
     e18();
+    e19();
     ablation();
     queries();
     figures();

@@ -20,7 +20,8 @@
 //! file's [`Fate`]. Opening ([`StoreOptions::open`]) runs it and removes
 //! exactly the files the record discards; `mob-check chain` renders the
 //! same record. [`DurableStore::compact`] folds the chain back into a
-//! fresh full snapshot.
+//! fresh full snapshot; [`DurableStore::compact_with`] commits that
+//! snapshot with a rebuilt index in the same single commit.
 //!
 //! # Commit protocols
 //!
@@ -781,6 +782,15 @@ impl DurableStore<crate::io::MemIo> {
     }
 }
 
+/// Pluggable index rebuild: given the compacted generation a
+/// maintenance commit is about to write (frozen in memory, not yet
+/// committed), return a full [`StoreFile`] with a fresh index attached
+/// (or `None` when there is nothing to rebuild); that file is committed
+/// in place of the compacted one.
+/// Supplied by `mob-rel` (`rebuild_index_root`), which can see the
+/// relation schema this crate cannot.
+pub type Rebuilder = Arc<dyn Fn(&Generation) -> DecodeResult<Option<StoreFile>> + Send + Sync>;
+
 impl<I: StoreIo> DurableStore<I> {
     /// Begin a transaction (see [`Txn`]).
     pub fn begin(&mut self) -> Txn<'_, I> {
@@ -866,16 +876,41 @@ impl<I: StoreIo> DurableStore<I> {
         Ok(generation)
     }
 
-    /// Fold the delta chain into a fresh full snapshot: rewrite every
-    /// live root of the current generation into a new store file and
-    /// commit it through the full-image protocol. Superseded blobs and
-    /// delta files are dropped; the new generation has an empty tail.
+    /// Fold the delta chain into a fresh full snapshot with no index
+    /// rebuild: [`DurableStore::compact_with`] without a rebuilder.
     pub fn compact(&mut self) -> DecodeResult<u64> {
-        let file = self.head.rebuild_store_file()?;
+        self.compact_with(None).map(|(committed, _)| committed)
+    }
+
+    /// One maintenance commit. Rewrite every live root of the current
+    /// generation into a fresh page store that shares the live blobs'
+    /// pages ([`Generation::rebuild_store_file`]), freeze it as the
+    /// in-memory generation it will become, run `rebuilder` on that, and
+    /// commit the rebuilder's file — or the compacted one, when there is
+    /// no rebuilder or it returns `None` — through the full-image
+    /// protocol, once. Superseded blobs and delta files are dropped; the
+    /// new generation has an empty tail. Returns the committed
+    /// generation and whether it holds the rebuilder's file.
+    ///
+    /// Commit-or-nothing: a failed rewrite, rebuild or write leaves the
+    /// committed chain as it was.
+    pub fn compact_with(&mut self, rebuilder: Option<&Rebuilder>) -> DecodeResult<(u64, bool)> {
+        let mut file = self.head.rebuild_store_file()?;
+        let mut rebuilt = false;
+        if let Some(rebuild) = rebuilder {
+            let frozen = Generation::from_store_file(self.generation() + 1, file, Vec::new());
+            file = match rebuild(&frozen)? {
+                Some(indexed) => {
+                    rebuilt = true;
+                    indexed
+                }
+                None => frozen.to_store_file(),
+            };
+        }
         let bytes = file.to_bytes()?;
         let committed = self.commit_full(&bytes, file)?;
         mob_obs::metric!("durable.compactions").add(1);
-        Ok(committed)
+        Ok((committed, rebuilt))
     }
 
     /// Pin the current committed generation for reading. The returned

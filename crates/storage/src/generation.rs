@@ -399,10 +399,13 @@ impl Generation {
 
     /// Rewrite every live root into a fresh page store — the compaction
     /// rewrite. Blobs superseded by appends are dropped (only blobs the
-    /// current catalog references are copied), so a long append history
-    /// folds back down to the size of the live data. Quarantined blobs
-    /// cannot be copied and fail the rewrite: a degraded store must be
-    /// repaired (roots dropped or restored) before compaction.
+    /// current catalog references are carried over), so a long append
+    /// history folds back down to the size of the live data. A carried
+    /// blob shares its pages with this generation's store
+    /// ([`PageStore::share_blob`]): the two hold one copy of the live
+    /// bytes. Quarantined blobs cannot be carried and fail the rewrite:
+    /// a degraded store must be repaired (roots dropped or restored)
+    /// before compaction.
     pub fn rebuild_store_file(&self) -> DecodeResult<StoreFile> {
         let mut dst = PageStore::with_page_size(self.store.page_size())?;
         let mut entries = Vec::with_capacity(self.catalog.len());
@@ -994,12 +997,13 @@ fn push_unit(out: &mut Vec<UPointRecord>, u: UPointRecord) -> DecodeResult<()> {
     Ok(())
 }
 
-/// Copy a saved array into `dst`, preserving its placement (inline
-/// stays inline, external blobs are re-written into `dst`).
+/// Carry a saved array over into `dst`, preserving its placement (inline
+/// stays inline, an external blob becomes a blob of `dst` sharing its
+/// pages: see [`PageStore::share_blob`]).
 fn rewrite_saved(src: &PageStore, dst: &mut PageStore, a: &SavedArray) -> DecodeResult<SavedArray> {
     let placement = match &a.placement {
         Placement::Inline(b) => Placement::Inline(b.clone()),
-        Placement::External(id) => Placement::External(dst.write_blob(src.try_read_blob(*id)?)),
+        Placement::External(id) => Placement::External(dst.share_blob(src, *id)?),
     };
     Ok(SavedArray {
         count: a.count,
@@ -1007,7 +1011,7 @@ fn rewrite_saved(src: &PageStore, dst: &mut PageStore, a: &SavedArray) -> Decode
     })
 }
 
-/// Copy one root record's arrays from `src` into `dst` (compaction).
+/// Carry one root record's arrays over from `src` into `dst` (compaction).
 fn rewrite_root(
     src: &PageStore,
     dst: &mut PageStore,
@@ -1618,6 +1622,7 @@ mod tests {
         let grown = g.store().num_blobs();
         let rebuilt = g.rebuild_store_file().unwrap();
         assert!(rebuilt.store().num_blobs() < grown);
+        assert_eq!(rebuilt.store().pages_written(), 0, "live pages are shared");
         // Round-trip through bytes and compare the mapping.
         let bytes = rebuilt.to_bytes().unwrap();
         let reopened = StoreFile::from_bytes(&bytes).unwrap();

@@ -89,8 +89,8 @@ pub use delta::{
 };
 pub use durable::{
     decode_image_degraded, decode_image_strict, generation_from_image, parse_snapshot_name,
-    recover, snapshot_name, DecodedImage, Discard, DurableStore, Fate, RecoveredFile, Recovery,
-    StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
+    recover, snapshot_name, DecodedImage, Discard, DurableStore, Fate, Rebuilder, RecoveredFile,
+    Recovery, StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
 };
 pub use generation::{splice_units, CheckedMPoint, Generation};
 pub use index_store::{load_index, save_index, StoredIndex};
@@ -103,7 +103,7 @@ pub use page::{
 pub use record::FixedRecord;
 pub use store_file::{RootRecord, StoreFile};
 pub use supervisor::{
-    classify, FaultClass, MaintStatus, MaintTick, Rebuilder, RetryOutcome, RetryPolicy, Supervisor,
+    classify, FaultClass, MaintStatus, MaintTick, RetryOutcome, RetryPolicy, Supervisor,
     SupervisorConfig, SupervisorHandle,
 };
 pub use tuple::TupleLayout;

@@ -178,6 +178,26 @@ impl PageStore {
         }
     }
 
+    /// Store blob `id` of `src` as a new blob of this store, sharing its
+    /// pages by `Arc` pointer copy (no byte copy, no page write counted).
+    /// A quarantined or dangling `id` is refused with the error a read of
+    /// it gives, and a `src` of another page size with `BadStructure`.
+    pub fn share_blob(&mut self, src: &PageStore, id: BlobId) -> DecodeResult<BlobId> {
+        if src.page_size != self.page_size {
+            return Err(DecodeError::BadStructure {
+                what: "shared blob",
+                detail: format!("page size {} into {}", src.page_size, self.page_size),
+            });
+        }
+        let blob = src.blob(id)?;
+        self.blobs.push(Blob {
+            pages: Arc::clone(&blob.pages),
+            len: blob.len,
+            quarantined: false,
+        });
+        Ok(BlobId(self.blobs.len() - 1))
+    }
+
     /// Quarantine a blob: its backing storage failed an integrity check
     /// (page checksum mismatch on a durable file), so every later read
     /// surfaces [`DecodeError::Quarantined`] instead of untrusted
@@ -702,6 +722,37 @@ mod tests {
         assert_eq!(d.index(), 2);
         assert_eq!(base.try_read_blob(d).unwrap(), vec![8]);
         assert_eq!(fork.try_read_blob(c).unwrap(), vec![7, 7, 7]);
+    }
+
+    #[test]
+    fn share_blob_shares_pages_and_refuses_quarantine() {
+        let mut src = small_store(4);
+        let a = src.write_blob([1, 2, 3, 4, 5, 6]);
+        let bad = src.write_blob([9]);
+        src.mark_quarantined(bad).unwrap_or(());
+        let mut dst = small_store(4);
+        let kept = dst.write_blob([7]);
+        let shared = dst.share_blob(&src, a).expect("healthy blob shares");
+        assert_eq!((kept.index(), shared.index()), (0, 1), "appended in order");
+        assert!(Arc::ptr_eq(&dst.blobs[1].pages, &src.blobs[a.0].pages));
+        assert_eq!(dst.pages_written(), 1, "sharing writes no page");
+        assert_eq!(dst.try_read_blob(shared).ok(), Some(vec![1, 2, 3, 4, 5, 6]));
+        assert!(matches!(
+            dst.share_blob(&src, bad),
+            Err(DecodeError::Quarantined { what: "blob", .. })
+        ));
+        assert!(matches!(
+            dst.share_blob(&src, BlobId::from_index(5)),
+            Err(DecodeError::OutOfBounds {
+                what: "blob id",
+                ..
+            })
+        ));
+        assert_eq!(dst.num_blobs(), 2, "a refused share adds no blob");
+        assert!(matches!(
+            small_store(8).share_blob(&src, a),
+            Err(DecodeError::BadStructure { .. })
+        ));
     }
 
     #[test]

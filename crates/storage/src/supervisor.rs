@@ -1,5 +1,5 @@
-//! Fault-tolerant background maintenance: supervised compaction and
-//! post-compaction index rebuild with retry/backoff.
+//! Fault-tolerant background maintenance: supervised compaction with an
+//! index rebuild, committed as one snapshot, with retry/backoff.
 //!
 //! PR 9 left the store's two maintenance duties — folding the WAL delta
 //! chain ([`DurableStore::compact`]) and refreshing the stale stored
@@ -20,19 +20,18 @@
 //!   never panicking and never poisoning the store. Every attempt is
 //!   commit-or-nothing — a failure leaves the committed chain exactly
 //!   as it was (the shadow-write discipline of [`crate::durable`]),
-//!   and pinned [`Generation`] snapshots are immutable throughout.
+//!   and pinned [`Generation`](crate::Generation) snapshots are immutable throughout.
 //!
 //! The index rebuild step is pluggable ([`Rebuilder`]): `mob-storage`
 //! cannot see the relation layer, so `mob-rel` supplies a closure that
-//! re-derives the stored R-tree from a pinned snapshot; the supervisor
-//! commits the result only if no writer advanced the chain in between
-//! (otherwise the next cycle rebuilds against the newer state).
+//! re-derives the stored R-tree from the compacted generation before it
+//! is committed. Compaction and rebuild are one attempt and one
+//! snapshot commit ([`DurableStore::compact_with`]), taken under the
+//! store lock: no writer can advance the chain in between.
 
 use crate::clock::Clock;
-use crate::durable::{DurableStore, Txn};
-use crate::generation::Generation;
+use crate::durable::{DurableStore, Rebuilder};
 use crate::io::{StoreIo, STORAGE_FULL_MARKER};
-use crate::store_file::StoreFile;
 use mob_base::{DecodeError, DecodeResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -188,13 +187,6 @@ pub enum RetryOutcome<T> {
 // Supervisor
 // ---------------------------------------------------------------------
 
-/// Pluggable post-compaction index rebuild: given the pinned snapshot
-/// the supervisor just compacted to, return a full [`StoreFile`] with a
-/// fresh index attached (or `None` when there is nothing to rebuild).
-/// Supplied by `mob-rel` (`rebuild_index_root`), which can see the
-/// relation schema this crate cannot.
-pub type Rebuilder = Arc<dyn Fn(&Generation) -> DecodeResult<Option<StoreFile>> + Send + Sync>;
-
 /// When the supervisor acts.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
@@ -228,7 +220,8 @@ pub struct MaintStatus {
     pub manual: bool,
     /// Successful supervised compactions.
     pub compactions: u64,
-    /// Successful supervised index-rebuild commits.
+    /// Successful supervised compactions that committed the rebuilder's
+    /// file.
     pub rebuilds: u64,
     /// Failed-then-retried attempts across all steps.
     pub retries: u64,
@@ -243,16 +236,22 @@ pub struct MaintStatus {
 pub enum MaintTick {
     /// Below thresholds, or in manual mode: nothing attempted.
     Idle,
-    /// Compaction (and possibly an index rebuild) committed.
+    /// Compaction (and possibly an index rebuild) committed as one
+    /// snapshot.
     Compacted {
-        /// Generation the compaction committed.
+        /// Generation the maintenance commit wrote.
         generation: u64,
-        /// Generation of the index-rebuild commit, when one landed.
+        /// `Some(generation)` when that snapshot holds the rebuilder's
+        /// file, `None` when it holds the compacted data alone.
         rebuilt: Option<u64>,
-        /// Failed-then-retried attempts spent across both steps.
+        /// Failed-then-retried attempts before the commit landed.
         retries: u32,
     },
     /// Retries exhausted (or a permanent fault): now in manual mode.
+    /// The chain is left as it was, unfolded: compaction and the index
+    /// rebuild are one attempt, so a rebuilder that keeps failing also
+    /// blocks compaction until an operator runs
+    /// [`DurableStore::compact`] or [`Supervisor::resume`].
     GaveUp {
         /// Rendered error that ended the campaign.
         error: String,
@@ -292,7 +291,8 @@ impl<I: StoreIo> Supervisor<I> {
         }
     }
 
-    /// Attach a post-compaction index rebuild step (see [`Rebuilder`]).
+    /// Attach an index rebuild step to every compaction (see
+    /// [`Rebuilder`]).
     #[must_use]
     pub fn with_rebuilder(mut self, rebuilder: Rebuilder) -> Supervisor<I> {
         self.rebuilder = Some(rebuilder);
@@ -338,22 +338,23 @@ impl<I: StoreIo> Supervisor<I> {
             || store.pending_delta_bytes() >= self.config.delta_bytes_threshold
     }
 
-    /// One synchronous maintenance tick: check thresholds, then run
-    /// compaction (and the index rebuild, when configured) through the
-    /// retry policy. Deterministic under a [`crate::clock::VirtualClock`] —
-    /// this is the engine the background thread loops over, exposed so
-    /// tests can single-step it.
+    /// One synchronous maintenance tick: check thresholds, then run one
+    /// maintenance commit ([`DurableStore::compact_with`]: compaction
+    /// and, when configured, the index rebuild, committed as one
+    /// snapshot) through the retry policy. Each attempt holds the store
+    /// lock from the rewrite to the commit, so no writer slips in between
+    /// and a busy writer cannot starve it; a failed attempt, the
+    /// rebuilder's included, leaves the chain as it was. Deterministic
+    /// under a [`crate::clock::VirtualClock`] — this is the engine the
+    /// background thread loops over, exposed so tests can single-step it.
     pub fn run_once(&self) -> MaintTick {
         if self.with_status(|s| s.manual) || !self.due() {
             return MaintTick::Idle;
         }
-        // Step 1: compact the delta chain (commit-or-nothing per
-        // attempt; the lock is released between attempts).
-        let compacted = self.config.policy.run(self.clock.as_ref(), || {
-            let mut store = self.lock_store();
-            store.compact()
+        let outcome = self.config.policy.run(self.clock.as_ref(), || {
+            self.lock_store().compact_with(self.rebuilder.as_ref())
         });
-        let (generation, mut retries) = match compacted {
+        let ((generation, indexed), retries) = match outcome {
             RetryOutcome::Ok { value, retries } => (value, retries),
             RetryOutcome::GaveUp {
                 error, attempts, ..
@@ -361,62 +362,22 @@ impl<I: StoreIo> Supervisor<I> {
         };
         self.with_status(|s| {
             s.compactions += 1;
+            s.rebuilds += u64::from(indexed);
             s.retries += u64::from(retries);
         });
         mob_obs::metric!("maint.compactions").add(1);
-
-        // Step 2: rebuild the index against the compacted snapshot.
-        let mut rebuilt = None;
-        if let Some(rebuilder) = &self.rebuilder {
-            let outcome = self.config.policy.run(self.clock.as_ref(), || {
-                self.rebuild_once(rebuilder, generation)
-            });
-            match outcome {
-                RetryOutcome::Ok { value, retries: r } => {
-                    retries += r;
-                    self.with_status(|s| s.retries += u64::from(r));
-                    if let Some(g) = value {
-                        rebuilt = Some(g);
-                        self.with_status(|s| s.rebuilds += 1);
-                        mob_obs::metric!("maint.rebuilds").add(1);
-                    }
-                }
-                RetryOutcome::GaveUp {
-                    error, attempts, ..
-                } => return self.give_up(&error, attempts),
-            }
+        if indexed {
+            mob_obs::metric!("maint.rebuilds").add(1);
         }
         MaintTick::Compacted {
             generation,
-            rebuilt,
+            rebuilt: indexed.then_some(generation),
             retries,
         }
     }
 
-    /// One index-rebuild attempt: pin the snapshot, derive the fresh
-    /// file outside the lock, and commit it only if no writer advanced
-    /// the chain in between — otherwise skip (`Ok(None)`); the next
-    /// cycle rebuilds against the newer state.
-    fn rebuild_once(&self, rebuilder: &Rebuilder, base: u64) -> DecodeResult<Option<u64>> {
-        let snap = {
-            let store = self.lock_store();
-            if store.generation() != base {
-                return Ok(None);
-            }
-            store.snapshot()?
-        };
-        let Some(file) = rebuilder(&snap)? else {
-            return Ok(None);
-        };
-        let mut store = self.lock_store();
-        if store.generation() != base {
-            return Ok(None);
-        }
-        let mut txn: Txn<'_, I> = store.begin();
-        txn.put_store_file(&file)?;
-        txn.commit().map(Some)
-    }
-
+    /// Enter manual mode. Nothing was committed: a failing rebuilder
+    /// leaves the delta chain unfolded as well (see [`MaintTick::GaveUp`]).
     fn give_up(&self, error: &DecodeError, attempts: u32) -> MaintTick {
         let rendered = error.to_string();
         self.with_status(|s| {
@@ -501,9 +462,14 @@ impl Drop for SupervisorHandle {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
+    use crate::durable::snapshot_name;
+    use crate::generation::Generation;
+    use crate::index_store::save_index;
     use crate::io::{FaultyIo, MemIo};
+    use crate::store_file::{RootRecord, StoreFile};
+    use crate::view::{open_mpoint, Verify};
     use mob_base::t;
-    use mob_core::MovingPoint;
+    use mob_core::{run_cubes, MovingPoint, RTree};
     use mob_spatial::pt;
 
     fn policy(seed: u64) -> RetryPolicy {
@@ -591,7 +557,7 @@ mod tests {
         assert!(clock.slept().is_empty());
     }
 
-    fn shared_store_with_deltas(io: FaultyIo, ticks: u64) -> Arc<Mutex<DurableStore<FaultyIo>>> {
+    fn shared_store_with_deltas<I: StoreIo>(io: I, ticks: u64) -> Arc<Mutex<DurableStore<I>>> {
         let mut store = DurableStore::options().open(io).expect("open");
         for k in 0..ticks {
             let t0 = k as f64 * 2.0;
@@ -740,5 +706,138 @@ mod tests {
         };
         assert!(s.snapshot().is_ok());
         assert_eq!(s.generation(), 3, "failed maintenance left the chain");
+    }
+
+    const INDEX: &str = "objs/index";
+
+    fn lock<I: StoreIo>(store: &Mutex<DurableStore<I>>) -> MutexGuard<'_, DurableStore<I>> {
+        store
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// A rebuilder over every `moving(point)` root: the compacted data
+    /// plus a run-packed tree under [`INDEX`], as `mob-rel` builds it.
+    fn index_all(g: &Generation) -> DecodeResult<Option<StoreFile>> {
+        let mut entries = Vec::new();
+        let mut tuples = 0u32;
+        for (_, root) in g.entries() {
+            if let RootRecord::MPoint(m) = root {
+                entries.extend(run_cubes(tuples, &open_mpoint(m, g.store(), Verify::Full)?));
+                tuples += 1;
+            }
+        }
+        if tuples == 0 {
+            return Ok(None);
+        }
+        let mut file = g.to_store_file();
+        let stored = save_index(&RTree::bulk(tuples as usize, entries), file.store_mut());
+        file.set(INDEX, RootRecord::Index(stored));
+        Ok(Some(file))
+    }
+
+    fn config(policy: RetryPolicy) -> SupervisorConfig {
+        SupervisorConfig {
+            delta_threshold: 3,
+            delta_bytes_threshold: u64::MAX,
+            policy,
+            poll_interval: Duration::from_millis(1),
+        }
+    }
+
+    fn snapshots(dir: &MemIo) -> Vec<String> {
+        let mut names = dir.list().unwrap_or_default();
+        names.retain(|n| n.starts_with("snap-") || n.starts_with("tmp-"));
+        names
+    }
+
+    #[test]
+    fn one_cycle_commits_one_indexed_snapshot() {
+        let dir = MemIo::new();
+        let store = shared_store_with_deltas(dir.clone(), 3);
+        assert!(snapshots(&dir).is_empty(), "a chain of deltas only");
+        let sup = Supervisor::new(
+            Arc::clone(&store),
+            config(policy(11)),
+            Arc::new(VirtualClock::new()),
+        )
+        .with_rebuilder(Arc::new(index_all));
+        assert_eq!(
+            sup.run_once(),
+            MaintTick::Compacted {
+                generation: 4,
+                rebuilt: Some(4),
+                retries: 0
+            }
+        );
+        assert_eq!(snapshots(&dir), [snapshot_name(4)], "one snapshot file");
+        assert!(dir.list().unwrap_or_default().len() == 1, "deltas pruned");
+        let s = lock(&store);
+        assert_eq!((s.generation(), s.pending_deltas()), (4, 0));
+        let head = s.snapshot().unwrap_or_else(|e| panic!("{e}"));
+        assert!(matches!(head.get(INDEX), Some(RootRecord::Index(_))));
+        let st = sup.status();
+        assert_eq!((st.compactions, st.rebuilds, st.gave_up), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_rebuilder_returning_none_commits_the_compacted_image() {
+        let dir = MemIo::new();
+        let store = shared_store_with_deltas(dir.clone(), 3);
+        let compacted = {
+            let s = lock(&store);
+            let head = s.snapshot().unwrap_or_else(|e| panic!("{e}"));
+            head.rebuild_store_file().and_then(|f| f.to_bytes())
+        };
+        let sup = Supervisor::new(
+            Arc::clone(&store),
+            config(policy(12)),
+            Arc::new(VirtualClock::new()),
+        )
+        .with_rebuilder(Arc::new(|_: &Generation| Ok(None)));
+        assert_eq!(
+            sup.run_once(),
+            MaintTick::Compacted {
+                generation: 4,
+                rebuilt: None,
+                retries: 0
+            }
+        );
+        assert_eq!(snapshots(&dir), [snapshot_name(4)]);
+        let head = lock(&store).snapshot().unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            head.get(INDEX).is_none(),
+            "no index without the rebuilder's file"
+        );
+        assert_eq!(head.to_store_file().to_bytes().ok(), compacted.ok());
+        let st = sup.status();
+        assert_eq!((st.compactions, st.rebuilds), (1, 0));
+    }
+
+    #[test]
+    fn a_rebuilder_that_always_fails_gives_up_and_leaves_the_chain() {
+        let dir = MemIo::new();
+        let store = shared_store_with_deltas(dir.clone(), 3);
+        let before = dir.dump();
+        let clock = Arc::new(VirtualClock::new());
+        let sup = Supervisor::new(Arc::clone(&store), config(policy(13)), clock.clone())
+            .with_rebuilder(Arc::new(|_: &Generation| {
+                Err(DecodeError::Io("rebuild: index scratch unavailable".into()))
+            }));
+        match sup.run_once() {
+            MaintTick::GaveUp { error, attempts } => {
+                assert!(error.contains("index scratch"), "{error}");
+                assert_eq!(attempts, 4, "retried like an I/O fault");
+            }
+            other => panic!("expected give-up, got {other:?}"),
+        }
+        assert_eq!(clock.slept().len(), 3, "a backoff between attempts");
+        let st = sup.status();
+        assert!(st.manual && st.gave_up == 1 && st.compactions == 0);
+        // The failing rebuilder blocks compaction too: no fold landed,
+        // so the chain stays unfolded until someone runs `compact()`.
+        assert_eq!(dir.dump(), before, "the committed chain is untouched");
+        let s = lock(&store);
+        assert_eq!((s.generation(), s.pending_deltas()), (3, 3));
     }
 }

@@ -373,24 +373,31 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
     /// One pass over the unit records: every record must read cleanly
     /// (valid interval, no NaN fields), reference only existing shared
     /// records, and the unit intervals must be sorted and pairwise
-    /// disjoint (Sec 3.2.4).
+    /// disjoint (Sec 3.2.4). The array is read once, as one range, and
+    /// its records are walked in place.
     fn verify_structure(&self) -> DecodeResult<()> {
-        let mut prev: Option<TimeInterval> = None;
-        for i in 0..self.units.count {
-            let rec = self.try_record(i)?;
-            rec.check_structure(&self.shared)?;
-            let iv = UnitRecord::interval(&rec);
-            if let Some(p) = prev {
-                if p.cmp_start(&iv) != std::cmp::Ordering::Less || !p.r_disjoint(&iv) {
-                    return Err(DecodeError::Invariant(InvariantViolation::with_detail(
-                        "mapping: unit intervals sorted and pairwise disjoint",
-                        format!("units {} and {} violate the order", i - 1, i),
-                    )));
-                }
-            }
-            prev = Some(iv);
+        let count = self.units.count;
+        if count == 0 {
+            return Ok(());
         }
-        Ok(())
+        read_array_bytes(self.units, self.store, 0, count * R::SIZE, |bytes| {
+            let mut prev: Option<TimeInterval> = None;
+            for (i, record) in bytes.chunks_exact(R::SIZE).enumerate() {
+                let rec = R::read(record)?;
+                rec.check_structure(&self.shared)?;
+                let iv = UnitRecord::interval(&rec);
+                if let Some(p) = prev {
+                    if p.cmp_start(&iv) != std::cmp::Ordering::Less || !p.r_disjoint(&iv) {
+                        return Err(DecodeError::Invariant(InvariantViolation::with_detail(
+                            "mapping: unit intervals sorted and pairwise disjoint",
+                            format!("units {} and {} violate the order", i - 1, i),
+                        )));
+                    }
+                }
+                prev = Some(iv);
+            }
+            Ok(())
+        })
     }
 
     /// Deep validation of the viewed mapping, without materializing it:

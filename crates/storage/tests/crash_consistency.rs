@@ -16,18 +16,20 @@
 //! opened: the two must agree on the generation and the catalog, and the
 //! open must remove exactly the files the recovery record discards.
 
-use mob_base::t;
-use mob_base::DecodeResult;
-use mob_core::MovingPoint;
-use mob_spatial::pt;
+use mob_base::{r, t, DecodeResult, Interval};
+use mob_core::{run_cubes, unit_cubes, MovingPoint, RTree};
+use mob_spatial::{pt, Cube, Rect};
 use mob_storage::mapping_store::{save_mpoint, UPointRecord};
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
-    decode_image_strict, load_array, recover, snapshot_name, DurableStore, FaultMask, FaultyIo,
-    Generation, MemIo, StoreFile, StoreIo, FAULT_MASKS,
+    decode_image_strict, load_array, open_mpoint, recover, save_index, snapshot_name, DurableStore,
+    FaultMask, FaultyIo, Generation, MaintTick, MemIo, RetryPolicy, StoreFile, StoreIo, Supervisor,
+    SupervisorConfig, Verify, VirtualClock, FAULT_MASKS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 const CHUNK: usize = 64;
 
@@ -594,4 +596,215 @@ fn crashed_writer_leftover_delta_is_replaced_on_recommit() {
     let states = delta_states();
     let got = snapshot_units(&reopened.snapshot().expect("gen"));
     assert_eq!(&got, states[2].as_ref().expect("state 2"));
+}
+
+// ---------------------------------------------------------------------
+// One supervised maintenance tick: compaction and the index rebuild
+// commit one snapshot. A crash at any write unit of the tick recovers
+// either the chain from before the tick or the indexed snapshot, and
+// both hold the same units and answer every probe alike.
+// ---------------------------------------------------------------------
+
+const MAINT_INDEX: &str = "fleet/index";
+
+/// The index rebuild the tick runs: a run-packed tree over every
+/// `moving(point)` root, committed under [`MAINT_INDEX`].
+fn index_all(g: &Generation) -> DecodeResult<Option<StoreFile>> {
+    let mut entries = Vec::new();
+    let mut tuples = 0u32;
+    for (_, root) in g.entries() {
+        if let RootRecord::MPoint(m) = root {
+            entries.extend(run_cubes(tuples, &open_mpoint(m, g.store(), Verify::Full)?));
+            tuples += 1;
+        }
+    }
+    let mut file = g.to_store_file();
+    let stored = save_index(&RTree::bulk(tuples as usize, entries), file.store_mut());
+    file.set(MAINT_INDEX, RootRecord::Index(stored));
+    Ok(Some(file))
+}
+
+/// The delta workload's three commits, on a clean disk.
+fn staged_chain() -> MemIo {
+    let disk = MemIo::new();
+    let mut store = open(disk.clone()).expect("stage open");
+    for step in 0..3 {
+        let mut txn = store.begin();
+        for (name, units) in batch(step) {
+            txn.append_units(&name, &units);
+        }
+        txn.commit().expect("staged delta");
+    }
+    disk
+}
+
+/// Run one maintenance tick over a copy of `staged` through `faulty`'s
+/// injector; returns the wrapper and whether the tick reported its
+/// commit.
+fn run_maintenance_tick(
+    staged: &MemIo,
+    budget: u64,
+    mask: FaultMask,
+    seed: u64,
+) -> (FaultyIo, bool) {
+    let disk = MemIo::new();
+    for (name, bytes) in staged.dump() {
+        disk.write_file(&name, &bytes).expect("copy staged file");
+    }
+    let store = Arc::new(Mutex::new(
+        open(FaultyIo::new(disk, budget, mask, seed)).expect("reopen reads only"),
+    ));
+    let config = SupervisorConfig {
+        delta_threshold: 3,
+        delta_bytes_threshold: u64::MAX,
+        policy: RetryPolicy {
+            max_attempts: 2,
+            base_delay: Duration::from_millis(1),
+            cap: Duration::from_millis(2),
+            seed,
+        },
+        poll_interval: Duration::from_millis(1),
+    };
+    let sup = Supervisor::new(Arc::clone(&store), config, Arc::new(VirtualClock::new()))
+        .with_rebuilder(Arc::new(index_all));
+    let committed = match sup.run_once() {
+        MaintTick::Compacted { rebuilt, .. } => {
+            assert_eq!(rebuilt, Some(4), "the one commit carries the index");
+            true
+        }
+        MaintTick::GaveUp { .. } => false,
+        MaintTick::Idle => panic!("three deltas cross the threshold"),
+    };
+    drop(sup);
+    let store = Arc::try_unwrap(store).unwrap_or_else(|_| panic!("store still shared"));
+    let io = store
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .into_io();
+    (io, committed)
+}
+
+/// Every `moving(point)` root's units, in catalog order.
+fn mpoint_units(gen: &Generation) -> DeltaState {
+    gen.entries()
+        .iter()
+        .filter_map(|(name, root)| match root {
+            RootRecord::MPoint(m) => Some((
+                name.clone(),
+                load_array::<UPointRecord>(&m.units, gen.store()).expect("clean units"),
+            )),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Probe cubes over both objects' tracks, some empty.
+fn probe_cubes() -> Vec<Cube> {
+    let mut cubes = Vec::new();
+    for (x, y) in [
+        (-2.0, -6.0),
+        (4.0, 2.0),
+        (9.0, -9.0),
+        (101.0, 0.0),
+        (107.0, 5.0),
+        (50.0, 0.0),
+    ] {
+        for (t0, t1) in [(0.0, 2.0), (3.0, 7.5), (8.0, 12.0), (0.0, 12.0)] {
+            let rect = Rect::new(r(x), r(y), r(x + 4.0), r(y + 4.0));
+            cubes.push(Cube::new(rect, &Interval::closed(t(t0), t(t1))));
+        }
+    }
+    cubes
+}
+
+/// Per probe, the tuples with a unit whose cube meets it: by a full
+/// scan, and, when `gen` holds the index, through the stored tree's
+/// candidates, which must agree.
+fn probe_answers(gen: &Generation, ctx: &str) -> Vec<Vec<u32>> {
+    let cubes: Vec<Vec<Cube>> = gen
+        .entries()
+        .iter()
+        .filter_map(|(_, root)| match root {
+            RootRecord::MPoint(m) => {
+                let view = open_mpoint(m, gen.store(), Verify::Full).expect("clean view");
+                Some(unit_cubes(0, &view).into_iter().map(|e| e.cube).collect())
+            }
+            _ => None,
+        })
+        .collect();
+    let meets = |tuple: u32, q: &Cube| cubes[tuple as usize].iter().any(|c| c.intersects(q));
+    let tree = gen.get(MAINT_INDEX).map(|_| {
+        gen.index_tree(MAINT_INDEX)
+            .unwrap_or_else(|e| panic!("{ctx}: the committed index loads: {e}"))
+    });
+    probe_cubes()
+        .iter()
+        .map(|q| {
+            let full: Vec<u32> = (0..cubes.len() as u32).filter(|&i| meets(i, q)).collect();
+            if let Some(tree) = &tree {
+                let mut pruned = tree.query(q).tuples;
+                pruned.retain(|&i| meets(i, q));
+                assert_eq!(pruned, full, "{ctx}: pruned ≠ full for {q:?}");
+            }
+            full
+        })
+        .collect()
+}
+
+#[test]
+fn exhaustive_maintenance_tick_crash_sweep_old_or_indexed() {
+    let staged = staged_chain();
+    let before = recover_then_open(staged.clone(), "staged").expect("staged open");
+    let old = before.snapshot().expect("staged head");
+    assert_eq!((old.number(), before.pending_deltas()), (3, 3));
+    let want_units = mpoint_units(&old);
+    let want_answers = probe_answers(&old, "staged");
+    assert!(
+        want_answers.iter().any(|a| !a.is_empty()) && want_answers.iter().any(Vec::is_empty),
+        "the probes hit and miss"
+    );
+
+    let (faulty, committed) = run_maintenance_tick(&staged, u64::MAX, FaultMask::KeepUnsynced, 0);
+    assert!(committed, "the fault-free tick commits");
+    let total_units = faulty.write_units();
+    let mut cases = 0usize;
+    for budget in 0..=total_units {
+        for (i, mask) in FAULT_MASKS.into_iter().enumerate() {
+            let seed = 0x7_1C4 ^ (budget * 7 + i as u64);
+            let (faulty, committed) = run_maintenance_tick(&staged, budget, mask, seed);
+            let ctx = format!("maintenance crash_after={budget} mask={mask:?} seed={seed}");
+            let store = recover_then_open(faulty.into_survivor(), &ctx)
+                .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+            let head = store.snapshot().expect("head");
+            match store.generation() {
+                3 => {
+                    assert!(
+                        !committed,
+                        "{ctx}: the tick reported a commit that vanished"
+                    );
+                    assert_eq!(store.pending_deltas(), 3, "{ctx}: the whole chain");
+                    assert!(head.get(MAINT_INDEX).is_none(), "{ctx}: no index yet");
+                }
+                4 => {
+                    assert_eq!(store.pending_deltas(), 0, "{ctx}: one snapshot");
+                    assert!(
+                        head.get(MAINT_INDEX).is_some(),
+                        "{ctx}: the indexed snapshot"
+                    );
+                }
+                g => panic!("{ctx}: recovered generation {g}, neither before nor after"),
+            }
+            assert_eq!(mpoint_units(&head), want_units, "{ctx}: units moved");
+            assert_eq!(
+                probe_answers(&head, &ctx),
+                want_answers,
+                "{ctx}: answers moved"
+            );
+            cases += 1;
+        }
+    }
+    assert!(
+        cases >= 200,
+        "maintenance campaign too small: {cases} cases"
+    );
 }

@@ -148,22 +148,28 @@ fn section2_queries_identical_on_both_backends() {
     // Opening the stored relation for query-in-place runs one
     // structural verification scan per flight (untrusted bytes are never
     // probed blindly), then flights stay as lazy MPointRef handles.
-    store.reset_counters();
     let lazy = Relation::from_stored(&stored, store.clone(), OnError::Fail).expect("opens");
-    let open_cost = store.pages_read();
-    assert!(lazy.tuples()[0].at(2).as_mpoint_ref().is_some());
 
-    // A point query afterwards touches only O(log n) of what open
-    // touched once — the lazy handles never re-read whole flights.
+    // A point query afterwards reads O(log n) unit headers and decodes
+    // at most one unit, each read touching at most two pages — the lazy
+    // handles never re-read whole flights.
+    let handle = lazy.tuples()[0]
+        .at(2)
+        .as_mpoint_ref()
+        .expect("a lazy handle");
+    let view = handle.view();
     store.reset_counters();
-    let probe = lazy.tuples()[0].at(2).as_mpoint_seq().expect("mpoint attr");
-    let _ = probe.at_instant(t(1.0));
+    let _ = view.at_instant(t(1.0));
+    let n = UnitSeq::len(&view) as u64;
+    let log_n = u64::from(n.max(1).next_power_of_two().trailing_zeros());
+    assert!(n >= 8, "flights long enough to tell log n from n");
     assert!(
-        store.pages_read() * 4 < open_cost.max(4),
-        "probe read {} pages vs {} at open — lazy handle re-materialized?",
-        store.pages_read(),
-        open_cost
+        (1..=log_n + 2).contains(&view.headers_read()) && view.units_decoded() <= 1,
+        "probe read {} headers and decoded {} units of {n} — lazy handle re-materialized?",
+        view.headers_read(),
+        view.units_decoded()
     );
+    assert!(store.pages_read() <= 2 * (view.headers_read() + view.units_decoded()));
 
     // The fully materialized path (the old behaviour).
     let eager = load_relation(&stored, &store).expect("loads");
