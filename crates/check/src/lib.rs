@@ -25,8 +25,8 @@ use mob_base::Validate;
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
     generation_from_image, index_store, line_store, mapping_store, parse_delta_name,
-    parse_snapshot_name, range_store, region_store, view, Discard, Fate, PageStore, RecoveredFile,
-    StoreFile,
+    parse_snapshot_name, range_store, region_store, view, AttrType, Catalog, Cell, Discard, Fate,
+    PageStore, RecoveredFile, StoreFile, StoredRelation,
 };
 
 /// Audit outcome for one catalog entry.
@@ -36,14 +36,15 @@ pub struct EntryReport {
     pub name: String,
     /// Value kind (`mpoint`, `region`, …).
     pub kind: &'static str,
-    /// Number of units (moving kinds) or components (static kinds)
-    /// found, when decodable.
+    /// Number of units (moving kinds), components (static kinds) or
+    /// rows (relations) found, when decodable.
     pub count: Option<usize>,
     /// `Ok(())` or the first failure, phase-tagged (`open:`, `validate:`,
     /// `load:`).
     pub result: Result<(), String>,
     /// What else the audit learned, printed after the count: for an
-    /// index, its leaf record layout and bytes per entry.
+    /// index, its leaf record layout and bytes per entry; for a relation,
+    /// its column count.
     pub note: Option<String>,
 }
 
@@ -58,11 +59,18 @@ impl EntryReport {
         }
     }
 
-    /// The count as printed: `N units`, then the note if any.
-    fn count_text(&self, n: usize) -> String {
-        match &self.note {
-            Some(note) => format!("{n} units, {note}"),
-            None => format!("{n} units"),
+    /// The entry's report line after `tag`: kind, name, then the
+    /// failure, or `N units` (`N rows` for a relation) and the note.
+    fn line(&self, tag: &str) -> String {
+        let (kind, name) = (self.kind, &self.name);
+        let noun = if kind == "relation" { "rows" } else { "units" };
+        match (&self.result, self.count, &self.note) {
+            (Err(err), ..) => format!("{tag} {kind:<10} {name:<20} {err}\n"),
+            (Ok(()), Some(n), Some(note)) => {
+                format!("{tag} {kind:<10} {name:<20} {n} {noun}, {note}\n")
+            }
+            (Ok(()), Some(n), None) => format!("{tag} {kind:<10} {name:<20} {n} {noun}\n"),
+            (Ok(()), None, _) => format!("{tag} {kind:<10} {name}\n"),
         }
     }
 
@@ -108,22 +116,7 @@ impl AuditReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            match (&e.result, e.count) {
-                (Ok(()), Some(n)) => {
-                    out.push_str(&format!(
-                        "ok   {:<10} {:<20} {}\n",
-                        e.kind,
-                        e.name,
-                        e.count_text(n)
-                    ));
-                }
-                (Ok(()), None) => {
-                    out.push_str(&format!("ok   {:<10} {}\n", e.kind, e.name));
-                }
-                (Err(err), _) => {
-                    out.push_str(&format!("FAIL {:<10} {:<20} {}\n", e.kind, e.name, err));
-                }
-            }
+            out.push_str(&e.line(if e.result.is_ok() { "ok  " } else { "FAIL" }));
         }
         out.push_str(&format!(
             "{} entries, {} failed, {} blobs, {} pages read\n",
@@ -158,7 +151,7 @@ pub fn audit_store_file(file: &StoreFile) -> AuditReport {
     let entries = file
         .entries()
         .iter()
-        .map(|(name, root)| audit_entry(name, root, store))
+        .map(|(name, root)| audit_entry(name, root, file.catalog(), store))
         .collect();
     AuditReport {
         entries,
@@ -167,8 +160,16 @@ pub fn audit_store_file(file: &StoreFile) -> AuditReport {
     }
 }
 
-/// Open → deep-validate → load → re-validate one entry.
-pub fn audit_entry(name: &str, root: &RootRecord, store: &PageStore) -> EntryReport {
+/// Open → deep-validate → load → re-validate one entry of `catalog`. A
+/// relation root passes when every value root it names is in `catalog`,
+/// of its column's type; the value roots are audited as entries of
+/// their own.
+pub fn audit_entry(
+    name: &str,
+    root: &RootRecord,
+    catalog: &Catalog,
+    store: &PageStore,
+) -> EntryReport {
     let kind = root.kind_name();
     macro_rules! moving {
         ($stored:expr, $open:path) => {{
@@ -229,6 +230,13 @@ pub fn audit_entry(name: &str, root: &RootRecord, store: &PageStore) -> EntryRep
                 ..EntryReport::ok(name, kind, tree.num_entries())
             },
             Err(e) => EntryReport::fail(name, kind, "load", e),
+        },
+        RootRecord::Relation(r) => match r.check_roots(catalog) {
+            Ok(()) => EntryReport {
+                note: Some(format!("{} columns", r.columns().len())),
+                ..EntryReport::ok(name, kind, r.rows().count())
+            },
+            Err(e) => EntryReport::fail(name, kind, "roots", e),
         },
     }
 }
@@ -304,18 +312,7 @@ impl DeepReport {
                 Verdict::Quarantined => "QUARANTINE",
                 Verdict::Corrupt => "CORRUPT   ",
             };
-            match (&e.result, e.count) {
-                (Ok(()), Some(n)) => out.push_str(&format!(
-                    "{tag} {:<10} {:<20} {}\n",
-                    e.kind,
-                    e.name,
-                    e.count_text(n)
-                )),
-                (Ok(()), None) => out.push_str(&format!("{tag} {:<10} {}\n", e.kind, e.name)),
-                (Err(err), _) => {
-                    out.push_str(&format!("{tag} {:<10} {:<20} {err}\n", e.kind, e.name))
-                }
-            }
+            out.push_str(&e.line(tag));
         }
         out.push_str(&format!(
             "verdict: recoverable — {} intact, {} quarantined, {} corrupt\n",
@@ -365,7 +362,7 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
         .entries()
         .iter()
         .map(|(name, root)| {
-            let rep = audit_entry(name, root, store);
+            let rep = audit_entry(name, root, gen.catalog(), store);
             let verdict = match &rep.result {
                 Ok(()) => Verdict::Intact,
                 Err(msg) if msg.contains("quarantined") => Verdict::Quarantined,
@@ -455,6 +452,20 @@ pub fn self_test(seed: u64) -> Result<String, String> {
         .read_file(snap)
         .map_err(|e| format!("read {snap}: {e}"))?;
 
+    // A relation naming a value root the catalog lacks fails its audit.
+    let mut dangling = file;
+    let mut rel = StoredRelation::new(vec![("flight".to_string(), AttrType::MPoint)]);
+    rel.push_row(vec![Cell::Root("plane/missing".to_string())])
+        .map_err(|e| format!("dangling relation: {e}"))?;
+    dangling.set("planes", RootRecord::Relation(rel));
+    let flagged = audit_store_file(&dangling)
+        .entries
+        .iter()
+        .any(|e| e.name == "planes" && e.result.is_err());
+    if !flagged {
+        return Err("a relation naming a missing value root audited clean".to_string());
+    }
+
     let pristine = deep_verify_image(&image);
     if !pristine.all_intact() {
         return Err(format!(
@@ -527,17 +538,35 @@ pub fn self_test(seed: u64) -> Result<String, String> {
 
 /// Build the deterministic demo store file the CLI's `--demo` mode
 /// writes: one entry per root-record kind, generated from the seeded
-/// workload generators.
+/// workload generators, and the relation `planes(airline, id, flight)`
+/// over the flights.
 pub fn demo_store_file(seed: u64) -> StoreFile {
     use mob_gen::{moving_front, plane_fleet, storm, FrontConfig, GridNetwork, StormConfig};
 
     let mut file = StoreFile::new();
 
     let planes = plane_fleet(seed, 2, 12);
+    let text = |s: &str| {
+        Cell::Str(mob_base::Text::try_new(s).map_or(mob_base::Val::Undef, mob_base::Val::Def))
+    };
+    let mut relation = StoredRelation::new(vec![
+        ("airline".to_string(), AttrType::Str),
+        ("id".to_string(), AttrType::Str),
+        ("flight".to_string(), AttrType::MPoint),
+    ]);
     for plane in &planes {
         let stored = mapping_store::save_mpoint(&plane.flight, file.store_mut());
-        file.put(format!("plane/{}", plane.id), RootRecord::MPoint(stored));
+        let root = format!("plane/{}", plane.id);
+        file.put(root.clone(), RootRecord::MPoint(stored));
+        relation
+            .push_row(vec![
+                text(&plane.airline),
+                text(&plane.id),
+                Cell::Root(root),
+            ])
+            .expect("the cells match the columns");
     }
+    file.put("planes", RootRecord::Relation(relation));
 
     let net = GridNetwork::new(4, 100.0);
     let taxi = net.random_drive(seed ^ 1, 30, 5.0);
@@ -695,6 +724,11 @@ mod tests {
         let report = audit_store_file(&file);
         assert!(report.all_ok(), "demo audit failed:\n{}", report.render());
         assert!(report.entries.len() >= 7);
+        assert!(
+            report.render().contains("2 rows, 3 columns"),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

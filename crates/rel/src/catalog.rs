@@ -1,101 +1,90 @@
-//! Relation persistence: tuples as fixed root records plus database
-//! arrays, exactly the shape Sec 4 prescribes for attribute data types
+//! Relation persistence: a stored relation is one catalog root
+//! ([`RootRecord::Relation`]: the schema, the scalar cells and the names
+//! of the value roots) plus one ordinary root record per constructed
+//! value, exactly the shape Sec 4 prescribes for attribute data types
 //! ("values are placed under control of the DBMS into memory", each
-//! value a root record inside the tuple plus arrays inline or in page
-//! chains).
+//! value a root record plus database arrays inline or in page chains).
+//! [`Relation::open`] is the one way back.
 
 use crate::relation::{Relation, Tuple};
 use crate::scan::OnError;
 use crate::schema::Schema;
 use crate::value::{AttrType, AttrValue, MPointRef};
 use mob_base::error::{DecodeError, DecodeResult, InvariantViolation, Result};
-use mob_base::{Real, Text, Val};
+use mob_base::{Text, Val};
 use mob_core::IndexEntry;
-use mob_storage::line_store::{
-    load_line, load_points, save_line, save_points, StoredLine, StoredPoints,
-};
-use mob_storage::mapping_store::{
-    save_mbool, save_mpoint, save_mreal, save_mregion, StoredMRegion, StoredMapping,
-};
-use mob_storage::region_store::{load_region, save_region, StoredRegion};
+use mob_storage::line_store::{load_line, load_points, save_line, save_points};
+use mob_storage::mapping_store::{save_mbool, save_mpoint, save_mreal, save_mregion};
+use mob_storage::region_store::{load_region, save_region};
 use mob_storage::{
-    open_mbool, open_mpoint, open_mreal, open_mregion, Generation, PageStore, RootRecord,
-    TupleLayout, Verify,
+    open_mbool, open_mreal, open_mregion, Cell, Generation, PageStore, RootRecord, StoreFile,
+    StoredRelation, TupleLayout, Verify,
 };
 use std::sync::Arc;
 
-/// One stored attribute value: the persistent form of [`AttrValue`].
+/// Persist `rel` into `file` as the relation root `name`
+/// ([`RootRecord::Relation`]). Scalar values sit in the root's rows.
+/// Every constructed value becomes a root record of its own, named
+/// `"{name}/{column}/{row}"` with rows counted from 0, and its cell
+/// holds that name. The names are deterministic and distinct: the part
+/// after the last `/` is the row number.
 ///
-/// Scalar variants live entirely in the (conceptual) root record; the
-/// constructed types carry their root metadata plus database arrays.
-#[derive(Clone, Debug, PartialEq)]
-pub enum StoredAttr {
-    /// `int` (⊥ as `None`).
-    Int(Option<i64>),
-    /// `real`.
-    Real(Option<f64>),
-    /// `string`.
-    Str(Option<String>),
-    /// `bool`.
-    Bool(Option<bool>),
-    /// `instant`.
-    Instant(Option<f64>),
-    /// `point`.
-    Point(Option<(f64, f64)>),
-    /// `points` value.
-    Points(StoredPoints),
-    /// `line` value.
-    Line(StoredLine),
-    /// `region` value.
-    Region(StoredRegion),
-    /// `moving(point)`.
-    MPoint(StoredMapping),
-    /// `moving(real)`.
-    MReal(StoredMapping),
-    /// `moving(bool)`.
-    MBool(StoredMapping),
-    /// `moving(region)`.
-    MRegion(StoredMRegion),
+/// # Errors
+///
+/// `name`, or a name starting with `"{name}/"`, is already in `file`;
+/// or a value is [`AttrValue::Quarantined`].
+pub fn save_relation(rel: &Relation, file: &mut StoreFile, name: &str) -> Result<()> {
+    let prefix = format!("{name}/");
+    if file
+        .entries()
+        .iter()
+        .any(|(n, _)| n == name || n.starts_with(&prefix))
+    {
+        return Err(InvariantViolation::with_detail(
+            "save: relation name already in use",
+            name.to_string(),
+        ));
+    }
+    let mut stored = StoredRelation::new(rel.schema().attrs().to_vec());
+    for (row, tuple) in rel.tuples().iter().enumerate() {
+        let cells = rel
+            .schema()
+            .attrs()
+            .iter()
+            .zip(tuple.values())
+            .map(|((column, _), v)| save_value(v, file, || format!("{prefix}{column}/{row}")))
+            .collect::<Result<_>>()?;
+        stored.push_row(cells)?;
+    }
+    file.put(name, RootRecord::Relation(stored));
+    Ok(())
 }
 
-/// A stored tuple: one stored attribute per schema column.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoredTuple {
-    /// The stored attributes in schema order.
-    pub attrs: Vec<StoredAttr>,
-}
-
-/// A stored relation: schema (by name/type) plus stored tuples.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoredRelation {
-    /// Attribute names and types.
-    pub schema: Vec<(String, AttrType)>,
-    /// The stored tuples.
-    pub tuples: Vec<StoredTuple>,
-}
-
-fn save_attr(v: &AttrValue, store: &mut PageStore) -> Result<StoredAttr> {
-    Ok(match v {
-        AttrValue::Int(x) => StoredAttr::Int(x.as_ref().into_option().copied()),
-        AttrValue::Real(x) => StoredAttr::Real(x.as_ref().into_option().map(|r| r.get())),
-        AttrValue::Str(x) => {
-            StoredAttr::Str(x.as_ref().into_option().map(|t| t.as_str().to_string()))
-        }
-        AttrValue::Bool(x) => StoredAttr::Bool(x.as_ref().into_option().copied()),
-        AttrValue::Instant(x) => StoredAttr::Instant(x.as_ref().into_option().map(|i| i.as_f64())),
-        AttrValue::Point(x) => {
-            StoredAttr::Point(x.as_ref().into_option().map(|p| (p.x.get(), p.y.get())))
-        }
-        AttrValue::Points(ps) => StoredAttr::Points(save_points(ps, store)),
-        AttrValue::Line(l) => StoredAttr::Line(save_line(l, store)),
-        AttrValue::Region(r) => StoredAttr::Region(save_region(r, store)),
-        AttrValue::MPoint(m) => StoredAttr::MPoint(save_mpoint(m, store)),
-        // Re-saving a storage-backed reference copies its root record;
-        // the unit bytes are rewritten into the target store.
-        AttrValue::MPointRef(r) => StoredAttr::MPoint(save_mpoint(&r.materialize(), store)),
-        AttrValue::MReal(m) => StoredAttr::MReal(save_mreal(m, store)),
-        AttrValue::MBool(m) => StoredAttr::MBool(save_mbool(m, store)),
-        AttrValue::MRegion(m) => StoredAttr::MRegion(save_mregion(m, store)),
+/// Save one value: a scalar as its cell, a constructed value as a root
+/// named `root_name()` and a cell naming it.
+fn save_value(
+    v: &AttrValue,
+    file: &mut StoreFile,
+    root_name: impl FnOnce() -> String,
+) -> Result<Cell> {
+    let store = file.store_mut();
+    let root = match v {
+        AttrValue::Int(x) => return Ok(Cell::Int(*x)),
+        AttrValue::Real(x) => return Ok(Cell::Real(*x)),
+        AttrValue::Str(x) => return Ok(Cell::Str(*x)),
+        AttrValue::Bool(x) => return Ok(Cell::Bool(*x)),
+        AttrValue::Instant(x) => return Ok(Cell::Instant(*x)),
+        AttrValue::Point(x) => return Ok(Cell::Point(*x)),
+        AttrValue::Points(ps) => RootRecord::Points(save_points(ps, store)),
+        AttrValue::Line(l) => RootRecord::Line(save_line(l, store)),
+        AttrValue::Region(r) => RootRecord::Region(save_region(r, store)),
+        AttrValue::MPoint(m) => RootRecord::MPoint(save_mpoint(m, store)),
+        // Re-saving a storage-backed reference rewrites its units into
+        // the target store.
+        AttrValue::MPointRef(r) => RootRecord::MPoint(save_mpoint(&r.materialize(), store)),
+        AttrValue::MReal(m) => RootRecord::MReal(save_mreal(m, store)),
+        AttrValue::MBool(m) => RootRecord::MBool(save_mbool(m, store)),
+        AttrValue::MRegion(m) => RootRecord::MRegion(save_mregion(m, store)),
         // A quarantined value has no bytes to save: persisting it would
         // silently launder damage into a "clean" store.
         AttrValue::Quarantined { ty, detail } => {
@@ -104,160 +93,48 @@ fn save_attr(v: &AttrValue, store: &mut PageStore) -> Result<StoredAttr> {
                 format!("{ty:?}: {detail}"),
             ))
         }
-    })
+    };
+    let name = root_name();
+    file.put(name.clone(), root);
+    Ok(Cell::Root(name))
 }
 
-/// The schema type a stored attribute decodes to (used to type the
-/// [`AttrValue::Quarantined`] placeholder when decoding is impossible).
-fn stored_attr_type(a: &StoredAttr) -> AttrType {
-    match a {
-        StoredAttr::Int(_) => AttrType::Int,
-        StoredAttr::Real(_) => AttrType::Real,
-        StoredAttr::Str(_) => AttrType::Str,
-        StoredAttr::Bool(_) => AttrType::Bool,
-        StoredAttr::Instant(_) => AttrType::Instant,
-        StoredAttr::Point(_) => AttrType::Point,
-        StoredAttr::Points(_) => AttrType::Points,
-        StoredAttr::Line(_) => AttrType::Line,
-        StoredAttr::Region(_) => AttrType::Region,
-        StoredAttr::MPoint(_) => AttrType::MPoint,
-        StoredAttr::MReal(_) => AttrType::MReal,
-        StoredAttr::MBool(_) => AttrType::MBool,
-        StoredAttr::MRegion(_) => AttrType::MRegion,
-    }
-}
-
-fn load_attr(a: &StoredAttr, store: &PageStore) -> DecodeResult<AttrValue> {
-    Ok(match a {
-        StoredAttr::Int(x) => AttrValue::Int(x.map(Val::Def).unwrap_or(Val::Undef)),
-        StoredAttr::Real(x) => {
-            AttrValue::Real(x.map(|v| Val::Def(Real::new(v))).unwrap_or(Val::Undef))
-        }
-        StoredAttr::Str(x) => AttrValue::Str(match x {
-            Some(s) => Val::Def(Text::try_new(s)?),
-            None => Val::Undef,
-        }),
-        StoredAttr::Bool(x) => AttrValue::Bool(x.map(Val::Def).unwrap_or(Val::Undef)),
-        StoredAttr::Instant(x) => AttrValue::Instant(
-            x.map(|v| Val::Def(mob_base::Instant::from_f64(v)))
-                .unwrap_or(Val::Undef),
-        ),
-        StoredAttr::Point(x) => AttrValue::Point(
-            x.map(|(px, py)| Val::Def(mob_spatial::Point::from_f64(px, py)))
-                .unwrap_or(Val::Undef),
-        ),
-        StoredAttr::Points(ps) => AttrValue::Points(load_points(ps, store)?),
-        StoredAttr::Line(l) => AttrValue::Line(load_line(l, store)?),
-        StoredAttr::Region(r) => AttrValue::Region(load_region(r, store)?),
-        StoredAttr::MPoint(m) => {
-            AttrValue::MPoint(open_mpoint(m, store, Verify::Full)?.materialize_validated()?)
-        }
-        StoredAttr::MReal(m) => {
-            AttrValue::MReal(open_mreal(m, store, Verify::Full)?.materialize_validated()?)
-        }
-        StoredAttr::MBool(m) => {
-            AttrValue::MBool(open_mbool(m, store, Verify::Full)?.materialize_validated()?)
-        }
-        StoredAttr::MRegion(m) => {
-            AttrValue::MRegion(open_mregion(m, store, Verify::Full)?.materialize_validated()?)
-        }
-    })
-}
-
-/// Persist a relation into the page store.
-pub fn save_relation(rel: &Relation, store: &mut PageStore) -> Result<StoredRelation> {
-    let mut tuples = Vec::with_capacity(rel.len());
-    for t in rel.tuples() {
-        let attrs = t
-            .values()
-            .iter()
-            .map(|v| save_attr(v, store))
-            .collect::<Result<_>>()?;
-        tuples.push(StoredTuple { attrs });
-    }
-    Ok(StoredRelation {
-        schema: rel.schema().attrs().to_vec(),
-        tuples,
-    })
-}
-
-/// Load a relation back from the page store.
-///
-/// Decoding is fully untrusted: any structural damage in the stored
-/// records surfaces as a [`mob_base::DecodeError`], never a panic.
-pub fn load_relation(stored: &StoredRelation, store: &PageStore) -> DecodeResult<Relation> {
-    let attrs: Vec<(&str, AttrType)> = stored
-        .schema
-        .iter()
-        .map(|(n, t)| (n.as_str(), *t))
-        .collect();
-    let mut rel = Relation::new(Schema::new(&attrs)?);
-    for t in &stored.tuples {
-        let values = t
-            .attrs
-            .iter()
-            .map(|a| load_attr(a, store))
-            .collect::<DecodeResult<_>>()?;
-        rel.insert(Tuple::new(values))?;
-    }
-    Ok(rel)
-}
-
-/// Options for [`Relation::open`] — how a [`Generation`]'s catalog of
-/// `moving(point)` roots becomes a queryable relation.
+/// Options for [`Relation::open`]: which relation of a [`Generation`]
+/// to open, and how.
 ///
 /// ```
 /// use mob_rel::{OnError, OpenRelOpts};
 ///
 /// let opts = OpenRelOpts::new()
-///     .name_attr("flight")
-///     .mpoint_attr("trip")
+///     .relation("planes")
 ///     .on_error(OnError::SkipAndRecord)
-///     .index("fleet/index");
-/// assert_eq!(opts.index_root(), Some("fleet/index"));
+///     .index("planes/index");
+/// assert_eq!(opts.index_root(), Some("planes/index"));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OpenRelOpts {
-    name_attr: String,
-    mpoint_attr: String,
+    relation: Option<String>,
     on_error: OnError,
     index: Option<String>,
 }
 
-impl Default for OpenRelOpts {
-    fn default() -> Self {
-        OpenRelOpts::new()
-    }
-}
-
 impl OpenRelOpts {
-    /// Defaults: schema `(name: string, trip: mpoint)`, [`OnError::Fail`],
-    /// no index attach.
+    /// Defaults: the implicit `(name: string, trip: mpoint)` view,
+    /// [`OnError::Fail`], no index attach.
     #[must_use]
     pub fn new() -> OpenRelOpts {
-        OpenRelOpts {
-            name_attr: "name".to_string(),
-            mpoint_attr: "trip".to_string(),
-            on_error: OnError::Fail,
-            index: None,
-        }
+        OpenRelOpts::default()
     }
 
-    /// Name of the string attribute carrying the root names.
+    /// Open the relation root `name` ([`save_relation`]) instead of the
+    /// implicit view.
     #[must_use]
-    pub fn name_attr(mut self, name: &str) -> OpenRelOpts {
-        self.name_attr = name.to_string();
+    pub fn relation(mut self, name: &str) -> OpenRelOpts {
+        self.relation = Some(name.to_string());
         self
     }
 
-    /// Name of the `moving(point)` attribute.
-    #[must_use]
-    pub fn mpoint_attr(mut self, name: &str) -> OpenRelOpts {
-        self.mpoint_attr = name.to_string();
-        self
-    }
-
-    /// Damage policy for quarantined roots (see [`Relation::from_stored`]).
+    /// Damage policy for quarantined roots (see [`Relation::open`]).
     #[must_use]
     pub fn on_error(mut self, policy: OnError) -> OpenRelOpts {
         self.on_error = policy;
@@ -265,9 +142,11 @@ impl OpenRelOpts {
     }
 
     /// Attach the stored index committed under this root name (a
-    /// [`RootRecord::Index`] entry of either leaf layout). A missing, damaged, or unusable
-    /// index marks the relation *index-damaged* — scans fall back to
-    /// full, recording `index.fallbacks` — and never fails the open.
+    /// [`RootRecord::Index`] entry of either leaf layout) to the
+    /// relation's first `moving(point)` attribute. A missing, damaged,
+    /// or unusable index marks the relation *index-damaged* — scans
+    /// fall back to full, recording `index.fallbacks` — and never fails
+    /// the open.
     #[must_use]
     pub fn index(mut self, root_name: &str) -> OpenRelOpts {
         self.index = Some(root_name.to_string());
@@ -282,253 +161,317 @@ impl OpenRelOpts {
 }
 
 impl Relation {
-    /// Open a pinned [`Generation`] as a relation: one tuple per
-    /// `moving(point)` root, `(name, mpoint-ref)` in catalog order, the
-    /// unit arrays decoded lazily from the generation's page store.
-    /// Entries of other kinds (indexes, scalars) are skipped — they are
-    /// catalog metadata, not fleet members.
-    ///
-    /// Because a [`Generation`] is immutable, the relation keeps
-    /// answering queries bit-for-bit identically while a writer ingests
-    /// deltas and compacts newer generations of the same store.
+    /// Open a relation of a pinned [`Generation`]: the relation root
+    /// [`OpenRelOpts::relation`] names ([`save_relation`]), its schema
+    /// and rows in order; or, without one, the implicit view `(name:
+    /// string, trip: mpoint)` with one tuple per `moving(point)` root in
+    /// catalog order. Both go through one row builder, and every value
+    /// root through one path: a `moving(point)` root becomes an
+    /// [`AttrValue::MPointRef`] decoded lazily from the generation's page
+    /// store, any other constructed value is loaded and validated; a
+    /// scalar comes from its row.
+    /// A generation is immutable, so the relation keeps answering
+    /// bit-for-bit identically while a writer commits newer generations.
     ///
     /// What the generation already checked is not checked again: a root
-    /// it vouches for ([`Generation::checked_mpoint`], written by this
-    /// process from checked records) opens with the `O(1)` layout checks
-    /// only, every other root with the full structural scan, and the
-    /// index tree comes from [`Generation::index_tree`], which decodes
-    /// each index root once per lineage of delta commits.
+    /// it vouches for ([`Generation::checked_mpoint`]) opens with the
+    /// `O(1)` layout checks only, every other `moving(point)` root with
+    /// the full structural scan, and the index tree comes from
+    /// [`Generation::index_tree`], decoded once per lineage of commits.
     ///
-    /// Damage policy ([`OpenRelOpts::on_error`]): quarantined roots
-    /// (recovered degraded) abort under [`OnError::Fail`] or become
-    /// [`AttrValue::Quarantined`] placeholders under
-    /// [`OnError::SkipAndRecord`], exactly like [`Relation::from_stored`].
+    /// Damage policy ([`OpenRelOpts::on_error`]): a quarantined value
+    /// (recovered degraded) aborts the open under [`OnError::Fail`]; under
+    /// [`OnError::SkipAndRecord`] it becomes an [`AttrValue::Quarantined`]
+    /// placeholder, counted in `rel.attrs_quarantined`, and the scans
+    /// apply their own `on_error` policy to it.
     ///
-    /// Index attach ([`OpenRelOpts::index`]): the stored tree was built
-    /// at the last full snapshot and may be *stale* — later deltas
-    /// appended units or created objects. Every root in the
-    /// generation's [tail](Generation::tail) contributes its tuple id and
-    /// tail cube to one small in-memory tree that scans probe next to
-    /// the stored one, so appended units are pruned like indexed ones.
-    /// Only quarantined tuples bypass pruning, via the index's `always`
-    /// list. A stored tree that does not cover exactly the snapshot's
-    /// roots, or fails to load, marks the relation index-damaged (next
-    /// scan records `index.fallbacks`).
+    /// Index attach ([`OpenRelOpts::index`]): the stored tree, built at
+    /// the last full snapshot, may be *stale*. Each tuple whose indexed
+    /// root is in the generation's [tail](Generation::tail) adds its tail
+    /// cube to a small in-memory tree probed next to the stored one, and
+    /// quarantined tuples bypass pruning via the `always` list. A tree
+    /// that does not cover exactly the snapshot's tuples, or fails to
+    /// load, marks the relation index-damaged (`index.fallbacks`).
     ///
     /// # Errors
     ///
-    /// Structural damage in the root records, or quarantine under
-    /// [`OnError::Fail`].
+    /// No relation root of that name; structural damage (a dangling
+    /// value-root name, a root of the wrong kind, records that decode to
+    /// nonsense); or quarantine under [`OnError::Fail`].
     pub fn open(generation: &Generation, opts: &OpenRelOpts) -> DecodeResult<Relation> {
-        let schema = Schema::new(&[
-            (opts.name_attr.as_str(), AttrType::Str),
-            (opts.mpoint_attr.as_str(), AttrType::MPoint),
-        ])
-        .map_err(|e| DecodeError::BadStructure {
-            what: "relation open",
-            detail: e.to_string(),
-        })?;
-        let store = generation.store_arc();
+        let stored = match opts.relation.as_deref() {
+            Some(name) => Some(stored_relation(generation, name)?),
+            None => None,
+        };
+        let schema = match stored {
+            Some(r) => {
+                let attrs: Vec<(&str, AttrType)> =
+                    r.columns().iter().map(|(n, t)| (n.as_str(), *t)).collect();
+                Schema::new(&attrs)?
+            }
+            None => Schema::new(&[("name", AttrType::Str), ("trip", AttrType::MPoint)])?,
+        };
+        let indexed = indexed_column(&schema);
         let mut rel = Relation::new(schema);
-        let mut tail: Vec<IndexEntry> = Vec::new();
-        // Tuples of roots the last full snapshot held: the ones its
+        // One entry per tuple whose indexed value root is in the tail.
+        let mut tail = Vec::new();
+        // Tuples whose roots the last full snapshot held: the ones its
         // index can cover.
-        let mut base_tuples = 0usize;
-        let mut tuple_id = 0u32;
-        for (pos, (name, root)) in generation.entries().iter().enumerate() {
-            let RootRecord::MPoint(m) = root else {
-                continue;
-            };
-            let opened = match generation.checked_mpoint(pos) {
-                Some(checked) => MPointRef::checked(checked),
-                None => MPointRef::new(store.clone(), m.clone()),
-            };
-            let value = match opened {
-                Ok(r) => AttrValue::MPointRef(r),
-                Err(e @ DecodeError::Quarantined { .. })
-                    if opts.on_error == OnError::SkipAndRecord =>
-                {
-                    mob_obs::metric!("rel.attrs_quarantined").add(1);
-                    AttrValue::Quarantined {
-                        ty: AttrType::MPoint,
-                        detail: e.to_string(),
-                    }
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(cube) = generation.tail_cube(name) {
+        let mut base_tuples = 0;
+        // The row builder: `values` become the next tuple; `root` names
+        // its indexed value root.
+        let mut push = |values, root: Option<&str>, in_snapshot| -> DecodeResult<()> {
+            if let Some(cube) = root.and_then(|name| generation.tail_cube(name)) {
+                let tuple = u32::try_from(rel.len()).unwrap_or(u32::MAX);
+                let cube = *cube;
                 tail.push(IndexEntry {
-                    tuple: tuple_id,
+                    tuple,
                     unit: 0,
-                    cube: *cube,
-                });
-            }
-            let name_val = AttrValue::Str(mob_base::Val::Def(mob_base::Text::try_new(name)?));
-            rel.insert(Tuple::new(vec![name_val, value])).map_err(|e| {
-                DecodeError::BadStructure {
-                    what: "relation open",
-                    detail: e.to_string(),
-                }
-            })?;
-            tuple_id = tuple_id.saturating_add(1);
-            if pos < generation.snapshot_roots() {
-                base_tuples = tuple_id as usize;
-            }
-        }
-        if let Some(index_root) = opts.index.as_deref() {
-            let attached = match generation.index_tree(index_root) {
-                Ok(tree) => rel
-                    .attach_tree(&opts.mpoint_attr, tree, tail, base_tuples)
-                    .map_err(|e| DecodeError::BadStructure {
-                        what: "relation open",
-                        detail: e.to_string(),
-                    })?,
-                Err(_) => false,
-            };
-            if !attached {
-                // Missing or unusable: fall back loudly, never fail the
-                // open because of an access path.
-                rel.mark_index_damaged();
-                mob_obs::metric!("rel.index_unusable").add(1);
-            }
-        }
-        Ok(rel)
-    }
-
-    /// Open a [`StoredRelation`] with an explicit damage policy — the
-    /// open path for hand-assembled catalogs and stores recovered
-    /// **degraded** (bit rot quarantined some page-store blobs).
-    ///
-    /// The relation is opened for **query-in-place**: scalar attributes
-    /// are loaded eagerly, but every `moving(point)` attribute becomes
-    /// an [`AttrValue::MPointRef`] that decodes unit records lazily from
-    /// the shared page store, so a single-instant query costs `O(log n)`
-    /// record reads instead of materializing all `n` units.
-    ///
-    /// Under [`OnError::Fail`] any quarantined attribute aborts the
-    /// open. Under [`OnError::SkipAndRecord`] a quarantined attribute
-    /// becomes an [`AttrValue::Quarantined`] placeholder — the relation
-    /// opens with every tuple present, healthy values fully queryable,
-    /// and the scans ([`Relation::snapshot_at`],
-    /// [`Relation::filter_inside`]) apply their own `on_error` policy to
-    /// the damaged tuples. Each placeholder advances the
-    /// `rel.attrs_quarantined` registry counter.
-    ///
-    /// # Errors
-    ///
-    /// Structural damage (anything other than
-    /// [`DecodeError::Quarantined`]) always fails: degradation covers
-    /// values whose bytes are *known missing*, not records that decode
-    /// to nonsense.
-    pub fn from_stored(
-        stored: &StoredRelation,
-        store: Arc<PageStore>,
-        on_error: OnError,
-    ) -> DecodeResult<Relation> {
-        let attrs: Vec<(&str, AttrType)> = stored
-            .schema
-            .iter()
-            .map(|(n, t)| (n.as_str(), *t))
-            .collect();
-        let mut rel = Relation::new(Schema::new(&attrs)?);
-        for t in &stored.tuples {
-            let mut values = Vec::with_capacity(t.attrs.len());
-            for a in &t.attrs {
-                let loaded = match a {
-                    StoredAttr::MPoint(m) => {
-                        MPointRef::new(store.clone(), m.clone()).map(AttrValue::MPointRef)
-                    }
-                    other => load_attr(other, &store),
-                };
-                values.push(match loaded {
-                    Ok(v) => v,
-                    Err(e @ DecodeError::Quarantined { .. })
-                        if on_error == OnError::SkipAndRecord =>
-                    {
-                        mob_obs::metric!("rel.attrs_quarantined").add(1);
-                        AttrValue::Quarantined {
-                            ty: stored_attr_type(a),
-                            detail: e.to_string(),
-                        }
-                    }
-                    Err(e) => return Err(e),
+                    cube,
                 });
             }
             rel.insert(Tuple::new(values))?;
+            if in_snapshot {
+                base_tuples = rel.len();
+            }
+            Ok(())
+        };
+        match stored {
+            Some(r) => {
+                for cells in r.rows() {
+                    let root = match indexed.and_then(|col| cells.get(col)) {
+                        Some(Cell::Root(name)) => Some(name.as_str()),
+                        _ => None,
+                    };
+                    let values = (cells.iter().zip(r.columns()))
+                        .map(|(cell, (_, ty))| open_cell(generation, opts.on_error, *ty, cell))
+                        .collect::<DecodeResult<_>>()?;
+                    push(values, root, true)?;
+                }
+            }
+            None => {
+                for (slot, (name, root)) in generation.entries().iter().enumerate() {
+                    if let RootRecord::MPoint(_) = root {
+                        let trip = open_root(
+                            generation,
+                            opts.on_error,
+                            AttrType::MPoint,
+                            Some(slot),
+                            name,
+                        )?;
+                        let name_value = AttrValue::Str(Val::Def(Text::try_new(name)?));
+                        push(
+                            vec![name_value, trip],
+                            Some(name),
+                            slot < generation.snapshot_roots(),
+                        )?;
+                    }
+                }
+            }
+        }
+        let Some(index_root) = opts.index.as_deref() else {
+            return Ok(rel);
+        };
+        let attr = indexed.and_then(|col| rel.schema().attrs().get(col));
+        let attr = attr.map(|(name, _)| name.clone());
+        let attached = match (generation.index_tree(index_root), attr) {
+            (Ok(tree), Some(attr)) => rel.attach_tree(&attr, tree, tail, base_tuples)?,
+            _ => false,
+        };
+        if !attached {
+            // Missing or unusable: fall back loudly, never fail the
+            // open because of an access path.
+            rel.mark_index_damaged();
+            mob_obs::metric!("rel.index_unusable").add(1);
         }
         Ok(rel)
     }
 }
 
-/// Account the physical layout of a stored tuple (how many bytes sit in
-/// the tuple itself vs. in external page chains).
-pub fn tuple_layout(t: &StoredTuple, store: &PageStore) -> TupleLayout {
+/// The relation root `name` of `generation`.
+fn stored_relation<'g>(generation: &'g Generation, name: &str) -> DecodeResult<&'g StoredRelation> {
+    match generation.get(name) {
+        Some(RootRecord::Relation(r)) => Ok(r),
+        found => Err(DecodeError::BadStructure {
+            what: "relation open",
+            detail: format!(
+                "entry {name:?} is {}, not a relation",
+                found.map_or("missing", RootRecord::kind_name)
+            ),
+        }),
+    }
+}
+
+/// The attribute an index covers: the first `moving(point)` one.
+fn indexed_column(schema: &Schema) -> Option<usize> {
+    schema
+        .attrs()
+        .iter()
+        .position(|(_, ty)| *ty == AttrType::MPoint)
+}
+
+/// A cell of a relation root as a value: a scalar from the row, a
+/// constructed value through [`open_root`].
+fn open_cell(
+    g: &Generation,
+    on_error: OnError,
+    ty: AttrType,
+    cell: &Cell,
+) -> DecodeResult<AttrValue> {
+    Ok(match cell {
+        Cell::Int(v) => AttrValue::Int(*v),
+        Cell::Real(v) => AttrValue::Real(*v),
+        Cell::Str(v) => AttrValue::Str(*v),
+        Cell::Bool(v) => AttrValue::Bool(*v),
+        Cell::Instant(v) => AttrValue::Instant(*v),
+        Cell::Point(v) => AttrValue::Point(*v),
+        Cell::Root(name) => return open_root(g, on_error, ty, g.catalog().slot(name), name),
+    })
+}
+
+/// The one path from a value root to a value, for relation roots and
+/// the implicit view alike: the root named `name`, at catalog `slot`
+/// when it exists, holding a value of type `ty`. A `moving(point)` root
+/// becomes a lazy [`MPointRef`] (layout checks only when the generation
+/// marked it, else [`Verify::Full`]); any other constructed value is
+/// loaded and validated ([`load_value`]). Quarantined bytes follow the
+/// [`OnError`] policy.
+fn open_root(
+    g: &Generation,
+    on_error: OnError,
+    ty: AttrType,
+    slot: Option<usize>,
+    name: &str,
+) -> DecodeResult<AttrValue> {
+    let opened = match (ty, slot.and_then(|s| g.catalog().root_at(s))) {
+        (AttrType::MPoint, Some(RootRecord::MPoint(m))) => {
+            match slot.and_then(|s| g.checked_mpoint(s)) {
+                Some(checked) => MPointRef::checked(checked),
+                None => MPointRef::new(g.store_arc(), m.clone()),
+            }
+            .map(AttrValue::MPointRef)
+        }
+        (_, root) => load_value(g.store(), ty, name, root),
+    };
+    opened.or_else(|e| match e {
+        DecodeError::Quarantined { .. } if on_error == OnError::SkipAndRecord => {
+            mob_obs::metric!("rel.attrs_quarantined").add(1);
+            Ok(AttrValue::Quarantined {
+                ty,
+                detail: e.to_string(),
+            })
+        }
+        e => Err(e),
+    })
+}
+
+/// Load and validate the constructed value of type `ty` in `root`, the
+/// root named `name`: every type but `moving(point)`, which opens lazily.
+fn load_value(
+    store: &PageStore,
+    ty: AttrType,
+    name: &str,
+    root: Option<&RootRecord>,
+) -> DecodeResult<AttrValue> {
+    match (ty, root) {
+        (AttrType::MReal, Some(RootRecord::MReal(m))) => open_mreal(m, store, Verify::Full)
+            .and_then(|v| v.materialize_validated())
+            .map(AttrValue::MReal),
+        (AttrType::MBool, Some(RootRecord::MBool(m))) => open_mbool(m, store, Verify::Full)
+            .and_then(|v| v.materialize_validated())
+            .map(AttrValue::MBool),
+        (AttrType::MRegion, Some(RootRecord::MRegion(m))) => open_mregion(m, store, Verify::Full)
+            .and_then(|v| v.materialize_validated())
+            .map(AttrValue::MRegion),
+        (AttrType::Points, Some(RootRecord::Points(p))) => {
+            load_points(p, store).map(AttrValue::Points)
+        }
+        (AttrType::Line, Some(RootRecord::Line(l))) => load_line(l, store).map(AttrValue::Line),
+        (AttrType::Region, Some(RootRecord::Region(r))) => {
+            load_region(r, store).map(AttrValue::Region)
+        }
+        (_, found) => Err(DecodeError::BadStructure {
+            what: "relation open",
+            detail: format!(
+                "value root {name:?} is {}, not a {}",
+                found.map_or("missing", RootRecord::kind_name),
+                ty.name()
+            ),
+        }),
+    }
+}
+
+/// Account the physical layout of row `row` of the relation root
+/// `relation`: how many bytes sit in the tuple itself vs. in external
+/// page chains (Sec 4).
+///
+/// # Errors
+///
+/// No such relation root or row, or a value root the row names is
+/// missing.
+pub fn tuple_layout(
+    generation: &Generation,
+    relation: &str,
+    row: usize,
+) -> DecodeResult<TupleLayout> {
+    let missing = |detail: String| DecodeError::BadStructure {
+        what: "tuple layout",
+        detail,
+    };
+    let cells = stored_relation(generation, relation)?
+        .rows()
+        .nth(row)
+        .ok_or_else(|| missing(format!("relation {relation:?} has no row {row}")))?;
     // Scalar root fields: conservatively 16 bytes each (value + defined
     // flag + padding), plus per-constructed-value root metadata.
-    let mut layout = TupleLayout::with_root(16 * t.attrs.len());
-    let mut add = |a: &mob_storage::SavedArray| {
-        layout.add_array(a, store);
-    };
-    for a in &t.attrs {
-        match a {
-            StoredAttr::Int(_)
-            | StoredAttr::Real(_)
-            | StoredAttr::Str(_)
-            | StoredAttr::Bool(_)
-            | StoredAttr::Instant(_)
-            | StoredAttr::Point(_) => {}
-            StoredAttr::Points(ps) => add(&ps.points),
-            StoredAttr::Line(l) => add(&l.halfsegs),
-            StoredAttr::Region(r) => {
-                add(&r.halfsegments);
-                add(&r.cycles);
-                add(&r.faces);
-            }
-            StoredAttr::MPoint(m) | StoredAttr::MReal(m) | StoredAttr::MBool(m) => add(&m.units),
-            StoredAttr::MRegion(m) => {
-                add(&m.units);
-                add(&m.msegments);
-                add(&m.mcycles);
-                add(&m.mfaces);
+    let mut layout = TupleLayout::with_root(16 * cells.len());
+    for cell in cells {
+        if let Cell::Root(name) = cell {
+            // `arrays_mut` is the record's one list of its arrays: read
+            // it on a copy.
+            let mut root = (generation.get(name).cloned())
+                .ok_or_else(|| missing(format!("no value root named {name:?}")))?;
+            for array in root.arrays_mut() {
+                layout.add_array(array, generation.store());
             }
         }
     }
-    layout
+    Ok(layout)
 }
 
 /// Rebuild the R-tree index of a pinned [`Generation`] from scratch:
-/// open the generation as a relation (no index attached), bulk-load
-/// a fresh tree over every `moving(point)` root, and return a new
-/// [`StoreFile`] carrying the same data plus the tree committed under
-/// `index_root` (a [`RootRecord::Index`] entry with compact 16-bit
-/// leaves, tag 12). An entry of
-/// that name already in the generation is replaced, not duplicated.
+/// open the relation `opts` selects (no index attached), bulk-load a
+/// fresh tree over its first `moving(point)` attribute, and return a
+/// new [`StoreFile`] carrying the same data plus the tree committed
+/// under `index_root` (a [`RootRecord::Index`] entry with compact
+/// 16-bit leaves, tag 12). An entry of that name already in the
+/// generation is replaced, not duplicated.
 ///
-/// Returns `Ok(None)` when the generation holds no `moving(point)`
-/// roots — there is nothing to index, so the caller (typically the
-/// maintenance supervisor) skips the commit.
+/// Returns `Ok(None)` when the relation is empty or has no
+/// `moving(point)` attribute — there is nothing to index, so the caller
+/// (typically the maintenance supervisor) skips the commit.
 ///
 /// # Errors
 ///
 /// Structural damage opening the generation. Quarantined roots do *not*
 /// fail the rebuild: they open under [`OnError::SkipAndRecord`] and the
 /// tree's `always` list keeps them visible to pruned scans.
-///
-/// [`StoreFile`]: mob_storage::StoreFile
 pub fn rebuild_index_root(
     generation: &Generation,
     opts: &OpenRelOpts,
     index_root: &str,
-) -> DecodeResult<Option<mob_storage::StoreFile>> {
-    let open = OpenRelOpts::new()
-        .name_attr(&opts.name_attr)
-        .mpoint_attr(&opts.mpoint_attr)
-        .on_error(OnError::SkipAndRecord);
+) -> DecodeResult<Option<StoreFile>> {
+    let open = OpenRelOpts {
+        relation: opts.relation.clone(),
+        on_error: OnError::SkipAndRecord,
+        index: None,
+    };
     let mut rel = Relation::open(generation, &open)?;
-    if rel.is_empty() {
-        return Ok(None);
-    }
-    rel.build_index(&opts.mpoint_attr)
+    let attr = match indexed_column(rel.schema()).and_then(|col| rel.schema().attrs().get(col)) {
+        Some((attr, _)) if !rel.is_empty() => attr.clone(),
+        _ => return Ok(None),
+    };
+    rel.build_index(&attr)
         .map_err(|e| DecodeError::BadStructure {
             what: "index rebuild",
             detail: e.to_string(),
@@ -562,6 +505,7 @@ mod tests {
     use mob_base::t;
     use mob_core::MovingPoint;
     use mob_spatial::pt;
+    use mob_storage::{DurableStore, MemIo};
 
     fn fleet() -> Relation {
         planes_relation(vec![
@@ -578,14 +522,47 @@ mod tests {
         ])
     }
 
+    /// Save `rel` as the relation root `"rel"`, commit it to an
+    /// in-memory durable store, reopen the store and return its head.
+    fn committed(rel: &Relation) -> Arc<Generation> {
+        let mut file = StoreFile::new();
+        save_relation(rel, &mut file, "rel").unwrap();
+        let dir = MemIo::new();
+        let mut durable = DurableStore::options().open(dir.clone()).unwrap();
+        let mut txn = durable.begin();
+        txn.put_store_file(&file).unwrap();
+        txn.commit().unwrap();
+        let reopened = DurableStore::options().open(dir).unwrap();
+        reopened.snapshot().unwrap()
+    }
+
+    /// `rel` saved, committed, reopened and opened again.
+    fn roundtrip(rel: &Relation) -> Relation {
+        Relation::open(&committed(rel), &OpenRelOpts::new().relation("rel")).unwrap()
+    }
+
+    /// Equal values, a stored `moving(point)` compared by its units.
+    fn assert_same(a: &Relation, b: &Relation) {
+        assert_eq!(a.schema(), b.schema());
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.tuples().iter().zip(b.tuples()) {
+            for (u, v) in x.values().iter().zip(y.values()) {
+                match (u, v) {
+                    (AttrValue::MPointRef(r), AttrValue::MPoint(m))
+                    | (AttrValue::MPoint(m), AttrValue::MPointRef(r)) => {
+                        assert_eq!(&r.materialize(), m);
+                    }
+                    _ => assert_eq!(u, v),
+                }
+            }
+        }
+    }
+
     #[test]
     fn relation_roundtrip() {
         let rel = fleet();
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).unwrap();
-        assert_eq!(stored.tuples.len(), 2);
-        let back = load_relation(&stored, &store).unwrap();
-        assert_eq!(back, rel);
+        let back = roundtrip(&rel);
+        assert_same(&back, &rel);
         // Queries agree on original and reloaded data.
         assert_eq!(
             long_flights(&rel, "Lufthansa", 5.0),
@@ -616,21 +593,33 @@ mod tests {
             AttrValue::Region(Region::empty()),
         ]))
         .unwrap();
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).unwrap();
-        let back = load_relation(&stored, &store).unwrap();
-        assert_eq!(back, rel);
+        assert_eq!(roundtrip(&rel), rel);
+    }
+
+    #[test]
+    fn value_roots_are_named_by_relation_column_and_row() {
+        let mut file = StoreFile::new();
+        save_relation(&fleet(), &mut file, "planes").unwrap();
+        let names: Vec<&str> = file.entries().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["planes/flight/0", "planes/flight/1", "planes"]);
+        // The name and every name under it are taken now.
+        assert!(save_relation(&fleet(), &mut file, "planes").is_err());
+        assert!(save_relation(&fleet(), &mut file, "planes/flight").is_err());
+        // A relation root opens only by its own name and kind.
+        let gen = Generation::from_store_file(1, file, Vec::new());
+        for name in ["missing", "planes/flight/0"] {
+            assert!(Relation::open(&gen, &OpenRelOpts::new().relation(name)).is_err());
+        }
     }
 
     #[test]
     fn layout_accounting() {
-        let rel = fleet();
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).unwrap();
-        let layout = tuple_layout(&stored.tuples[0], &store);
+        let gen = committed(&fleet());
+        let layout = tuple_layout(&gen, "rel", 0).unwrap();
         assert!(layout.tuple_bytes() > 0);
         // Small flights fit inline entirely.
         assert!(layout.fully_inline());
+        assert!(tuple_layout(&gen, "rel", 2).is_err());
     }
 
     #[test]
@@ -646,6 +635,9 @@ mod tests {
             ("mb", AttrType::MBool),
             ("mrg", AttrType::MRegion),
             ("z", AttrType::Region),
+            ("mp", AttrType::MPoint),
+            ("r", AttrType::Real),
+            ("b", AttrType::Bool),
         ])
         .unwrap();
         let mp = MovingPoint::from_samples(&[(t(0.0), pt(0.0, 0.0)), (t(2.0), pt(2.0, 2.0))]);
@@ -666,11 +658,13 @@ mod tests {
             AttrValue::MBool(mbool),
             AttrValue::MRegion(mregion),
             AttrValue::Region(region),
+            AttrValue::MPoint(mp),
+            AttrValue::Real(Val::Def(mob_base::r(2.5))),
+            AttrValue::Bool(Val::Undef),
         ]))
         .unwrap();
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).unwrap();
-        let back = load_relation(&stored, &store).unwrap();
+        let gen = committed(&rel);
+        let back = Relation::open(&gen, &OpenRelOpts::new().relation("rel")).unwrap();
         // MRegion compares by unit structure; the rest must be identical.
         assert_eq!(back.schema(), rel.schema());
         assert_eq!(back.len(), rel.len());
@@ -687,10 +681,11 @@ mod tests {
                         y.at_instant(t(1.0)).unwrap().area()
                     );
                 }
+                (AttrValue::MPointRef(x), AttrValue::MPoint(y)) => assert_eq!(&x.materialize(), y),
                 _ => assert_eq!(a, b),
             }
         }
-        let layout = tuple_layout(&stored.tuples[0], &store);
+        let layout = tuple_layout(&gen, "rel", 0).unwrap();
         assert!(layout.tuple_bytes() > 0);
     }
 }

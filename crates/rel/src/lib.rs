@@ -18,9 +18,7 @@ pub mod scan;
 pub mod schema;
 pub mod value;
 
-pub use catalog::{
-    index_rebuilder, load_relation, rebuild_index_root, save_relation, OpenRelOpts, StoredRelation,
-};
+pub use catalog::{index_rebuilder, rebuild_index_root, save_relation, OpenRelOpts};
 pub use plan::{Plan, Probe};
 pub use queries::{
     close_encounters, closest_approach, closest_approach_seq, long_flights, planes_relation,

@@ -173,9 +173,9 @@ pub enum IndexPolicy {
 
 /// What a relation scan does when it meets a tuple carrying an
 /// [`AttrValue::Quarantined`] attribute (produced by a degraded open of
-/// a damaged store, [`Relation::from_stored`]).
+/// a damaged store, [`Relation::open`]).
 ///
-/// [`Relation::from_stored`]: crate::Relation::from_stored
+/// [`Relation::open`]: crate::Relation::open
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum OnError {
     /// Abort the whole scan with [`DecodeError::Quarantined`] naming the
@@ -459,7 +459,7 @@ impl Relation {
     ///
     /// # Errors
     ///
-    /// On a relation opened degraded ([`Relation::from_stored`]),
+    /// On a relation opened degraded ([`Relation::open`]),
     /// tuples may carry [`AttrValue::Quarantined`] attributes; what
     /// happens then is the [`ScanOpts::on_error`] policy — the default
     /// [`OnError::Fail`] aborts with [`DecodeError::Quarantined`],
@@ -569,12 +569,12 @@ impl Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::save_relation;
+    use crate::catalog::{save_relation, OpenRelOpts};
     use crate::queries::planes_relation;
     use mob_base::{t, Val};
     use mob_core::MovingPoint;
     use mob_spatial::{pt, rect_ring, Region};
-    use mob_storage::PageStore;
+    use mob_storage::{DurableStore, MemIo, StoreFile};
     use std::sync::Arc;
 
     fn fleet(n: usize) -> Relation {
@@ -1027,9 +1027,19 @@ mod tests {
         // The same fleet, in memory and opened from storage, must give
         // identical scan results.
         let rel = fleet(11);
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).unwrap();
-        let opened = Relation::from_stored(&stored, Arc::new(store), OnError::Fail).unwrap();
+        let mut file = StoreFile::new();
+        save_relation(&rel, &mut file, "planes").unwrap();
+        let dir = MemIo::new();
+        let mut store = DurableStore::options().open(dir.clone()).unwrap();
+        let mut txn = store.begin();
+        txn.put_store_file(&file).unwrap();
+        txn.commit().unwrap();
+        let head = DurableStore::options()
+            .open(dir)
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        let opened = Relation::open(&head, &OpenRelOpts::new().relation("planes")).unwrap();
         let ti = t(6.5);
         let opts = ScanOpts::parallel();
         assert_eq!(

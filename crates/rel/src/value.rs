@@ -11,6 +11,8 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
+pub use mob_storage::AttrType;
+
 /// A **storage-backed** `moving(point)` attribute: the root record
 /// ([`StoredMapping`]) of a serialized flight plus a shared handle to
 /// the page store holding its unit array. Queries access it through
@@ -145,37 +147,6 @@ impl UnitSeq for MPointSeq<'_> {
     }
 }
 
-/// The attribute types available to relation schemas.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum AttrType {
-    /// `int`
-    Int,
-    /// `real`
-    Real,
-    /// `string`
-    Str,
-    /// `bool`
-    Bool,
-    /// `instant`
-    Instant,
-    /// `point`
-    Point,
-    /// `points`
-    Points,
-    /// `line`
-    Line,
-    /// `region`
-    Region,
-    /// `moving(point)` — `mpoint` in the paper's schema notation.
-    MPoint,
-    /// `moving(real)`
-    MReal,
-    /// `moving(bool)`
-    MBool,
-    /// `moving(region)`
-    MRegion,
-}
-
 /// A value of one of the attribute types.
 #[derive(Clone, PartialEq)]
 pub enum AttrValue {
@@ -209,7 +180,7 @@ pub enum AttrValue {
     /// `moving(region)` value.
     MRegion(MovingRegion),
     /// A value whose stored bytes failed their integrity checks during a
-    /// **degraded** open ([`crate::Relation::from_stored`]): the
+    /// **degraded** open ([`crate::Relation::open`]): the
     /// page-store blob behind it is quarantined, so the value cannot be
     /// decoded. The variant keeps the tuple structurally intact — it
     /// remembers the schema type the value would have had plus the first

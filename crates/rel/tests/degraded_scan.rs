@@ -69,7 +69,7 @@ fn committed_dir() -> MemIo {
 
 /// Open options matching the fleet catalog.
 fn rel_opts() -> OpenRelOpts {
-    OpenRelOpts::new().name_attr("flight").mpoint_attr("trip")
+    OpenRelOpts::new()
 }
 
 /// The flights whose unit blob was quarantined by the degraded open.

@@ -11,12 +11,12 @@ use mob_base::{t, Interval};
 use mob_core::MovingPoint;
 use mob_rel::queries::planes_relation;
 use mob_rel::{
-    catalog::save_relation, AttrType, AttrValue, IndexPolicy, OnError, Relation, ScanOpts, Tuple,
+    save_relation, AttrType, AttrValue, IndexPolicy, OnError, OpenRelOpts, Relation, ScanOpts,
+    Tuple,
 };
 use mob_spatial::{pt, rect_ring, Region};
-use mob_storage::PageStore;
+use mob_storage::{DurableStore, MemIo, StoreFile};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// One tuple spec: origin and leg count; trajectory is derived
 /// deterministically so the two backends hold identical fleets.
@@ -43,6 +43,24 @@ fn fleet(specs: &[Spec]) -> Relation {
             })
             .collect(),
     )
+}
+
+/// `rel` saved as a relation root, committed to an in-memory durable
+/// store, and opened again from the reopened store's head.
+fn reopened(rel: &Relation) -> Relation {
+    let mut file = StoreFile::new();
+    save_relation(rel, &mut file, "planes").unwrap();
+    let dir = MemIo::new();
+    let mut store = DurableStore::options().open(dir.clone()).unwrap();
+    let mut txn = store.begin();
+    txn.put_store_file(&file).unwrap();
+    txn.commit().unwrap();
+    let head = DurableStore::options()
+        .open(dir)
+        .unwrap()
+        .snapshot()
+        .unwrap();
+    Relation::open(&head, &OpenRelOpts::new().relation("planes")).unwrap()
 }
 
 /// Replace tuple `q`'s moving point with a quarantine placeholder (what
@@ -142,9 +160,7 @@ proptest! {
 
         // Storage backend: same fleet through save/open, index rebuilt
         // over the stored views.
-        let mut store = PageStore::new();
-        let stored = save_relation(&mem, &mut store).unwrap();
-        let mut opened = Relation::from_stored(&stored, Arc::new(store), OnError::Fail).unwrap();
+        let mut opened = reopened(&mem);
         opened.build_index("flight").unwrap();
         assert_equivalent(&opened, probe_t, &zone, w0, w0 + dw, OnError::Fail);
 

@@ -95,10 +95,7 @@ fn committed_dir() -> MemIo {
 
 /// Open options matching the fleet catalog, index attach requested.
 fn rel_opts() -> OpenRelOpts {
-    OpenRelOpts::new()
-        .name_attr("flight")
-        .mpoint_attr("trip")
-        .index("fleet/index")
+    OpenRelOpts::new().index("fleet/index")
 }
 
 /// The selective probe: a small window around flight 2's corridor,
@@ -172,14 +169,8 @@ fn flipped_index_frames_degrade_to_recorded_full_scans() {
             .expect("degraded open tolerates quarantined blobs");
 
         // Reference answer first, on an index-free twin.
-        let twin = Relation::open(
-            &snap,
-            &OpenRelOpts::new()
-                .name_attr("flight")
-                .mpoint_attr("trip")
-                .on_error(OnError::SkipAndRecord),
-        )
-        .expect("degraded open tolerates quarantined blobs");
+        let twin = Relation::open(&snap, &OpenRelOpts::new().on_error(OnError::SkipAndRecord))
+            .expect("degraded open tolerates quarantined blobs");
         let opts_full = ScanOpts::new()
             .on_error(OnError::SkipAndRecord)
             .index(IndexPolicy::Off);

@@ -85,15 +85,10 @@
 
 use crate::catalog::{Catalog, Finger};
 use crate::dbarray::{read_array_bytes, save_array, save_array_bytes, Placement, SavedArray};
-use crate::index_store::{load_index, StoredIndex};
-use crate::line_store::{StoredLine, StoredPoints};
-use crate::mapping_store::{
-    StoredMLine, StoredMPoints, StoredMRegion, StoredMapping, UPointRecord,
-};
+use crate::index_store::load_index;
+use crate::mapping_store::{StoredMapping, UPointRecord};
 use crate::page::PageStore;
-use crate::range_store::StoredPeriods;
 use crate::record::FixedRecord;
-use crate::region_store::StoredRegion;
 use crate::store_file::{RootRecord, StoreFile};
 use crate::view::{self, MappingView, Verify};
 use mob_base::{DecodeError, DecodeResult, Instant, Real, TimeInterval};
@@ -243,6 +238,12 @@ impl Generation {
         self.catalog.get(name)
     }
 
+    /// The root catalog with its name index.
+    #[must_use]
+    pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
     /// Catalog entries the last full snapshot held: [`Generation::entries`]
     /// past this position are roots created by deltas since.
     #[must_use]
@@ -281,8 +282,10 @@ impl Generation {
         &self.quarantined
     }
 
-    /// Open a lazy view over the `moving(point)` root `name` — same
-    /// error contract as [`StoreFile::open_mpoint`].
+    /// Open a lazy view over the `moving(point)` root `name`. A missing
+    /// name or a root of another kind is a [`DecodeError::BadStructure`];
+    /// `verify` chooses between the full `O(n)` structural scan and the
+    /// `O(1)` layout checks.
     pub fn open_mpoint(
         &self,
         name: &str,
@@ -413,7 +416,13 @@ impl Generation {
             if !self.image_carries(root) {
                 continue;
             }
-            entries.push((name.clone(), rewrite_root(&self.store, &mut dst, root)?));
+            let mut root = root.clone();
+            for array in root.arrays_mut() {
+                if let Placement::External(id) = &mut array.placement {
+                    *id = dst.share_blob(&self.store, *id)?;
+                }
+            }
+            entries.push((name.clone(), root));
         }
         Ok(StoreFile::from_parts(dst, Catalog::from_entries(entries)))
     }
@@ -995,91 +1004,6 @@ fn push_unit(out: &mut Vec<UPointRecord>, u: UPointRecord) -> DecodeResult<()> {
     }
     out.push(u);
     Ok(())
-}
-
-/// Carry a saved array over into `dst`, preserving its placement (inline
-/// stays inline, an external blob becomes a blob of `dst` sharing its
-/// pages: see [`PageStore::share_blob`]).
-fn rewrite_saved(src: &PageStore, dst: &mut PageStore, a: &SavedArray) -> DecodeResult<SavedArray> {
-    let placement = match &a.placement {
-        Placement::Inline(b) => Placement::Inline(b.clone()),
-        Placement::External(id) => Placement::External(dst.share_blob(src, *id)?),
-    };
-    Ok(SavedArray {
-        count: a.count,
-        placement,
-    })
-}
-
-/// Carry one root record's arrays over from `src` into `dst` (compaction).
-fn rewrite_root(
-    src: &PageStore,
-    dst: &mut PageStore,
-    root: &RootRecord,
-) -> DecodeResult<RootRecord> {
-    Ok(match root {
-        RootRecord::MBool(m) => RootRecord::MBool(StoredMapping {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-        }),
-        RootRecord::MReal(m) => RootRecord::MReal(StoredMapping {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-        }),
-        RootRecord::MPoint(m) => RootRecord::MPoint(StoredMapping {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-        }),
-        RootRecord::MPoints(m) => RootRecord::MPoints(StoredMPoints {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-            motions: rewrite_saved(src, dst, &m.motions)?,
-        }),
-        RootRecord::MLine(m) => RootRecord::MLine(StoredMLine {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-            msegments: rewrite_saved(src, dst, &m.msegments)?,
-        }),
-        RootRecord::MRegion(m) => RootRecord::MRegion(StoredMRegion {
-            num_units: m.num_units,
-            units: rewrite_saved(src, dst, &m.units)?,
-            msegments: rewrite_saved(src, dst, &m.msegments)?,
-            mcycles: rewrite_saved(src, dst, &m.mcycles)?,
-            mfaces: rewrite_saved(src, dst, &m.mfaces)?,
-        }),
-        RootRecord::Line(l) => RootRecord::Line(StoredLine {
-            num_segments: l.num_segments,
-            length: l.length,
-            bbox: l.bbox,
-            halfsegs: rewrite_saved(src, dst, &l.halfsegs)?,
-        }),
-        RootRecord::Points(p) => RootRecord::Points(StoredPoints {
-            count: p.count,
-            points: rewrite_saved(src, dst, &p.points)?,
-        }),
-        RootRecord::Region(r) => RootRecord::Region(StoredRegion {
-            num_faces: r.num_faces,
-            num_cycles: r.num_cycles,
-            num_segments: r.num_segments,
-            area: r.area,
-            perimeter: r.perimeter,
-            bbox: r.bbox,
-            halfsegments: rewrite_saved(src, dst, &r.halfsegments)?,
-            cycles: rewrite_saved(src, dst, &r.cycles)?,
-            faces: rewrite_saved(src, dst, &r.faces)?,
-        }),
-        RootRecord::Periods(p) => RootRecord::Periods(StoredPeriods {
-            count: p.count,
-            intervals: rewrite_saved(src, dst, &p.intervals)?,
-        }),
-        RootRecord::Index(i) => RootRecord::Index(StoredIndex {
-            num_tuples: i.num_tuples,
-            fanout: i.fanout,
-            frame: i.frame,
-            entries: rewrite_saved(src, dst, &i.entries)?,
-            nodes: rewrite_saved(src, dst, &i.nodes)?,
-        }),
-    })
 }
 
 #[cfg(test)]

@@ -161,6 +161,10 @@ impl FixedRecord for CodedEntryRecord {
             put_u16(out, c);
         }
     }
+    // Inline across codegen units: `load_index` decodes one record per
+    // indexed unit run through the generic `read_all`, and left out of
+    // line this call made a 120k-entry load about 30 % slower.
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         // One bounds check for the whole record: a load decodes one per
         // indexed unit run.

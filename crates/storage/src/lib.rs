@@ -45,6 +45,8 @@
 //!   link structure (Sec 4.1);
 //! * [`mapping_store`] — the sliced-representation layouts (Sec 4.2–4.3,
 //!   Fig 7) for all eight moving types' storage shapes;
+//! * [`relation_store`] — relations as one root record each: the
+//!   schema, scalar cells inline, and the names of the value roots;
 //! * [`view`](mod@crate::view) — **query-over-storage**: lazy
 //!   [`view::MappingView`]s implementing `mob-core`'s `UnitSeq`, so
 //!   Section-5 algorithms run directly on serialized records with
@@ -71,6 +73,7 @@ pub mod page;
 pub mod range_store;
 pub mod record;
 pub mod region_store;
+pub mod relation_store;
 pub mod store_file;
 pub mod supervisor;
 pub mod tuple;
@@ -101,6 +104,7 @@ pub use page::{
     FRAME_OVERHEAD, MAX_PAGE_SIZE,
 };
 pub use record::FixedRecord;
+pub use relation_store::{AttrType, Cell, StoredRelation};
 pub use store_file::{RootRecord, StoreFile};
 pub use supervisor::{
     classify, FaultClass, MaintStatus, MaintTick, RetryOutcome, RetryPolicy, Supervisor,

@@ -27,16 +27,13 @@ use crate::catalog::Catalog;
 use crate::dbarray::{Placement, SavedArray};
 use crate::index_store::{self, StoredIndex};
 use crate::line_store::{StoredLine, StoredPoints};
-use crate::mapping_store::{
-    StoredMLine, StoredMPoints, StoredMRegion, StoredMapping, UBoolRecord, ULineRecord,
-    UPointRecord, UPointsRecord, URealRecord, URegionRecord,
-};
+use crate::mapping_store::{StoredMLine, StoredMPoints, StoredMRegion, StoredMapping};
 use crate::page::{BlobId, PageStore};
 use crate::range_store::StoredPeriods;
-use crate::record::{get_f64, get_u32, need_bytes, put_f64, put_u32};
+use crate::record::{get_f64, get_u32, need_bytes, put_f64, put_u32, FixedRecord};
 use crate::region_store::StoredRegion;
-use crate::view::{self, MappingView, Verify};
-use mob_base::{DecodeError, DecodeResult};
+use crate::relation_store::{AttrType, Cell, StoredRelation};
+use mob_base::{DecodeError, DecodeResult, Text, Val};
 
 /// File magic: identifies a serialized store file (version 1).
 pub const MAGIC: &[u8; 8] = b"MOBSTOR1";
@@ -68,6 +65,9 @@ pub enum RootRecord {
     /// pruning structure): tag 12 with 16-bit leaf codes in a stored
     /// frame, or tag 11 with `f64` leaf cubes (read only).
     Index(StoredIndex),
+    /// A relation: schema, scalar cells and the names of its value
+    /// roots (tag 13, written in full images only).
+    Relation(StoredRelation),
 }
 
 impl RootRecord {
@@ -91,6 +91,7 @@ impl RootRecord {
                     11
                 }
             }
+            RootRecord::Relation(_) => 13,
         }
     }
 
@@ -108,6 +109,32 @@ impl RootRecord {
             RootRecord::Region(_) => "region",
             RootRecord::Periods(_) => "periods",
             RootRecord::Index(_) => "index",
+            RootRecord::Relation(_) => "relation",
+        }
+    }
+
+    /// The database arrays the record references, in record order.
+    pub fn arrays_mut(&mut self) -> Vec<&mut SavedArray> {
+        match self {
+            RootRecord::MBool(m) | RootRecord::MReal(m) | RootRecord::MPoint(m) => {
+                vec![&mut m.units]
+            }
+            RootRecord::MPoints(m) => vec![&mut m.units, &mut m.motions],
+            RootRecord::MLine(m) => vec![&mut m.units, &mut m.msegments],
+            RootRecord::MRegion(m) => {
+                vec![
+                    &mut m.units,
+                    &mut m.msegments,
+                    &mut m.mcycles,
+                    &mut m.mfaces,
+                ]
+            }
+            RootRecord::Line(l) => vec![&mut l.halfsegs],
+            RootRecord::Points(p) => vec![&mut p.points],
+            RootRecord::Region(r) => vec![&mut r.halfsegments, &mut r.cycles, &mut r.faces],
+            RootRecord::Periods(p) => vec![&mut p.intervals],
+            RootRecord::Index(ix) => vec![&mut ix.entries, &mut ix.nodes],
+            RootRecord::Relation(_) => Vec::new(),
         }
     }
 }
@@ -204,105 +231,6 @@ impl StoreFile {
         StoreFile { store, catalog }
     }
 
-    /// Resolve a catalog entry fallibly: a missing name is a
-    /// [`DecodeError::BadStructure`], not an `Option` to unwrap.
-    fn resolve(&self, name: &str) -> DecodeResult<&RootRecord> {
-        self.get(name).ok_or_else(|| DecodeError::BadStructure {
-            what: "store file catalog",
-            detail: format!("no entry named {name:?}"),
-        })
-    }
-
-    /// Kind-mismatch error for a resolved entry of the wrong type.
-    fn kind_mismatch(name: &str, want: &'static str, found: &RootRecord) -> DecodeError {
-        DecodeError::BadStructure {
-            what: "store file catalog",
-            detail: format!("entry {name:?} is a {}, not a {want}", found.kind_name()),
-        }
-    }
-
-    /// Open a lazy view over the `moving(bool)` entry `name`.
-    ///
-    /// The unified, fallible query entry point: missing names and kind
-    /// mismatches surface as [`DecodeError`]s, and [`Verify`] chooses
-    /// between the full `O(n)` structural scan and the `O(1)` fast path
-    /// for store files that a verifier already audited.
-    pub fn open_mbool(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UBoolRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MBool(stored) => view::open_mbool(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mbool", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(real)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mreal(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, URealRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MReal(stored) => view::open_mreal(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mreal", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(point)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mpoint(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UPointRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MPoint(stored) => view::open_mpoint(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mpoint", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(points)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mpoints(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, UPointsRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MPoints(stored) => view::open_mpoints(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mpoints", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(line)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mline(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, ULineRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MLine(stored) => view::open_mline(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mline", other)),
-        }
-    }
-
-    /// Open a lazy view over the `moving(region)` entry `name` (see
-    /// [`StoreFile::open_mbool`] for the error contract).
-    pub fn open_mregion(
-        &self,
-        name: &str,
-        verify: Verify,
-    ) -> DecodeResult<MappingView<'_, URegionRecord>> {
-        match self.resolve(name)? {
-            RootRecord::MRegion(stored) => view::open_mregion(stored, &self.store, verify),
-            other => Err(Self::kind_mismatch(name, "mregion", other)),
-        }
-    }
-
     /// Serialize the whole store file (pages + catalog) to bytes.
     pub fn to_bytes(&self) -> DecodeResult<Vec<u8>> {
         let mut out = Vec::new();
@@ -317,8 +245,7 @@ impl StoreFile {
         }
         put_u32(&mut out, crate::checked::count_u32(self.catalog.len()));
         for (name, root) in self.catalog.entries() {
-            put_u32(&mut out, crate::checked::count_u32(name.len()));
-            out.extend_from_slice(name.as_bytes());
+            put_str(&mut out, name);
             out.push(root.tag());
             write_root(&mut out, root);
         }
@@ -422,18 +349,7 @@ impl StoreFile {
         let n_entries = cur.take_u32("store file entry count")?;
         let mut entries = Vec::new();
         for _ in 0..n_entries {
-            let name_len = cur.take_u32("store file entry name length")?;
-            let name_bytes =
-                cur.take(crate::checked::idx_usize(name_len), "store file entry name")?;
-            let name = match std::str::from_utf8(name_bytes) {
-                Ok(s) => s.to_string(),
-                Err(_) => {
-                    return Err(DecodeError::BadStructure {
-                        what: "store file entry name",
-                        detail: "entry name is not valid UTF-8".to_string(),
-                    })
-                }
-            };
+            let name = cur.take_str("store file entry name")?.to_string();
             let tag = cur.take_u8("store file entry kind")?;
             let root = read_root(&mut cur, tag, store.num_blobs())?;
             entries.push((name, root));
@@ -495,6 +411,34 @@ impl<'a> Cursor<'a> {
     fn take_f64(&mut self, what: &'static str) -> DecodeResult<f64> {
         let s = self.take(8, what)?;
         get_f64(s, 0)
+    }
+
+    /// A `u32` byte length, then that many bytes of UTF-8.
+    fn take_str(&mut self, what: &'static str) -> DecodeResult<&'a str> {
+        let len = crate::checked::idx_usize(self.take_u32(what)?);
+        std::str::from_utf8(self.take(len, what)?).map_err(|_| DecodeError::BadStructure {
+            what,
+            detail: "not valid UTF-8".to_string(),
+        })
+    }
+
+    /// A defined flag (0 for ⊥, 1 for a value), then the value.
+    fn take_val<T>(
+        &mut self,
+        take: impl FnOnce(&mut Self) -> DecodeResult<T>,
+    ) -> DecodeResult<Val<T>> {
+        match self.take_u8("relation cell defined flag")? {
+            0 => Ok(Val::Undef),
+            1 => take(self).map(Val::Def),
+            tag => Err(DecodeError::BadTag {
+                what: "relation cell defined flag",
+                tag: u32::from(tag),
+            }),
+        }
+    }
+
+    fn take_record<T: FixedRecord>(&mut self) -> DecodeResult<T> {
+        T::read(self.take(T::SIZE, T::WHAT)?)
     }
 
     fn at_end(&self) -> bool {
@@ -617,7 +561,92 @@ fn write_root(out: &mut Vec<u8>, root: &RootRecord) {
             write_saved(out, &ix.entries);
             write_saved(out, &ix.nodes);
         }
+        RootRecord::Relation(r) => {
+            put_u32(out, crate::checked::count_u32(r.columns.len()));
+            for (name, ty) in &r.columns {
+                put_str(out, name);
+                put_str(out, ty.name());
+            }
+            put_u32(out, crate::checked::count_u32(r.rows));
+            for cell in &r.cells {
+                write_cell(out, cell);
+            }
+        }
     }
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, crate::checked::count_u32(s.len()));
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_val<T>(out: &mut Vec<u8>, v: &Val<T>, put: impl FnOnce(&mut Vec<u8>, &T)) {
+    match v {
+        Val::Undef => out.push(0),
+        Val::Def(x) => {
+            out.push(1);
+            put(out, x);
+        }
+    }
+}
+
+fn write_cell(out: &mut Vec<u8>, cell: &Cell) {
+    match cell {
+        Cell::Int(v) => put_val(out, v, |out, x| x.write(out)),
+        Cell::Real(v) => put_val(out, v, |out, x| x.write(out)),
+        Cell::Str(v) => put_val(out, v, |out, x| put_str(out, x.as_str())),
+        Cell::Bool(v) => put_val(out, v, |out, x| x.write(out)),
+        Cell::Instant(v) => put_val(out, v, |out, x| x.write(out)),
+        Cell::Point(v) => put_val(out, v, |out, x| x.write(out)),
+        Cell::Root(name) => put_str(out, name),
+    }
+}
+
+/// Read one cell of a column of type `ty`.
+fn read_cell(cur: &mut Cursor<'_>, ty: AttrType) -> DecodeResult<Cell> {
+    Ok(match ty {
+        AttrType::Int => Cell::Int(cur.take_val(Cursor::take_record)?),
+        AttrType::Real => Cell::Real(cur.take_val(Cursor::take_record)?),
+        AttrType::Str => Cell::Str(
+            cur.take_val(|cur| Ok(Text::try_new(cur.take_str("relation string cell")?)?))?,
+        ),
+        AttrType::Bool => Cell::Bool(cur.take_val(Cursor::take_record)?),
+        AttrType::Instant => Cell::Instant(cur.take_val(Cursor::take_record)?),
+        AttrType::Point => Cell::Point(cur.take_val(Cursor::take_record)?),
+        _ => Cell::Root(cur.take_str("relation value root name")?.to_string()),
+    })
+}
+
+/// Read a relation root: the columns, the row count, then row after row
+/// one cell per column. Every cell takes at least one byte, so a forged
+/// row count runs out of input instead of allocating.
+fn read_relation(cur: &mut Cursor<'_>) -> DecodeResult<StoredRelation> {
+    let mut columns = Vec::new();
+    for _ in 0..cur.take_u32("relation column count")? {
+        let name = cur.take_str("relation column name")?.to_string();
+        columns.push((
+            name,
+            AttrType::from_name(cur.take_str("relation column type")?)?,
+        ));
+    }
+    let rows = crate::checked::idx_usize(cur.take_u32("relation row count")?);
+    let n_cells = rows
+        .checked_mul(columns.len())
+        .ok_or_else(|| DecodeError::BadStructure {
+            what: "relation row count",
+            detail: format!("{rows} rows of {} columns overflow", columns.len()),
+        })?;
+    let cells = columns
+        .iter()
+        .cycle()
+        .take(n_cells)
+        .map(|(_, ty)| read_cell(cur, *ty))
+        .collect::<DecodeResult<Vec<Cell>>>()?;
+    Ok(StoredRelation {
+        columns,
+        rows,
+        cells,
+    })
 }
 
 fn read_root(cur: &mut Cursor<'_>, tag: u8, n_blobs: usize) -> DecodeResult<RootRecord> {
@@ -700,6 +729,7 @@ fn read_root(cur: &mut Cursor<'_>, tag: u8, n_blobs: usize) -> DecodeResult<Root
             entries: read_saved(cur, n_blobs)?,
             nodes: read_saved(cur, n_blobs)?,
         }),
+        13 => RootRecord::Relation(read_relation(cur)?),
         t => {
             return Err(DecodeError::BadTag {
                 what: "root record kind",
@@ -714,6 +744,7 @@ fn read_root(cur: &mut Cursor<'_>, tag: u8, n_blobs: usize) -> DecodeResult<Root
 mod tests {
     use super::*;
     use crate::mapping_store::{save_mbool, save_mpoint};
+    use crate::view::{self, Verify};
     use mob_base::{t, Periods, TimeInterval};
     use mob_core::{MovingBool, MovingPoint, UnitSeq};
     use mob_spatial::pt;
@@ -751,15 +782,20 @@ mod tests {
         assert_eq!(back.entries().len(), 2);
         assert_eq!(back.entries()[0].0, "trip");
         assert_eq!(back.entries()[1].0, "flag");
-        // The decoded root records open as valid views through the
-        // catalog-level API.
-        let view = back.open_mpoint("trip", Verify::Full).unwrap();
+        // The decoded root records open as valid views.
+        let Some(RootRecord::MPoint(trip)) = back.get("trip") else {
+            panic!("trip is an mpoint root");
+        };
+        let view = view::open_mpoint(trip, back.store(), Verify::Full).unwrap();
         view.validate().unwrap();
         let orig = sample_mpoint();
         assert_eq!(view.len(), orig.len());
         let loaded = view.materialize_validated().unwrap();
         assert_eq!(loaded.len(), orig.len());
-        back.open_mbool("flag", Verify::Full)
+        let Some(RootRecord::MBool(flag)) = back.get("flag") else {
+            panic!("flag is an mbool root");
+        };
+        view::open_mbool(flag, back.store(), Verify::Full)
             .unwrap()
             .validate()
             .unwrap();
@@ -767,7 +803,7 @@ mod tests {
 
     #[test]
     fn open_rejects_missing_names_and_kind_mismatches() {
-        let file = sample_file();
+        let file = crate::Generation::from_store_file(1, sample_file(), Vec::new());
         // Missing name.
         let Err(err) = file.open_mpoint("nope", Verify::Full) else {
             panic!("missing name must fail");
@@ -781,11 +817,6 @@ mod tests {
             err.to_string().contains("mbool"),
             "mismatch error names the found kind: {err}"
         );
-        // Every typed opener rejects a wrong-kind entry.
-        assert!(file.open_mreal("trip", Verify::Full).is_err());
-        assert!(file.open_mpoints("trip", Verify::Full).is_err());
-        assert!(file.open_mline("trip", Verify::Full).is_err());
-        assert!(file.open_mregion("trip", Verify::Full).is_err());
         // Preverified skips the O(n) scan but still resolves the entry.
         assert!(file.open_mpoint("trip", Verify::Preverified).is_ok());
     }
@@ -946,5 +977,7 @@ mod tests {
         assert_eq!(RootRecord::MBool(mb.clone()).kind_name(), "mbool");
         assert_eq!(RootRecord::MReal(mb.clone()).kind_name(), "mreal");
         assert_eq!(RootRecord::MPoint(mb).kind_name(), "mpoint");
+        let rel = RootRecord::Relation(StoredRelation::new(Vec::new()));
+        assert_eq!((rel.kind_name(), rel.tag()), ("relation", 13));
     }
 }

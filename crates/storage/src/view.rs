@@ -81,7 +81,7 @@ pub const DEFAULT_UNIT_CACHE: usize = 8;
 /// How much verification a record-opening entry point performs.
 ///
 /// The unified `open_*` constructors ([`open_mpoint`],
-/// [`crate::StoreFile::open_mpoint`], …) take this instead of splitting
+/// [`crate::Generation::open_mpoint`], …) take this instead of splitting
 /// into `view_*` / `view_*_preverified` / `load_*` families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verify {

@@ -16,9 +16,9 @@
 //! * every proper prefix truncation, all of which must be rejected.
 //!
 //! A final randomized proptest sprays multi-byte corruption across a
-//! combined file holding all ten kinds at once.
+//! combined file holding every kind at once.
 
-use mob_base::{t, Interval, Periods, TimeInterval, Validate};
+use mob_base::{r, t, Interval, Periods, Text, TimeInterval, Val, Validate};
 use mob_core::{
     unit_cubes, ConstUnit, MSeg, Mapping, MovingPoint, PointMotion, RTree, ULine, UPoints, UReal,
     URegion,
@@ -26,7 +26,8 @@ use mob_core::{
 use mob_spatial::{pt, rect_ring, seg, Face, Line, Points, Region};
 use mob_storage::store_file::RootRecord;
 use mob_storage::{
-    index_store, line_store, mapping_store, range_store, region_store, view, StoreFile,
+    index_store, line_store, mapping_store, range_store, region_store, view, AttrType, Cell,
+    StoreFile, StoredRelation,
 };
 use proptest::prelude::*;
 
@@ -75,6 +76,9 @@ fn exercise(bytes: &[u8]) -> Result<(), String> {
             }
             RootRecord::Index(s) => {
                 index_store::load_index(s, store).map_err(|e| e.to_string())?;
+            }
+            RootRecord::Relation(r) => {
+                r.check_roots(file.catalog()).map_err(|e| e.to_string())?;
             }
         }
     }
@@ -287,13 +291,60 @@ fn put_index(file: &mut StoreFile) {
     file.put("index", RootRecord::Index(stored));
 }
 
+/// A relation of two rows over every scalar type, half the scalars ⊥,
+/// both rows naming one value root.
+fn put_relation(file: &mut StoreFile) {
+    let trip = MovingPoint::from_samples(&[
+        (t(0.0), pt(0.0, 0.0)),
+        (t(1.0), pt(1.0, 1.0)),
+        (t(2.0), pt(2.0, 0.0)),
+    ]);
+    let stored = mapping_store::save_mpoint(&trip, file.store_mut());
+    file.put("rel/trip/0", RootRecord::MPoint(stored));
+    let mut rel = StoredRelation::new(
+        [
+            ("name", AttrType::Str),
+            ("n", AttrType::Int),
+            ("x", AttrType::Real),
+            ("ok", AttrType::Bool),
+            ("at", AttrType::Instant),
+            ("p", AttrType::Point),
+            ("trip", AttrType::MPoint),
+        ]
+        .map(|(n, ty)| (n.to_string(), ty))
+        .to_vec(),
+    );
+    let trip = || Cell::Root("rel/trip/0".to_string());
+    rel.push_row(vec![
+        Cell::Str(Val::Def(Text::try_new("LH1").unwrap())),
+        Cell::Int(Val::Def(-7)),
+        Cell::Real(Val::Undef),
+        Cell::Bool(Val::Def(true)),
+        Cell::Instant(Val::Undef),
+        Cell::Point(Val::Def(pt(1.0, 2.0))),
+        trip(),
+    ])
+    .unwrap();
+    rel.push_row(vec![
+        Cell::Str(Val::Undef),
+        Cell::Int(Val::Undef),
+        Cell::Real(Val::Def(r(2.5))),
+        Cell::Bool(Val::Undef),
+        Cell::Instant(Val::Def(t(3.0))),
+        Cell::Point(Val::Undef),
+        trip(),
+    ])
+    .unwrap();
+    file.put("rel", RootRecord::Relation(rel));
+}
+
 fn single(put: fn(&mut StoreFile)) -> StoreFile {
     let mut file = StoreFile::new();
     put(&mut file);
     file
 }
 
-/// All eleven kinds in one file (the randomized fuzz target).
+/// Every kind in one file (the randomized fuzz target).
 fn all_kinds() -> StoreFile {
     let mut file = StoreFile::new();
     for put in [
@@ -308,6 +359,7 @@ fn all_kinds() -> StoreFile {
         put_region,
         put_periods,
         put_index,
+        put_relation,
     ] {
         put(&mut file);
     }
@@ -370,6 +422,13 @@ fn sweep_region() {
 #[test]
 fn sweep_periods() {
     sweep(&single(put_periods), "periods");
+}
+
+#[test]
+fn sweep_relation() {
+    let file = single(put_relation);
+    assert!(matches!(file.get("rel"), Some(RootRecord::Relation(r)) if r.rows().count() == 2));
+    sweep(&file, "relation");
 }
 
 /// A store file written before compact index leaves: six taxi tracks

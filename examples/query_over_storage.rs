@@ -1,7 +1,8 @@
-//! Query-over-storage walkthrough: save a `planes` relation into the
-//! page store, then run Section 2's Query 1 **in place** — the flights
-//! stay serialized and the query decodes only the unit records it
-//! actually needs.
+//! Query-over-storage walkthrough: save a `planes` relation, commit it
+//! to a durable store (in memory), reopen the store, open the relation
+//! and run Section 2's Query 1 **in place** — the flights stay
+//! serialized and the query decodes only the unit records it actually
+//! needs.
 //!
 //! ```sh
 //! cargo run --example query_over_storage
@@ -9,9 +10,8 @@
 
 use mob::core::UnitSeq;
 use mob::prelude::*;
-use mob::rel::{long_flights, planes_relation, save_relation, OnError};
-use mob::storage::PageStore;
-use std::sync::Arc;
+use mob::rel::{long_flights, planes_relation, save_relation, OpenRelOpts};
+use mob::storage::{DurableStore, MemIo, StoreFile};
 
 fn main() {
     // A seeded fleet: 16 planes, ~512 units per flight.
@@ -28,22 +28,33 @@ fn main() {
         .sum();
 
     // Persist it: every flight becomes a root record + a unit array in
-    // page chains (Sec 4's attribute representation).
-    let mut store = PageStore::new();
-    let stored = save_relation(&fleet, &mut store).expect("fleet serializes");
-    let pages_total = store.pages_written();
+    // page chains (Sec 4's attribute representation), and the relation
+    // one more root naming them. Commit it and reopen the store.
+    let mut file = StoreFile::new();
+    save_relation(&fleet, &mut file, "planes").expect("fleet serializes");
+    let pages_total = file.store().pages_written();
     println!(
         "saved {} planes / {} units into {} pages",
         fleet.len(),
         total_units,
         pages_total
     );
+    let dir = MemIo::new();
+    let mut durable = DurableStore::options().open(dir.clone()).expect("opens");
+    let mut txn = durable.begin();
+    txn.put_store_file(&file).expect("stages");
+    txn.commit().expect("commits");
+    let head = DurableStore::options()
+        .open(dir)
+        .expect("reopens")
+        .snapshot()
+        .expect("committed");
+    let store = head.store();
 
-    // Open it for query-in-place: zero pages read, flights stay as lazy
-    // MPointRef handles over the store.
-    let store = Arc::new(store);
+    // Open it for query-in-place: one structural check per flight, then
+    // flights stay as lazy MPointRef handles over the store.
     store.reset_counters();
-    let lazy = Relation::from_stored(&stored, store.clone(), OnError::Fail).expect("opens");
+    let lazy = Relation::open(&head, &OpenRelOpts::new().relation("planes")).expect("opens");
     println!(
         "opened for query-in-place: {} pages read",
         store.pages_read()

@@ -16,10 +16,11 @@
 use mob::core::{batch_at_instant, UnitSeq};
 use mob::obs::{Registry, OBS_ENV};
 use mob::prelude::*;
-use mob::rel::{planes_relation, save_relation, IndexPolicy, OnError, QueryStats, ScanOpts};
+use mob::rel::{
+    planes_relation, save_relation, IndexPolicy, OnError, OpenRelOpts, QueryStats, ScanOpts,
+};
 use mob::storage::mapping_store::save_mpoint;
-use mob::storage::{open_mpoint, PageStore, Verify};
-use std::sync::Arc;
+use mob::storage::{open_mpoint, DurableStore, MemIo, PageStore, StoreFile, Verify};
 
 #[test]
 fn disabled_observability_registers_nothing_and_changes_nothing() {
@@ -63,9 +64,22 @@ fn disabled_observability_registers_nothing_and_changes_nothing() {
         ("AA".to_string(), "F00".to_string(), flight.clone()),
         ("BA".to_string(), "F01".to_string(), east),
     ]);
-    let stored_rel = save_relation(&rel, &mut store).expect("fleet saves");
+    let mut file = StoreFile::new();
+    save_relation(&rel, &mut file, "planes").expect("fleet saves");
+    let dir = MemIo::new();
+    let mut durable = DurableStore::options()
+        .open(dir.clone())
+        .expect("fresh dir");
+    let mut txn = durable.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    let head = DurableStore::options()
+        .open(dir)
+        .expect("reopen")
+        .snapshot()
+        .expect("committed");
     let opened =
-        Relation::from_stored(&stored_rel, Arc::new(store), OnError::Fail).expect("fleet reopens");
+        Relation::open(&head, &OpenRelOpts::new().relation("planes")).expect("fleet reopens");
 
     let probe = t(1.0);
     let zone = Region::from_ring(rect_ring(-1.0, -1.0, 4.0, 5.0));

@@ -14,11 +14,30 @@
 use mob::core::batch_at_instant;
 use mob::obs::Registry;
 use mob::prelude::*;
-use mob::rel::{planes_relation, save_relation, OnError, ScanOpts};
+use mob::rel::{planes_relation, save_relation, OpenRelOpts, ScanOpts};
 use mob::storage::mapping_store::save_mpoint;
-use mob::storage::{open_mpoint, PageStore, Verify};
+use mob::storage::{open_mpoint, DurableStore, MemIo, PageStore, StoreFile, Verify};
 use proptest::prelude::*;
-use std::sync::Arc;
+
+/// `rel` saved as the relation root `planes`, committed to an in-memory
+/// durable store, and opened from the reopened store's head.
+fn reopened(rel: &Relation) -> Relation {
+    let mut file = StoreFile::new();
+    save_relation(rel, &mut file, "planes").expect("fleet saves");
+    let dir = MemIo::new();
+    let mut durable = DurableStore::options()
+        .open(dir.clone())
+        .expect("fresh dir");
+    let mut txn = durable.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    let head = DurableStore::options()
+        .open(dir)
+        .expect("reopen")
+        .snapshot()
+        .expect("committed");
+    Relation::open(&head, &OpenRelOpts::new().relation("planes")).expect("fleet reopens")
+}
 
 // ---------------------------------------------------------------------
 // Strategies (mirroring tests/parallel_scans.rs)
@@ -108,11 +127,8 @@ proptest! {
         let ti = t(x);
 
         let mut store = PageStore::new();
-        let stored_rel = save_relation(&rel, &mut store).expect("fleet saves");
         let stored_m = save_mpoint(&m, &mut store);
-        let store = Arc::new(store);
-        let opened =
-            Relation::from_stored(&stored_rel, Arc::clone(&store), OnError::Fail).expect("fleet reopens");
+        let opened = reopened(&rel);
 
         let reg = Registry::global();
         let mut baseline = None;

@@ -12,11 +12,30 @@
 use mob::core::{batch_at_instant, UnitSeq};
 use mob::par::{CancelToken, Cancellable, Pool};
 use mob::prelude::*;
-use mob::rel::{planes_relation, save_relation, OnError, ScanOpts};
+use mob::rel::{planes_relation, save_relation, OpenRelOpts, ScanOpts};
 use mob::storage::mapping_store::save_mpoint;
-use mob::storage::{open_mpoint, PageStore, Verify};
+use mob::storage::{open_mpoint, DurableStore, MemIo, PageStore, StoreFile, Verify};
 use proptest::prelude::*;
-use std::sync::Arc;
+
+/// `rel` saved as the relation root `planes`, committed to an in-memory
+/// durable store, and opened from the reopened store's head.
+fn reopened(rel: &Relation) -> Relation {
+    let mut file = StoreFile::new();
+    save_relation(rel, &mut file, "planes").expect("fleet saves");
+    let dir = MemIo::new();
+    let mut durable = DurableStore::options()
+        .open(dir.clone())
+        .expect("fresh dir");
+    let mut txn = durable.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    let head = DurableStore::options()
+        .open(dir)
+        .expect("reopen")
+        .snapshot()
+        .expect("committed");
+    Relation::open(&head, &OpenRelOpts::new().relation("planes")).expect("fleet reopens")
+}
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -136,9 +155,7 @@ proptest! {
         }
         // Storage-backed relation: snapshots land in plain `point`
         // attributes, so the results must be *equal*, not just alike.
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).expect("fleet saves");
-        let opened = Relation::from_stored(&stored, Arc::new(store), OnError::Fail).expect("fleet reopens");
+        let opened = reopened(&rel);
         for threads in 1..=4usize {
             let got = opened.snapshot_at(ti, &ScanOpts::new().threads(threads)).unwrap().0;
             prop_assert_eq!(&got, &expect, "stored, {} threads", threads);
@@ -157,9 +174,7 @@ proptest! {
         }
         // Stored backend keeps `MPointRef` attributes, so compare by
         // the selected tuple identities.
-        let mut store = PageStore::new();
-        let stored = save_relation(&rel, &mut store).expect("fleet saves");
-        let opened = Relation::from_stored(&stored, Arc::new(store), OnError::Fail).expect("fleet reopens");
+        let opened = reopened(&rel);
         for threads in 1..=4usize {
             let got = opened.filter_inside("flight", &zone, &ScanOpts::new().threads(threads)).expect("flight is an attribute").0;
             prop_assert_eq!(ids(&got), ids(&expect), "stored, {} threads", threads);

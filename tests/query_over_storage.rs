@@ -6,20 +6,22 @@
 //! * Property tests: `at_instant` agrees at random instants (including
 //!   ⊥ outside the deftime) for `moving(point)`, `moving(real)` and
 //!   `moving(region)`.
-//! * End-to-end: the Section-2 queries run over a relation opened with
-//!   `Relation::from_stored` (flights left as lazy `MPointRef`s) and
-//!   over the fully materialized relation, with identical answers.
+//! * End-to-end: the Section-2 queries run over a `planes` relation
+//!   saved, committed to a durable store, reopened and opened with
+//!   `Relation::open` (flights left as lazy `MPointRef`s), over its
+//!   fully materialized copy and over the in-memory relation, with
+//!   identical answers.
 
 use mob::core::UnitSeq;
 use mob::prelude::*;
 use mob::rel::{
-    close_encounters, load_relation, long_flights, planes_relation, save_relation, storm_exposure,
-    OnError,
+    close_encounters, long_flights, planes_relation, save_relation, storm_exposure, OpenRelOpts,
 };
 use mob::storage::mapping_store::{save_mpoint, save_mreal, save_mregion};
-use mob::storage::{open_mpoint, open_mreal, open_mregion, PageStore, Verify};
+use mob::storage::{
+    open_mpoint, open_mreal, open_mregion, DurableStore, MemIo, PageStore, StoreFile, Verify,
+};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Strategies
@@ -141,14 +143,26 @@ fn fleet() -> Relation {
 #[test]
 fn section2_queries_identical_on_both_backends() {
     let mem = fleet();
-    let mut store = PageStore::new();
-    let stored = save_relation(&mem, &mut store).expect("fleet serializes");
-    let store = Arc::new(store);
+    let mut file = StoreFile::new();
+    save_relation(&mem, &mut file, "planes").expect("fleet serializes");
+    let dir = MemIo::new();
+    let mut durable = DurableStore::options()
+        .open(dir.clone())
+        .expect("fresh dir");
+    let mut txn = durable.begin();
+    txn.put_store_file(&file).expect("stage fleet");
+    txn.commit().expect("commit fleet");
+    let head = DurableStore::options()
+        .open(dir)
+        .expect("reopen")
+        .snapshot()
+        .expect("committed");
+    let store = head.store();
 
     // Opening the stored relation for query-in-place runs one
     // structural verification scan per flight (untrusted bytes are never
     // probed blindly), then flights stay as lazy MPointRef handles.
-    let lazy = Relation::from_stored(&stored, store.clone(), OnError::Fail).expect("opens");
+    let lazy = Relation::open(&head, &OpenRelOpts::new().relation("planes")).expect("opens");
 
     // A point query afterwards reads O(log n) unit headers and decodes
     // at most one unit, each read touching at most two pages — the lazy
@@ -171,8 +185,17 @@ fn section2_queries_identical_on_both_backends() {
     );
     assert!(store.pages_read() <= 2 * (view.headers_read() + view.units_decoded()));
 
-    // The fully materialized path (the old behaviour).
-    let eager = load_relation(&stored, &store).expect("loads");
+    // The fully materialized path: every stored flight decoded.
+    let eager = planes_relation(
+        lazy.tuples()
+            .iter()
+            .map(|tup| {
+                let text = |i: usize| tup.at(i).as_str().expect("a string").to_string();
+                let flight = tup.at(2).as_mpoint_ref().expect("a lazy handle");
+                (text(0), text(1), flight.materialize())
+            })
+            .collect(),
+    );
 
     // Query 1: long flights.
     let q1_mem = long_flights(&mem, "Lufthansa", 1500.0);
