@@ -227,7 +227,7 @@ fn e5() {
             store.pages_written()
         );
     }
-    println!("expected shape: small values inline (0 pages); large values spill to page chains");
+    println!("expected shape: small values inline (0 pages); large values spill to external blobs");
 }
 
 /// E6: query-over-storage — materialize-then-query vs query-in-place.

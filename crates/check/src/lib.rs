@@ -345,7 +345,7 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
     };
     let (generation, chunks_total, chunks_corrupt) =
         (img.generation, img.chunks_total, img.chunks_corrupt);
-    let gen = match generation_from_image(&img) {
+    let gen = match generation_from_image(img) {
         Ok(gen) => gen,
         Err(e) => {
             return DeepReport {
@@ -386,7 +386,7 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
 /// unavailable — the outcomes a query planner degrades through.
 fn image_index_candidates(bytes: &[u8], at: mob_base::Instant) -> Option<Vec<u32>> {
     let img = mob_storage::decode_image_degraded(bytes).ok()?;
-    let gen = generation_from_image(&img).ok()?;
+    let gen = generation_from_image(img).ok()?;
     let RootRecord::Index(stored) = gen.get("planes/index")? else {
         return None;
     };

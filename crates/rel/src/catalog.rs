@@ -3,7 +3,7 @@
 //! of the value roots) plus one ordinary root record per constructed
 //! value, exactly the shape Sec 4 prescribes for attribute data types
 //! ("values are placed under control of the DBMS into memory", each
-//! value a root record plus database arrays inline or in page chains).
+//! value a root record plus database arrays inline or in external blobs).
 //! [`Relation::open`] is the one way back.
 
 use crate::relation::{Relation, Tuple};
@@ -403,12 +403,12 @@ fn load_value(
 
 /// Account the physical layout of row `row` of the relation root
 /// `relation`: how many bytes sit in the tuple itself vs. in external
-/// page chains (Sec 4).
+/// blobs, and how many pages those occupy (Sec 4).
 ///
 /// # Errors
 ///
-/// No such relation root or row, or a value root the row names is
-/// missing.
+/// No such relation root or row, a value root the row names is
+/// missing, or an array of it names a dangling blob.
 pub fn tuple_layout(
     generation: &Generation,
     relation: &str,
@@ -432,7 +432,7 @@ pub fn tuple_layout(
             let mut root = (generation.get(name).cloned())
                 .ok_or_else(|| missing(format!("no value root named {name:?}")))?;
             for array in root.arrays_mut() {
-                layout.add_array(array, generation.store());
+                layout.add_array(array, generation.store())?;
             }
         }
     }

@@ -195,7 +195,7 @@ fn quarantined_value_roots_follow_the_damage_policy() {
         + 4;
     let bytes = file.to_bytes().unwrap();
     let (damaged, quarantined) =
-        StoreFile::from_bytes_with_damage(&bytes, &[(start, start + 1)]).unwrap();
+        StoreFile::from_bytes_with_damage(bytes, &[(start, start + 1)]).unwrap();
     assert_eq!(quarantined, [id.index()]);
     let gen = Generation::from_store_file(1, damaged, quarantined);
 

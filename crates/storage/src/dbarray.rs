@@ -1,7 +1,8 @@
 //! Database arrays (\[DG98\], Sec 4): variable-size components of attribute
 //! values, "automatically either represented *inline* in a tuple
 //! representation, or outside in a separate list of pages, depending on
-//! their size".
+//! their size". Outside the tuple, an array is one blob of the
+//! [`PageStore`]: one contiguous byte range, read and written in pages.
 
 use crate::page::{BlobId, PageStore};
 use crate::record::{read_all, write_all, FixedRecord};
@@ -16,7 +17,7 @@ pub const INLINE_THRESHOLD: usize = 256;
 pub enum Placement {
     /// Bytes embedded in the tuple representation.
     Inline(Vec<u8>),
-    /// Bytes in a separate page chain.
+    /// Bytes in a blob of the page store, outside the tuple.
     External(BlobId),
 }
 
@@ -75,8 +76,8 @@ impl SavedArray {
     }
 }
 
-/// Save a record slice as a database array: inline when small, external
-/// pages when large. This mirrors \[DG98\]'s automatic placement.
+/// Save a record slice as a database array: inline when small, in an
+/// external blob when large. This mirrors \[DG98\]'s automatic placement.
 pub fn save_array<T: FixedRecord>(items: &[T], store: &mut PageStore) -> SavedArray {
     save_array_with_threshold(items, store, INLINE_THRESHOLD)
 }
@@ -106,52 +107,40 @@ fn place(count: usize, bytes: Vec<u8>, store: &mut PageStore, threshold: usize) 
     SavedArray { count, placement }
 }
 
-/// Load a database array back into records.
-///
-/// The records are parsed through [`read_array_bytes`]: in place from
-/// the tuple or from a blob inside one page, and from one copy only for
-/// a blob that straddles pages.
+/// Load a database array back into records, parsed in place from the
+/// bytes [`read_array_bytes`] borrows, whether they sit in the tuple or
+/// in a blob.
 ///
 /// The stored bytes are untrusted: ragged buffers, counts that disagree
-/// with the byte length, and invalid record values all surface as
-/// [`DecodeError`]s.
+/// with the byte length ([`SavedArray::check_layout`]), and invalid
+/// record values all surface as [`DecodeError`]s.
 pub fn load_array<T: FixedRecord>(saved: &SavedArray, store: &PageStore) -> DecodeResult<Vec<T>> {
-    let items = read_array_bytes(saved, store, 0, saved.byte_len(store)?, read_all::<T>)?;
-    if items.len() != saved.count {
-        return Err(DecodeError::CountMismatch {
-            what: T::WHAT,
-            expected: saved.count,
-            found: items.len(),
-        });
-    }
-    Ok(items)
+    saved.check_layout::<T>(store)?;
+    read_all(read_array_bytes(saved, store, 0, saved.count * T::SIZE)?)
 }
 
-/// Run `read` over `byte_len` bytes of a saved array starting at
-/// `byte_off`, without loading the rest: borrowed from the tuple for
-/// inline placement, through [`PageStore::read_blob_range`] for external
-/// placement (borrowed from the page unless the range straddles a page
-/// boundary). This is the one range read of the storage-backed views.
-pub fn read_array_bytes<T>(
-    saved: &SavedArray,
-    store: &PageStore,
+/// The `byte_len` bytes of a saved array starting at `byte_off`,
+/// borrowed without loading the rest: from the tuple for inline
+/// placement, through [`PageStore::read_blob_range`] (which counts the
+/// pages the range overlaps) for external placement. This is the one
+/// range read of the storage-backed views.
+#[inline]
+pub fn read_array_bytes<'a>(
+    saved: &'a SavedArray,
+    store: &'a PageStore,
     byte_off: usize,
     byte_len: usize,
-    read: impl FnOnce(&[u8]) -> DecodeResult<T>,
-) -> DecodeResult<T> {
+) -> DecodeResult<&'a [u8]> {
     match &saved.placement {
         Placement::Inline(b) => {
             let end = byte_off.saturating_add(byte_len);
-            match b.get(byte_off..end) {
-                Some(s) => read(s),
-                None => Err(DecodeError::Truncated {
-                    what: "inline array range",
-                    need: end,
-                    have: b.len(),
-                }),
-            }
+            b.get(byte_off..end).ok_or(DecodeError::Truncated {
+                what: "inline array range",
+                need: end,
+                have: b.len(),
+            })
         }
-        Placement::External(id) => store.read_blob_range(*id, byte_off, byte_len, read),
+        Placement::External(id) => store.read_blob_range(*id, byte_off, byte_len),
     }
 }
 
@@ -164,13 +153,12 @@ pub fn read_subarray<T: FixedRecord>(
     sub: SubArrayRef,
 ) -> DecodeResult<Vec<T>> {
     sub.check(saved.count, T::WHAT)?;
-    read_array_bytes(
+    read_all(read_array_bytes(
         saved,
         store,
         sub.start as usize * T::SIZE,
         sub.len() * T::SIZE,
-        read_all::<T>,
-    )
+    )?)
 }
 
 /// A *subarray* (Sec 4.2): a reference to a subrange `[start, end)` of a
@@ -230,10 +218,12 @@ impl SubArrayRef {
 impl FixedRecord for SubArrayRef {
     const SIZE: usize = 8;
     const WHAT: &'static str = "subarray ref";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         crate::record::put_u32(out, self.start);
         crate::record::put_u32(out, self.end);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(SubArrayRef {
             start: crate::record::get_u32(buf, 0)?,
@@ -339,7 +329,7 @@ mod tests {
         // Out-of-range byte read.
         let small = save_array(&pts, &mut store);
         assert!(matches!(
-            read_array_bytes(&small, &store, 30, 10, |b| Ok(b.len())),
+            read_array_bytes(&small, &store, 30, 10),
             Err(DecodeError::Truncated {
                 need: 40,
                 have: 32,

@@ -93,7 +93,9 @@ use crate::delta::{
 use crate::generation::{Generation, Replay};
 use crate::io::StoreIo;
 use crate::mapping_store::UPointRecord;
-use crate::page::{open_frame, seal_frame, validate_page_size, FRAME_OVERHEAD};
+use crate::page::{
+    get_u32_at, get_u64_at, open_frame, seal_frame, validate_page_size, FRAME_OVERHEAD,
+};
 use crate::store_file::StoreFile;
 use mob_base::{DecodeError, DecodeResult};
 use mob_core::{UPoint, Unit};
@@ -160,24 +162,6 @@ struct Superblock {
     generation: u64,
     chunk_size: usize,
     payload_len: usize,
-}
-
-fn get_u32_at(b: &[u8], at: usize) -> u32 {
-    // Total zip-copy: missing bytes read as zero (callers have already
-    // length-checked the superblock, but nothing here can panic).
-    let mut v = [0u8; 4];
-    for (d, s) in v.iter_mut().zip(b.iter().skip(at)) {
-        *d = *s;
-    }
-    u32::from_le_bytes(v)
-}
-
-fn get_u64_at(b: &[u8], at: usize) -> u64 {
-    let mut v = [0u8; 8];
-    for (d, s) in v.iter_mut().zip(b.iter().skip(at)) {
-        *d = *s;
-    }
-    u64::from_le_bytes(v)
 }
 
 fn parse_superblock(sb: &[u8]) -> DecodeResult<Superblock> {
@@ -332,9 +316,10 @@ pub fn decode_image_degraded(bytes: &[u8]) -> DecodeResult<DecodedImage> {
 /// recovery and `mob-check verify --deep`. Blobs overlapping the
 /// image's damaged chunk ranges (a degraded decode) are quarantined
 /// ([`Generation::quarantined`]); damage to structural bytes fails the
-/// decode.
-pub fn generation_from_image(img: &DecodedImage) -> DecodeResult<Generation> {
-    let (file, quarantined) = StoreFile::from_bytes_with_damage(&img.payload, &img.damaged)?;
+/// decode. The image is taken by value: the generation's blobs are
+/// ranges of its payload buffer.
+pub fn generation_from_image(img: DecodedImage) -> DecodeResult<Generation> {
+    let (file, quarantined) = StoreFile::from_bytes_with_damage(img.payload, &img.damaged)?;
     Ok(Generation::from_store_file(
         img.generation,
         file,
@@ -511,15 +496,11 @@ pub fn recover<I: StoreIo>(io: &I, degraded: bool) -> DecodeResult<(Generation, 
         };
         files.push(RecoveredFile { name, fate });
     }
-    // The base image's payload is dropped once decoded, before replay.
-    let (mut head, base_generation, chunks_corrupt) = match base {
-        Some(img) => (
-            generation_from_image(&img)?,
-            Some(img.generation),
-            img.chunks_corrupt,
-        ),
-        None => (Generation::empty(0), None, 0),
-    };
+    // The base image's payload becomes the head's blobs.
+    let (base_generation, chunks_corrupt) = base
+        .as_ref()
+        .map_or((None, 0), |img| (Some(img.generation), img.chunks_corrupt));
+    let mut head = base.map_or(Ok(Generation::empty(0)), generation_from_image)?;
     deltas.sort_by_key(|&(g, _)| g);
     let floor = base_generation.unwrap_or(0);
     // The generation the next delta must produce; `None` once the chain
@@ -884,7 +865,7 @@ impl<I: StoreIo> DurableStore<I> {
 
     /// One maintenance commit. Rewrite every live root of the current
     /// generation into a fresh page store that shares the live blobs'
-    /// pages ([`Generation::rebuild_store_file`]), freeze it as the
+    /// buffers ([`Generation::rebuild_store_file`]), freeze it as the
     /// in-memory generation it will become, run `rebuilder` on that, and
     /// commit the rebuilder's file — or the compacted one, when there is
     /// no rebuilder or it returns `None` — through the full-image

@@ -14,7 +14,7 @@
 //! recovery opens one on the recovered generation in place (nothing can
 //! pin it yet) and feeds it every delta of the chain; a commit
 //! ([`Generation::apply_appends`]) opens one on a copy (catalog copied,
-//! page store forked: blob pages are shared behind `Arc`s — see
+//! page store forked: blob buffers are shared behind `Arc`s — see
 //! [`PageStore::fork`]) and feeds it a chain of one, which is how
 //! commits leave pinned readers alone.
 //!
@@ -369,7 +369,7 @@ impl Generation {
     }
 
     /// Re-materialize this generation as a serializable full image
-    /// (pages forked, catalog cloned). Cheap: blob pages are shared.
+    /// (pages forked, catalog cloned). Cheap: blob buffers are shared.
     /// With a non-empty tail the image leaves out every stored index,
     /// which predates the tail's appends (the `image_carries` rule).
     #[must_use]
@@ -404,10 +404,12 @@ impl Generation {
     /// rewrite. Blobs superseded by appends are dropped (only blobs the
     /// current catalog references are carried over), so a long append
     /// history folds back down to the size of the live data. A carried
-    /// blob shares its pages with this generation's store
+    /// blob shares its buffer with this generation's store
     /// ([`PageStore::share_blob`]): the two hold one copy of the live
-    /// bytes. Quarantined blobs cannot be carried and fail the rewrite:
-    /// a degraded store must be repaired (roots dropped or restored)
+    /// bytes (a blob decoded from an image is a range of its payload,
+    /// which stays allocated while any of its blobs is live).
+    /// Quarantined blobs cannot be carried and fail the rewrite: a
+    /// degraded store must be repaired (roots dropped or restored)
     /// before compaction.
     pub fn rebuild_store_file(&self) -> DecodeResult<StoreFile> {
         let mut dst = PageStore::with_page_size(self.store.page_size())?;
@@ -431,7 +433,7 @@ impl Generation {
     /// roots. `appends` holds per-root unit batches in commit order; an
     /// unknown root name creates a new mapping, a known one must be an
     /// mpoint and the batch must continue it (see [`splice_units`] and
-    /// the seam rules below). Untouched roots share their pages with
+    /// the seam rules below). Untouched roots share their buffers with
     /// `self` via [`PageStore::fork`]; the successor's catalog is a copy
     /// of this one. This is a `Replay` of a chain of one delta: a touched
     /// root first gets the check its mark selects ([`Verify::Full`]
@@ -556,13 +558,12 @@ impl Touched {
             return Ok(());
         }
         let below = self.base - 1;
-        let record = read_array_bytes(
+        let record = UPointRecord::read(read_array_bytes(
             self.stored(&head.catalog)?,
             &head.store,
             below * UPointRecord::SIZE,
             UPointRecord::SIZE,
-            UPointRecord::read,
-        )?;
+        )?)?;
         self.units.push(record);
         self.base = below;
         Ok(())
@@ -844,28 +845,18 @@ impl Replay<'_> {
 }
 
 /// Save a touched root's units in one buffer of exact size: the first
-/// `base` records of its `stored` array copied as bytes, a page at a
-/// time so each piece is borrowed from its page and nothing is decoded,
-/// then `suffix` encoded. The bytes and their placement are those of
-/// [`save_array`] over the whole sequence.
+/// `base` records of its `stored` array copied as bytes with one range
+/// read, nothing decoded, then `suffix` encoded. The bytes and their
+/// placement are those of [`save_array`] over the whole sequence.
 fn save_spliced(
     stored: &SavedArray,
     base: usize,
     suffix: &[UPointRecord],
     store: &mut PageStore,
 ) -> DecodeResult<SavedArray> {
-    let prefix = base * UPointRecord::SIZE;
-    let mut bytes = Vec::with_capacity(prefix + suffix.len() * UPointRecord::SIZE);
-    let step = store.page_size();
-    let mut off = 0;
-    while off < prefix {
-        let len = step.min(prefix - off);
-        read_array_bytes(stored, store, off, len, |b| {
-            bytes.extend_from_slice(b);
-            Ok(())
-        })?;
-        off += len;
-    }
+    let prefix = read_array_bytes(stored, store, 0, base * UPointRecord::SIZE)?;
+    let mut bytes = Vec::with_capacity(prefix.len() + suffix.len() * UPointRecord::SIZE);
+    bytes.extend_from_slice(prefix);
     for u in suffix {
         u.write(&mut bytes);
     }

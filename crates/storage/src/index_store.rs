@@ -132,11 +132,13 @@ pub struct IndexEntryRecord(pub IndexEntry);
 impl FixedRecord for IndexEntryRecord {
     const SIZE: usize = 8 + CUBE_SIZE;
     const WHAT: &'static str = "index entry record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_u32(out, self.0.tuple);
         put_u32(out, self.0.unit);
         put_cube(out, &self.0.cube);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(IndexEntryRecord(IndexEntry {
             tuple: get_u32(buf, 0)?,
@@ -154,6 +156,7 @@ pub struct CodedEntryRecord(pub CodedEntry);
 impl FixedRecord for CodedEntryRecord {
     const SIZE: usize = 8 + 6 * 2;
     const WHAT: &'static str = "index coded entry record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_u32(out, self.0.tuple);
         put_u32(out, self.0.unit);
@@ -161,9 +164,6 @@ impl FixedRecord for CodedEntryRecord {
             put_u16(out, c);
         }
     }
-    // Inline across codegen units: `load_index` decodes one record per
-    // indexed unit run through the generic `read_all`, and left out of
-    // line this call made a 120k-entry load about 30 % slower.
     #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         // One bounds check for the whole record: a load decodes one per
@@ -201,12 +201,14 @@ pub struct IndexNodeRecord(pub IndexNode);
 impl FixedRecord for IndexNodeRecord {
     const SIZE: usize = CUBE_SIZE + 12;
     const WHAT: &'static str = "index node record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_cube(out, &self.0.cube);
         put_u32(out, self.0.first);
         put_u32(out, self.0.count);
         put_u32(out, self.0.level);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(IndexNodeRecord(IndexNode {
             cube: get_cube(buf, 0)?,

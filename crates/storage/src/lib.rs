@@ -3,10 +3,11 @@
 //! The paper's Section 4 maps the discrete model onto data structures
 //! usable as attribute types inside a DBMS: no pointers (array indices
 //! only), a fixed *root record* per value, and *database arrays* that are
-//! stored inline or in separate page chains depending on size \[DG98\].
+//! stored inline or outside the tuple depending on size \[DG98\].
 //!
-//! * [`page::PageStore`] — a simulated page store with I/O counters,
-//!   blob quarantine, and checksummed page frames;
+//! * [`page::PageStore`] — a simulated page store: every blob is one
+//!   contiguous range of a shared buffer, read and written in counted
+//!   pages; plus blob quarantine and checksummed page frames;
 //! * [`io`](mod@crate::io) — the [`io::StoreIo`] gate to the outside
 //!   world: in-memory, real-filesystem, and deterministic
 //!   fault-injecting ([`io::FaultyIo`]) implementations;

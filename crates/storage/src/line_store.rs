@@ -75,6 +75,7 @@ impl HalfSegRecord {
 impl FixedRecord for HalfSegRecord {
     const SIZE: usize = 33;
     const WHAT: &'static str = "halfsegment record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_f64(out, self.x1);
         put_f64(out, self.y1);
@@ -82,6 +83,7 @@ impl FixedRecord for HalfSegRecord {
         put_f64(out, self.y2);
         out.push(u8::from(self.left_dom));
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(HalfSegRecord {
             x1: get_f64(buf, 0)?,

@@ -18,12 +18,14 @@ use mob_core::{
 impl FixedRecord for PointMotion {
     const SIZE: usize = 32;
     const WHAT: &'static str = "point motion";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_f64(out, self.x0.get());
         put_f64(out, self.x1.get());
         put_f64(out, self.y0.get());
         put_f64(out, self.y1.get());
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(PointMotion::new(
             Real::try_new(get_f64(buf, 0)?)?,
@@ -50,10 +52,12 @@ pub struct UBoolRecord {
 impl FixedRecord for UBoolRecord {
     const SIZE: usize = TimeInterval::SIZE + 1;
     const WHAT: &'static str = "ubool record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         out.push(u8::from(self.value));
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(UBoolRecord {
             interval: TimeInterval::read(buf)?,
@@ -80,6 +84,7 @@ pub struct URealRecord {
 impl FixedRecord for URealRecord {
     const SIZE: usize = TimeInterval::SIZE + 25;
     const WHAT: &'static str = "ureal record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         put_f64(out, self.a);
@@ -87,6 +92,7 @@ impl FixedRecord for URealRecord {
         put_f64(out, self.c);
         out.push(u8::from(self.r));
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         let o = TimeInterval::SIZE;
         Ok(URealRecord {
@@ -111,10 +117,12 @@ pub struct UPointRecord {
 impl FixedRecord for UPointRecord {
     const SIZE: usize = TimeInterval::SIZE + PointMotion::SIZE;
     const WHAT: &'static str = "upoint record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         self.motion.write(out);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         Ok(UPointRecord {
@@ -219,6 +227,7 @@ pub struct UPointsRecord {
 impl FixedRecord for UPointsRecord {
     const SIZE: usize = TimeInterval::SIZE + SubArrayRef::SIZE + 48;
     const WHAT: &'static str = "upoints record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         self.sub.write(out);
@@ -226,6 +235,7 @@ impl FixedRecord for UPointsRecord {
             put_f64(out, v);
         }
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         let o = TimeInterval::SIZE + SubArrayRef::SIZE;
@@ -304,6 +314,7 @@ pub struct ULineRecord {
 impl FixedRecord for ULineRecord {
     const SIZE: usize = TimeInterval::SIZE + SubArrayRef::SIZE + 48;
     const WHAT: &'static str = "uline record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         self.sub.write(out);
@@ -311,6 +322,7 @@ impl FixedRecord for ULineRecord {
             put_f64(out, v);
         }
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         let o = TimeInterval::SIZE + SubArrayRef::SIZE;
@@ -389,10 +401,12 @@ pub struct MSegRecord {
 impl FixedRecord for MSegRecord {
     const SIZE: usize = 2 * PointMotion::SIZE;
     const WHAT: &'static str = "mseg record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.s.write(out);
         self.e.write(out);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         Ok(MSegRecord {
@@ -414,10 +428,12 @@ pub struct MCycleRecord {
 impl FixedRecord for MCycleRecord {
     const SIZE: usize = SubArrayRef::SIZE + 1;
     const WHAT: &'static str = "mcycle record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.msegs.write(out);
         out.push(u8::from(self.is_hole));
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(MCycleRecord {
             msegs: SubArrayRef::read(buf)?,
@@ -437,9 +453,11 @@ pub struct MFaceRecord {
 impl FixedRecord for MFaceRecord {
     const SIZE: usize = SubArrayRef::SIZE;
     const WHAT: &'static str = "mface record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.cycles.write(out);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(MFaceRecord {
             cycles: SubArrayRef::read(buf)?,
@@ -466,6 +484,7 @@ pub struct URegionRecord {
 impl FixedRecord for URegionRecord {
     const SIZE: usize = TimeInterval::SIZE + SubArrayRef::SIZE + 48 + 24;
     const WHAT: &'static str = "uregion record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.interval.write(out);
         self.faces.write(out);
@@ -476,6 +495,7 @@ impl FixedRecord for URegionRecord {
             put_f64(out, v);
         }
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         let o = TimeInterval::SIZE + SubArrayRef::SIZE;

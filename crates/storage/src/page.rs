@@ -2,13 +2,18 @@
 //!
 //! Section 4 requires that attribute values "consist of a small number of
 //! memory blocks that can be moved efficiently between secondary and main
-//! memory". [`PageStore`] simulates that environment: blobs are stored as
-//! chains of fixed-size pages, and page reads/writes are counted so that
-//! experiments can measure I/O behaviour (experiment E5).
+//! memory". [`PageStore`] simulates that environment: a blob is one
+//! contiguous byte range of a shared, reference-counted buffer, and the
+//! fixed-size page is the unit in which reads and writes of those bytes
+//! are counted, so that experiments can measure I/O behaviour
+//! (experiment E5). A write counts `⌈len / page_size⌉` pages and a range
+//! read counts the pages the range overlaps; no byte is ever split into
+//! or copied out of separate pages.
 
 use crate::checksum::checksum64;
 use mob_base::{DecodeError, DecodeResult};
 use mob_obs::SharedCounter;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default page size (bytes), matching common DBMS pages.
@@ -34,7 +39,7 @@ pub fn validate_page_size(page_size: usize) -> DecodeResult<usize> {
     Ok(page_size)
 }
 
-/// Identifier of a stored blob (a chain of pages).
+/// Identifier of a stored blob.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct BlobId(usize);
 
@@ -55,20 +60,22 @@ impl BlobId {
     }
 }
 
+#[derive(Clone)]
 struct Blob {
-    /// Page images; all but the last are full. Shared via `Arc` so a
+    /// The buffer holding the blob's bytes, shared via `Arc`: a
     /// [`PageStore::fork`] is O(#blobs) pointer copies, not a byte copy
-    /// — the mechanism behind cheap immutable generations.
-    pages: Arc<Vec<Vec<u8>>>,
-    /// Exact byte length.
-    len: usize,
+    /// — the mechanism behind cheap immutable generations — and every
+    /// blob of a decoded store file is a range of its one payload.
+    buf: Arc<Vec<u8>>,
+    /// The blob's bytes within `buf`.
+    range: Range<usize>,
     /// Set when the blob's backing storage failed an integrity check
     /// (page checksum mismatch in a durable file): reads surface
     /// [`DecodeError::Quarantined`] instead of untrusted bytes.
     quarantined: bool,
 }
 
-/// A page-based blob store with I/O counters.
+/// A page-counting blob store.
 ///
 /// The counters are [`SharedCounter`]s (relaxed atomics mirrored into the
 /// `mob-obs` registry as `store.pages_read` / `store.pages_written`), so a
@@ -125,34 +132,36 @@ impl PageStore {
         self.page_size
     }
 
-    /// Store a blob, counting one page write per page. The bytes are
-    /// taken by value: an owned buffer that fits in one page becomes
-    /// that page without a copy, and a longer blob is copied once, page
-    /// by page (a borrowed slice is copied once either way).
-    pub fn write_blob(&mut self, bytes: impl Into<Vec<u8>> + AsRef<[u8]>) -> BlobId {
-        let len = bytes.as_ref().len();
-        let pages: Vec<Vec<u8>> = if len == 0 {
-            Vec::new()
-        } else if len <= self.page_size {
-            vec![bytes.into()]
-        } else {
-            bytes
-                .as_ref()
-                .chunks(self.page_size)
-                .map(<[u8]>::to_vec)
-                .collect()
-        };
-        self.pages_written.add(pages.len() as u64);
+    /// Pages that the first `len` bytes of a blob occupy.
+    #[inline]
+    fn pages_of(&self, len: usize) -> usize {
+        len / self.page_size + usize::from(!len.is_multiple_of(self.page_size))
+    }
+
+    /// Store a blob, counting one page write per page it occupies. The
+    /// bytes are taken by value: an owned buffer of any length becomes
+    /// the blob without a copy (a borrowed slice is copied once).
+    pub fn write_blob(&mut self, bytes: impl Into<Vec<u8>>) -> BlobId {
+        let bytes = bytes.into();
+        let len = bytes.len();
+        self.pages_written.add(self.pages_of(len) as u64);
+        self.push(Arc::new(bytes), 0..len)
+    }
+
+    /// Register bytes `range` of `buf` as a new blob, writing and
+    /// counting nothing: the store-file decoder's way to make every blob
+    /// a range of the decoded payload. `range` must lie inside `buf`.
+    pub(crate) fn push(&mut self, buf: Arc<Vec<u8>>, range: Range<usize>) -> BlobId {
         self.blobs.push(Blob {
-            pages: Arc::new(pages),
-            len,
+            buf,
+            range,
             quarantined: false,
         });
         BlobId(self.blobs.len() - 1)
     }
 
     /// Fork the store: a new `PageStore` sharing every existing blob's
-    /// page data by `Arc` pointer copy (no byte copies, no page-write
+    /// buffer by `Arc` pointer copy (no byte copies, no page-write
     /// accounting) with fresh I/O counters.
     ///
     /// This is the generational-MVCC snapshot primitive: a writer forks
@@ -164,38 +173,19 @@ impl PageStore {
     pub fn fork(&self) -> PageStore {
         PageStore {
             page_size: self.page_size,
-            blobs: self
-                .blobs
-                .iter()
-                .map(|b| Blob {
-                    pages: Arc::clone(&b.pages),
-                    len: b.len,
-                    quarantined: b.quarantined,
-                })
-                .collect(),
+            blobs: self.blobs.clone(),
             pages_written: SharedCounter::new(mob_obs::metric!("store.pages_written")),
             pages_read: SharedCounter::new(mob_obs::metric!("store.pages_read")),
         }
     }
 
     /// Store blob `id` of `src` as a new blob of this store, sharing its
-    /// pages by `Arc` pointer copy (no byte copy, no page write counted).
-    /// A quarantined or dangling `id` is refused with the error a read of
-    /// it gives, and a `src` of another page size with `BadStructure`.
+    /// buffer by `Arc` pointer copy (no byte copy, no page write
+    /// counted). A quarantined or dangling `id` is refused with the
+    /// error a read of it gives.
     pub fn share_blob(&mut self, src: &PageStore, id: BlobId) -> DecodeResult<BlobId> {
-        if src.page_size != self.page_size {
-            return Err(DecodeError::BadStructure {
-                what: "shared blob",
-                detail: format!("page size {} into {}", src.page_size, self.page_size),
-            });
-        }
         let blob = src.blob(id)?;
-        self.blobs.push(Blob {
-            pages: Arc::clone(&blob.pages),
-            len: blob.len,
-            quarantined: false,
-        });
-        Ok(BlobId(self.blobs.len() - 1))
+        Ok(self.push(Arc::clone(&blob.buf), blob.range.clone()))
     }
 
     /// Quarantine a blob: its backing storage failed an integrity check
@@ -203,24 +193,17 @@ impl PageStore {
     /// surfaces [`DecodeError::Quarantined`] instead of untrusted
     /// bytes. Counted in the `store.blobs_quarantined` metric.
     pub fn mark_quarantined(&mut self, id: BlobId) -> DecodeResult<()> {
-        let n = self.blobs.len();
-        match self.blobs.get_mut(id.0) {
-            Some(b) => {
-                if !b.quarantined {
-                    b.quarantined = true;
-                    mob_obs::metric!("store.blobs_quarantined").add(1);
-                }
-                Ok(())
-            }
-            None => Err(DecodeError::OutOfBounds {
-                what: "blob id",
-                index: id.0,
-                bound: n,
-            }),
+        let dangling = self.dangling(id);
+        let b = self.blobs.get_mut(id.0).ok_or(dangling)?;
+        if !b.quarantined {
+            b.quarantined = true;
+            mob_obs::metric!("store.blobs_quarantined").add(1);
         }
+        Ok(())
     }
 
     /// Whether a blob is quarantined (false for dangling ids).
+    #[inline]
     pub fn is_quarantined(&self, id: BlobId) -> bool {
         self.blobs.get(id.0).is_some_and(|b| b.quarantined)
     }
@@ -230,8 +213,18 @@ impl PageStore {
         self.blobs.iter().filter(|b| b.quarantined).count()
     }
 
+    /// The error for a blob id past the end of the store.
+    fn dangling(&self, id: BlobId) -> DecodeError {
+        DecodeError::OutOfBounds {
+            what: "blob id",
+            index: id.0,
+            bound: self.blobs.len(),
+        }
+    }
+
     /// The blob behind `id`: quarantined blobs and dangling ids are
     /// [`DecodeError`]s, checked in that order.
+    #[inline]
     fn blob(&self, id: BlobId) -> DecodeResult<&Blob> {
         if self.is_quarantined(id) {
             return Err(DecodeError::Quarantined {
@@ -239,11 +232,7 @@ impl PageStore {
                 detail: format!("blob {} failed its page integrity checks", id.0),
             });
         }
-        self.blobs.get(id.0).ok_or(DecodeError::OutOfBounds {
-            what: "blob id",
-            index: id.0,
-            bound: self.blobs.len(),
-        })
+        self.blobs.get(id.0).ok_or_else(|| self.dangling(id))
     }
 
     /// Number of blobs currently stored.
@@ -254,73 +243,53 @@ impl PageStore {
     /// Exact byte length of a blob, or a [`DecodeError`] for a dangling
     /// blob id.
     pub fn blob_len(&self, id: BlobId) -> DecodeResult<usize> {
-        Ok(self.blob(id)?.len)
+        Ok(self.blob(id)?.range.len())
     }
 
-    /// Read a blob back whole, counting one page read per page. A
-    /// dangling id (e.g. decoded from a corrupt root record) or a
-    /// quarantined blob is a [`DecodeError`].
+    /// Read a blob back whole, as an owned copy, counting one page read
+    /// per page. A dangling id (e.g. decoded from a corrupt root record)
+    /// or a quarantined blob is a [`DecodeError`].
     pub fn try_read_blob(&self, id: BlobId) -> DecodeResult<Vec<u8>> {
-        let blob = self.blob(id)?;
-        self.pages_read.add(blob.pages.len() as u64);
-        Ok(blob.pages.concat())
+        self.read_blob_range(id, 0, self.blob_len(id)?)
+            .map(<[u8]>::to_vec)
     }
 
-    /// Run `read` over bytes `offset..offset + len` of a blob, touching
-    /// (and counting) **only the pages that overlap the range** — the
-    /// page-I/O primitive behind the lazy `MappingView` access path: a
-    /// binary search over unit records reads `O(log n)` pages, not the
-    /// whole blob.
+    /// Bytes `offset..offset + len` of a blob, borrowed from its buffer,
+    /// counting **only the pages that overlap the range** — the page-I/O
+    /// primitive behind the lazy `MappingView` access path: a binary
+    /// search over unit records reads `O(log n)` pages, not the whole
+    /// blob.
     ///
-    /// A range inside one page reaches `read` borrowed straight from the
-    /// page; only a range that straddles a page boundary is copied, once,
-    /// into a buffer of exactly `len` bytes. A quarantined blob, a
-    /// dangling id and a range past the blob's end are [`DecodeError`]s,
-    /// raised before any page is read; an empty range reads no page.
-    pub fn read_blob_range<T>(
-        &self,
-        id: BlobId,
-        offset: usize,
-        len: usize,
-        read: impl FnOnce(&[u8]) -> DecodeResult<T>,
-    ) -> DecodeResult<T> {
+    /// A quarantined blob, a dangling id and a range past the blob's end
+    /// are [`DecodeError`]s, raised before any page is counted; an empty
+    /// range reads no page.
+    ///
+    /// Inline, like the helpers it calls: the view's header search calls
+    /// it from generic code instantiated in other crates, and out of
+    /// line it made track-probe's `snapshot_at` scans about 20 % slower.
+    #[inline]
+    pub fn read_blob_range(&self, id: BlobId, offset: usize, len: usize) -> DecodeResult<&[u8]> {
         let blob = self.blob(id)?;
-        let end = offset.checked_add(len).ok_or(DecodeError::OutOfBounds {
+        let bytes = blob.buf.get(blob.range.clone()).unwrap_or_default();
+        let end = offset.saturating_add(len);
+        let range = bytes.get(offset..end).ok_or(DecodeError::OutOfBounds {
             what: "blob range",
-            index: usize::MAX,
-            bound: blob.len,
+            index: end,
+            bound: bytes.len(),
         })?;
-        if end > blob.len {
-            return Err(DecodeError::OutOfBounds {
-                what: "blob range",
-                index: end,
-                bound: blob.len,
-            });
+        if len > 0 {
+            let pages = self.pages_of(end) - offset / self.page_size;
+            self.pages_read.add(pages as u64);
         }
-        if len == 0 {
-            return read(&[]);
-        }
-        let first = offset / self.page_size;
-        let last = (end - 1) / self.page_size;
-        self.pages_read.add((last - first + 1) as u64);
-        let skip = offset - first * self.page_size;
-        let pages = blob.pages.get(first..=last).unwrap_or_default();
-        if let [page] = pages {
-            return read(page.get(skip..skip + len).unwrap_or_default());
-        }
-        let mut buf = Vec::with_capacity(len);
-        let mut from = skip;
-        for page in pages {
-            let rest = page.get(from..).unwrap_or_default();
-            buf.extend_from_slice(rest.get(..len - buf.len()).unwrap_or(rest));
-            from = 0;
-        }
-        read(&buf)
+        Ok(range)
     }
 
-    /// Number of pages a blob occupies.
-    pub fn blob_pages(&self, id: BlobId) -> usize {
-        self.blobs[id.0].pages.len()
+    /// Number of pages a blob occupies. A quarantined blob still counts
+    /// its pages — they describe its placement, not its contents — and
+    /// a dangling id is [`DecodeError::OutOfBounds`].
+    pub fn blob_pages(&self, id: BlobId) -> DecodeResult<usize> {
+        let blob = self.blobs.get(id.0).ok_or_else(|| self.dangling(id))?;
+        Ok(self.pages_of(blob.range.len()))
     }
 
     /// Pages written since the last counter reset.
@@ -379,6 +348,26 @@ pub fn seal_frame(out: &mut Vec<u8>, payload: &[u8]) {
     }
 }
 
+/// The little-endian `u32` at byte `at` of `b`.
+pub(crate) fn get_u32_at(b: &[u8], at: usize) -> u32 {
+    // Total zip-copy: missing bytes read as zero (callers have already
+    // length-checked the header, but nothing here can panic).
+    let mut v = [0u8; 4];
+    for (d, s) in v.iter_mut().zip(b.iter().skip(at)) {
+        *d = *s;
+    }
+    u32::from_le_bytes(v)
+}
+
+/// The little-endian `u64` at byte `at` of `b`, read like [`get_u32_at`].
+pub(crate) fn get_u64_at(b: &[u8], at: usize) -> u64 {
+    let mut v = [0u8; 8];
+    for (d, s) in v.iter_mut().zip(b.iter().skip(at)) {
+        *d = *s;
+    }
+    u64::from_le_bytes(v)
+}
+
 /// Open one sealed frame at the front of `bytes`: verify the checksum,
 /// return the payload and the remainder of the buffer.
 ///
@@ -394,18 +383,8 @@ pub fn open_frame(bytes: &[u8]) -> DecodeResult<(&[u8], &[u8])> {
             have: bytes.len(),
         });
     }
-    // Total zip-copies: the length check above guarantees the full
-    // header is present, and nothing here can panic regardless.
-    let mut crc8 = [0u8; 8];
-    for (d, s) in crc8.iter_mut().zip(bytes) {
-        *d = *s;
-    }
-    let stored = u64::from_le_bytes(crc8);
-    let mut len4 = [0u8; 4];
-    for (d, s) in len4.iter_mut().zip(bytes.iter().skip(8)) {
-        *d = *s;
-    }
-    let len = crate::checked::idx_usize(u32::from_le_bytes(len4));
+    let stored = get_u64_at(bytes, 0);
+    let len = crate::checked::idx_usize(get_u32_at(bytes, 8));
     let end = FRAME_OVERHEAD
         .checked_add(len)
         .ok_or(DecodeError::Truncated {
@@ -454,7 +433,7 @@ mod tests {
         let mut store = small_store(8);
         let data: Vec<u8> = (0..20).collect();
         let id = store.write_blob(data.as_slice());
-        assert_eq!(store.blob_pages(id), 3); // 8 + 8 + 4
+        assert_eq!(store.blob_pages(id).ok(), Some(3)); // 8 + 8 + 4
         assert_eq!(store.pages_written(), 3);
         assert_eq!(store.try_read_blob(id).unwrap(), data);
         assert_eq!(store.pages_read(), 3);
@@ -470,7 +449,7 @@ mod tests {
         offset: usize,
         len: usize,
     ) -> DecodeResult<Vec<u8>> {
-        store.read_blob_range(id, offset, len, |b| Ok(b.to_vec()))
+        store.read_blob_range(id, offset, len).map(<[u8]>::to_vec)
     }
 
     #[test]
@@ -524,7 +503,9 @@ mod tests {
                 let off = i * size;
                 let pages = ((off + len - 1) / 16 - off / 16 + 1) as u64;
                 store.reset_counters();
-                let header = store.read_blob_range(id, off, len, TimeInterval::read);
+                let header = store
+                    .read_blob_range(id, off, len)
+                    .and_then(TimeInterval::read);
                 assert_eq!(header.ok(), Some(rec.interval), "record {i} header");
                 assert_eq!(store.pages_read(), pages, "record {i} len {len}");
                 let copied = whole.get(off..off + len).unwrap_or_default();
@@ -535,26 +516,40 @@ mod tests {
                 );
                 assert_eq!(store.pages_read(), pages, "record {i} len {len}");
             }
-            let read = store.read_blob_range(id, i * size, size, UPointRecord::read);
+            let read = store
+                .read_blob_range(id, i * size, size)
+                .and_then(UPointRecord::read);
             assert_eq!(read.ok(), Some(*rec), "record {i}");
         }
     }
 
     #[test]
-    fn blob_range_borrows_inside_a_page_and_copies_across() {
+    fn every_blob_range_borrows_from_the_blob_buffer() {
         let mut store = small_store(8);
-        let id = store.write_blob((0..32).collect::<Vec<u8>>());
-        let pages: Vec<_> = store.blobs[id.0]
-            .pages
-            .iter()
-            .map(|p| p.as_ptr_range())
-            .collect();
-        // Inside page 1: the closure sees the page's own bytes.
-        let inside = store.read_blob_range(id, 9, 4, |b| Ok(b.as_ptr()));
-        assert_eq!(inside.ok(), Some(pages[1].start.wrapping_add(1)));
-        // Across pages 0 and 1: the closure sees a copy.
-        let across = store.read_blob_range(id, 6, 4, |b| Ok(b.as_ptr()));
-        assert!(across.is_ok_and(|p| pages.iter().all(|page| !page.contains(&p))));
+        // A blob written whole, and one registered as bytes 5..37 of a
+        // larger buffer, as a decoded store file registers its blobs.
+        let owned = store.write_blob((0..32).collect::<Vec<u8>>());
+        let buf = Arc::new((0..48).map(|b: u8| b.wrapping_sub(5)).collect::<Vec<u8>>());
+        let ranged = store.push(Arc::clone(&buf), 5..37);
+        for (id, at) in [
+            (owned, store.blobs[owned.0].buf.as_ptr()),
+            (ranged, buf.as_ptr().wrapping_add(5)),
+        ] {
+            // Inside page 1, across pages 0 and 1, across three pages,
+            // and the whole blob.
+            for (off, len, pages) in [(9, 4, 1), (6, 4, 2), (3, 20, 3), (0, 32, 4)] {
+                store.reset_counters();
+                let got = store.read_blob_range(id, off, len).unwrap_or_default();
+                let want = at.wrapping_add(off)..at.wrapping_add(off + len);
+                assert_eq!(
+                    got.as_ptr_range(),
+                    want,
+                    "{id:?} at {off}+{len} is borrowed"
+                );
+                assert!(got.iter().copied().eq(off as u8..(off + len) as u8));
+                assert_eq!(store.pages_read(), pages, "{id:?} at {off}+{len}");
+            }
+        }
     }
 
     #[test]
@@ -564,13 +559,12 @@ mod tests {
         let bad = store.write_blob([1, 2, 3]);
         store.mark_quarantined(bad).unwrap_or(());
         store.reset_counters();
-        let never = |_: &[u8]| -> DecodeResult<()> { unreachable!("no bytes on an error") };
         assert!(matches!(
-            store.read_blob_range(bad, 0, 2, never),
+            store.read_blob_range(bad, 0, 2),
             Err(DecodeError::Quarantined { what: "blob", .. })
         ));
         assert!(matches!(
-            store.read_blob_range(BlobId::from_index(9), 0, 1, never),
+            store.read_blob_range(BlobId::from_index(9), 0, 1),
             Err(DecodeError::OutOfBounds {
                 what: "blob id",
                 index: 9,
@@ -578,16 +572,16 @@ mod tests {
             })
         ));
         assert!(matches!(
-            store.read_blob_range(id, usize::MAX, 2, never),
+            store.read_blob_range(id, usize::MAX, 2),
             Err(DecodeError::OutOfBounds { what: "blob range", index: usize::MAX, bound })
                 if bound == blob_len
         ));
         assert!(matches!(
-            store.read_blob_range(id, blob_len - 10, 11, never),
+            store.read_blob_range(id, blob_len - 10, 11),
             Err(DecodeError::OutOfBounds { what: "blob range", index, bound })
                 if index == blob_len + 1 && bound == blob_len
         ));
-        assert!(store.read_blob_range(id, blob_len + 1, 0, never).is_err());
+        assert!(store.read_blob_range(id, blob_len + 1, 0).is_err());
         assert_eq!(store.pages_read(), 0, "refused reads touch no page");
     }
 
@@ -597,7 +591,7 @@ mod tests {
         let blob_len = 40 * UPointRecord::SIZE;
         store.reset_counters();
         for offset in [0, 17, blob_len] {
-            let got = store.read_blob_range(id, offset, 0, |b| Ok(b.len()));
+            let got = store.read_blob_range(id, offset, 0).map(<[u8]>::len);
             assert_eq!(got.ok(), Some(0), "offset {offset}");
         }
         assert_eq!(store.pages_read(), 0);
@@ -608,27 +602,31 @@ mod tests {
     }
 
     #[test]
-    fn an_owned_one_page_blob_becomes_its_page() {
+    fn an_owned_blob_of_any_length_is_moved_not_copied() {
         let mut store = small_store(8);
-        let bytes = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let at = bytes.as_ptr();
-        let id = store.write_blob(bytes);
-        assert_eq!(store.blobs[id.0].pages[0].as_ptr(), at, "moved, not copied");
-        // A longer one is chunked into pages of the store's size.
-        let long = store.write_blob((0..20).collect::<Vec<u8>>());
-        assert_eq!(store.blob_pages(long), 3);
-        assert_eq!(
-            store.try_read_blob(long).unwrap(),
-            (0..20).collect::<Vec<u8>>()
-        );
-        assert_eq!(store.pages_written(), 4);
+        // One page, a partial last page, several full pages.
+        for (len, pages) in [(8u8, 1u64), (20, 3), (64, 8)] {
+            let bytes: Vec<u8> = (0..len).collect();
+            let at = bytes.as_ptr();
+            store.reset_counters();
+            let id = store.write_blob(bytes);
+            let stored = store.read_blob_range(id, 0, usize::from(len));
+            assert_eq!(
+                stored.map(<[u8]>::as_ptr).ok(),
+                Some(at),
+                "{len} bytes moved"
+            );
+            assert_eq!(store.pages_written(), pages, "{len} bytes");
+            assert_eq!(store.blob_pages(id).ok(), Some(pages as usize));
+            assert_eq!(store.try_read_blob(id).ok(), Some((0..len).collect()));
+        }
     }
 
     #[test]
     fn empty_blob() {
         let mut store = PageStore::new();
         let id = store.write_blob(Vec::new());
-        assert_eq!(store.blob_pages(id), 0);
+        assert_eq!(store.blob_pages(id).ok(), Some(0));
         assert!(store.try_read_blob(id).unwrap().is_empty());
     }
 
@@ -734,7 +732,7 @@ mod tests {
         let kept = dst.write_blob([7]);
         let shared = dst.share_blob(&src, a).expect("healthy blob shares");
         assert_eq!((kept.index(), shared.index()), (0, 1), "appended in order");
-        assert!(Arc::ptr_eq(&dst.blobs[1].pages, &src.blobs[a.0].pages));
+        assert!(Arc::ptr_eq(&dst.blobs[1].buf, &src.blobs[a.0].buf));
         assert_eq!(dst.pages_written(), 1, "sharing writes no page");
         assert_eq!(dst.try_read_blob(shared).ok(), Some(vec![1, 2, 3, 4, 5, 6]));
         assert!(matches!(
@@ -749,9 +747,30 @@ mod tests {
             })
         ));
         assert_eq!(dst.num_blobs(), 2, "a refused share adds no blob");
+        // A store of another page size shares the same bytes and counts
+        // them in its own pages.
+        let mut wide = small_store(8);
+        let there = wide.share_blob(&src, a).expect("page sizes need not agree");
+        assert!(Arc::ptr_eq(&wide.blobs[there.0].buf, &src.blobs[a.0].buf));
+        assert_eq!(
+            (src.blob_pages(a).ok(), wide.blob_pages(there).ok()),
+            (Some(2), Some(1))
+        );
+    }
+
+    #[test]
+    fn blob_pages_counts_quarantined_blobs_and_refuses_dangling_ids() {
+        let mut store = small_store(4);
+        let bad = store.write_blob([1, 2, 3, 4, 5, 6]);
+        store.mark_quarantined(bad).unwrap_or(());
+        assert_eq!(store.blob_pages(bad).ok(), Some(2));
         assert!(matches!(
-            small_store(8).share_blob(&src, a),
-            Err(DecodeError::BadStructure { .. })
+            store.blob_pages(BlobId::from_index(3)),
+            Err(DecodeError::OutOfBounds {
+                what: "blob id",
+                index: 3,
+                bound: 1
+            })
         ));
     }
 

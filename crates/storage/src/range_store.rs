@@ -47,10 +47,12 @@ pub struct IPointRecord {
 impl FixedRecord for IPointRecord {
     const SIZE: usize = Instant::SIZE + Point::SIZE;
     const WHAT: &'static str = "intime(point) record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.instant.write(out);
         self.value.write(out);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         crate::record::need_bytes(buf, Self::SIZE, Self::WHAT)?;
         Ok(IPointRecord {

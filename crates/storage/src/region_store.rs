@@ -34,11 +34,13 @@ pub struct RegionHalfSegRecord {
 impl FixedRecord for RegionHalfSegRecord {
     const SIZE: usize = HalfSegRecord::SIZE + 8;
     const WHAT: &'static str = "region halfsegment record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         self.hs.write(out);
         put_u32(out, self.next_in_cycle);
         put_u32(out, self.cycle);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(RegionHalfSegRecord {
             hs: HalfSegRecord::read(buf)?,
@@ -62,11 +64,13 @@ pub struct CycleRecord {
 impl FixedRecord for CycleRecord {
     const SIZE: usize = 9;
     const WHAT: &'static str = "cycle record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_u32(out, self.first_halfseg);
         put_u32(out, self.next_cycle_in_face);
         out.push(u8::from(self.is_hole));
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(CycleRecord {
             first_halfseg: get_u32(buf, 0)?,
@@ -86,9 +90,11 @@ pub struct FaceRecord {
 impl FixedRecord for FaceRecord {
     const SIZE: usize = 4;
     const WHAT: &'static str = "face record";
+    #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         put_u32(out, self.first_cycle);
     }
+    #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
         Ok(FaceRecord {
             first_cycle: get_u32(buf, 0)?,

@@ -19,9 +19,10 @@
 //! entries  n_entry × (name_len u32, name utf-8, kind u8, root record)
 //! ```
 //!
-//! Blobs are written in [`BlobId::index`] order, so replaying them
-//! through [`PageStore::write_blob`] on load reproduces the same blob
-//! ids and every decoded [`SavedArray`] reference stays valid.
+//! Blobs are written in [`BlobId::index`] order, so registering them in
+//! file order on load reproduces the same blob ids and every decoded
+//! [`SavedArray`] reference stays valid. A decoded blob is a range of
+//! the decoded buffer itself: decoding copies no blob byte.
 
 use crate::catalog::Catalog;
 use crate::dbarray::{Placement, SavedArray};
@@ -30,10 +31,12 @@ use crate::line_store::{StoredLine, StoredPoints};
 use crate::mapping_store::{StoredMLine, StoredMPoints, StoredMRegion, StoredMapping};
 use crate::page::{BlobId, PageStore};
 use crate::range_store::StoredPeriods;
-use crate::record::{get_f64, get_u32, need_bytes, put_f64, put_u32, FixedRecord};
+use crate::record::{get_f64, get_u32, put_f64, put_u32, FixedRecord};
 use crate::region_store::StoredRegion;
 use crate::relation_store::{AttrType, Cell, StoredRelation};
 use mob_base::{DecodeError, DecodeResult, Text, Val};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// File magic: identifies a serialized store file (version 1).
 pub const MAGIC: &[u8; 8] = b"MOBSTOR1";
@@ -231,24 +234,33 @@ impl StoreFile {
         StoreFile { store, catalog }
     }
 
-    /// Serialize the whole store file (pages + catalog) to bytes.
+    /// Serialize the whole store file (blobs + catalog) to bytes. Each
+    /// blob is read whole (counting its pages) and copied once, into an
+    /// output buffer allocated at its final size.
     pub fn to_bytes(&self) -> DecodeResult<Vec<u8>> {
-        let mut out = Vec::new();
+        let blobs = (0..self.store.num_blobs())
+            .map(|i| {
+                let id = BlobId::from_index(i);
+                self.store.read_blob_range(id, 0, self.store.blob_len(id)?)
+            })
+            .collect::<DecodeResult<Vec<&[u8]>>>()?;
+        let mut catalog = Vec::new();
+        put_u32(&mut catalog, crate::checked::count_u32(self.catalog.len()));
+        for (name, root) in self.catalog.entries() {
+            put_str(&mut catalog, name);
+            catalog.push(root.tag());
+            write_root(&mut catalog, root);
+        }
+        let size = blobs.iter().map(|b| 4 + b.len()).sum::<usize>() + 16 + catalog.len();
+        let mut out = Vec::with_capacity(size);
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, crate::checked::count_u32(self.store.page_size()));
-        let n_blobs = self.store.num_blobs();
-        put_u32(&mut out, crate::checked::count_u32(n_blobs));
-        for i in 0..n_blobs {
-            let bytes = self.store.try_read_blob(BlobId::from_index(i))?;
+        put_u32(&mut out, crate::checked::count_u32(blobs.len()));
+        for bytes in blobs {
             put_u32(&mut out, crate::checked::count_u32(bytes.len()));
-            out.extend_from_slice(&bytes);
+            out.extend_from_slice(bytes);
         }
-        put_u32(&mut out, crate::checked::count_u32(self.catalog.len()));
-        for (name, root) in self.catalog.entries() {
-            put_str(&mut out, name);
-            out.push(root.tag());
-            write_root(&mut out, root);
-        }
+        out.extend_from_slice(&catalog);
         Ok(out)
     }
 
@@ -259,8 +271,10 @@ impl StoreFile {
     /// surfaces as a [`DecodeError`]. Value-level damage inside the
     /// blobs is *not* checked here — that is the auditor's job (open
     /// views / load values and validate them).
+    ///
+    /// The input is copied once, whole; the blobs are ranges of that copy.
     pub fn from_bytes(bytes: &[u8]) -> DecodeResult<StoreFile> {
-        Ok(StoreFile::decode(bytes)?.0)
+        Ok(StoreFile::decode(bytes.to_vec())?.0)
     }
 
     /// Decode a store file from bytes with known-damaged byte ranges,
@@ -279,55 +293,49 @@ impl StoreFile {
     /// untrusted, so the whole decode fails with
     /// [`DecodeError::Quarantined`] naming the offending range.
     ///
-    /// Returns the store file plus the sorted indices of the blobs that
-    /// were quarantined.
+    /// The buffer is taken by value and every blob is a range of it, so
+    /// no blob byte is copied. Returns the store file plus the sorted
+    /// indices of the blobs that were quarantined.
     pub fn from_bytes_with_damage(
-        bytes: &[u8],
+        bytes: Vec<u8>,
         damaged: &[(usize, usize)],
     ) -> DecodeResult<(StoreFile, Vec<usize>)> {
         let (mut file, blob_ranges) = StoreFile::decode(bytes)?;
-        let mut quarantined = Vec::new();
         for &(dmg_start, dmg_end) in damaged {
-            if dmg_start >= dmg_end {
-                continue;
-            }
             // Every damaged byte must fall inside some blob's data
             // bytes; walk the damage left to right across blob ranges.
             let mut pos = dmg_start;
             while pos < dmg_end {
-                match blob_ranges
+                let Some((idx, blob)) = blob_ranges
                     .iter()
                     .enumerate()
-                    .find(|(_, &(s, e))| s <= pos && pos < e)
-                {
-                    Some((idx, &(_, blob_end))) => {
-                        file.store.mark_quarantined(BlobId::from_index(idx))?;
-                        if !quarantined.contains(&idx) {
-                            quarantined.push(idx);
-                        }
-                        pos = blob_end;
-                    }
-                    None => {
-                        return Err(DecodeError::Quarantined {
-                            what: "store file structure",
-                            detail: format!(
-                                "damaged bytes {dmg_start}..{dmg_end} touch structural \
-                                 byte {pos} outside all blob data"
-                            ),
-                        })
-                    }
-                }
+                    .find(|(_, r)| r.contains(&pos))
+                else {
+                    return Err(DecodeError::Quarantined {
+                        what: "store file structure",
+                        detail: format!(
+                            "damaged bytes {dmg_start}..{dmg_end} touch structural \
+                             byte {pos} outside all blob data"
+                        ),
+                    });
+                };
+                file.store.mark_quarantined(BlobId::from_index(idx))?;
+                pos = blob.end;
             }
         }
-        quarantined.sort_unstable();
+        let quarantined = (0..blob_ranges.len())
+            .filter(|&i| file.store.is_quarantined(BlobId::from_index(i)))
+            .collect();
         Ok((file, quarantined))
     }
 
-    /// Shared decode path: returns the store file plus, for each blob in
-    /// [`BlobId::index`] order, the half-open byte range its **data
-    /// bytes** (not its length prefix) occupy inside `bytes`.
-    fn decode(bytes: &[u8]) -> DecodeResult<(StoreFile, Vec<(usize, usize)>)> {
-        let mut cur = Cursor::new(bytes);
+    /// Shared decode path: returns the store file, whose blobs are
+    /// ranges of `bytes`, plus, for each blob in [`BlobId::index`] order,
+    /// the byte range its **data bytes** (not its length prefix) occupy
+    /// inside `bytes`.
+    fn decode(bytes: Vec<u8>) -> DecodeResult<(StoreFile, Vec<Range<usize>>)> {
+        let buf = Arc::new(bytes);
+        let mut cur = Cursor::new(&buf);
         let magic = cur.take(MAGIC.len(), "store file magic")?;
         if magic != MAGIC {
             return Err(DecodeError::BadStructure {
@@ -342,9 +350,9 @@ impl StoreFile {
         for _ in 0..n_blobs {
             let len = cur.take_u32("store file blob length")?;
             let start = cur.pos;
-            let blob = cur.take(crate::checked::idx_usize(len), "store file blob bytes")?;
-            blob_ranges.push((start, cur.pos));
-            store.write_blob(blob);
+            cur.take(crate::checked::idx_usize(len), "store file blob bytes")?;
+            store.push(Arc::clone(&buf), start..cur.pos);
+            blob_ranges.push(start..cur.pos);
         }
         let n_entries = cur.take_u32("store file entry count")?;
         let mut entries = Vec::new();
@@ -360,7 +368,6 @@ impl StoreFile {
                 detail: format!("{} trailing bytes after catalog", cur.remaining()),
             });
         }
-        store.reset_counters();
         let catalog = Catalog::from_entries(entries);
         Ok((StoreFile { store, catalog }, blob_ranges))
     }
@@ -384,17 +391,12 @@ impl<'a> Cursor<'a> {
     }
 
     fn take(&mut self, n: usize, what: &'static str) -> DecodeResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Truncated {
-            what,
-            need: usize::MAX,
-            have: self.buf.len(),
-        })?;
-        need_bytes(&self.buf[self.pos..], n, what).map_err(|_| DecodeError::Truncated {
+        let end = self.pos.saturating_add(n);
+        let s = self.buf.get(self.pos..end).ok_or(DecodeError::Truncated {
             what,
             need: end,
             have: self.buf.len(),
         })?;
-        let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
     }
@@ -921,7 +923,7 @@ mod tests {
     fn damage_in_blob_data_quarantines_only_that_blob() {
         let file = sample_file();
         let bytes = file.to_bytes().unwrap();
-        let (clean, q) = StoreFile::from_bytes_with_damage(&bytes, &[]).unwrap();
+        let (clean, q) = StoreFile::from_bytes_with_damage(bytes.clone(), &[]).unwrap();
         assert!(q.is_empty());
         assert_eq!(clean.store().num_quarantined(), 0);
 
@@ -931,7 +933,7 @@ mod tests {
         let blob0_start = 8 + 4 + 4 + 4;
         let blob0_len = file.store().blob_len(BlobId::from_index(0)).unwrap();
         let dmg = (blob0_start + 1, blob0_start + 2);
-        let (tolerant, q) = StoreFile::from_bytes_with_damage(&bytes, &[dmg]).unwrap();
+        let (tolerant, q) = StoreFile::from_bytes_with_damage(bytes.clone(), &[dmg]).unwrap();
         assert_eq!(q, vec![0]);
         assert!(tolerant.store().is_quarantined(BlobId::from_index(0)));
         assert!(matches!(
@@ -939,30 +941,141 @@ mod tests {
             Err(DecodeError::Quarantined { .. })
         ));
         // Whole-blob damage is equivalent.
-        let (_, q) =
-            StoreFile::from_bytes_with_damage(&bytes, &[(blob0_start, blob0_start + blob0_len)])
-                .unwrap();
+        let (_, q) = StoreFile::from_bytes_with_damage(
+            bytes.clone(),
+            &[(blob0_start, blob0_start + blob0_len)],
+        )
+        .unwrap();
         assert_eq!(q, vec![0]);
         // Empty ranges are ignored.
         let (_, q) =
-            StoreFile::from_bytes_with_damage(&bytes, &[(blob0_start, blob0_start)]).unwrap();
+            StoreFile::from_bytes_with_damage(bytes.clone(), &[(blob0_start, blob0_start)])
+                .unwrap();
         assert!(q.is_empty());
     }
 
     #[test]
     fn damage_in_structural_bytes_fails_the_decode() {
         let bytes = sample_file().to_bytes().unwrap();
-        let expect_structural =
-            |damaged: &[(usize, usize)]| match StoreFile::from_bytes_with_damage(&bytes, damaged) {
-                Err(DecodeError::Quarantined { .. }) => {}
-                Err(other) => panic!("expected structural quarantine error, got {other}"),
-                Ok(_) => panic!("structural damage {damaged:?} must fail the decode"),
-            };
+        let expect_structural = |damaged: &[(usize, usize)]| match StoreFile::from_bytes_with_damage(
+            bytes.clone(),
+            damaged,
+        ) {
+            Err(DecodeError::Quarantined { .. }) => {}
+            Err(other) => panic!("expected structural quarantine error, got {other}"),
+            Ok(_) => panic!("structural damage {damaged:?} must fail the decode"),
+        };
         // The magic is structural.
         expect_structural(&[(0, 4)]);
         // A blob length prefix is structural too: bytes 16..20 hold
         // blob 0's length.
         expect_structural(&[(16, 18)]);
+    }
+
+    /// Three mpoints whose unit arrays span many 64-byte pages each,
+    /// and the file's bytes.
+    fn multi_page_file() -> (StoreFile, Vec<u8>) {
+        let mut file = StoreFile::with_page_size(64).unwrap();
+        for k in 0..3 {
+            let samples: Vec<_> = (0..30 + 10 * k)
+                .map(|i| {
+                    (
+                        t(f64::from(i)),
+                        pt(f64::from(i), f64::from(i * i * (k + 1))),
+                    )
+                })
+                .collect();
+            let stored = save_mpoint(&MovingPoint::from_samples(&samples), file.store_mut());
+            file.put(format!("trip{k}"), RootRecord::MPoint(stored));
+        }
+        let bytes = file.to_bytes().unwrap();
+        (file, bytes)
+    }
+
+    /// The offsets of blobs `ids` of `file` inside the buffer `at` spans,
+    /// asserting that each is a range of it.
+    fn blob_offsets(
+        file: &StoreFile,
+        at: &std::ops::Range<*const u8>,
+        ids: impl IntoIterator<Item = usize>,
+    ) -> Vec<usize> {
+        ids.into_iter()
+            .map(|i| {
+                let id = BlobId::from_index(i);
+                let len = file.store().blob_len(id).unwrap_or_default();
+                let bytes = file.store().read_blob_range(id, 0, len).unwrap_or_default();
+                assert!(
+                    at.contains(&bytes.as_ptr()),
+                    "blob {i} is a range of the input"
+                );
+                bytes.as_ptr() as usize - at.start as usize
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decoding_shares_multi_page_blobs_and_reencodes_byte_identically() {
+        let (orig, bytes) = multi_page_file();
+        let n_blobs = orig.store().num_blobs();
+        assert_eq!(n_blobs, 3);
+        let input = bytes.clone();
+        let at = input.as_ptr_range();
+        let (file, q) = StoreFile::from_bytes_with_damage(input, &[]).unwrap();
+        assert!(q.is_empty());
+        assert_eq!(file.store().pages_written(), 0, "decoding writes no page");
+        for i in 0..n_blobs {
+            let id = BlobId::from_index(i);
+            assert!(
+                orig.store().blob_pages(id).unwrap_or_default() > 10,
+                "blob {i}"
+            );
+            assert_eq!(
+                file.store().try_read_blob(id).ok(),
+                orig.store().try_read_blob(id).ok()
+            );
+        }
+        // The blobs are ranges of the one input buffer, in file order.
+        let offsets = blob_offsets(&file, &at, 0..n_blobs);
+        assert!(offsets.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(file.to_bytes().ok(), Some(bytes.clone()));
+        assert_eq!(
+            StoreFile::from_bytes(&bytes).unwrap().to_bytes().ok(),
+            Some(bytes)
+        );
+    }
+
+    #[test]
+    fn damage_to_one_shared_blob_quarantines_only_that_blob() {
+        let (orig, bytes) = multi_page_file();
+        let input = bytes.clone();
+        let at = input.as_ptr_range();
+        let (clean, _) = StoreFile::from_bytes_with_damage(input, &[]).unwrap();
+        let middle = blob_offsets(&clean, &at, [1])[0];
+        let input = bytes.clone();
+        let at = input.as_ptr_range();
+        let (file, q) =
+            StoreFile::from_bytes_with_damage(input, &[(middle + 70, middle + 71)]).unwrap();
+        assert_eq!(q, vec![1]);
+        // The healthy blobs on both sides are still ranges of the one
+        // damaged buffer.
+        blob_offsets(&file, &at, [0, 2]);
+        let store = file.store();
+        assert!(matches!(
+            store.try_read_blob(BlobId::from_index(1)),
+            Err(DecodeError::Quarantined { .. })
+        ));
+        for i in [0, 2] {
+            let id = BlobId::from_index(i);
+            assert!(!store.is_quarantined(id));
+            assert_eq!(
+                store.try_read_blob(id).ok(),
+                orig.store().try_read_blob(id).ok()
+            );
+        }
+        let Some(RootRecord::MPoint(trip2)) = file.get("trip2") else {
+            panic!("trip2 is an mpoint root");
+        };
+        view::open_mpoint(trip2, store, Verify::Full).unwrap();
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::dbarray::SavedArray;
 use crate::page::PageStore;
+use mob_base::DecodeResult;
 
 /// Byte/page accounting for one tuple.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -30,15 +31,18 @@ impl TupleLayout {
         }
     }
 
-    /// Account for one saved database array.
-    pub fn add_array(&mut self, saved: &SavedArray, store: &PageStore) {
+    /// Account for one saved database array. A dangling blob id is
+    /// [`DecodeError::OutOfBounds`](mob_base::DecodeError::OutOfBounds);
+    /// a quarantined blob still counts its pages.
+    pub fn add_array(&mut self, saved: &SavedArray, store: &PageStore) -> DecodeResult<()> {
         match &saved.placement {
             crate::dbarray::Placement::Inline(b) => self.inline_bytes += b.len(),
             crate::dbarray::Placement::External(id) => {
+                self.external_pages += store.blob_pages(*id)?;
                 self.external_arrays += 1;
-                self.external_pages += store.blob_pages(*id);
             }
         }
+        Ok(())
     }
 
     /// Total bytes inside the tuple representation.
@@ -66,8 +70,8 @@ mod tests {
         let s1 = save_array(&small, &mut store);
         let s2 = save_array(&large, &mut store);
         let mut layout = TupleLayout::with_root(64);
-        layout.add_array(&s1, &store);
-        layout.add_array(&s2, &store);
+        layout.add_array(&s1, &store).unwrap();
+        layout.add_array(&s2, &store).unwrap();
         assert_eq!(layout.root_bytes, 64);
         assert_eq!(layout.inline_bytes, 16);
         assert_eq!(layout.external_arrays, 1);
@@ -81,8 +85,34 @@ mod tests {
         let mut store = PageStore::new();
         let s = save_array(&[pt(1.0, 2.0)], &mut store);
         let mut layout = TupleLayout::with_root(16);
-        layout.add_array(&s, &store);
+        layout.add_array(&s, &store).unwrap();
         assert!(layout.fully_inline());
         assert_eq!(layout.external_pages, 0);
+    }
+
+    #[test]
+    fn a_dangling_blob_id_is_an_error_and_adds_nothing() {
+        use crate::dbarray::Placement;
+        use crate::page::BlobId;
+        let mut store = PageStore::new();
+        let bad = save_array(&[pt(0.0, 0.0); 300], &mut store);
+        store.mark_quarantined(BlobId::from_index(0)).unwrap();
+        let dangling = SavedArray {
+            count: 1,
+            placement: Placement::External(BlobId::from_index(1)),
+        };
+        let mut layout = TupleLayout::with_root(8);
+        assert!(matches!(
+            layout.add_array(&dangling, &store),
+            Err(mob_base::DecodeError::OutOfBounds {
+                what: "blob id",
+                index: 1,
+                bound: 1
+            })
+        ));
+        assert_eq!(layout, TupleLayout::with_root(8));
+        // A quarantined blob is still placed: its pages count.
+        layout.add_array(&bad, &store).unwrap();
+        assert_eq!((layout.external_arrays, layout.external_pages), (1, 2));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`UnitSeq::interval`] reads only the 18-byte interval header at the
 //!   front of the `i`-th unit record ([`read_array_bytes`]), decoded in
-//!   place from its page (copied only if it straddles a page boundary);
+//!   place from the stored bytes, counting the pages it overlaps;
 //! * [`UnitSeq::unit`] decodes the one record (plus, for variable-size
 //!   units, exactly the subarray ranges it references);
 //! * consequently `atinstant` performs `O(log n)` header reads plus **one**
@@ -123,8 +123,11 @@ pub trait UnitRecord: FixedRecord {
 
     /// Check the record's references into the shared arrays (subarray
     /// bounds, nested link structure) without decoding the unit. Called
-    /// once per record at view construction.
-    fn check_structure(&self, shared: &Self::Shared<'_>) -> DecodeResult<()>;
+    /// once per record at view construction; a record without subarray
+    /// references has nothing to check.
+    fn check_structure(&self, _shared: &Self::Shared<'_>) -> DecodeResult<()> {
+        Ok(())
+    }
 
     /// Decode the record into a live unit, reading only the subarray
     /// ranges it references. All value-level invariants are re-checked;
@@ -140,10 +143,6 @@ impl UnitRecord for UBoolRecord {
         self.interval
     }
 
-    fn check_structure(&self, _shared: &()) -> DecodeResult<()> {
-        Ok(())
-    }
-
     fn try_decode(&self, _shared: &()) -> DecodeResult<ConstUnit<bool>> {
         Ok(ConstUnit::new(self.interval, self.value))
     }
@@ -155,10 +154,6 @@ impl UnitRecord for URealRecord {
 
     fn interval(&self) -> TimeInterval {
         self.interval
-    }
-
-    fn check_structure(&self, _shared: &()) -> DecodeResult<()> {
-        Ok(())
     }
 
     fn try_decode(&self, _shared: &()) -> DecodeResult<UReal> {
@@ -178,10 +173,6 @@ impl UnitRecord for UPointRecord {
 
     fn interval(&self) -> TimeInterval {
         self.interval
-    }
-
-    fn check_structure(&self, _shared: &()) -> DecodeResult<()> {
-        Ok(())
     }
 
     fn try_decode(&self, _shared: &()) -> DecodeResult<UPoint> {
@@ -380,24 +371,23 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
         if count == 0 {
             return Ok(());
         }
-        read_array_bytes(self.units, self.store, 0, count * R::SIZE, |bytes| {
-            let mut prev: Option<TimeInterval> = None;
-            for (i, record) in bytes.chunks_exact(R::SIZE).enumerate() {
-                let rec = R::read(record)?;
-                rec.check_structure(&self.shared)?;
-                let iv = UnitRecord::interval(&rec);
-                if let Some(p) = prev {
-                    if p.cmp_start(&iv) != std::cmp::Ordering::Less || !p.r_disjoint(&iv) {
-                        return Err(DecodeError::Invariant(InvariantViolation::with_detail(
-                            "mapping: unit intervals sorted and pairwise disjoint",
-                            format!("units {} and {} violate the order", i - 1, i),
-                        )));
-                    }
+        let bytes = self.record_bytes(0, count * R::SIZE)?;
+        let mut prev: Option<TimeInterval> = None;
+        for (i, record) in bytes.chunks_exact(R::SIZE).enumerate() {
+            let rec = R::read(record)?;
+            rec.check_structure(&self.shared)?;
+            let iv = UnitRecord::interval(&rec);
+            if let Some(p) = prev {
+                if p.cmp_start(&iv) != std::cmp::Ordering::Less || !p.r_disjoint(&iv) {
+                    return Err(DecodeError::Invariant(InvariantViolation::with_detail(
+                        "mapping: unit intervals sorted and pairwise disjoint",
+                        format!("units {} and {} violate the order", i - 1, i),
+                    )));
                 }
-                prev = Some(iv);
             }
-            Ok(())
-        })
+            prev = Some(iv);
+        }
+        Ok(())
     }
 
     /// Deep validation of the viewed mapping, without materializing it:
@@ -434,19 +424,19 @@ impl<'s, R: UnitRecord> MappingView<'s, R> {
     /// The `i`-th unit record, fully read but not yet decoded into a
     /// live unit.
     pub fn try_record(&self, i: usize) -> DecodeResult<R> {
-        read_array_bytes(self.units, self.store, i * R::SIZE, R::SIZE, R::read)
+        R::read(self.record_bytes(i, R::SIZE)?)
     }
 
     /// Fallible interval read: the 18-byte header of the `i`-th record.
     pub fn try_interval(&self, i: usize) -> DecodeResult<TimeInterval> {
         self.headers_read.incr();
-        read_array_bytes(
-            self.units,
-            self.store,
-            i * R::SIZE,
-            TimeInterval::SIZE,
-            TimeInterval::read,
-        )
+        TimeInterval::read(self.record_bytes(i, TimeInterval::SIZE)?)
+    }
+
+    /// `len` bytes of the unit array from the start of the `i`-th
+    /// record, borrowed through the one range read.
+    fn record_bytes(&self, i: usize, len: usize) -> DecodeResult<&'s [u8]> {
+        read_array_bytes(self.units, self.store, i * R::SIZE, len)
     }
 
     /// Fallible unit decode of the `i`-th record.

@@ -28,8 +28,9 @@ fn main() {
         .sum();
 
     // Persist it: every flight becomes a root record + a unit array in
-    // page chains (Sec 4's attribute representation), and the relation
-    // one more root naming them. Commit it and reopen the store.
+    // an external blob, counted in pages (Sec 4's attribute
+    // representation), and the relation one more root naming them.
+    // Commit it and reopen the store.
     let mut file = StoreFile::new();
     save_relation(&fleet, &mut file, "planes").expect("fleet serializes");
     let pages_total = file.store().pages_written();

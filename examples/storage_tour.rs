@@ -18,7 +18,9 @@ fn main() {
     let small = &plane_fleet(1, 1, 4)[0];
     let stored_small = save_mpoint(&small.flight, &mut store);
     let mut layout = TupleLayout::with_root(16);
-    layout.add_array(&stored_small.units, &store);
+    layout
+        .add_array(&stored_small.units, &store)
+        .expect("the array was just saved");
     println!(
         "small flight ({} units): tuple bytes {}, fully inline: {}",
         stored_small.num_units,
@@ -31,7 +33,9 @@ fn main() {
     store.reset_counters();
     let stored_big = save_mpoint(&big.flight, &mut store);
     let mut layout = TupleLayout::with_root(16);
-    layout.add_array(&stored_big.units, &store);
+    layout
+        .add_array(&stored_big.units, &store)
+        .expect("the array was just saved");
     println!(
         "long flight ({} units): tuple bytes {}, external pages {}, pages written {}",
         stored_big.num_units,
@@ -56,10 +60,16 @@ fn main() {
     store.reset_counters();
     let stored_mr = save_mregion(&hurricane, &mut store);
     let mut layout = TupleLayout::with_root(24);
-    layout.add_array(&stored_mr.units, &store);
-    layout.add_array(&stored_mr.msegments, &store);
-    layout.add_array(&stored_mr.mcycles, &store);
-    layout.add_array(&stored_mr.mfaces, &store);
+    for array in [
+        &stored_mr.units,
+        &stored_mr.msegments,
+        &stored_mr.mcycles,
+        &stored_mr.mfaces,
+    ] {
+        layout
+            .add_array(array, &store)
+            .expect("the array was just saved");
+    }
     println!(
         "\nmoving region ({} units, {} msegs): tuple bytes {}, external arrays {}, external pages {}",
         stored_mr.num_units,
