@@ -1217,11 +1217,12 @@ impl E15Row {
     /// quarantined, so `always` is empty).
     fn hits(&self) -> (usize, usize) {
         let base = self.rel.index_tree().expect("attached");
+        let tail = self.generation.tail();
         self.probes.iter().fold((0, 0), |(b, tl), (zone, window)| {
             let cube = mob_spatial::Cube::new(zone.bbox(), window);
-            let tail = self.generation.tail().iter();
+            let tail = tail.iter();
             (
-                b + base.query(&cube).tuples.len(),
+                b + base.query(&cube).expect("a checked tree").tuples.len(),
                 tl + tail.filter(|(_, c)| c.intersects(&cube)).count(),
             )
         })
@@ -1370,6 +1371,7 @@ impl E16Probe {
                 tree.query(&mob_spatial::Cube::new(zone.bbox(), window))
             }
         }
+        .expect("a checked tree")
     }
 
     /// [`E16Probe::prune`] through the `f64` twin of a tree.
@@ -1560,7 +1562,6 @@ impl F64Twin {
     fn of(compact: &mob_core::RTree, raw: &[mob_core::IndexEntry]) -> F64Twin {
         let entries: Vec<mob_core::IndexEntry> = compact
             .coded_entries()
-            .iter()
             .map(|e| {
                 let i = raw
                     .binary_search_by_key(&(e.tuple, e.unit), |r| (r.tuple, r.unit))
@@ -1620,7 +1621,7 @@ fn e17() {
     use mob_core::run_cubes;
     use mob_rel::IndexPolicy;
     use mob_storage::index_store::{
-        load_index, save_index, IndexEntryRecord, IndexNodeRecord, StoredIndex,
+        attach_index, load_index, save_index, IndexEntryRecord, IndexNodeRecord, StoredIndex,
     };
     use mob_storage::{save_array, RootRecord, StoreFile};
     header("E17  compact index leaves: f64 vs 16-bit leaf cubes [DESIGN.md §11]");
@@ -1632,9 +1633,11 @@ fn e17() {
     println!(
         "per probe kind the mean nodes visited and candidates of {E16_PROBES} probes, prune ns per"
     );
-    println!("probe (tree walk) and load_index ns (medians of 5; tag 11 loads by coding its");
-    println!("leaves); `same` asserts every probe's Force scan through the stored tree equals");
-    println!("the scan with the index off");
+    println!("probe (tree walk), attach_index ns (what an open pays: nodes decoded, leaves left");
+    println!("in place and checked on first search) and load_index ns (the attach plus every");
+    println!("leaf checked); medians of 5, tag 11 converts on both by coding its leaves; `same`");
+    println!("asserts every probe's Force scan through the stored tree equals the scan with the");
+    println!("index off");
     let (taxis, flights) = e16_fleets();
     let mut rng = 0xE17u64;
     let taxi_kinds = [
@@ -1667,7 +1670,10 @@ fn e17() {
                 format!("{kind} cands")
             );
         }
-        println!(" {:>9} {:>10} {:>5}", "prune ns", "load ns", "same");
+        println!(
+            " {:>9} {:>10} {:>10} {:>5}",
+            "prune ns", "attach ns", "load ns", "same"
+        );
         let off = ScanOpts::new().index(IndexPolicy::Off);
         let force = off.clone().index(IndexPolicy::Force);
         let full: Vec<Vec<_>> = kinds
@@ -1707,6 +1713,9 @@ fn e17() {
             let store = file.store();
             let index_bytes = stored.entries.byte_len(store).expect("entries")
                 + stored.nodes.byte_len(store).expect("nodes");
+            let attach_ns = median_nanos(5, || {
+                std::hint::black_box(attach_index(&stored, store).expect("attaches"));
+            });
             let load_ns = median_nanos(5, || {
                 std::hint::black_box(load_index(&stored, store).expect("loads"));
             });
@@ -1765,7 +1774,13 @@ fn e17() {
                     }
                 }
             });
-            println!(" {:>9} {:>10} {:>5}", prune_ns / probes, load_ns, same);
+            println!(
+                " {:>9} {:>10} {:>10} {:>5}",
+                prune_ns / probes,
+                attach_ns,
+                load_ns,
+                same
+            );
             assert!(
                 same,
                 "E17: the {layout} layout changed an answer on {fleet}"

@@ -331,7 +331,7 @@ impl DeepReport {
 ///
 /// Never panics, whatever the bytes — damage shows up in the report.
 pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
-    let img = match mob_storage::decode_image_degraded(bytes) {
+    let img = match mob_storage::decode_image_degraded(bytes.to_vec()) {
         Ok(img) => img,
         Err(e) => {
             return DeepReport {
@@ -385,13 +385,13 @@ pub fn deep_verify_image(bytes: &[u8]) -> DeepReport {
 /// set at `at`. `None` when the image is refused or the index is
 /// unavailable — the outcomes a query planner degrades through.
 fn image_index_candidates(bytes: &[u8], at: mob_base::Instant) -> Option<Vec<u32>> {
-    let img = mob_storage::decode_image_degraded(bytes).ok()?;
+    let img = mob_storage::decode_image_degraded(bytes.to_vec()).ok()?;
     let gen = generation_from_image(img).ok()?;
     let RootRecord::Index(stored) = gen.get("planes/index")? else {
         return None;
     };
     let tree = index_store::load_index(stored, gen.store()).ok()?;
-    Some(tree.query_instant(at).tuples)
+    Some(tree.query_instant(at).ok()?.tuples)
 }
 
 /// Hermetic fault-injection self-test (the CLI's `--self-test`): commit
@@ -425,7 +425,10 @@ pub fn self_test(seed: u64) -> Result<String, String> {
             .map_err(|e| format!("pristine index: {e}"))?;
         let root = tree.nodes().last().ok_or("pristine index is empty")?;
         let at = mob_base::t((root.cube.t_min.as_f64() + root.cube.t_max.as_f64()) / 2.0);
-        (at, tree.query_instant(at).tuples)
+        let cands = tree
+            .query_instant(at)
+            .map_err(|e| format!("pristine index probe: {e}"))?;
+        (at, cands.tuples)
     };
     if pristine_cands.is_empty() {
         return Err("pristine index probe matched nothing — probe too weak".to_string());

@@ -30,7 +30,10 @@
 //! each of the six bounds into a code, a fraction `code / CODE_MAX` of
 //! its frame axis, rounding mins down and maxes up, and the tree keeps
 //! the codes ([`CodedEntry`], 20 bytes) — in memory as on disk, with
-//! the frame kept once. Each leaf stands for the cube [`decode`] gives
+//! the frame kept once. The leaf entries are one byte array of stored
+//! records ([`ENTRY_BYTES`] each, [`write_entry`]), so a tree attached
+//! to a store ([`RTree::from_stored`]) searches the stored bytes where
+//! they lie. Each leaf stands for the cube [`decode`] gives
 //! back: the run's cube snapped outward to the grid. Leaf nodes are the
 //! decoded unions of their entries, and a probe is compared with the
 //! leaves in code space, so no search or load decodes a leaf. The frame
@@ -51,18 +54,25 @@
 //! the grid is, never changes an answer, only how many candidates a
 //! probe yields.
 //!
-//! Decoded trees are untrusted like everything else read from storage:
-//! [`RTree::from_coded_parts`] and [`RTree::from_parts`] (the older
-//! layout with `f64` leaf cubes) re-validate the full structure (child
-//! ranges tile each level exactly, every child cube contained in its
-//! parent, leaf ids in range) and reject anything inconsistent with a
-//! [`DecodeError`]; the coded form also refuses a frame other than the
-//! root cube and codes whose min is above their max.
+//! Decoded trees are untrusted like everything else read from storage.
+//! [`RTree::from_parts`] (the older layout with `f64` leaf cubes)
+//! re-validates the full structure (child ranges tile each level
+//! exactly, every child cube contained in its parent, leaf ids in
+//! range) and rejects anything inconsistent with a [`DecodeError`].
+//! [`RTree::from_stored`] checks the same of the nodes, and refuses a
+//! frame other than the root cube; each leaf node's entries (ids in
+//! range, no min code above its max, inside the leaf) are checked the
+//! first time a search reads them, which then fails instead of
+//! answering, and a pass is recorded for the life of the tree.
+//! [`RTree::validate`] checks everything at once.
 
 use crate::seq::UnitSeq;
 use crate::upoint::UPoint;
 use mob_base::{DecodeError, DecodeResult, Instant, Real};
 use mob_spatial::{Cube, Rect};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Default node fan-out (maximum children per node).
 pub const DEFAULT_FANOUT: usize = 16;
@@ -125,20 +135,191 @@ pub struct Candidates {
     pub nodes_visited: u64,
 }
 
+/// Bytes of one leaf entry as a tree holds and stores it: `(tuple u32,
+/// unit u32, six u16 codes)`, little-endian ([`write_entry`]).
+pub const ENTRY_BYTES: usize = 20;
+
+/// Append `e` in the leaf entry layout ([`ENTRY_BYTES`] bytes).
+pub fn write_entry(out: &mut Vec<u8>, e: &CodedEntry) {
+    out.extend_from_slice(&entry_record(e));
+}
+
+/// `e` in the leaf entry layout.
+fn entry_record(e: &CodedEntry) -> [u8; ENTRY_BYTES] {
+    let [t0, t1, t2, t3] = e.tuple.to_le_bytes();
+    let [u0, u1, u2, u3] = e.unit.to_le_bytes();
+    let [[x0, x1], [y0, y1], [x2, x3], [y2, y3], [s0, s1], [s2, s3]] =
+        e.codes.map(u16::to_le_bytes);
+    [
+        t0, t1, t2, t3, u0, u1, u2, u3, x0, x1, y0, y1, x2, x3, y2, y3, s0, s1, s2, s3,
+    ]
+}
+
+/// The leaf entry a record holds.
+#[inline]
+fn record_entry(rec: &[u8; ENTRY_BYTES]) -> CodedEntry {
+    let &[t0, t1, t2, t3, u0, u1, u2, u3, ..] = rec;
+    CodedEntry {
+        tuple: u32::from_le_bytes([t0, t1, t2, t3]),
+        unit: u32::from_le_bytes([u0, u1, u2, u3]),
+        codes: record_codes(rec),
+    }
+}
+
+/// The six codes of a leaf entry record.
+#[inline]
+fn record_codes(rec: &[u8; ENTRY_BYTES]) -> [u16; 6] {
+    let &[_, _, _, _, _, _, _, _, x0, x1, y0, y1, x2, x3, y2, y3, s0, s1, s2, s3] = rec;
+    [
+        u16::from_le_bytes([x0, x1]),
+        u16::from_le_bytes([y0, y1]),
+        u16::from_le_bytes([x2, x3]),
+        u16::from_le_bytes([y2, y3]),
+        u16::from_le_bytes([s0, s1]),
+        u16::from_le_bytes([s2, s3]),
+    ]
+}
+
+/// The leaf entry at the front of `rec` ([`write_entry`]'s layout), or
+/// `None` when `rec` is shorter than [`ENTRY_BYTES`]. The codes are not
+/// checked: see [`check_codes`].
+#[inline]
+pub fn read_entry(rec: &[u8]) -> Option<CodedEntry> {
+    rec.get(..ENTRY_BYTES)?.try_into().ok().map(record_entry)
+}
+
 /// A packed (STR bulk-loaded) R-tree over unit-run bounding cubes, its
 /// leaf entries held as codes in the frame (the root cube).
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The leaf entries are one byte array in the stored layout
+/// ([`ENTRY_BYTES`] each, in packed order), a range of a shared buffer:
+/// a tree built in memory owns its buffer, and a tree attached to a
+/// store ([`RTree::from_stored`]) searches the stored bytes where they
+/// lie. The nodes are decoded. Each leaf node's entries are checked the
+/// first time a search reads them, and a passed check is recorded for
+/// the life of the tree (see [`RTree::query`]).
 pub struct RTree {
     num_tuples: u32,
     fanout: u32,
-    entries: Vec<CodedEntry>,
+    /// The buffer holding the leaf entries, at `entries`.
+    buf: Arc<Vec<u8>>,
+    entries: Range<usize>,
     nodes: Vec<IndexNode>,
+    /// Which leaf nodes' entries passed their checks.
+    checked: LeafChecks,
+}
+
+/// Per leaf node of a tree (the level-0 nodes, first in its node
+/// array), whether its entries passed their checks, and how many have
+/// not. A check reads only the immutable entry bytes and publishes
+/// nothing else, so a racing second check merely repeats the first: the
+/// `Release`/`AcqRel` writes and `Acquire` loads pair only these flags
+/// and the count.
+struct LeafChecks {
+    passed: Vec<AtomicBool>,
+    /// Leaf nodes not passed yet: 0 once every one has, when a search
+    /// skips the per-leaf flags.
+    left: AtomicUsize,
+}
+
+impl LeafChecks {
+    /// `leaves` flags, all set to `passed`.
+    fn new(leaves: usize, passed: bool) -> LeafChecks {
+        LeafChecks {
+            passed: (0..leaves).map(|_| AtomicBool::new(passed)).collect(),
+            left: AtomicUsize::new(if passed { 0 } else { leaves }),
+        }
+    }
+
+    /// Whether every leaf passed.
+    #[inline]
+    fn all(&self) -> bool {
+        self.left.load(Ordering::Acquire) == 0
+    }
+
+    /// Whether leaf node `leaf` passed.
+    #[inline]
+    fn passed(&self, leaf: usize) -> bool {
+        self.passed
+            .get(leaf)
+            .is_some_and(|c| c.load(Ordering::Acquire))
+    }
+
+    /// Record that leaf node `leaf` passed; the count falls once per
+    /// leaf, whoever records it.
+    fn pass(&self, leaf: usize) {
+        if self
+            .passed
+            .get(leaf)
+            .is_some_and(|c| !c.swap(true, Ordering::AcqRel))
+        {
+            // `checked_sub` keeps a `pass_all` racing ahead at 0.
+            let fall = |n: usize| n.checked_sub(1);
+            let _ = self
+                .left
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, fall);
+        }
+    }
+
+    /// Record that every leaf passed.
+    fn pass_all(&self) {
+        for c in &self.passed {
+            c.store(true, Ordering::Release);
+        }
+        self.left.store(0, Ordering::Release);
+    }
+}
+
+impl Clone for LeafChecks {
+    fn clone(&self) -> LeafChecks {
+        LeafChecks {
+            passed: (self.passed.iter())
+                .map(|c| AtomicBool::new(c.load(Ordering::Acquire)))
+                .collect(),
+            left: AtomicUsize::new(self.left.load(Ordering::Acquire)),
+        }
+    }
+}
+
+impl Clone for RTree {
+    fn clone(&self) -> RTree {
+        RTree {
+            num_tuples: self.num_tuples,
+            fanout: self.fanout,
+            buf: Arc::clone(&self.buf),
+            entries: self.entries.clone(),
+            nodes: self.nodes.clone(),
+            checked: self.checked.clone(),
+        }
+    }
+}
+
+/// Trees are equal when their counts, leaf entries and nodes are; what
+/// was checked so far, and where the entries lie, is not compared.
+impl PartialEq for RTree {
+    fn eq(&self, other: &RTree) -> bool {
+        self.num_tuples == other.num_tuples
+            && self.fanout == other.fanout
+            && self.entry_bytes() == other.entry_bytes()
+            && self.nodes == other.nodes
+    }
+}
+
+impl std::fmt::Debug for RTree {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RTree")
+            .field("num_tuples", &self.num_tuples)
+            .field("fanout", &self.fanout)
+            .field("entries", &self.num_entries())
+            .field("nodes", &self.nodes.len())
+            .finish_non_exhaustive()
+    }
 }
 
 /// STR sort key: the sum of an entry's min and max code on one axis
 /// (`0` = x, `1` = y, `2` = t), twice its center in code units.
-fn center(e: &CodedEntry, axis: usize) -> u32 {
-    let [x0, y0, x1, y1, t0, t1] = e.codes;
+fn center(rec: &[u8; ENTRY_BYTES], axis: usize) -> u32 {
+    let [x0, y0, x1, y1, t0, t1] = record_codes(rec);
     let (lo, hi) = match axis {
         0 => (x0, x1),
         1 => (y0, y1),
@@ -150,21 +331,19 @@ fn center(e: &CodedEntry, axis: usize) -> u32 {
 /// The codes covering a non-empty run of entries: the smallest min and
 /// the largest max code on each axis. Decoding is monotone, so this
 /// decodes to the union of the entries' decoded cubes.
-fn code_union(entries: &[CodedEntry]) -> [u16; 6] {
-    entries
-        .iter()
-        .fold([CODE_MAX, CODE_MAX, 0, 0, CODE_MAX, 0], |acc, e| {
-            let [a0, a1, a2, a3, a4, a5] = acc;
-            let [c0, c1, c2, c3, c4, c5] = e.codes;
-            [
-                a0.min(c0),
-                a1.min(c1),
-                a2.max(c2),
-                a3.max(c3),
-                a4.min(c4),
-                a5.max(c5),
-            ]
-        })
+fn code_union(codes: impl Iterator<Item = [u16; 6]>) -> [u16; 6] {
+    codes.fold([CODE_MAX, CODE_MAX, 0, 0, CODE_MAX, 0], |acc, c| {
+        let [a0, a1, a2, a3, a4, a5] = acc;
+        let [c0, c1, c2, c3, c4, c5] = c;
+        [
+            a0.min(c0),
+            a1.min(c1),
+            a2.max(c2),
+            a3.max(c3),
+            a4.min(c4),
+            a5.max(c5),
+        ]
+    })
 }
 
 impl RTree {
@@ -187,22 +366,21 @@ impl RTree {
     /// until a single root remains. The root cube is the frame.
     pub fn build(num_tuples: usize, entries: Vec<IndexEntry>, fanout: usize) -> RTree {
         let fanout = fanout.max(2);
-        let mut tree = RTree {
-            num_tuples: idx_u32(num_tuples),
-            fanout: idx_u32(fanout),
-            entries: Vec::new(),
-            nodes: Vec::new(),
-        };
+        let (num_tuples, fanout_u32) = (idx_u32(num_tuples), idx_u32(fanout));
         let Some(frame) = entries.iter().map(|e| e.cube).reduce(|a, c| a.union(&c)) else {
-            return tree;
+            return RTree::checked(num_tuples, fanout_u32, Vec::new(), Vec::new());
         };
         let grid = Grid::new(&frame);
-        let mut coded: Vec<CodedEntry> = entries
+        // Each entry goes straight into its stored record: the tree
+        // packs and keeps the records themselves.
+        let mut coded: Vec<[u8; ENTRY_BYTES]> = entries
             .iter()
-            .map(|e| CodedEntry {
-                tuple: e.tuple,
-                unit: e.unit,
-                codes: grid.encode(&e.cube),
+            .map(|e| {
+                entry_record(&CodedEntry {
+                    tuple: e.tuple,
+                    unit: e.unit,
+                    codes: grid.encode(&e.cube),
+                })
             })
             .collect();
         // The codes replace the f64 cubes; free those before packing.
@@ -231,7 +409,7 @@ impl RTree {
         let mut first = 0usize;
         for chunk in coded.chunks(fanout) {
             nodes.push(IndexNode {
-                cube: grid.decode(code_union(chunk)),
+                cube: grid.decode(code_union(chunk.iter().map(record_codes))),
                 first: idx_u32(first),
                 count: idx_u32(chunk.len()),
                 level: 0,
@@ -260,13 +438,26 @@ impl RTree {
             }
             lvl_start = lvl_end;
         }
-        tree.entries = coded;
-        tree.nodes = nodes;
+        let tree = RTree::checked(num_tuples, fanout_u32, coded.into_flattened(), nodes);
         debug_assert!(
             tree.validate().is_ok(),
             "bulk load broke its own invariants"
         );
         tree
+    }
+
+    /// A tree over the leaf entry records `buf` and `nodes` that this
+    /// process built or fully validated: every leaf counts as checked.
+    fn checked(num_tuples: u32, fanout: u32, buf: Vec<u8>, nodes: Vec<IndexNode>) -> RTree {
+        let leaves = nodes.iter().take_while(|nd| nd.level == 0).count();
+        RTree {
+            num_tuples,
+            fanout,
+            entries: 0..buf.len(),
+            buf: Arc::new(buf),
+            nodes,
+            checked: LeafChecks::new(leaves, true),
+        }
     }
 
     /// Reassemble a tree from the `f64` layout every store written
@@ -294,12 +485,7 @@ impl RTree {
                 .find(|&c| entries.get(c).is_none_or(|e| !node.cube.contains(&e.cube)))
         })?;
         let Some(frame) = nodes.last().map(|root| root.cube) else {
-            return Ok(RTree {
-                num_tuples,
-                fanout,
-                entries: Vec::new(),
-                nodes,
-            });
+            return Ok(RTree::checked(num_tuples, fanout, Vec::new(), nodes));
         };
         let grid = Grid::new(&frame);
         let coded: Vec<CodedEntry> = entries
@@ -319,9 +505,10 @@ impl RTree {
             };
             let range = nd.first as usize..nd.first as usize + nd.count as usize;
             let cube = if nd.level == 0 {
-                coded
-                    .get(range)
-                    .map(|run| nd.cube.union(&grid.decode(code_union(run))))
+                coded.get(range).map(|run| {
+                    nd.cube
+                        .union(&grid.decode(code_union(run.iter().map(|e| e.codes))))
+                })
             } else {
                 nodes
                     .get(range)
@@ -331,39 +518,64 @@ impl RTree {
                 slot.cube = cube;
             }
         }
-        let tree = RTree {
-            num_tuples,
-            fanout,
-            entries: coded,
-            nodes,
-        };
+        let mut buf = Vec::with_capacity(coded.len() * ENTRY_BYTES);
+        for e in &coded {
+            write_entry(&mut buf, e);
+        }
+        let tree = RTree::checked(num_tuples, fanout, buf, nodes);
         debug_assert!(tree.validate().is_ok(), "widening broke containment");
         Ok(tree)
     }
 
-    /// Reassemble a tree from its compact stored form — the frame, the
-    /// coded leaf entries and the nodes — re-validating everything: the
-    /// frame must equal the root cube, and the tree must pass
-    /// [`RTree::validate`]. The untrusted entry point `mob-storage`'s
-    /// `load_index` uses for that layout.
-    pub fn from_coded_parts(
+    /// Attach a tree to its compact stored form — the frame, the nodes,
+    /// and bytes `entries` of `buf` holding the leaf entries in the
+    /// stored layout ([`ENTRY_BYTES`] each) — without copying or
+    /// decoding the entries. The untrusted entry point `mob-storage`'s
+    /// index attach uses for that layout.
+    ///
+    /// Checked here: the entry bytes are whole records, the frame
+    /// equals the root cube, and the nodes pass every structural check
+    /// of [`RTree::validate`] but the leaf entries' own (fanout, levels,
+    /// exact tiling of the entries, one root, each child node inside
+    /// its parent). Each leaf node's entries are checked the first time
+    /// a search reads them ([`RTree::query`]), or all at once by
+    /// [`RTree::validate`].
+    pub fn from_stored(
         num_tuples: u32,
         fanout: u32,
         frame: Cube,
-        entries: Vec<CodedEntry>,
+        buf: Arc<Vec<u8>>,
+        entries: Range<usize>,
         nodes: Vec<IndexNode>,
     ) -> DecodeResult<RTree> {
+        let len = buf
+            .get(entries.clone())
+            .map(<[u8]>::len)
+            .ok_or(DecodeError::OutOfBounds {
+                what: "rtree entry bytes",
+                index: entries.end,
+                bound: buf.len(),
+            })?;
+        if !len.is_multiple_of(ENTRY_BYTES) {
+            return Err(DecodeError::Ragged {
+                what: "rtree entry bytes",
+                len,
+                record_size: ENTRY_BYTES,
+            });
+        }
         if nodes.last().is_some_and(|root| root.cube != frame) {
             return Err(bad("frame differs from the root cube".to_string()));
         }
-        let tree = RTree {
+        validate_nodes(fanout, len / ENTRY_BYTES, &nodes, |_, _| None)?;
+        let leaves = nodes.iter().take_while(|nd| nd.level == 0).count();
+        Ok(RTree {
             num_tuples,
             fanout,
+            buf,
             entries,
             nodes,
-        };
-        tree.validate()?;
-        Ok(tree)
+            checked: LeafChecks::new(leaves, false),
+        })
     }
 
     /// Number of tuples in the relation the tree was built over.
@@ -373,7 +585,7 @@ impl RTree {
 
     /// Number of leaf entries (indexed unit-run cubes).
     pub fn num_entries(&self) -> usize {
-        self.entries.len()
+        self.entry_bytes().len() / ENTRY_BYTES
     }
 
     /// Number of tree nodes across all levels.
@@ -392,17 +604,29 @@ impl RTree {
         self.nodes.last().map(|root| root.cube)
     }
 
-    /// The leaf entries in packed order, as codes in the frame (for
-    /// serialization).
-    pub fn coded_entries(&self) -> &[CodedEntry] {
-        &self.entries
+    /// The leaf entries in packed order, in the stored layout
+    /// ([`ENTRY_BYTES`] each; for serialization).
+    pub fn entry_bytes(&self) -> &[u8] {
+        self.buf.get(self.entries.clone()).unwrap_or_default()
+    }
+
+    /// The leaf entries in packed order, as codes in the frame.
+    pub fn coded_entries(&self) -> impl Iterator<Item = CodedEntry> + '_ {
+        self.entry_bytes()
+            .chunks_exact(ENTRY_BYTES)
+            .filter_map(read_entry)
+    }
+
+    /// Leaf entry `i`, if there is one.
+    fn entry(&self, i: usize) -> Option<CodedEntry> {
+        read_entry(self.entry_bytes().get(i.checked_mul(ENTRY_BYTES)?..)?)
     }
 
     /// The leaf entries in packed order with their cubes decoded: each
     /// the run's cube snapped outward to the frame's grid.
     pub fn entries(&self) -> impl Iterator<Item = IndexEntry> + '_ {
         let grid = self.frame().map(|f| Grid::new(&f));
-        self.entries.iter().filter_map(move |e| {
+        self.coded_entries().filter_map(move |e| {
             grid.map(|g| IndexEntry {
                 tuple: e.tuple,
                 unit: e.unit,
@@ -429,71 +653,125 @@ impl RTree {
     ///   a min code above its max code.
     ///
     /// Decode paths call this on untrusted bytes, so violations are
-    /// [`DecodeError`]s, never panics.
+    /// [`DecodeError`]s, never panics. A tree that passes has every leaf
+    /// recorded as checked.
     pub fn validate(&self) -> DecodeResult<()> {
-        for e in &self.entries {
+        for e in self.coded_entries() {
             check_tuple(e.tuple, self.num_tuples)?;
             check_codes(e.codes)?;
         }
         let grid = self.frame().map(|f| Grid::new(&f));
         validate_nodes(
             self.fanout,
-            self.entries.len(),
+            self.num_entries(),
             &self.nodes,
-            |node, range| {
-                // An entry lies inside the node exactly when its codes lie
-                // inside the node's cube coded inward.
-                let inward = grid.and_then(|g| g.inward(&node.cube));
-                range.clone().find(|&c| {
-                    let codes = self.entries.get(c).map(|e| e.codes);
-                    match (codes, inward) {
-                        (Some([x0, y0, x1, y1, t0, t1]), Some([a0, b0, a1, b1, s0, s1])) => {
-                            x0 < a0 || y0 < b0 || x1 > a1 || y1 > b1 || t0 < s0 || t1 > s1
-                        }
-                        _ => true,
-                    }
-                })
-            },
-        )
+            |node, range| self.escapes(grid.as_ref(), node, range),
+        )?;
+        self.checked.pass_all();
+        Ok(())
+    }
+
+    /// The first entry of `range` not inside `node`: an entry lies
+    /// inside the node exactly when its codes lie inside the node's
+    /// cube coded inward.
+    fn escapes(
+        &self,
+        grid: Option<&Grid>,
+        node: &IndexNode,
+        range: &Range<usize>,
+    ) -> Option<usize> {
+        let inward = grid.and_then(|g| g.inward(&node.cube));
+        range.clone().find(|&c| {
+            let codes = self.entry(c).map(|e| e.codes);
+            match (codes, inward) {
+                (Some([x0, y0, x1, y1, t0, t1]), Some([a0, b0, a1, b1, s0, s1])) => {
+                    x0 < a0 || y0 < b0 || x1 > a1 || y1 > b1 || t0 < s0 || t1 > s1
+                }
+                _ => true,
+            }
+        })
+    }
+
+    /// Check the entries of leaf node `leaf` the first time a search
+    /// reads them: every tuple id `< num_tuples`, no min code above its
+    /// max code, every entry inside the node. A pass is recorded for
+    /// the life of the tree; a failure is not, so every later visit
+    /// fails again with the same error. Out of the search loop: a
+    /// search calls it only for a leaf not yet recorded.
+    #[cold]
+    #[inline(never)]
+    fn check_leaf(&self, grid: &Grid, leaf: usize) -> DecodeResult<()> {
+        let node = self
+            .nodes
+            .get(leaf)
+            .ok_or_else(|| bad(format!("no leaf node {leaf}")))?;
+        let range = node.first as usize..node.first as usize + node.count as usize;
+        for c in range.clone() {
+            let e = self
+                .entry(c)
+                .ok_or_else(|| bad(format!("leaf node {leaf} has no entry {c}")))?;
+            check_tuple(e.tuple, self.num_tuples)?;
+            check_codes(e.codes)?;
+        }
+        if let Some(c) = self.escapes(Some(grid), node, &range) {
+            return Err(bad(format!(
+                "node {leaf} (level 0) does not contain child {c}"
+            )));
+        }
+        self.checked.pass(leaf);
+        Ok(())
     }
 
     /// Probe with a full (x, y, t) cube: every entry whose cube
     /// intersects `q` contributes its tuple to the candidate set.
-    pub fn query(&self, q: &Cube) -> Candidates {
+    ///
+    /// # Errors
+    ///
+    /// A leaf node the search reads whose entries fail their first-visit
+    /// check (see [`RTree::from_stored`]): the tree cannot answer for
+    /// it, and the caller must scan without it.
+    pub fn query(&self, q: &Cube) -> DecodeResult<Candidates> {
         let meets = |g: &Grid| g.meets(Some(&q.rect), Some((q.t_min, q.t_max)));
         self.search(|c| c.intersects(q), meets)
     }
 
     /// Probe with an instant only (the `snapshot_at` prune): time-axis
-    /// overlap, any spatial extent.
-    pub fn query_instant(&self, t: Instant) -> Candidates {
+    /// overlap, any spatial extent. Errors as [`RTree::query`].
+    pub fn query_instant(&self, t: Instant) -> DecodeResult<Candidates> {
         let meets = |g: &Grid| g.meets(None, Some((t, t)));
         self.search(|c| c.t_min <= t && t <= c.t_max, meets)
     }
 
     /// Probe with a spatial rectangle only (the `filter_inside` prune):
-    /// space-axis overlap, any time.
-    pub fn query_rect(&self, r: &Rect) -> Candidates {
+    /// space-axis overlap, any time. Errors as [`RTree::query`].
+    pub fn query_rect(&self, r: &Rect) -> DecodeResult<Candidates> {
         let meets = |g: &Grid| g.meets(Some(r), None);
         self.search(move |c| c.rect.intersects(r), meets)
     }
 
     /// Walk the tree: nodes whose cube passes `hit`, and entries whose
     /// codes lie in the code window `meets` gives for the frame — the
-    /// entries whose decoded cube passes `hit`, compared in code space.
+    /// entries whose decoded cube passes `hit`, compared in code space,
+    /// read where they lie after their leaf's check.
     fn search(
         &self,
         hit: impl Fn(&Cube) -> bool,
         meets: impl Fn(&Grid) -> Option<[u16; 6]>,
-    ) -> Candidates {
+    ) -> DecodeResult<Candidates> {
         let mut out = Candidates::default();
         let Some(frame) = self.frame() else {
-            return out;
+            return Ok(out);
         };
-        let window = meets(&Grid::new(&frame));
+        let grid = Grid::new(&frame);
+        let window = meets(&grid);
+        // Whole records: a search reads each in place, its codes first.
+        let (records, _) = self.entry_bytes().as_chunks::<ENTRY_BYTES>();
+        let all_checked = self.checked.all();
         let mut stack = vec![self.nodes.len() - 1];
         while let Some(i) = stack.pop() {
-            let nd = &self.nodes[i];
+            let Some(nd) = self.nodes.get(i) else {
+                continue;
+            };
             out.nodes_visited += 1;
             if !hit(&nd.cube) {
                 continue;
@@ -503,11 +781,14 @@ impl RTree {
                 let Some([a0, b0, a1, b1, s0, s1]) = window else {
                     continue;
                 };
-                for e in &self.entries[range] {
-                    let [x0, y0, x1, y1, t0, t1] = e.codes;
+                if !all_checked && !self.checked.passed(i) {
+                    self.check_leaf(&grid, i)?;
+                }
+                for rec in records.get(range).unwrap_or_default() {
+                    let [x0, y0, x1, y1, t0, t1] = record_codes(rec);
                     if x0 <= a1 && x1 >= a0 && y0 <= b1 && y1 >= b0 && t0 <= s1 && t1 >= s0 {
                         out.units += 1;
-                        out.tuples.push(e.tuple);
+                        out.tuples.push(record_entry(rec).tuple);
                     }
                 }
             } else {
@@ -516,7 +797,7 @@ impl RTree {
         }
         out.tuples.sort_unstable();
         out.tuples.dedup();
-        out
+        Ok(out)
     }
 }
 
@@ -1022,6 +1303,25 @@ mod tests {
     use mob_base::{t, Interval};
     use mob_spatial::pt;
 
+    /// A tree from its coded parts, fully validated: [`RTree::from_stored`]
+    /// over the entries laid out in a buffer, then [`RTree::validate`].
+    fn from_coded_parts(
+        num_tuples: u32,
+        fanout: u32,
+        frame: Cube,
+        coded: Vec<CodedEntry>,
+        nodes: Vec<IndexNode>,
+    ) -> DecodeResult<RTree> {
+        let mut buf = Vec::new();
+        for e in &coded {
+            write_entry(&mut buf, e);
+        }
+        let len = buf.len();
+        let tree = RTree::from_stored(num_tuples, fanout, frame, Arc::new(buf), 0..len, nodes)?;
+        tree.validate()?;
+        Ok(tree)
+    }
+
     fn zigzag(k: usize, n: usize) -> MovingPoint {
         let x0 = k as f64;
         let samples: Vec<_> = (0..n)
@@ -1055,7 +1355,7 @@ mod tests {
         let tree = RTree::bulk(0, Vec::new());
         tree.validate().unwrap();
         assert_eq!(tree.num_nodes(), 0);
-        let c = tree.query_instant(t(1.0));
+        let c = tree.query_instant(t(1.0)).unwrap();
         assert!(c.tuples.is_empty());
         assert_eq!(c.nodes_visited, 0);
     }
@@ -1079,7 +1379,7 @@ mod tests {
         let tree = fleet_tree(17, 12);
         // Instant probes, including out-of-range ones.
         for ti in [-1.0, 0.0, 3.25, 10.9, 11.0, 99.0] {
-            let got = tree.query_instant(t(ti));
+            let got = tree.query_instant(t(ti)).unwrap();
             let want = brute(&tree, |c| c.t_min <= t(ti) && t(ti) <= c.t_max);
             assert_eq!(got.tuples, want, "instant {ti}");
             assert!(got.units as usize >= got.tuples.len());
@@ -1088,7 +1388,7 @@ mod tests {
         use mob_base::r;
         for (x0, x1) in [(0.0, 2.5), (5.0, 9.0), (40.0, 50.0)] {
             let rect = Rect::new(r(x0), r(0.0), r(x1), r(6.0));
-            let got = tree.query_rect(&rect);
+            let got = tree.query_rect(&rect).unwrap();
             let want = brute(&tree, |c| c.rect.intersects(&rect));
             assert_eq!(got.tuples, want, "rect {x0}..{x1}");
         }
@@ -1097,22 +1397,24 @@ mod tests {
             Rect::new(r(2.0), r(0.0), r(4.0), r(99.0)),
             &Interval::closed(t(1.0), t(2.0)),
         );
-        let got = tree.query(&cube);
+        let got = tree.query(&cube).unwrap();
         assert_eq!(got.tuples, brute(&tree, |c| c.intersects(&cube)));
     }
 
     #[test]
     fn selective_probes_visit_few_nodes() {
         let tree = fleet_tree(64, 8);
-        let all = tree.query_instant(t(3.0));
+        let all = tree.query_instant(t(3.0)).unwrap();
         assert_eq!(all.tuples.len(), 64, "every flight is live at t=3");
         // A probe outside every lifetime touches only the root.
-        let none = tree.query_instant(t(500.0));
+        let none = tree.query_instant(t(500.0)).unwrap();
         assert!(none.tuples.is_empty());
         assert_eq!(none.nodes_visited, 1);
         // A spatially selective probe prunes most of the tree.
         use mob_base::r;
-        let corner = tree.query_rect(&Rect::new(r(0.0), r(0.0), r(1.0), r(4.0)));
+        let corner = tree
+            .query_rect(&Rect::new(r(0.0), r(0.0), r(1.0), r(4.0)))
+            .unwrap();
         assert!(!corner.tuples.is_empty());
         assert!(
             (corner.nodes_visited as usize) < tree.num_nodes(),
@@ -1168,18 +1470,18 @@ mod tests {
             let span = Interval::closed(t(from), t(from + next() * 4.0));
             let cube = Cube::new(rect, &span);
             assert_eq!(
-                tree.query(&cube).tuples,
+                tree.query(&cube).unwrap().tuples,
                 brute(&tree, |c| c.intersects(&cube)),
                 "probe {p}"
             );
             assert_eq!(
-                tree.query_rect(&rect).tuples,
+                tree.query_rect(&rect).unwrap().tuples,
                 brute(&tree, |c| c.rect.intersects(&rect)),
                 "rect {p}"
             );
             let at = t(from);
             assert_eq!(
-                tree.query_instant(at).tuples,
+                tree.query_instant(at).unwrap().tuples,
                 brute(&tree, |c| c.t_min <= at && at <= c.t_max),
                 "instant {p}"
             );
@@ -1228,28 +1530,28 @@ mod tests {
 
         // The compact form: pristine coded parts rebuild the tree.
         let frame = tree.frame().unwrap();
-        let coded = tree.coded_entries().to_vec();
-        let rebuilt = RTree::from_coded_parts(nt, f, frame, coded.clone(), nodes.clone()).unwrap();
+        let coded = tree.coded_entries().collect::<Vec<_>>();
+        let rebuilt = from_coded_parts(nt, f, frame, coded.clone(), nodes.clone()).unwrap();
         assert_eq!(rebuilt, tree);
         // A frame that differs from the root cube.
         let mut wide = frame;
         wide.t_max = t(frame.t_max.as_f64() + 1.0);
-        assert!(RTree::from_coded_parts(nt, f, wide, coded.clone(), nodes.clone()).is_err());
+        assert!(from_coded_parts(nt, f, wide, coded.clone(), nodes.clone()).is_err());
         // A min code above its max code.
         let mut bad = coded.clone();
         bad[0].codes.swap(0, 2);
         assert!(bad[0].codes[0] > bad[0].codes[2], "test premise");
-        assert!(RTree::from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
+        assert!(from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
         // A shrunk leaf node no longer contains the decoded entries.
         let mut nd = nodes.clone();
         nd[0].cube = entries[0].cube;
-        assert!(RTree::from_coded_parts(nt, f, frame, coded.clone(), nd).is_err());
+        assert!(from_coded_parts(nt, f, frame, coded.clone(), nd).is_err());
         // A tuple id out of range, in the coded form too.
         let mut bad = coded.clone();
         bad[0].tuple = 99;
-        assert!(RTree::from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
+        assert!(from_coded_parts(nt, f, frame, bad, nodes.clone()).is_err());
         // The empty tree has no frame to check.
-        assert!(RTree::from_coded_parts(nt, f, frame, Vec::new(), Vec::new()).is_ok());
+        assert!(from_coded_parts(nt, f, frame, Vec::new(), Vec::new()).is_ok());
     }
 
     /// A cube from its six bounds in code order.
@@ -1291,18 +1593,18 @@ mod tests {
         for e in tree.entries() {
             assert!(e.cube.contains(&cubes[e.tuple as usize]), "{ctx}");
         }
-        let back = RTree::from_coded_parts(
+        let back = from_coded_parts(
             tree.num_tuples,
             tree.fanout,
             frame,
-            tree.coded_entries().to_vec(),
+            tree.coded_entries().collect::<Vec<_>>(),
             tree.nodes.clone(),
         )
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         assert_eq!(back, tree, "{ctx}: compact parts rebuild the tree");
         // Every probe over the frame and past it finds every entry it
         // meets.
-        let all = tree.query(&frame);
+        let all = tree.query(&frame).unwrap();
         assert_eq!(all.tuples.len(), cubes.len(), "{ctx}: the frame meets all");
     }
 
@@ -1525,11 +1827,11 @@ mod tests {
             assert!(snapped.cube.contains(&f.cube), "snapped outward");
         }
         // Its compact form stores and reloads as the same tree.
-        let back = RTree::from_coded_parts(
+        let back = from_coded_parts(
             tree.num_tuples,
             tree.fanout,
             frame,
-            tree.coded_entries().to_vec(),
+            tree.coded_entries().collect::<Vec<_>>(),
             tree.nodes.clone(),
         )
         .expect("widened nodes contain the snapped leaves");

@@ -177,7 +177,7 @@ impl Relation {
     /// it vouches for ([`Generation::checked_mpoint`]) opens with the
     /// `O(1)` layout checks only, every other `moving(point)` root with
     /// the full structural scan, and the index tree comes from
-    /// [`Generation::index_tree`], decoded once per lineage of commits.
+    /// [`Generation::index_tree`], attached once per lineage of commits.
     ///
     /// Damage policy ([`OpenRelOpts::on_error`]): a quarantined value
     /// (recovered degraded) aborts the open under [`OnError::Fail`]; under
@@ -218,12 +218,11 @@ impl Relation {
         // Tuples whose roots the last full snapshot held: the ones its
         // index can cover.
         let mut base_tuples = 0;
-        // The row builder: `values` become the next tuple; `root` names
-        // its indexed value root.
-        let mut push = |values, root: Option<&str>, in_snapshot| -> DecodeResult<()> {
-            if let Some(cube) = root.and_then(|name| generation.tail_cube(name)) {
+        // The row builder: `values` become the next tuple; `root` is the
+        // catalog slot of its indexed value root.
+        let mut push = |values, root: Option<usize>, in_snapshot| -> DecodeResult<()> {
+            if let Some(&cube) = root.and_then(|slot| generation.tail_cube_at(slot)) {
                 let tuple = u32::try_from(rel.len()).unwrap_or(u32::MAX);
-                let cube = *cube;
                 tail.push(IndexEntry {
                     tuple,
                     unit: 0,
@@ -240,7 +239,7 @@ impl Relation {
             Some(r) => {
                 for cells in r.rows() {
                     let root = match indexed.and_then(|col| cells.get(col)) {
-                        Some(Cell::Root(name)) => Some(name.as_str()),
+                        Some(Cell::Root(name)) => generation.catalog().slot(name),
                         _ => None,
                     };
                     let values = (cells.iter().zip(r.columns()))
@@ -262,7 +261,7 @@ impl Relation {
                         let name_value = AttrValue::Str(Val::Def(Text::try_new(name)?));
                         push(
                             vec![name_value, trip],
-                            Some(name),
+                            Some(slot),
                             slot < generation.snapshot_roots(),
                         )?;
                     }
@@ -335,7 +334,10 @@ fn open_cell(
 /// becomes a lazy [`MPointRef`] (layout checks only when the generation
 /// marked it, else [`Verify::Full`]); any other constructed value is
 /// loaded and validated ([`load_value`]). Quarantined bytes follow the
-/// [`OnError`] policy.
+/// [`OnError`] policy. Inline: it runs once per tuple of an open, and
+/// out of line the implicit view opened measurably slower than a loop
+/// doing the same work in place.
+#[inline]
 fn open_root(
     g: &Generation,
     on_error: OnError,

@@ -18,7 +18,7 @@
 
 use crate::relation::Relation;
 use crate::scan::{IndexPolicy, QueryStats};
-use mob_base::Instant;
+use mob_base::{DecodeResult, Instant};
 use mob_core::{Candidates, RTree};
 use mob_spatial::{Cube, Rect};
 
@@ -65,6 +65,8 @@ pub enum Plan {
 ///
 /// * the relation is marked index-damaged (a stored index failed to
 ///   load) and the policy still wants an index;
+/// * a leaf node of the stored tree that the probe reads fails the
+///   check of its entries (see `RTree::from_stored`);
 /// * an index is attached but unusable — wrong attribute, or a
 ///   cardinality other than the one recorded at attach;
 /// * [`IndexPolicy::Force`] with no index at all.
@@ -119,14 +121,18 @@ pub fn plan_scan(
 
     // Stage 2: prune.
     let _span = mob_obs::span("scan.prune");
-    let search = |tree: &RTree| -> Candidates {
+    let search = |tree: &RTree| -> DecodeResult<Candidates> {
         match probe {
             Probe::At(t) => tree.query_instant(*t),
             Probe::Window(rect) => tree.query_rect(rect),
             Probe::Volume(cube) => tree.query(cube),
         }
     };
-    let (base, tail) = (search(&ix.tree), search(&ix.tail));
+    let (Ok(base), Ok(tail)) = (search(&ix.tree), search(&ix.tail)) else {
+        // A leaf of the stored tree failed its first-visit check: the
+        // tree cannot answer for it.
+        return fallback();
+    };
     // All three lists are sorted: the stable sort merges the runs.
     let mut cands: Vec<usize> = base
         .tuples

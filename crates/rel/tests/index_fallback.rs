@@ -10,9 +10,10 @@
 //! reports failure and the next scan records `index.fallbacks = 1`.
 
 use mob_base::{t, Interval};
-use mob_core::MovingPoint;
+use mob_core::{CodedEntry, MovingPoint, RTree, CODE_MAX};
 use mob_rel::{AttrType, AttrValue, IndexPolicy, OnError, OpenRelOpts, Relation, ScanOpts, Tuple};
 use mob_spatial::{pt, rect_ring, Region};
+use mob_storage::index_store::CodedEntryRecord;
 use mob_storage::{DurableStore, FaultyIo, MemIo, RootRecord, StoreFile, StoreIo};
 
 const CHUNK: usize = 128;
@@ -62,6 +63,13 @@ fn fleet() -> Relation {
 
 /// Commit the fleet *and its index* into a fresh durable directory.
 fn committed_dir() -> MemIo {
+    commit(&fleet_file(None).0)
+}
+
+/// The fleet and its index as a store file, plus the tree as built.
+/// `forge`, given the tuple count, changes the second entry of the first
+/// leaf node before the entries are stored.
+fn fleet_file(forge: Option<Forge>) -> (StoreFile, RTree) {
     let mut rel = fleet();
     let mut file = StoreFile::new();
     for tup in rel.tuples() {
@@ -74,21 +82,34 @@ fn committed_dir() -> MemIo {
         file.put(name, RootRecord::MPoint(stored));
     }
     rel.build_index("trip").unwrap();
-    let tree = rel.index_tree().expect("just built");
-    let stored_ix = mob_storage::index_store::save_index(tree, file.store_mut());
+    let tree = rel.index_tree().expect("just built").clone();
+    let mut stored_ix = mob_storage::index_store::save_index(&tree, file.store_mut());
+    if let Some(forge) = forge {
+        let mut entries: Vec<CodedEntryRecord> =
+            tree.coded_entries().map(CodedEntryRecord).collect();
+        forge(&mut entries[1].0, stored_ix.num_tuples);
+        stored_ix.entries = mob_storage::save_array(&entries, file.store_mut());
+    }
     assert!(
         !stored_ix.entries.is_inline(),
         "index entries must be external so frame damage quarantines them"
     );
     file.put("fleet/index", RootRecord::Index(stored_ix));
+    (file, tree)
+}
 
+/// A forgery of one stored leaf entry, given the tuple count.
+type Forge = fn(&mut CodedEntry, u32);
+
+/// Commit `file` into a fresh durable directory.
+fn commit(file: &StoreFile) -> MemIo {
     let dir = MemIo::new();
     let mut store = DurableStore::options()
         .chunk_size(CHUNK)
         .open(dir.clone())
         .expect("fresh dir");
     let mut txn = store.begin();
-    txn.put_store_file(&file).expect("stage fleet + index");
+    txn.put_store_file(file).expect("stage fleet + index");
     txn.commit().expect("commit fleet + index");
     dir
 }
@@ -280,4 +301,66 @@ fn index_tail_never_stands_in_for_a_snapshot_root_the_tree_missed() {
     assert_eq!(got, want);
     assert_eq!(want.len(), 3, "F_late crosses the corridor before its tail");
     assert_eq!((stats.index_fallbacks, stats.candidates), (1, None));
+}
+
+/// A forged leaf entry the attach cannot see (a tuple id out of range,
+/// a min code above its max code, an entry escaping its leaf node):
+/// every scan whose probe reads that leaf falls back to a full scan with
+/// one recorded fallback and the index-off answer; a scan that never
+/// reads it stays pruned.
+#[test]
+fn a_forged_leaf_entry_falls_back_only_where_a_scan_reads_it() {
+    let _registry = exclusive_registry();
+    let forgeries: [(&str, Forge); 3] = [
+        ("tuple id out of range", |e, n| e.tuple = n),
+        ("min code above max code", |e, _| {
+            (e.codes[0], e.codes[2]) = (1, 0);
+        }),
+        ("entry escaping its leaf", |e, _| {
+            e.codes = [0, 0, CODE_MAX, CODE_MAX, 0, CODE_MAX];
+        }),
+    ];
+    for (what, forge) in forgeries {
+        let (file, tree) = fleet_file(Some(forge));
+        let store = DurableStore::options()
+            .chunk_size(CHUNK)
+            .open(commit(&file))
+            .expect("the forgery is in the payload, not the frames");
+        let snap = store.snapshot().expect("committed");
+        let rel = Relation::open(&snap, &rel_opts()).expect("clean fleet");
+        assert!(rel.has_index(), "{what}: the nodes attach");
+        assert!(!rel.index_damaged(), "{what}");
+        let full = ScanOpts::new().index(IndexPolicy::Off);
+        let pruned = full.clone().index(IndexPolicy::Force);
+        let scan = |cube: mob_spatial::Cube, opts: &ScanOpts| {
+            let zone = Region::from_ring(rect_ring(
+                cube.rect.min_x().get(),
+                cube.rect.min_y().get(),
+                cube.rect.max_x().get(),
+                cube.rect.max_y().get(),
+            ));
+            let window = Interval::closed(cube.t_min, cube.t_max);
+            rel.passes("trip", &zone, &window, opts).expect("scan")
+        };
+        // The forged leaf, probed twice: one fallback each time.
+        let leaf = tree.nodes()[0].cube;
+        for _ in 0..2 {
+            let (want, _) = scan(leaf, &full);
+            let (got, stats) = scan(leaf, &pruned);
+            assert_eq!(got, want, "{what}: the index-off answer");
+            assert_eq!(stats.index_fallbacks, 1, "{what}: one fallback");
+            assert_eq!(stats.candidates, None, "{what}: full path");
+        }
+        // A leaf apart from it: pruned, with no fallback.
+        let apart = (tree.nodes().iter())
+            .find(|nd| nd.level == 0 && !nd.cube.intersects(&leaf))
+            .expect("the fleet spreads over several leaves")
+            .cube;
+        let (want, _) = scan(apart, &full);
+        let (got, stats) = scan(apart, &pruned);
+        assert_eq!(got, want, "{what}: a clean leaf");
+        assert_eq!(stats.index_fallbacks, 0, "{what}: still pruned");
+        let cands = stats.candidates.expect("pruned path");
+        assert!(cands < FLIGHTS, "{what}: {cands} candidates prune nothing");
+    }
 }

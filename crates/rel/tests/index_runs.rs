@@ -144,7 +144,6 @@ fn units_and_entries(rel: &Relation, prefix: &str) -> (usize, usize) {
         units += tup.at(1).as_mpoint_seq().expect("an mpoint").len();
         entries += tree
             .coded_entries()
-            .iter()
             .filter(|e| e.tuple as usize == i)
             .count();
     }
@@ -389,4 +388,84 @@ fn tag11_index_of_real_old_bytes_attaches_and_answers_like_a_compact_tree() {
     assert_eq!(layout(&old), "u16");
     let rebuilt = open_indexed("rebuilt", &old);
     assert_eq!(rebuilt.index_tree(), compact.index_tree());
+}
+
+/// A store whose index root is still tag 11 is rewritten by one
+/// supervised maintenance tick, even below the chain thresholds: the
+/// head then holds a compact (tag 12) root, scans through it answer as
+/// with the index off, and the next tick has nothing left to do.
+#[test]
+fn tag11_index_is_rewritten_by_one_supervised_tick() {
+    use mob_rel::index_rebuilder;
+    use mob_storage::{MaintTick, Supervisor, SupervisorConfig, VirtualClock};
+    use std::sync::Mutex;
+
+    let dir = tag11_store();
+    let store = DurableStore::options().open(dir.clone()).expect("open");
+    let store = Arc::new(Mutex::new(store));
+    let clock = Arc::new(VirtualClock::new());
+    let plain = Supervisor::new(
+        Arc::clone(&store),
+        SupervisorConfig::default(),
+        clock.clone(),
+    );
+    assert!(!plain.due(), "without a rebuilder nothing can rewrite it");
+    let sup = Supervisor::new(Arc::clone(&store), SupervisorConfig::default(), clock)
+        .with_rebuilder(index_rebuilder(OpenRelOpts::new(), INDEX.to_string()));
+    assert!(sup.due(), "a tag-11 root calls for a rebuild");
+    assert!(
+        matches!(
+            sup.run_once(),
+            MaintTick::Compacted {
+                rebuilt: Some(_),
+                ..
+            }
+        ),
+        "one tick rebuilds"
+    );
+    assert_eq!(layout(&dir), "u16", "the tick wrote compact leaves");
+    assert!(!sup.due());
+    assert_eq!(sup.run_once(), MaintTick::Idle, "nothing left to rewrite");
+
+    let rel = open_indexed("rewritten", &dir);
+    let frame: Cube = rel
+        .index_tree()
+        .and_then(|tree| tree.frame())
+        .expect("a non-empty tree");
+    let (x0, y0) = (frame.rect.min_x().get(), frame.rect.min_y().get());
+    let (x1, y1) = (frame.rect.max_x().get(), frame.rect.max_y().get());
+    let (t0, t1) = (frame.t_min.as_f64(), frame.t_max.as_f64());
+    let off = ScanOpts::new().index(IndexPolicy::Off);
+    let force = ScanOpts::new().index(IndexPolicy::Force);
+    let mut rng = Rng(0x7a9_1101);
+    let (mut pruned, mut answered) = (0, 0);
+    for p in 0..60 {
+        let side = rng.range(0.05, 0.4) * (x1 - x0).max(y1 - y0);
+        let (x, y) = (rng.range(x0 - side, x1), rng.range(y0 - side, y1));
+        let zone = Region::from_ring(rect_ring(x, y, x + side, y + side));
+        let from = rng.range(t0 - 1.0, t1);
+        let window = Interval::closed(t(from), t(from + rng.range(0.0, 3.0)));
+        let at: Instant = t(rng.range(t0 - 1.0, t1 + 1.0));
+        for op in ["passes", "filter_inside", "snapshot_at"] {
+            let run = |o: &ScanOpts| {
+                match op {
+                    "passes" => rel.passes("trip", &zone, &window, o),
+                    "filter_inside" => rel.filter_inside("trip", &zone, o),
+                    _ => rel.snapshot_at(at, o),
+                }
+                .unwrap_or_else(|e| panic!("probe {p}: {op}: {e}"))
+            };
+            let (want, _) = run(&off);
+            let (got, stats) = run(&force);
+            assert_eq!(got, want, "probe {p}: {op} pruned ≠ full after the tick");
+            assert_eq!(stats.index_fallbacks, 0, "probe {p}: {op} fell back");
+            let cands = stats.candidates.expect("pruned path");
+            pruned += usize::from(cands < rel.len());
+            answered += usize::from(!want.is_empty());
+        }
+    }
+    assert!(
+        pruned > 20 && answered > 20,
+        "{pruned} pruned, {answered} answered"
+    );
 }

@@ -137,6 +137,7 @@ fn tree_hits(tree: &RTree, probe: &Probe) -> Candidates {
         Probe::Window(r) => tree.query_rect(r),
         Probe::Volume(c) => tree.query(c),
     }
+    .expect("a tree searched whole")
 }
 
 fn cube_hit(cube: &Cube, probe: &Probe) -> bool {

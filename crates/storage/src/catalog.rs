@@ -73,6 +73,13 @@ impl Catalog {
         self.entries.len()
     }
 
+    /// Whether some name occurs in more than one entry. O(1) once the
+    /// name index is built.
+    #[must_use]
+    pub fn has_duplicates(&self) -> bool {
+        self.index().len() < self.entries.len()
+    }
+
     /// Whether the catalog has no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -7,6 +7,8 @@
 use crate::page::{BlobId, PageStore};
 use crate::record::{read_all, write_all, FixedRecord};
 use mob_base::{DecodeError, DecodeResult};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Size threshold (bytes): arrays up to this size are stored inline in
 /// the tuple; larger ones go to separate pages.
@@ -141,6 +143,22 @@ pub fn read_array_bytes<'a>(
             })
         }
         Placement::External(id) => store.read_blob_range(*id, byte_off, byte_len),
+    }
+}
+
+/// The buffer holding a saved array of `T` records and the array's
+/// bytes in it, shared without a copy: a blob's buffer by `Arc` pointer
+/// copy ([`PageStore::share_buffer`], which counts the blob's pages as
+/// read), inline bytes in a buffer of their own. The layout is checked
+/// as [`load_array`] checks it; the records are not decoded.
+pub(crate) fn share_array<T: FixedRecord>(
+    saved: &SavedArray,
+    store: &PageStore,
+) -> DecodeResult<(Arc<Vec<u8>>, Range<usize>)> {
+    saved.check_layout::<T>(store)?;
+    match &saved.placement {
+        Placement::Inline(b) => Ok((Arc::new(b.clone()), 0..b.len())),
+        Placement::External(id) => store.share_buffer(*id),
     }
 }
 

@@ -40,7 +40,10 @@
 //! copied from its stored array as bytes, then its decoded units
 //! encoded, into one buffer the size of the new array — merges the
 //! appended cubes into the tail once, and joins new roots to the
-//! catalog in first-touch order. A replayed chain of k deltas over a
+//! catalog in first-touch order. The tail is kept by catalog slot (a
+//! created root's is the slot the catalog appends it at), so a reader
+//! finds a root's tail cube in O(1) from its slot
+//! ([`Generation::tail_cube_at`]). A replayed chain of k deltas over a
 //! root therefore writes its array once, not k times, and leaves no
 //! superseded copies in the page store.
 //!
@@ -71,12 +74,15 @@
 //!   root opens through [`Generation::checked_mpoint`] with the layout
 //!   checks only ([`Verify::Preverified`]), and a replay that touches it
 //!   again decodes and checks only what its seam reaches.
-//! * **The decoded index trees.** [`Generation::index_tree`] decodes an
-//!   index root on first use and keeps the tree behind an `Arc`. A
-//!   delta commit cannot change an index root (a replay refuses any
-//!   target that is not an mpoint), so the clone hands the tree on. A
-//!   generation built from a store file starts with none, and a failed
-//!   load is never kept: a damaged index is refused on every call.
+//! * **The attached index trees.** [`Generation::index_tree`] attaches
+//!   an index root on first use — nodes decoded and validated, leaf
+//!   entries searched where they lie in the page store's buffer and
+//!   checked leaf by leaf on first read — and keeps the tree behind an
+//!   `Arc`. A delta commit cannot change an index root (a replay
+//!   refuses any target that is not an mpoint), so the clone hands the
+//!   tree on, with the leaf checks it has recorded. A generation built
+//!   from a store file starts with none, and a failed attach is never
+//!   kept: a damaged index is refused on every call.
 //!
 //! Everything here sits on the untrusted-decode path (delta replay runs
 //! it on whatever survived a crash), so all validation returns
@@ -85,7 +91,7 @@
 
 use crate::catalog::{Catalog, Finger};
 use crate::dbarray::{read_array_bytes, save_array, save_array_bytes, Placement, SavedArray};
-use crate::index_store::load_index;
+use crate::index_store::attach_index;
 use crate::mapping_store::{StoredMapping, UPointRecord};
 use crate::page::PageStore;
 use crate::record::FixedRecord;
@@ -108,10 +114,13 @@ pub struct Generation {
     /// roots they create after them, so an entry at or past this
     /// position did not exist at the snapshot.
     snapshot_roots: usize,
-    /// The *tail*: one entry per root whose mapping changed after the
-    /// last full snapshot, sorted by name, with the union cube of every
-    /// unit record appended to it since (see [`Generation::tail`]).
-    tail: Vec<(String, Cube)>,
+    /// The *tail*, by catalog slot: for a root whose mapping changed
+    /// after the last full snapshot, the union cube of every unit record
+    /// appended to it since (see [`Generation::tail`]). Slots past the
+    /// end have no cube, and the vector stays empty until a replay
+    /// appends one. A later entry of a name the catalog holds twice
+    /// carries its first entry's cube, as a lookup by name finds it.
+    tail: Vec<Option<Cube>>,
     /// Blob indices quarantined when the snapshot was decoded degraded.
     quarantined: Vec<usize>,
     /// Per catalog slot, whether this process wrote the slot's root from
@@ -253,7 +262,8 @@ impl Generation {
 
     /// The tail: every root modified since the last full snapshot,
     /// sorted by name, with the union cube of the unit records appended
-    /// to it since. Any stored index predates these appends.
+    /// to it since. Any stored index predates these appends. A view
+    /// built from the per-slot cubes ([`Generation::tail_cube_at`]).
     ///
     /// The cubes a snapshot-time index holds for a root, plus its tail
     /// cube, cover every unit the root holds now: seam resolution only
@@ -261,19 +271,30 @@ impl Generation {
     /// unit with an appended one, whose cubes are both covered. For a
     /// root created since the snapshot the tail cube covers it whole.
     #[must_use]
-    pub fn tail(&self) -> &[(String, Cube)] {
-        &self.tail
+    pub fn tail(&self) -> Vec<(String, Cube)> {
+        let mut tail: Vec<(String, Cube)> = (self.catalog.entries().iter().zip(&self.tail))
+            .filter_map(|((name, _), cube)| Some((name.clone(), (*cube)?)))
+            .collect();
+        // Equal names sort by slot: keep the first entry's cube.
+        tail.sort_by(|a, b| a.0.cmp(&b.0));
+        tail.dedup_by(|later, first| later.0 == first.0);
+        tail
     }
 
     /// The tail cube of `name`, or `None` when the root has not changed
-    /// since the last full snapshot. O(log n) in the tail's length.
+    /// since the last full snapshot. O(log n) in the catalog's length.
     #[must_use]
     pub fn tail_cube(&self, name: &str) -> Option<&Cube> {
-        self.tail
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .and_then(|i| self.tail.get(i))
-            .map(|(_, cube)| cube)
+        self.tail_cube_at(self.catalog.slot(name)?)
+    }
+
+    /// The tail cube of the root at catalog `slot`, or `None` when it
+    /// has not changed since the last full snapshot. O(1). A later entry
+    /// of a name the catalog holds twice answers as
+    /// [`Generation::tail_cube`] of the name does.
+    #[must_use]
+    pub fn tail_cube_at(&self, slot: usize) -> Option<&Cube> {
+        self.tail.get(slot)?.as_ref()
     }
 
     /// Blob indices quarantined at decode time (degraded opens).
@@ -321,10 +342,12 @@ impl Generation {
         }
     }
 
-    /// The tree of the index root `name`, decoded and fully re-validated
-    /// ([`load_index`]) the first time it is asked for and shared after
-    /// that. A load that fails is returned and not kept, so a damaged
-    /// index fails every call.
+    /// The tree of the index root `name`, attached ([`attach_index`]) the
+    /// first time it is asked for and shared after that: its nodes
+    /// decoded and validated, its leaf entries left in the page store's
+    /// buffer and checked leaf by leaf as searches first read them. An
+    /// attach that fails is returned and not kept, so a damaged index
+    /// fails every call.
     ///
     /// # Errors
     ///
@@ -359,7 +382,7 @@ impl Generation {
         }
         // Loaded outside the lock; a racing load that finished first
         // wins, so every caller shares one tree.
-        let tree = Arc::new(load_index(stored, &self.store)?);
+        let tree = Arc::new(attach_index(stored, &self.store)?);
         let mut trees = self.trees.lock();
         if let Some(first) = kept(&trees) {
             return Ok(first);
@@ -796,7 +819,9 @@ impl Replay<'_> {
             return Ok(());
         };
         let mut created = Catalog::new();
-        let mut fresh: Vec<(String, Cube)> = Vec::new();
+        // Slot and appended cube of every root written here; a new root's
+        // slot is where `append` puts it, after every existing entry.
+        let mut cubes: Vec<(usize, Cube)> = Vec::with_capacity(roots.len());
         // Every root written here holds checked units: mark its slot.
         checked.resize(catalog.len(), false);
         for root in roots {
@@ -809,36 +834,48 @@ impl Replay<'_> {
                 num_units: root.num_units,
                 units,
             });
-            match root.slot {
+            let slot = match root.slot {
                 Some(slot) => {
                     catalog.replace_root(slot, record);
                     if let Some(mark) = checked.get_mut(slot) {
                         *mark = true;
                     }
+                    slot
                 }
-                None => created.push(root.name.clone(), record),
-            }
-            let Some(cube) = root.cube else {
-                continue;
+                None => {
+                    created.push(root.name, record);
+                    catalog.len() + created.len() - 1
+                }
             };
-            match tail.binary_search_by(|(n, _)| n.cmp(&root.name)) {
-                Ok(i) => {
-                    if let Some((_, grown)) = tail.get_mut(i) {
-                        *grown = grown.union(&cube);
-                    }
-                }
-                Err(_) => fresh.push((root.name, cube)),
+            if let Some(cube) = root.cube {
+                cubes.push((slot, cube));
             }
-        }
-        if !fresh.is_empty() {
-            // Two sorted runs: the stable sort merges them in one pass.
-            fresh.sort_by(|a, b| a.0.cmp(&b.0));
-            tail.extend(fresh);
-            tail.sort_by(|a, b| a.0.cmp(&b.0));
         }
         // New roots join the catalog in one O(n + k) index merge instead
-        // of k shifts of the name index.
+        // of k shifts of the name index. The chain created each name
+        // once, and none the catalog held, so each takes its own slot.
         catalog.append(created);
+        if !cubes.is_empty() {
+            tail.resize(catalog.len(), None);
+            for (slot, cube) in cubes {
+                if let Some(grown) = tail.get_mut(slot) {
+                    *grown = Some(grown.map_or(cube, |g| g.union(&cube)));
+                }
+            }
+            // A replay touches the first entry of a name; a later entry
+            // of the same name takes its cube, as a lookup by name would.
+            if catalog.has_duplicates() {
+                for (slot, (name, _)) in catalog.entries().iter().enumerate() {
+                    let Some(first) = catalog.slot(name).filter(|&first| first != slot) else {
+                        continue;
+                    };
+                    let cube = tail.get(first).copied().flatten();
+                    if let Some(later) = tail.get_mut(slot) {
+                        *later = cube;
+                    }
+                }
+            }
+        }
         checked.resize(catalog.len(), true);
         Ok(())
     }
@@ -1160,7 +1197,7 @@ mod tests {
             .unwrap();
         let whole = MovingPoint::from_samples(&samples);
         assert_eq!(load_units(&next, "car"), to_records(whole.units()));
-        let names: Vec<&str> = next.tail().iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<String> = next.tail().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["car"]);
     }
 
@@ -1253,7 +1290,7 @@ mod tests {
         assert_eq!(load_units(&g, "car"), [moving, point]);
         assert_eq!(load_units(&g, "bus"), bus);
         assert!(g.get("van").is_none());
-        let names: Vec<&str> = g.tail().iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<String> = g.tail().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["bus", "car"]);
         assert_eq!(g.tail_cube("bus"), records_cube(&bus).as_ref());
         assert_eq!(g.tail_cube("car"), Some(&record_cube(&point)));

@@ -12,7 +12,10 @@
 //!   leaf entry takes 20 bytes, `(tuple u32, unit u32, six u16 codes)`
 //!   ([`CodedEntryRecord`]), each code a fraction of its frame axis
 //!   (`mob_core::index::encode`). A tree holds its leaves as these very
-//!   codes, so a save then a load gives the same tree back.
+//!   records (`mob_core::index::write_entry`), so a save writes the
+//!   tree's own entry bytes and an attach ([`attach_index`]) searches
+//!   the stored ones where they lie: the tree holds the entry array as
+//!   a range of its blob's shared buffer.
 //! * **`f64`** (tag 11, read only): no frame, and a leaf entry takes 56
 //!   bytes with its cube as six `f64` ([`IndexEntryRecord`]), the
 //!   layout of every store written before compact leaves. It loads
@@ -24,21 +27,24 @@
 //! Node records take 60 bytes, `(cube as six f64, first, count,
 //! level)`, in both layouts.
 //!
-//! Decode is untrusted end to end: record reads reject NaN coordinates,
-//! inverted bounds and codes whose min is above their max, and
-//! [`load_index`] re-runs the full structural validation
-//! ([`RTree::from_parts`], [`RTree::from_coded_parts`]) — the frame
-//! equal to the root cube, child ranges tiling each level, parent-cube
-//! containment, leaf ids in range — so a forged or bit-rotted index
-//! surfaces as a [`DecodeError`] and the query layer falls back to a
-//! full scan instead of trusting a wrong candidate set.
+//! Decode is untrusted end to end. Record reads reject NaN coordinates,
+//! inverted bounds and codes whose min is above their max.
+//! [`attach_index`], the open path, validates the nodes whole — the
+//! frame equal to the root cube, child ranges tiling each level, each
+//! child node inside its parent ([`RTree::from_stored`]) — and leaves
+//! each leaf node's entries (ids in range, codes ordered, inside the
+//! leaf) to the first search that reads them. [`load_index`] runs every
+//! check at once ([`RTree::validate`]), for auditors. A forged or
+//! bit-rotted index surfaces as a [`DecodeError`] at attach, or as the
+//! failed search of a scan, and the query layer falls back to a full
+//! scan instead of trusting a wrong candidate set.
 
 use crate::checked::count_u32;
-use crate::dbarray::{load_array, save_array, SavedArray};
+use crate::dbarray::{load_array, save_array, save_array_bytes, share_array, SavedArray};
 use crate::page::PageStore;
-use crate::record::{get_f64, get_u32, put_f64, put_u16, put_u32, FixedRecord};
+use crate::record::{get_f64, get_u32, put_f64, put_u32, FixedRecord};
 use mob_base::{DecodeError, DecodeResult, Instant, Interval, Real};
-use mob_core::index::check_codes;
+use mob_core::index::{check_codes, read_entry, write_entry, ENTRY_BYTES};
 use mob_core::{CodedEntry, IndexEntry, IndexNode, RTree};
 use mob_spatial::{Cube, Rect};
 
@@ -154,43 +160,21 @@ impl FixedRecord for IndexEntryRecord {
 pub struct CodedEntryRecord(pub CodedEntry);
 
 impl FixedRecord for CodedEntryRecord {
-    const SIZE: usize = 8 + 6 * 2;
+    const SIZE: usize = ENTRY_BYTES;
     const WHAT: &'static str = "index coded entry record";
     #[inline]
     fn write(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.0.tuple);
-        put_u32(out, self.0.unit);
-        for c in self.0.codes {
-            put_u16(out, c);
-        }
+        write_entry(out, &self.0);
     }
     #[inline]
     fn read(buf: &[u8]) -> DecodeResult<Self> {
-        // One bounds check for the whole record: a load decodes one per
-        // indexed unit run.
-        let Some(&[t0, t1, t2, t3, u0, u1, u2, u3, x0, x1, y0, y1, x2, x3, y2, y3, s0, s1, s2, s3]) =
-            buf.get(..Self::SIZE)
-        else {
-            return Err(DecodeError::Truncated {
-                what: Self::WHAT,
-                need: Self::SIZE,
-                have: buf.len(),
-            });
-        };
-        let codes = [
-            u16::from_le_bytes([x0, x1]),
-            u16::from_le_bytes([y0, y1]),
-            u16::from_le_bytes([x2, x3]),
-            u16::from_le_bytes([y2, y3]),
-            u16::from_le_bytes([s0, s1]),
-            u16::from_le_bytes([s2, s3]),
-        ];
-        check_codes(codes)?;
-        Ok(CodedEntryRecord(CodedEntry {
-            tuple: u32::from_le_bytes([t0, t1, t2, t3]),
-            unit: u32::from_le_bytes([u0, u1, u2, u3]),
-            codes,
-        }))
+        let entry = read_entry(buf).ok_or(DecodeError::Truncated {
+            what: Self::WHAT,
+            need: Self::SIZE,
+            have: buf.len(),
+        })?;
+        check_codes(entry.codes)?;
+        Ok(CodedEntryRecord(entry))
     }
 }
 
@@ -223,12 +207,7 @@ impl FixedRecord for IndexNodeRecord {
 /// record, the coded entries and the `f64` nodes as database arrays.
 /// An empty tree has no frame and stores the zero cube in its place.
 pub fn save_index(tree: &RTree, store: &mut PageStore) -> StoredIndex {
-    let entries: Vec<CodedEntryRecord> = tree
-        .coded_entries()
-        .iter()
-        .copied()
-        .map(CodedEntryRecord)
-        .collect();
+    let entries = tree.entry_bytes().to_vec();
     let nodes: Vec<IndexNodeRecord> = tree.nodes().iter().copied().map(IndexNodeRecord).collect();
     let frame = tree.frame().unwrap_or_else(|| {
         Cube::new(
@@ -240,32 +219,33 @@ pub fn save_index(tree: &RTree, store: &mut PageStore) -> StoredIndex {
         num_tuples: count_u32(tree.num_tuples()),
         fanout: count_u32(tree.fanout()),
         frame: Some(frame),
-        entries: save_array(&entries, store),
+        entries: save_array_bytes(tree.num_entries(), entries, store),
         nodes: save_array(&nodes, store),
     }
 }
 
-/// Load and fully re-validate a stored index of either layout.
+/// Attach a stored index of either layout for searching: the nodes
+/// decoded and structurally validated, and, for the `u16` layout, the
+/// leaf entries left where they lie — the tree holds the stored entry
+/// array as a range of its blob's buffer ([`PageStore`] shares it), and
+/// checks each leaf node's entries the first time a search reads them
+/// ([`RTree::from_stored`]). An `f64` tree loads through
+/// `RTree::from_parts`, which validates it whole and codes its leaves.
 ///
-/// Quarantined blobs, ragged arrays, NaN cubes, inverted codes and
-/// every structural forgery (a frame other than the root cube, wrong
-/// tiling, broken containment, out-of-range ids) are [`DecodeError`]s
-/// — the caller treats any failure as "no index" and scans fully.
-pub fn load_index(stored: &StoredIndex, store: &PageStore) -> DecodeResult<RTree> {
+/// Quarantined blobs, ragged arrays, NaN node cubes and every
+/// structural forgery of the nodes (a frame other than the root cube,
+/// wrong tiling, broken containment) are [`DecodeError`]s here; a
+/// forged leaf entry fails the first search that reads its leaf, which
+/// the query layer answers with a full scan.
+pub fn attach_index(stored: &StoredIndex, store: &PageStore) -> DecodeResult<RTree> {
     let nodes: Vec<IndexNode> = load_array::<IndexNodeRecord>(&stored.nodes, store)?
         .into_iter()
         .map(|r| r.0)
         .collect();
     match stored.frame {
         Some(frame) => {
-            let entries: Vec<CodedEntryRecord> = load_array(&stored.entries, store)?;
-            RTree::from_coded_parts(
-                stored.num_tuples,
-                stored.fanout,
-                frame,
-                entries.into_iter().map(|r| r.0).collect(),
-                nodes,
-            )
+            let (buf, range) = share_array::<CodedEntryRecord>(&stored.entries, store)?;
+            RTree::from_stored(stored.num_tuples, stored.fanout, frame, buf, range, nodes)
         }
         None => {
             let entries: Vec<IndexEntryRecord> = load_array(&stored.entries, store)?;
@@ -277,6 +257,18 @@ pub fn load_index(stored: &StoredIndex, store: &PageStore) -> DecodeResult<RTree
             )
         }
     }
+}
+
+/// Load and fully re-validate a stored index of either layout.
+///
+/// Quarantined blobs, ragged arrays, NaN cubes, inverted codes and
+/// every structural forgery (a frame other than the root cube, wrong
+/// tiling, broken containment, out-of-range ids) are [`DecodeError`]s
+/// — the caller treats any failure as "no index" and scans fully.
+pub fn load_index(stored: &StoredIndex, store: &PageStore) -> DecodeResult<RTree> {
+    let tree = attach_index(stored, store)?;
+    tree.validate()?;
+    Ok(tree)
 }
 
 #[cfg(test)]
@@ -313,6 +305,7 @@ mod tests {
         let back = load_index(&stored, &store).unwrap();
         assert_eq!(back, tree);
         assert_eq!(back.query_instant(t(2.5)), tree.query_instant(t(2.5)));
+        assert!(back.query_instant(t(2.5)).unwrap().units > 0);
         // The root record, frame included, survives the store file.
         let mut file = crate::StoreFile::new();
         let stored = save_index(&tree, file.store_mut());
@@ -383,7 +376,7 @@ mod tests {
         assert_eq!(IndexNodeRecord::read(&nbuf).unwrap().0, tree.nodes()[0]);
 
         // The compact 20 B record.
-        let (coded, nodes) = (tree.coded_entries(), tree.nodes().to_vec());
+        let (coded, nodes): (Vec<_>, _) = (tree.coded_entries().collect(), tree.nodes().to_vec());
         let mut cbuf = Vec::new();
         CodedEntryRecord(coded[0]).write(&mut cbuf);
         assert_eq!(cbuf.len(), CodedEntryRecord::SIZE);
@@ -421,6 +414,130 @@ mod tests {
         let mut forged = stored.clone();
         forged.nodes = save_array(&shrunk, &mut store);
         assert!(load_index(&forged, &store).is_err(), "shrunk leaf node");
+    }
+
+    /// A seeded fleet of random walks: `tuples` tracks of 1..=`legs`
+    /// units each, in a box of side `side`.
+    fn random_fleet(seed: u64, tuples: usize, legs: u64, side: f64) -> Vec<IndexEntry> {
+        let mut rng = proptest::TestRng::deterministic();
+        for _ in 0..seed % 97 {
+            rng.next_u64();
+        }
+        let mut entries = Vec::new();
+        for k in 0..tuples {
+            let n = 1 + rng.below(legs);
+            let (mut x, mut y) = (rng.unit_f64() * side, rng.unit_f64() * side);
+            let t0 = rng.below(50) as f64;
+            let samples: Vec<_> = (0..=n)
+                .map(|i| {
+                    x += rng.unit_f64() * 6.0 - 3.0;
+                    y += rng.unit_f64() * 6.0 - 3.0;
+                    (t(t0 + i as f64), pt(x, y))
+                })
+                .collect();
+            let m = MovingPoint::from_samples(&samples);
+            entries.extend(mob_core::run_cubes(k as u32, &m));
+        }
+        entries
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        /// A tree attached to its stored bytes answers every probe with
+        /// the same candidates as the same tree built in memory: tuples,
+        /// entries hit and nodes visited, for `query`, `query_rect` and
+        /// `query_instant`, before and after its leaves are checked.
+        #[test]
+        fn in_place_tree_answers_like_the_tree_in_memory(
+            seed in 0u64..1 << 20,
+            tuples in 1usize..60,
+            fanout in 2usize..17,
+            probes in proptest::collection::vec((0u64..1 << 20, 1u32..40, 0u32..60), 1..12),
+        ) {
+            let side = 100.0;
+            let tree = RTree::build(tuples, random_fleet(seed, tuples, 20, side), fanout);
+            let mut store = PageStore::new();
+            let stored = save_index(&tree, &mut store);
+            let attached = attach_index(&stored, &store).expect("a clean index attaches");
+            proptest::prop_assert_eq!(&attached, &tree);
+            for (k, (p, w, d)) in probes.iter().enumerate() {
+                let (x, y) = ((p % 1000) as f64 / 10.0, (p / 1000 % 1000) as f64 / 10.0);
+                let (w, d) = (f64::from(*w), f64::from(*d));
+                let rect = Rect::of_points([pt(x, y), pt(x + w, y + w)]);
+                let cube = Cube::new(rect, &Interval::closed(t(d), t(d + w)));
+                let at = t(d + f64::from(k as u32) / 3.0);
+                for tree_under_test in [&attached, &attached.clone()] {
+                    proptest::prop_assert_eq!(tree_under_test.query(&cube), tree.query(&cube));
+                    proptest::prop_assert_eq!(tree_under_test.query_rect(&rect), tree.query_rect(&rect));
+                    proptest::prop_assert_eq!(tree_under_test.query_instant(at), tree.query_instant(at));
+                }
+            }
+            attached.validate().expect("a clean tree validates");
+            let all = tree.frame().expect("non-empty");
+            proptest::prop_assert_eq!(attached.query(&all), tree.query(&all));
+        }
+    }
+
+    /// A forgery of one stored leaf entry, given the tuple count.
+    type Forge = fn(&mut CodedEntry, u32);
+
+    /// The stored tree of a random fleet with one entry of its first
+    /// leaf node changed by `forge`, attached; and the tree in memory.
+    fn forged(forge: Forge) -> (RTree, RTree) {
+        let tree = RTree::build(40, random_fleet(7, 40, 12, 400.0), 4);
+        let mut store = PageStore::new();
+        let stored = save_index(&tree, &mut store);
+        let mut entries: Vec<CodedEntryRecord> =
+            tree.coded_entries().map(CodedEntryRecord).collect();
+        forge(&mut entries[1].0, stored.num_tuples);
+        let forged = StoredIndex {
+            entries: save_array(&entries, &mut store),
+            ..stored
+        };
+        let attached = attach_index(&forged, &store).expect("leaf entries are checked on search");
+        assert!(
+            load_index(&forged, &store).is_err(),
+            "the full check refuses it"
+        );
+        (tree, attached)
+    }
+
+    #[test]
+    fn a_forged_leaf_entry_fails_every_search_that_reads_its_leaf() {
+        let cases: [(&str, Forge); 3] = [
+            ("tuple id out of range", |e, n| e.tuple = n),
+            ("min code above max code", |e, _| {
+                (e.codes[0], e.codes[2]) = (1, 0);
+            }),
+            ("entry escaping its leaf", |e, _| {
+                e.codes = [
+                    0,
+                    0,
+                    mob_core::CODE_MAX,
+                    mob_core::CODE_MAX,
+                    0,
+                    mob_core::CODE_MAX,
+                ];
+            }),
+        ];
+        for (what, forge) in cases {
+            let (tree, attached) = forged(forge);
+            let leaf = tree.nodes()[0].cube;
+            for _ in 0..2 {
+                assert!(attached.query(&leaf).is_err(), "{what}");
+                assert!(attached.query_rect(&leaf.rect).is_err(), "{what}");
+            }
+            // A leaf node apart from it is read, and answered, as in
+            // memory: the forged leaf is never reached.
+            let apart = (tree.nodes().iter())
+                .find(|nd| nd.level == 0 && !nd.cube.intersects(&leaf))
+                .expect("the fleet spreads over several leaves");
+            let got = attached
+                .query(&apart.cube)
+                .expect("the forged leaf is not read");
+            assert_eq!(got, tree.query(&apart.cube).unwrap(), "{what}");
+            assert!(!got.tuples.is_empty(), "{what}");
+        }
     }
 
     #[test]

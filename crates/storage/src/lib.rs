@@ -97,7 +97,7 @@ pub use durable::{
     Recovery, StoreOptions, Txn, DEFAULT_CHUNK_SIZE, DURABLE_MAGIC, DURABLE_VERSION,
 };
 pub use generation::{splice_units, CheckedMPoint, Generation};
-pub use index_store::{load_index, save_index, StoredIndex};
+pub use index_store::{attach_index, load_index, save_index, StoredIndex};
 pub use ingest::Ingestor;
 pub use io::{FaultMask, FaultyIo, FsIo, MemIo, StoreIo, FAULT_MASKS, STORAGE_FULL_MARKER};
 pub use page::{

@@ -284,6 +284,16 @@ impl PageStore {
         Ok(range)
     }
 
+    /// The buffer holding blob `id` and the blob's range in it, shared
+    /// by `Arc` pointer copy: the bytes stay where they are. Counts the
+    /// blob's pages as read, as a whole-blob range read does; a
+    /// quarantined blob or a dangling id is the error such a read gives.
+    pub(crate) fn share_buffer(&self, id: BlobId) -> DecodeResult<(Arc<Vec<u8>>, Range<usize>)> {
+        self.read_blob_range(id, 0, self.blob_len(id)?)?;
+        let blob = self.blob(id)?;
+        Ok((Arc::clone(&blob.buf), blob.range.clone()))
+    }
+
     /// Number of pages a blob occupies. A quarantined blob still counts
     /// its pages — they describe its placement, not its contents — and
     /// a dangling id is [`DecodeError::OutOfBounds`].

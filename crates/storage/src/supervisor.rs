@@ -8,7 +8,10 @@
 //!
 //! * a [`Supervisor`] watches the committed chain through
 //!   [`DurableStore::pending_deltas`] / `pending_delta_bytes` and fires
-//!   maintenance when either crosses its [`SupervisorConfig`] threshold;
+//!   maintenance when either crosses its [`SupervisorConfig`] threshold,
+//!   or, once, when it has a rebuilder and the head still holds an index
+//!   root in the `f64` leaf layout (tag 11), so that later opens attach
+//!   the compact tree in place instead of converting the old one;
 //! * every maintenance step runs through a [`RetryPolicy`]: failures
 //!   are classified ([`classify`]) as *transient* (retry after a
 //!   bounded, seeded-jitter exponential backoff) or *permanent*
@@ -32,6 +35,7 @@
 use crate::clock::Clock;
 use crate::durable::{DurableStore, Rebuilder};
 use crate::io::{StoreIo, STORAGE_FULL_MARKER};
+use crate::store_file::RootRecord;
 use mob_base::{DecodeError, DecodeResult};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -272,6 +276,11 @@ pub struct Supervisor<I: StoreIo> {
     clock: Arc<dyn Clock>,
     rebuilder: Option<Rebuilder>,
     status: Arc<Mutex<MaintStatus>>,
+    /// Set once the head's index roots no longer call for a rewrite of
+    /// the `f64` leaf layout: none was found, or a tick already ran for
+    /// one. Only old files hold that layout, so it is looked for until
+    /// the first tick.
+    layout_settled: AtomicBool,
 }
 
 impl<I: StoreIo> Supervisor<I> {
@@ -288,6 +297,7 @@ impl<I: StoreIo> Supervisor<I> {
             clock,
             rebuilder: None,
             status: Arc::new(Mutex::new(MaintStatus::default())),
+            layout_settled: AtomicBool::new(false),
         }
     }
 
@@ -330,12 +340,32 @@ impl<I: StoreIo> Supervisor<I> {
         }
     }
 
-    /// Whether either chain threshold is crossed.
+    /// Whether either chain threshold is crossed, or a rebuild would
+    /// rewrite an index root of the `f64` leaf layout (tag 11) that no
+    /// tick has tried to rewrite yet.
     #[must_use]
     pub fn due(&self) -> bool {
         let store = self.lock_store();
         store.pending_deltas() >= self.config.delta_threshold
             || store.pending_delta_bytes() >= self.config.delta_bytes_threshold
+            || self.layout_due(&store)
+    }
+
+    /// Whether the head holds a tag-11 index root and a rebuilder could
+    /// rewrite it, looked for until it is found or a tick has run. The
+    /// flag pairs only with itself (`Release` store, `Acquire` load).
+    fn layout_due(&self, store: &DurableStore<I>) -> bool {
+        if self.rebuilder.is_none() || self.layout_settled.load(Ordering::Acquire) {
+            return false;
+        }
+        let found = store.snapshot().is_ok_and(|head| {
+            (head.entries().iter())
+                .any(|(_, root)| matches!(root, RootRecord::Index(ix) if ix.frame.is_none()))
+        });
+        if !found {
+            self.layout_settled.store(true, Ordering::Release);
+        }
+        found
     }
 
     /// One synchronous maintenance tick: check thresholds, then run one
@@ -351,6 +381,9 @@ impl<I: StoreIo> Supervisor<I> {
         if self.with_status(|s| s.manual) || !self.due() {
             return MaintTick::Idle;
         }
+        // This tick runs the rebuild: a tag-11 root it leaves in place
+        // is not the rebuilder's to rewrite.
+        self.layout_settled.store(true, Ordering::Release);
         let outcome = self.config.policy.run(self.clock.as_ref(), || {
             self.lock_store().compact_with(self.rebuilder.as_ref())
         });

@@ -5,7 +5,8 @@
 //!    repeated within a batch, seams, gaps, overlaps). After every
 //!    commit the store's generation must match a reference that finds
 //!    roots with a front-to-back scan: entries in order, the tail (every
-//!    appended root with the union cube of its appended units), `get`
+//!    appended root with the union cube of its appended units, by name
+//!    and, as a relation's row builder reads it, by catalog slot), `get`
 //!    for every name, and the same verdict on every refused batch
 //!    (kind mismatch, overlap), which must leave the store unchanged.
 //!    Each case ends with a reopen that replays its delta chain in place
@@ -211,6 +212,27 @@ fn random_batch(rng: &mut TestRng, reference: &Reference) -> Vec<(String, Vec<UP
 fn assert_matches(g: &Generation, reference: &Reference) {
     assert_eq!(decoded(g), reference.entries, "entries in order");
     assert_eq!(g.tail(), reference.tail.as_slice(), "tail");
+    // Tail by slot: the cube a relation's row builder reads for the
+    // tuple of each slot is the by-name reference's cube of the slot's
+    // name, duplicate names and roots the deltas created included.
+    for (slot, (name, _)) in reference.entries.iter().enumerate() {
+        let by_name = reference
+            .tail
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, c)| c);
+        assert_eq!(
+            g.tail_cube_at(slot),
+            by_name,
+            "tail cube of slot {slot} ({name})"
+        );
+        assert_eq!(g.tail_cube(name), by_name, "tail cube of {name}");
+    }
+    assert_eq!(
+        g.tail_cube_at(reference.entries.len()),
+        None,
+        "past the end"
+    );
     // The serialized file rebuilds the same index on decode.
     let bytes = g.to_store_file().to_bytes().expect("encode");
     let reread = Generation::from_store_file(

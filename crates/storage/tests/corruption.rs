@@ -524,7 +524,7 @@ fn durable_bit_flips_are_caught_by_checksums_not_the_decoder() {
     let image = dir.read_file(&snap_name).expect("read snapshot");
 
     // The intact image decodes to the exact payload.
-    let clean = decode_image_strict(&image).expect("clean image verifies");
+    let clean = decode_image_strict(image.clone()).expect("clean image verifies");
     assert_eq!(clean.payload, payload);
 
     let mut by_checksum = 0usize;
@@ -535,7 +535,7 @@ fn durable_bit_flips_are_caught_by_checksums_not_the_decoder() {
         for bit in 0..8u8 {
             let mut bad = image.clone();
             bad[pos] ^= 1 << bit;
-            match decode_image_strict(&bad) {
+            match decode_image_strict(bad) {
                 Err(mob_base::DecodeError::ChecksumMismatch { .. }) => by_checksum += 1,
                 Err(mob_base::DecodeError::Truncated { .. })
                 | Err(mob_base::DecodeError::CountMismatch { .. }) => by_frame_bounds += 1,
@@ -598,7 +598,7 @@ fn absurd_sizes_in_headers_are_rejected() {
         bad.extend_from_slice(&image[12 + 32..]);
         assert!(
             matches!(
-                decode_image_strict(&bad),
+                decode_image_strict(bad),
                 Err(mob_base::DecodeError::BadStructure { .. })
             ),
             "chunk size {forged} must be rejected as structural damage"

@@ -106,7 +106,7 @@ fn recovered_payload(survivor: MemIo, ctx: &str) -> DecodeResult<Option<Vec<u8>>
         return Ok(None);
     }
     let image = store.io().read_file(&snapshot_name(store.generation()))?;
-    Ok(Some(decode_image_strict(&image)?.payload))
+    Ok(Some(decode_image_strict(image)?.payload))
 }
 
 /// Run the two-commit workload against a fault-injecting I/O layer.
@@ -742,7 +742,7 @@ fn probe_answers(gen: &Generation, ctx: &str) -> Vec<Vec<u32>> {
         .map(|q| {
             let full: Vec<u32> = (0..cubes.len() as u32).filter(|&i| meets(i, q)).collect();
             if let Some(tree) = &tree {
-                let mut pruned = tree.query(q).tuples;
+                let mut pruned = tree.query(q).expect("a tree searched whole").tuples;
                 pruned.retain(|&i| meets(i, q));
                 assert_eq!(pruned, full, "{ctx}: pruned ≠ full for {q:?}");
             }
